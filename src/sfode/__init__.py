@@ -12,6 +12,7 @@ from .analysis import (
     ensemble_run,
     ito_isometry_check,
 )
+from .checks import ConfigError
 from .picard import CauchyReport, PicardSequence, cauchy_diagnostic, picard_iterate
 from .solver import (
     DivergenceError,
@@ -46,6 +47,7 @@ __all__ = [
     "__version__",
     "BoundedCheck",
     "CauchyReport",
+    "ConfigError",
     "ConvergenceError",
     "ConvergenceReport",
     "DivergenceError",

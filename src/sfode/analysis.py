@@ -1,20 +1,23 @@
 """Ensemble statistics, noise-integral checks, and convergence measurement.
 
 The Monte Carlo machinery here works path-by-path with counter-based seeds
-(path i of a run is SeedSpec(master_seed, path_offset + i, 0)), and all
+(path i of a run is SeedSpec(master_seed, i, 0)), and all
 reductions run in path-index order, so every statistic is bit-reproducible
-and independent of how many workers computed the trajectories.
+and independent of how many workers computed the paths.
 """
 
 import math
 import multiprocessing
+import os
 from dataclasses import dataclass
 
 import numpy as np
 
+from . import checks
 from .solver import SolverConfig, Trajectory, solve
 from .stochastic import SeedSpec, TimeGrid, generate_path, make_grid, restrict_path
 from .systems import SystemModel
+from .table import write_table
 
 __all__ = [
     "EnsembleStats",
@@ -43,10 +46,9 @@ class EnsembleStats:
     variance: np.ndarray   # (dim, num_nodes)
     l2sq: np.ndarray       # (num_nodes,)
     num_paths: int
-    trajectories: list | None = None
 
 
-def accumulate_stats(grid: TimeGrid, states_seq, keep: bool = False) -> EnsembleStats:
+def accumulate_stats(grid: TimeGrid, states_seq) -> EnsembleStats:
     """Reduce an ordered sequence of state arrays to ensemble statistics.
 
     Welford accumulation in sequence order: deterministic, single-pass, and
@@ -56,12 +58,9 @@ def accumulate_stats(grid: TimeGrid, states_seq, keep: bool = False) -> Ensemble
     mean = None
     m2 = None
     l2 = None
-    kept = [] if keep else None
     count = 0
     for states in states_seq:
         count += 1
-        if kept is not None:
-            kept.append(states)
         if mean is None:
             mean = np.array(states, dtype=float)
             m2 = np.zeros_like(mean)
@@ -79,7 +78,6 @@ def accumulate_stats(grid: TimeGrid, states_seq, keep: bool = False) -> Ensemble
         variance=m2 / count,
         l2sq=l2 / count,
         num_paths=count,
-        trajectories=kept,
     )
 
 
@@ -89,10 +87,8 @@ _WORKER_STATE = None
 
 
 def _path_worker(index: int) -> np.ndarray:
-    model, cfg, master_seed, path_offset = _WORKER_STATE
-    path = generate_path(
-        SeedSpec(master_seed, path_offset + index, 0), cfg.grid, model.noise_dim
-    )
+    model, cfg, master_seed = _WORKER_STATE
+    path = generate_path(SeedSpec(master_seed, index, 0), cfg.grid, model.noise_dim)
     try:
         return solve(model, cfg, path).states
     except Exception as exc:
@@ -100,42 +96,40 @@ def _path_worker(index: int) -> np.ndarray:
         # boundary; DivergenceError keeps its fields through pickling
         if hasattr(exc, "path_index"):
             raise type(exc)(
-                f"path {path_offset + index}: {exc}",
+                f"path {index}: {exc}",
                 getattr(exc, "step", None),
                 getattr(exc, "time", None),
-                path_offset + index,
+                index,
             ) from None
         raise
 
 
 def ensemble_run(model: SystemModel, cfg: SolverConfig, master_seed: int, M: int,
-                 workers: int = 1, keep_paths: bool = False,
-                 path_offset: int = 0) -> EnsembleStats:
+                 workers: int = 1) -> EnsembleStats:
     """Solve M independent paths and reduce them to EnsembleStats.
 
     Results are identical for any worker count: path i depends only on its
     own seed triple and the reduction always runs in index order.  Parallel
-    execution uses fork-based processes (falls back to serial where fork is
-    unavailable).
+    execution uses fork-based processes, at most one per path and per core
+    (falls back to serial where fork is unavailable).
     """
     global _WORKER_STATE
     if M < 1:
-        raise ValueError(f"M must be >= 1, got {M}")
-    _WORKER_STATE = (model, cfg, master_seed, path_offset)
+        raise checks.ConfigError(f"M must be >= 1, got {M}")
+    processes = min(workers, M, os.cpu_count() or 1)
+    _WORKER_STATE = (model, cfg, master_seed)
     try:
-        if workers > 1:
+        if processes > 1:
             try:
                 ctx = multiprocessing.get_context("fork")
             except ValueError:
                 ctx = None
             if ctx is not None:
-                chunk = max(1, M // (4 * workers))
-                with ctx.Pool(processes=workers) as pool:
+                chunk = max(1, M // (4 * processes))
+                with ctx.Pool(processes=processes) as pool:
                     all_states = pool.map(_path_worker, range(M), chunksize=chunk)
-                return accumulate_stats(cfg.grid, all_states, keep=keep_paths)
-        return accumulate_stats(
-            cfg.grid, (_path_worker(i) for i in range(M)), keep=keep_paths
-        )
+                return accumulate_stats(cfg.grid, all_states)
+        return accumulate_stats(cfg.grid, (_path_worker(i) for i in range(M)))
     finally:
         _WORKER_STATE = None
 
@@ -148,8 +142,7 @@ def ito_isometry_check(alpha: float, grid: TimeGrid, M: int,
     Left-point Monte Carlo estimate against the closed form
     T**(2*alpha-1) / (2*alpha-1); returns the relative error.
     """
-    if not 0.5 < alpha <= 1.0:
-        raise ValueError(f"alpha must be in (1/2, 1], got {alpha!r}")
+    checks.require(checks.alpha_rule(alpha, "noise integrals"))
     if M < 1000:
         raise ValueError(f"ito_isometry_check needs M >= 1000, got {M}")
     T = grid.T
@@ -186,11 +179,11 @@ def convergence_order(model: SystemModel, alpha: float, T: float, h_list,
     """
     hs = sorted(set(float(h) for h in h_list), reverse=True)
     if len(hs) < 3:
-        raise ValueError(f"need at least 3 grid levels, got {len(hs)}")
+        raise checks.ConfigError(f"need at least 3 grid levels; got {len(hs)}")
+    checks.require(checks.grid_rule(T, hs[-1]))
     for coarse, fine in zip(hs, hs[1:]):
-        ratio = coarse / fine
-        if abs(ratio - round(ratio)) > 1e-9 or round(ratio) != 2:
-            raise ValueError(f"h_list must be a dyadic refinement chain, got {hs}")
+        if abs(coarse / fine - 2.0) > checks.GRID_REL_TOL:
+            raise checks.ConfigError(f"h_list must be a dyadic refinement chain; got {hs}")
     if stochastic and master_seed is None:
         raise ValueError("stochastic convergence measurement needs a master_seed")
 
@@ -254,19 +247,9 @@ def bounded_attractor_check(traj: Trajectory, radius: float) -> BoundedCheck:
 
 
 def write_stats_csv(stats: EnsembleStats, stream, metadata: dict | None = None) -> None:
-    """Rows t, mean_1..d, var_1..d, l2sq with 17 significant digits."""
-    for key in sorted(metadata or {}):
-        stream.write(f"# {key}={metadata[key]}\n")
+    """Rows t, mean_1..d, var_1..d, l2sq in the shared table format."""
     d = stats.mean.shape[0]
-    header = ["t"]
-    header += [f"mean_{i + 1}" for i in range(d)]
-    header += [f"var_{i + 1}" for i in range(d)]
-    header += ["l2sq"]
-    stream.write(",".join(header) + "\n")
-    t = stats.grid.nodes()
-    for j in range(stats.grid.num_nodes):
-        row = [format(t[j], ".17g")]
-        row += [format(stats.mean[i, j], ".17g") for i in range(d)]
-        row += [format(stats.variance[i, j], ".17g") for i in range(d)]
-        row.append(format(stats.l2sq[j], ".17g"))
-        stream.write(",".join(row) + "\n")
+    header = (["t"] + [f"mean_{i + 1}" for i in range(d)]
+              + [f"var_{i + 1}" for i in range(d)] + ["l2sq"])
+    write_table(stream, metadata or {}, header,
+                [stats.grid.nodes(), *stats.mean, *stats.variance, stats.l2sq])

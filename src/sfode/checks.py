@@ -1,0 +1,83 @@
+"""Input-domain rules, stated once for the library and the command line.
+
+The scheme's existence, uniqueness and convergence results hold for Caputo
+order alpha in (0, 1], with alpha > 1/2 wherever a noise integral or a Picard
+sweep is formed (the kernel (t-s)**(alpha-1) is then square-integrable), on a
+uniform grid whose step h divides the horizon T.  Each rule function returns
+the list of violated constraints as messages, so the command line can gather
+every violation of a run into one report; :func:`require` raises them as a
+:class:`ConfigError`.
+"""
+
+import math
+
+__all__ = [
+    "ConfigError",
+    "alpha_rule",
+    "choice_rule",
+    "finite_rule",
+    "grid_rule",
+    "positive_rule",
+    "require",
+    "seed_rule",
+]
+
+#: Largest |T/h - round(T/h)| still taken as a whole number of steps.
+GRID_REL_TOL = 1e-9
+
+
+class ConfigError(ValueError):
+    """One or more input-domain constraints are violated."""
+
+
+def require(problems: list) -> None:
+    """Raise ConfigError listing every message in problems, if any."""
+    if problems:
+        raise ConfigError("\n".join(problems))
+
+
+def alpha_rule(alpha: float, over_half: str | None = None) -> list:
+    """alpha in (0, 1]; alpha > 1/2 as well when over_half names who needs it."""
+    if not 0.0 < alpha <= 1.0:
+        return [f"alpha must be in (0, 1]; got {alpha!r}"]
+    if over_half and not alpha > 0.5:
+        return [f"{over_half} require alpha > 1/2; got alpha={alpha!r}"]
+    return []
+
+
+def choice_rule(name: str, value, choices) -> list:
+    """value is one of choices (strings, or the members of a str enum)."""
+    names = [getattr(c, "value", c) for c in choices]
+    if value in names:
+        return []
+    return [f"{name} must be one of {', '.join(names)}; got {value!r}"]
+
+
+def finite_rule(**values) -> list:
+    """Every named value is a finite number."""
+    return [f"{name} must be finite; got {value!r}"
+            for name, value in values.items() if not math.isfinite(value)]
+
+
+def positive_rule(**values) -> list:
+    """No named value is <= 0 (NaN is left to :func:`finite_rule`)."""
+    return [f"{name} must be > 0; got {value!r}"
+            for name, value in values.items() if value <= 0]
+
+
+def grid_rule(T: float, h: float) -> list:
+    """T and h finite and positive, and T/h an integer >= 2."""
+    problems = finite_rule(h=h, T=T) + positive_rule(h=h, T=T)
+    if not problems:
+        ratio = T / h
+        steps = round(ratio) if math.isfinite(ratio) else 0
+        if steps < 2 or abs(ratio - steps) > GRID_REL_TOL:
+            problems.append(f"T/h must be an integer >= 2; got T/h = {ratio!r}")
+    return problems
+
+
+def seed_rule(seed: int) -> list:
+    """seed is a 64-bit unsigned integer."""
+    if 0 <= seed < 2**64:
+        return []
+    return [f"seed must be a 64-bit unsigned integer; got {seed!r}"]

@@ -20,62 +20,19 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from . import checks
 from .solver import DEFAULT_BLOWUP, DivergenceError, Trajectory
 from .stochastic import SeedSpec, TimeGrid, WienerPath, generate_path
 from .systems import SystemModel
+from .table import write_table
 
 __all__ = [
     "PicardSequence",
     "CauchyReport",
-    "g1_quadrature",
-    "g2_stochastic_convolution",
     "picard_iterate",
     "cauchy_diagnostic",
     "write_distance_csv",
 ]
-
-
-def _check_alpha(alpha: float) -> None:
-    if not 0.5 < alpha <= 1.0:
-        raise ValueError(f"Picard operators require alpha in (1/2, 1], got {alpha!r}")
-
-
-def g1_quadrature(y: Trajectory, model: SystemModel, alpha: float, n: int) -> np.ndarray:
-    """Drift convolution (1/G(a)) int_0^{t_n} (t_n - s)**(a-1) f(s, y(s)) ds.
-
-    Product-rectangle rule: f is frozen at the left node of each step and the
-    kernel integrated exactly, giving weights
-    ((t_n - t_j)**a - (t_n - t_{j+1})**a) / (G(a) * a).  Exact for constant f.
-    """
-    _check_alpha(alpha)
-    if n == 0:
-        return np.zeros(model.dim)
-    t = y.grid.nodes()
-    tn = t[n]
-    w = ((tn - t[:n])**alpha - (tn - t[1:n + 1])**alpha) / (math.gamma(alpha) * alpha)
-    f_vals = np.empty((model.dim, n))
-    for j in range(n):
-        f_vals[:, j] = model.drift(t[j], y.states[:, j])
-    return f_vals @ w
-
-
-def g2_stochastic_convolution(y: Trajectory, model: SystemModel, alpha: float,
-                              path: WienerPath, n: int) -> np.ndarray:
-    """Noise convolution (1/G(a)) int_0^{t_n} (t_n - s)**(a-1) sigma(s, y(s)) dW(s).
-
-    Left-point Ito discretization sum_{j<n} (t_n - t_j)**(a-1) sigma_j dW_j / G(a);
-    alpha > 1/2 keeps the squared kernel integrable.
-    """
-    _check_alpha(alpha)
-    if n == 0:
-        return np.zeros(model.dim)
-    t = y.grid.nodes()
-    k = (t[n] - t[:n])**(alpha - 1.0) / math.gamma(alpha)
-    out = np.zeros(model.dim)
-    for j in range(n):
-        sigma = np.asarray(model.diffusion(t[j], y.states[:, j]), dtype=float)
-        out += k[j] * (sigma @ path.increments[:, j])
-    return out
 
 
 @dataclass
@@ -110,9 +67,8 @@ class _SweepKernels:
     """Quadrature tables shared by every sweep on one (grid, alpha) pair.
 
     On the uniform grid t_n - t_j = (n-j)h, so the drift weights and the noise
-    kernel at node n are reversed slices of single power tables; the per-node
-    fractional powers of :func:`g1_quadrature` / :func:`g2_stochastic_convolution`
-    collapse to O(N) total work.
+    kernel at node n are reversed slices of single power tables: the
+    fractional powers cost O(N) in total, not O(N) per node.
     """
 
     def __init__(self, grid: TimeGrid, alpha: float):
@@ -166,9 +122,10 @@ def picard_iterate(model: SystemModel, alpha: float, grid: TimeGrid,
 
     A None path switches the noise convolution off (deterministic check).
     """
-    _check_alpha(alpha)
+    problems = checks.alpha_rule(alpha, "Picard sweeps")
     if K < 1:
-        raise ValueError(f"K must be >= 1, got {K}")
+        problems.append(f"K must be >= 1; got {K}")
+    checks.require(problems)
     if path is not None and path.grid != grid:
         raise ValueError("path grid does not match iteration grid")
 
@@ -214,10 +171,12 @@ def cauchy_diagnostic(model: SystemModel, alpha: float, grid: TimeGrid,
     deterministic given the master seed.  By default gaps are measured at the
     terminal node (the cheap proxy); sup_mode maximizes them over the grid.
     """
+    problems = checks.alpha_rule(alpha, "Picard sweeps")
     if M < 100:
-        raise ValueError(f"cauchy_diagnostic needs M >= 100 paths, got {M}")
+        problems.append(f"the Picard diagnostic needs paths >= 100; got {M}")
     if K < 2:
-        raise ValueError(f"cauchy_diagnostic needs K >= 2, got {K}")
+        problems.append(f"the Picard diagnostic needs iterations >= 2; got {K}")
+    checks.require(problems)
     gap_sum = np.zeros(K)
     l2_sum = np.zeros(K + 1)
     for i in range(M):
@@ -239,8 +198,5 @@ def cauchy_diagnostic(model: SystemModel, alpha: float, grid: TimeGrid,
 
 def write_distance_csv(report: CauchyReport, stream, metadata: dict | None = None) -> None:
     """Distance table: one row (k, d_k) per measured gap."""
-    for key in sorted(metadata or {}):
-        stream.write(f"# {key}={metadata[key]}\n")
-    stream.write("k,d_k\n")
-    for k, d in enumerate(report.distances, start=1):
-        stream.write(f"{k},{format(d, '.17g')}\n")
+    ks = range(1, len(report.distances) + 1)
+    write_table(stream, metadata or {}, ["k", "d_k"], [ks, report.distances])

@@ -31,8 +31,10 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from . import checks
 from .stochastic import TimeGrid, WienerPath
 from .systems import SystemModel
+from .table import write_table
 from .weights import WeightMode, WeightTable
 
 __all__ = [
@@ -40,8 +42,6 @@ __all__ = [
     "SolverConfig",
     "Trajectory",
     "DivergenceError",
-    "predict",
-    "correct",
     "solve",
     "write_trajectory_csv",
 ]
@@ -84,12 +84,9 @@ class SolverConfig:
     blowup: float = DEFAULT_BLOWUP
 
     def __post_init__(self):
-        if not 0.0 < self.alpha <= 1.0:
-            raise ValueError(f"alpha must be in (0, 1], got {self.alpha!r}")
-        if self.stochastic and not self.alpha > 0.5:
-            raise ValueError(
-                f"stochastic runs require alpha > 1/2, got alpha={self.alpha!r}"
-            )
+        checks.require(checks.alpha_rule(
+            self.alpha, "stochastic runs (nonzero noise)" if self.stochastic else None
+        ))
         if not self.blowup > 0:
             raise ValueError(f"blowup bound must be > 0, got {self.blowup!r}")
         object.__setattr__(self, "noise_history", NoiseHistory(self.noise_history))
@@ -113,11 +110,10 @@ class Trajectory:
 
 
 class _Stepper:
-    """Shared stepping kernel with incremental drift/noise history caches.
+    """Stepping kernel with incremental drift/noise history caches.
 
-    ``predict``/``correct`` below and :func:`solve` all run through this one
-    code path; the public per-step functions just prime the caches from a
-    trajectory prefix instead of building them incrementally.
+    :meth:`push` records node n; :meth:`predict` and :meth:`correct` then
+    take step n -> n+1 from the records of nodes 0..n.
     """
 
     def __init__(self, model: SystemModel, cfg: SolverConfig, path: WienerPath | None):
@@ -127,15 +123,14 @@ class _Stepper:
         self.t = grid.nodes()
         self.h = grid.h
         self.y0 = np.asarray(model.y0, dtype=float)
-        if self.y0.shape != (model.dim,):
-            raise ValueError(f"y0 must have shape ({model.dim},)")
         steps = grid.num_steps
         self.table = WeightTable(steps, cfg.alpha, grid.h, cfg.weight_mode)
         self.inv_gamma_a = 1.0 / math.gamma(cfg.alpha)
         self.corr_drift = self.h**cfg.alpha / math.gamma(cfg.alpha + 2.0)
-        self.corr_noise = self.h ** (cfg.alpha - 1.0) / math.gamma(cfg.alpha + 2.0)
         self.drift_hist = np.empty((model.dim, steps + 1))
         if cfg.stochastic:
+            # alpha > 1/2 here keeps h**(alpha - 1) finite for every float h
+            self.corr_noise = self.h ** (cfg.alpha - 1.0) / math.gamma(cfg.alpha + 2.0)
             if path is None:
                 raise ValueError("stochastic solve requires a WienerPath")
             if path.grid != grid:
@@ -213,38 +208,6 @@ class _Stepper:
             y = y + self.corr_noise * (sigma_new @ self.dW[:, n] + hist)
         return y
 
-    def prime(self, states: np.ndarray, upto: int) -> None:
-        """Fill caches from existing node values states[:, 0..upto]."""
-        for j in range(upto + 1):
-            self.push(j, states[:, j])
-
-
-def _history_states(history, model: SystemModel, n: int) -> np.ndarray:
-    states = history.states if isinstance(history, Trajectory) else np.asarray(history, dtype=float)
-    if states.ndim != 2 or states.shape[0] != model.dim or states.shape[1] < n + 1:
-        raise ValueError(
-            f"history must provide states of shape ({model.dim}, >= {n + 1})"
-        )
-    return states
-
-
-def predict(history, path: WienerPath | None, model: SystemModel,
-            cfg: SolverConfig, n: int) -> np.ndarray:
-    """Predicted state at t_{n+1} from node values known through t_n."""
-    states = _history_states(history, model, n)
-    stepper = _Stepper(model, cfg, path)
-    stepper.prime(states, n)
-    return stepper.predict(n)
-
-
-def correct(history, predicted: np.ndarray, path: WienerPath | None,
-            model: SystemModel, cfg: SolverConfig, n: int) -> np.ndarray:
-    """Corrected state at t_{n+1} given its predicted value."""
-    states = _history_states(history, model, n)
-    stepper = _Stepper(model, cfg, path)
-    stepper.prime(states, n)
-    return stepper.correct(n, np.asarray(predicted, dtype=float))
-
 
 def solve(model: SystemModel, cfg: SolverConfig,
           path: WienerPath | None = None) -> Trajectory:
@@ -289,20 +252,10 @@ def solve(model: SystemModel, cfg: SolverConfig,
 
 
 def write_trajectory_csv(traj: Trajectory, stream, metadata: dict | None = None) -> None:
-    """Write t, y1..yd rows with 17 significant digits.
+    """Write t, y1..yd rows in the shared table format.
 
-    Metadata (merged over the trajectory's own) goes into leading '#' comment
-    lines in a fixed order so identical runs produce identical bytes.
+    Metadata is merged over the trajectory's own.
     """
-    meta = dict(traj.meta)
-    if metadata:
-        meta.update(metadata)
-    for key in sorted(meta):
-        stream.write(f"# {key}={meta[key]}\n")
-    d = traj.dim
-    stream.write("t," + ",".join(f"y{i + 1}" for i in range(d)) + "\n")
-    t = traj.grid.nodes()
-    for j in range(traj.grid.num_nodes):
-        row = [format(t[j], ".17g")]
-        row += [format(traj.states[i, j], ".17g") for i in range(d)]
-        stream.write(",".join(row) + "\n")
+    header = ["t"] + [f"y{i + 1}" for i in range(traj.dim)]
+    write_table(stream, {**traj.meta, **(metadata or {})}, header,
+                [traj.grid.nodes(), *traj.states])

@@ -10,6 +10,8 @@ import math
 
 import mpmath
 
+from . import checks
+
 __all__ = ["ConvergenceError", "gamma", "mittag_leffler"]
 
 #: Largest |z| accepted by :func:`mittag_leffler`.  Term-by-term Taylor
@@ -53,8 +55,7 @@ def mittag_leffler(alpha: float, z: float) -> float:
     Only |z| <= ML_MAX_ABS_Z is accepted; large-|z| asymptotics are out of
     scope for this library.
     """
-    if not 0.0 < alpha <= 1.0:
-        raise ValueError(f"mittag_leffler requires alpha in (0, 1], got {alpha!r}")
+    checks.require(checks.alpha_rule(alpha))
     if not abs(z) <= ML_MAX_ABS_Z:
         raise ValueError(
             f"mittag_leffler supports |z| <= {ML_MAX_ABS_Z}, got z={z!r}"

@@ -13,6 +13,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from . import checks
+
 __all__ = [
     "TimeGrid",
     "SeedSpec",
@@ -20,10 +22,7 @@ __all__ = [
     "make_grid",
     "generate_path",
     "restrict_path",
-    "write_path_csv",
 ]
-
-_REL_TOL = 1e-9
 
 
 @dataclass(frozen=True)
@@ -31,8 +30,7 @@ class TimeGrid:
     """Nodes 0 = t_0 < t_1 < ... < t_{N+1} = T with uniform spacing h.
 
     ``num_steps`` is the number of increments N+1, so there are
-    ``num_steps + 1`` nodes.  ``N`` follows the convention that the last node
-    index is N+1.
+    ``num_steps + 1`` nodes.
     """
 
     T: float
@@ -40,19 +38,12 @@ class TimeGrid:
     num_steps: int
 
     def __post_init__(self):
-        if not (self.T > 0 and self.h > 0):
-            raise ValueError(f"TimeGrid needs T > 0 and h > 0, got T={self.T}, h={self.h}")
-        if self.num_steps < 2:
-            raise ValueError(f"TimeGrid needs at least 2 steps, got {self.num_steps}")
-        if abs(self.num_steps * self.h - self.T) > self.h * _REL_TOL:
+        checks.require(checks.grid_rule(self.T, self.h))
+        if self.num_steps != round(self.T / self.h):
             raise ValueError(
                 f"TimeGrid is inconsistent: {self.num_steps} steps of h={self.h} "
                 f"do not reach T={self.T}"
             )
-
-    @property
-    def N(self) -> int:
-        return self.num_steps - 1
 
     @property
     def num_nodes(self) -> int:
@@ -68,15 +59,8 @@ def make_grid(T: float, h: float) -> TimeGrid:
     Non-commensurate (T, h) pairs are rejected rather than silently rounded,
     so a run always covers exactly the horizon it was asked for.
     """
-    if not (T > 0 and h > 0):
-        raise ValueError(f"make_grid needs T > 0 and h > 0, got T={T}, h={h}")
-    ratio = T / h
-    num_steps = round(ratio)
-    if num_steps < 2 or abs(ratio - num_steps) > _REL_TOL:
-        raise ValueError(
-            f"T/h = {ratio!r} is not an integer >= 2; pick h commensurate with T"
-        )
-    return TimeGrid(T=float(T), h=float(h), num_steps=num_steps)
+    checks.require(checks.grid_rule(T, h))
+    return TimeGrid(T=float(T), h=float(h), num_steps=round(T / h))
 
 
 @dataclass(frozen=True)
@@ -93,8 +77,7 @@ class SeedSpec:
     channel_index: int = 0
 
     def __post_init__(self):
-        if not 0 <= self.master_seed < 2**64:
-            raise ValueError(f"master_seed must be a 64-bit unsigned int, got {self.master_seed}")
+        checks.require(checks.seed_rule(self.master_seed))
         if self.path_index < 0 or self.channel_index < 0:
             raise ValueError("path_index and channel_index must be >= 0")
 
@@ -187,18 +170,3 @@ def restrict_path(path: WienerPath, factor: int) -> WienerPath:
     )
     cumulative = path.cumulative[:, ::factor].copy()
     return _from_cumulative(coarse, cumulative, seed=path.seed)
-
-
-def write_path_csv(path: WienerPath, stream) -> None:
-    """Debug dump: one row per step with the increment and running sum."""
-    d = path.num_channels
-    header = ["n", "t_n"]
-    header += [f"dW{c + 1}" for c in range(d)]
-    header += [f"W{c + 1}" for c in range(d)]
-    stream.write(",".join(header) + "\n")
-    t = path.grid.nodes()
-    for n in range(path.grid.num_steps):
-        row = [str(n), format(t[n], ".17g")]
-        row += [format(path.increments[c, n], ".17g") for c in range(d)]
-        row += [format(path.cumulative[c, n], ".17g") for c in range(d)]
-        stream.write(",".join(row) + "\n")

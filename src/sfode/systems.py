@@ -13,6 +13,8 @@ from typing import Callable
 
 import numpy as np
 
+from . import checks
+
 __all__ = [
     "SystemModel",
     "NewtonLeipnikParams",
@@ -62,8 +64,8 @@ class NewtonLeipnikParams:
     mu: float = DEFAULT_MU
 
     def __post_init__(self):
-        if not self.beta > 0:
-            raise ValueError(f"beta must be > 0, got {self.beta}")
+        checks.require(checks.finite_rule(beta=self.beta, rho=self.rho, mu=self.mu)
+                       + checks.positive_rule(beta=self.beta))
         if not 0.0 <= self.rho <= 8.0:
             warnings.warn(
                 f"rho={self.rho} is outside the usual range [0, 8]",
@@ -79,9 +81,7 @@ class LorenzParams:
     mu: float = DEFAULT_MU
 
     def __post_init__(self):
-        for name in ("a", "b", "c", "mu"):
-            if not np.isfinite(getattr(self, name)):
-                raise ValueError(f"{name} must be finite")
+        checks.require(checks.finite_rule(a=self.a, b=self.b, c=self.c, mu=self.mu))
 
 
 _NL_Y0 = (0.19, 0.0, -0.18)
@@ -153,6 +153,7 @@ def linear_test(lam: float = 1.0, sigma0: float = 0.0, y0: float = 1.0) -> Syste
     integrator with a closed-form variance.  Both closed forms make it the
     workhorse oracle problem.
     """
+    checks.require(checks.finite_rule(lam=lam, sigma0=sigma0))
 
     def drift(t, y):
         return -lam * y

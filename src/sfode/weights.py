@@ -24,6 +24,8 @@ import enum
 
 import numpy as np
 
+from . import checks
+
 __all__ = ["WeightMode", "WeightTable", "corrector_weights", "predictor_weights"]
 
 
@@ -45,10 +47,8 @@ class WeightTable:
                  mode: WeightMode = WeightMode.STANDARD):
         if num_steps < 1:
             raise ValueError(f"num_steps must be >= 1, got {num_steps}")
-        if not 0.0 < alpha <= 1.0:
-            raise ValueError(f"alpha must be in (0, 1], got {alpha!r}")
-        if not h > 0:
-            raise ValueError(f"h must be > 0, got {h!r}")
+        checks.require(checks.alpha_rule(alpha) + checks.finite_rule(h=h)
+                       + checks.positive_rule(h=h))
         self.num_steps = num_steps
         self.alpha = float(alpha)
         self.h = float(h)

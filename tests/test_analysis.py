@@ -4,6 +4,7 @@ import math
 import numpy as np
 import pytest
 
+from sfode import analysis
 from sfode.analysis import (
     accumulate_stats,
     bounded_attractor_check,
@@ -44,14 +45,15 @@ class TestEnsembleRun:
         assert np.all(stats.variance >= 0.0)
 
     def test_merge_equals_full_run(self):
-        # the seeding contract: path i is the same whether it runs in a batch
-        # of M or in two half batches, so merged stats match bitwise
+        # the seeding contract: path i is SeedSpec(seed, i, 0) however the
+        # ensemble runs, so reducing the per-path solves matches it bitwise
         model = newton_leipnik()
         cfg = SolverConfig(alpha=0.93, grid=make_grid(0.5, 0.05), stochastic=True)
         full = ensemble_run(model, cfg, 11, M=8)
-        lo = ensemble_run(model, cfg, 11, M=4, keep_paths=True, path_offset=0)
-        hi = ensemble_run(model, cfg, 11, M=4, keep_paths=True, path_offset=4)
-        merged = accumulate_stats(cfg.grid, lo.trajectories + hi.trajectories)
+        merged = accumulate_stats(cfg.grid, [
+            solve(model, cfg, generate_path(SeedSpec(11, i, 0), cfg.grid, 3)).states
+            for i in range(8)
+        ])
         np.testing.assert_array_equal(merged.mean, full.mean)
         np.testing.assert_array_equal(merged.variance, full.variance)
         np.testing.assert_array_equal(merged.l2sq, full.l2sq)
@@ -64,6 +66,41 @@ class TestEnsembleRun:
         np.testing.assert_array_equal(serial.mean, parallel.mean)
         np.testing.assert_array_equal(serial.variance, parallel.variance)
         np.testing.assert_array_equal(serial.l2sq, parallel.l2sq)
+
+    @pytest.mark.parametrize("workers, M, cores, expected", [
+        (100000, 2, 8, 2),   # no more processes than paths
+        (100000, 50, 3, 3),  # no more processes than cores
+        (2, 200, 4, 2),      # the requested count when it is the smallest
+    ])
+    def test_pool_size_is_capped(self, monkeypatch, workers, M, cores, expected):
+        # a fake pool records its size and maps serially; no process starts
+        started = []
+
+        class FakePool:
+            def __init__(self, processes):
+                started.append(processes)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            def map(self, fn, items, chunksize=1):
+                return [fn(i) for i in items]
+
+        class FakeContext:
+            Pool = FakePool
+
+        monkeypatch.setattr(analysis.os, "cpu_count", lambda: cores)
+        monkeypatch.setattr(analysis.multiprocessing, "get_context", lambda method: FakeContext)
+        model = linear_test(lam=1.0)
+        cfg = SolverConfig(alpha=0.8, grid=make_grid(0.5, 0.25))
+        pooled = ensemble_run(model, cfg, 0, M=M, workers=workers)
+        assert started == [expected]
+        serial = ensemble_run(model, cfg, 0, M=M, workers=1)
+        np.testing.assert_array_equal(pooled.mean, serial.mean)
+        assert started == [expected]  # the serial run starts no pool
 
     def test_divergence_reports_path_index(self):
         model = lorenz(LorenzParams(mu=50.0))

@@ -1,9 +1,17 @@
 import json
+import math
+import os
+import stat
+import tempfile
+import threading
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, assume, given, settings
+from hypothesis import strategies as st
 
+from sfode import checks, cli
 from sfode.cli import main
 
 
@@ -22,7 +30,9 @@ class TestWeightsCommand:
     def test_trapezoid_column(self, tmp_path):
         out = tmp_path / "w.csv"
         assert run(["weights", "-n", 2, "--alpha", 1.0, "--h", 0.01, "-o", out]) == 0
-        _, data = read_csv(out)
+        comments, data = read_csv(out)
+        assert comments[:4] == ["# alpha=1.0", "# h=0.01", "# mode=standard", "# n=2"]
+        assert comments[4].startswith("# version=")
         assert data[0] == "j,a_j,b_j"
         a_col = [float(row.split(",")[1]) for row in data[1:]]
         np.testing.assert_allclose(a_col, [1, 2, 2, 1], atol=1e-12)
@@ -66,6 +76,14 @@ class TestSimulateCommand:
         code = run([
             "simulate", "--system", "newton_leipnik", "--alpha", 0.3,
             "--h", 0.01, "--T", 1.0, "--mu", 0.0, "-o", tmp_path / "x.csv",
+        ])
+        assert code == 0
+
+    def test_subnormal_step_with_small_alpha(self, tmp_path):
+        # h**(alpha - 1) overflows a float here; only the noise terms need it
+        code = run([
+            "simulate", "--alpha", 0.01, "--mu", 0.0, "--T", 1e-322, "--h", 5e-323,
+            "-o", tmp_path / "x.csv",
         ])
         assert code == 0
 
@@ -117,16 +135,6 @@ class TestConfigHandling:
         err = capsys.readouterr().err
         assert "alpha" in err and "T/h" in err and "paths" in err
 
-    def test_alias_for_linear_system(self, tmp_path):
-        out = tmp_path / "o.csv"
-        code = run([
-            "simulate", "--system", "custom-linear-test", "--alpha", 0.8,
-            "--h", 0.25, "--T", 1.0, "-o", out,
-        ])
-        assert code == 0
-        comments, _ = read_csv(out)
-        assert "# system=linear_test" in "\n".join(comments)
-
 
 class TestEnsembleCommand:
     def test_csv_stats(self, tmp_path):
@@ -168,6 +176,21 @@ class TestEnsembleCommand:
         assert set(law) == {"expected", "observed", "rel_error", "passed"}
         assert isinstance(law["passed"], bool)
         assert summary["config"]["seed"] == 12345
+
+
+    @pytest.mark.parametrize("sigma0, h, T", [
+        (1e-200, 0.25, 1.0),     # sigma0**2 underflows to 0
+        (1e155, 1e-300, 2e-300),  # sigma0**2 overflows; the run stays bounded
+    ])
+    def test_variance_law_out_of_float_range_fails(self, tmp_path, sigma0, h, T):
+        out = tmp_path / "stats.json"
+        code = run([
+            "ensemble", "--system", "linear_test", "--lam", 0.0, "--sigma0", sigma0,
+            "--alpha", 1.0, "--h", h, "--T", T, "--paths", 2, "--workers", 1,
+            "--format", "json", "-o", out,
+        ])
+        assert code == 0
+        assert json.loads(out.read_text())["variance_law"]["passed"] is False
 
 
 class TestPicardCommand:
@@ -227,3 +250,116 @@ class TestConvergeCommand:
             "--h", 0.1, "--T", 1.0, "--levels", 2, "-o", tmp_path / "c.json",
         ])
         assert code == 2
+
+
+# Each of these ended in a traceback or a wrong exit code while the command
+# line and the library each kept their own copy of the input-domain rules.
+@pytest.mark.parametrize("args", [
+    ["picard", "--alpha", 0.4, "--mu", 0, "--paths", 100],
+    ["picard", "--paths", 100, "--iterations", 1, "--T", 0.1],
+    ["simulate", "--T", "inf"],
+    ["simulate", "--T", 1e300, "--h", 1e-300],
+    ["simulate", "--system", "lorenz", "--a", "nan", "--T", 1],
+    ["simulate", "--mu", "nan", "--T", 1],
+    ["simulate", "--beta", "inf", "--T", 0.1],
+    ["weights", "-n", 2, "--alpha", 0.5, "--h", "inf"],
+    ["simulate", "--config", "no-such-dir/run.cfg"],
+    ["converge", "--mu", 0, "--levels", 1100],
+])
+def test_bad_input_is_config_error(args, tmp_path, capsys):
+    assert run(args + ["-o", tmp_path / "out"]) == 2
+    err = capsys.readouterr().err
+    assert "configuration error" in err
+    assert "Traceback" not in err
+
+
+class TestOutputFile:
+    ARGS = ["simulate", "--system", "linear_test", "--alpha", 0.8, "--h", 0.25, "--T", 1.0]
+
+    def test_missing_directory_is_config_error(self, tmp_path, capsys):
+        out = tmp_path / "missing" / "x.csv"
+        assert run(self.ARGS + ["-o", out]) == 2
+        assert str(out) in capsys.readouterr().err
+
+    @pytest.mark.parametrize("earlier", [None, "earlier bytes\n"])
+    def test_failed_write_leaves_no_partial_file(self, tmp_path, monkeypatch, earlier):
+        out = tmp_path / "x.csv"
+        if earlier is not None:
+            out.write_text(earlier)
+
+        def failing_writer(traj, stream, meta):
+            stream.write("t,y1\n0,1\n")
+            raise RuntimeError("writer failed")
+
+        monkeypatch.setattr(cli, "write_trajectory_csv", failing_writer)
+        with pytest.raises(RuntimeError):
+            run(self.ARGS + ["-o", out])
+        assert sorted(p.name for p in tmp_path.iterdir()) == ([] if earlier is None else ["x.csv"])
+        if earlier is not None:
+            assert out.read_text() == earlier
+
+    @pytest.mark.skipif(not hasattr(os, "mkfifo"), reason="needs named pipes")
+    def test_pipe_is_written_in_place(self, tmp_path):
+        fifo = tmp_path / "pipe"
+        os.mkfifo(fifo)
+        received = []
+        reader = threading.Thread(target=lambda: received.append(fifo.read_text()), daemon=True)
+        reader.start()
+        assert run(self.ARGS + ["-o", fifo]) == 0
+        reader.join(timeout=30)
+        assert not reader.is_alive()
+        assert received[0].splitlines()[-1].startswith("1,")
+        assert stat.S_ISFIFO(fifo.stat().st_mode)
+
+
+_ODD_FLOATS = [math.nan, math.inf, -math.inf, 0.0, -1.0, -1e300, 1e300]
+
+
+@st.composite
+def _fuzzed_argv(draw, command):
+    # at most one float key takes an odd value, so that a good share of the
+    # runs get past validation and reach the solver
+    keys = ("alpha", "h", "T") + cli._MODEL_KEYS
+    odd = draw(st.sampled_from(keys + (None,) * len(keys)))
+
+    def value(key, lo, hi):
+        if key == odd:
+            return draw(st.sampled_from(_ODD_FLOATS))
+        return draw(st.floats(lo, hi, exclude_min=True))
+
+    h = value("h", 0.01, 1.0)
+    if odd != "T" and draw(st.sampled_from([True, True, True, False])):
+        T = draw(st.integers(2, 64)) * h  # a valid grid
+    else:
+        T = value("T", 0.0, 2.0)  # mostly non-commensurate
+    # a valid grid stays small; T/h may be anything when it is invalid
+    assume(checks.grid_rule(T, h) or T / h < 64.5)
+    argv = [
+        command, f"--system={draw(st.sampled_from(cli._SYSTEMS))}",
+        f"--h={h!r}", f"--T={T!r}", f"--alpha={value('alpha', 0.5, 1.0)!r}",
+        f"--seed={draw(st.integers(-1, 2**64))}",
+        f"--noise-history={draw(st.sampled_from(['per_step', 'last_increment']))}",
+        f"--weight-mode={draw(st.sampled_from(['standard', 'literal']))}",
+        "--workers=1",
+    ]
+    for key in cli._MODEL_KEYS:
+        if key == odd or draw(st.booleans()):
+            argv.append(f"--{key}={value(key, 0.0, 2.0)!r}")
+    if command == "picard":
+        argv.append(f"--paths={draw(st.sampled_from([3, 100, 100, 100]))}")
+        argv.append(f"--iterations={draw(st.integers(1, 3))}")
+    if command == "ensemble":
+        argv.append(f"--paths={draw(st.integers(0, 3))}")
+        argv.append(f"--format={draw(st.sampled_from(['csv', 'json']))}")
+    return argv
+
+
+@pytest.mark.parametrize("command", ["simulate", "ensemble", "picard"])
+@settings(derandomize=True, deadline=None, max_examples=200,
+          suppress_health_check=[HealthCheck.too_slow, HealthCheck.filter_too_much])
+@given(data=st.data())
+def test_fuzzed_runs_never_exit_1(command, data):
+    argv = data.draw(_fuzzed_argv(command))
+    with tempfile.TemporaryDirectory() as tmp:
+        code = main(argv + ["-o", os.path.join(tmp, "out")])
+    assert code in (0, 2, 3, 4)

@@ -4,14 +4,8 @@ import math
 import numpy as np
 import pytest
 
-from sfode.picard import (
-    cauchy_diagnostic,
-    g1_quadrature,
-    g2_stochastic_convolution,
-    picard_iterate,
-    write_distance_csv,
-)
-from sfode.solver import SolverConfig, Trajectory, solve
+from sfode.picard import cauchy_diagnostic, picard_iterate, write_distance_csv
+from sfode.solver import SolverConfig, solve
 from sfode.special import gamma, mittag_leffler
 from sfode.stochastic import SeedSpec, generate_path, make_grid
 from sfode.systems import LorenzParams, SystemModel, linear_test, lorenz, newton_leipnik
@@ -42,29 +36,55 @@ def ramp_drift_model() -> SystemModel:
     )
 
 
-def zero_trajectory(grid) -> Trajectory:
-    return Trajectory(grid=grid, states=np.zeros((1, grid.num_nodes)))
+def g1_reference(states, grid, model, alpha, n):
+    """Drift convolution (1/G(a)) int_0^{t_n} (t_n - s)**(a-1) f(s, y(s)) ds,
+    node by node: f frozen at the left node of each step and the kernel
+    integrated exactly, weights ((t_n - t_j)**a - (t_n - t_{j+1})**a) / (G(a) a).
+    """
+    if n == 0:
+        return np.zeros(model.dim)
+    t = grid.nodes()
+    tn = t[n]
+    w = ((tn - t[:n])**alpha - (tn - t[1:n + 1])**alpha) / (math.gamma(alpha) * alpha)
+    f_vals = np.empty((model.dim, n))
+    for j in range(n):
+        f_vals[:, j] = model.drift(t[j], states[:, j])
+    return f_vals @ w
+
+
+def g2_reference(states, grid, model, alpha, path, n):
+    """Noise convolution (1/G(a)) int_0^{t_n} (t_n - s)**(a-1) sigma dW, node by
+    node: left-point sum_{j<n} (t_n - t_j)**(a-1) sigma_j dW_j / G(a)."""
+    if n == 0:
+        return np.zeros(model.dim)
+    t = grid.nodes()
+    k = (t[n] - t[:n])**(alpha - 1.0) / math.gamma(alpha)
+    out = np.zeros(model.dim)
+    for j in range(n):
+        sigma = np.asarray(model.diffusion(t[j], states[:, j]), dtype=float)
+        out += k[j] * (sigma @ path.increments[:, j])
+    return out
+
+
+def first_sweep(model, alpha, grid, path=None) -> np.ndarray:
+    """Iterate 1, the sweep applied to the constant initial state."""
+    return picard_iterate(model, alpha, grid, path, K=1).iterates[1].states
 
 
 class TestG1:
     def test_zero_drift_gives_zero(self):
         grid = make_grid(1.0, 0.125)
-        traj = zero_trajectory(grid)
-        model = constant_drift_model(0.0)
-        for n in (0, 3, grid.num_steps):
-            np.testing.assert_array_equal(g1_quadrature(traj, model, 0.8, n), 0.0)
+        np.testing.assert_array_equal(first_sweep(constant_drift_model(0.0), 0.8, grid), 0.0)
 
     @pytest.mark.parametrize("alpha", [0.6, 0.8, 1.0])
     def test_constant_drift_integrated_exactly(self, alpha):
         # the product rule integrates the kernel exactly against constants:
         # result must equal t**alpha / Gamma(alpha + 1) at every node
         grid = make_grid(1.0, 0.05)
-        traj = zero_trajectory(grid)
-        model = constant_drift_model(1.0)
+        states = first_sweep(constant_drift_model(1.0), alpha, grid)
         t = grid.nodes()
         for n in range(1, grid.num_nodes):
-            got = g1_quadrature(traj, model, alpha, n)[0]
-            assert got == pytest.approx(t[n] ** alpha / gamma(alpha + 1.0), rel=1e-13)
+            assert states[0, n] == pytest.approx(t[n] ** alpha / gamma(alpha + 1.0), rel=1e-13)
 
     def test_ramp_drift_converges_to_closed_form(self):
         # fractional integral of f(s) = s at order 1/2 is
@@ -74,7 +94,7 @@ class TestG1:
         errs = []
         for steps in (64, 256):
             grid = make_grid(1.0, 1.0 / steps)
-            got = g1_quadrature(zero_trajectory(grid), ramp_drift_model(), alpha, steps)[0]
+            got = first_sweep(ramp_drift_model(), alpha, grid)[0, steps]
             errs.append(abs(got - expected))
         assert errs[1] < errs[0]
         assert errs[1] <= 5e-3
@@ -86,25 +106,23 @@ class TestG1:
     def test_rejects_small_alpha(self):
         grid = make_grid(1.0, 0.25)
         with pytest.raises(ValueError):
-            g1_quadrature(zero_trajectory(grid), constant_drift_model(1.0), 0.4, 2)
+            first_sweep(constant_drift_model(1.0), 0.4, grid)
 
 
 class TestG2:
     def test_zero_diffusion_gives_zero(self):
         grid = make_grid(1.0, 0.125)
-        model = constant_drift_model(1.0)  # diffusion is zero
         path = generate_path(SeedSpec(0), grid)
-        out = g2_stochastic_convolution(zero_trajectory(grid), model, 0.8, path, 4)
-        np.testing.assert_array_equal(out, 0.0)
+        states = first_sweep(constant_drift_model(0.0), 0.8, grid, path)
+        np.testing.assert_array_equal(states, 0.0)
 
     def test_unit_diffusion_alpha_one_recovers_path(self):
         grid = make_grid(1.0, 1.0 / 64)
         model = linear_test(lam=0.0, sigma0=1.0, y0=0.0)
         path = generate_path(SeedSpec(13), grid)
-        traj = zero_trajectory(grid)
+        states = first_sweep(model, 1.0, grid, path)
         for n in (1, 10, 64):
-            got = g2_stochastic_convolution(traj, model, 1.0, path, n)[0]
-            assert got == pytest.approx(path.cumulative[0, n], abs=1e-15)
+            assert states[0, n] == pytest.approx(path.cumulative[0, n], abs=1e-15)
 
     def test_variance_law(self):
         # terminal variance of the noise convolution for sigma = 1 must match
@@ -112,11 +130,10 @@ class TestG2:
         alpha, steps, M = 0.75, 256, 2000
         grid = make_grid(1.0, 1.0 / steps)
         model = linear_test(lam=0.0, sigma0=1.0, y0=0.0)
-        traj = zero_trajectory(grid)
         vals = np.empty(M)
         for i in range(M):
             path = generate_path(SeedSpec(314, i, 0), grid)
-            vals[i] = g2_stochastic_convolution(traj, model, alpha, path, steps)[0]
+            vals[i] = first_sweep(model, alpha, grid, path)[0, steps]
         expected = 1.0 / ((2 * alpha - 1) * gamma(alpha) ** 2)
         assert abs(np.var(vals) - expected) / expected <= 0.10
 
@@ -141,8 +158,8 @@ class TestPicardIterate:
         for n in (0, 1, 7, grid.num_steps):
             expected = (
                 model.y0
-                + g1_quadrature(prev, model, 0.93, n)
-                + g2_stochastic_convolution(prev, model, 0.93, path, n)
+                + g1_reference(prev.states, grid, model, 0.93, n)
+                + g2_reference(prev.states, grid, model, 0.93, path, n)
             )
             np.testing.assert_allclose(curr.states[:, n], expected, atol=1e-12)
 

@@ -9,8 +9,7 @@ from sfode.solver import (
     NoiseHistory,
     SolverConfig,
     Trajectory,
-    correct,
-    predict,
+    _Stepper,
     solve,
     write_trajectory_csv,
 )
@@ -21,6 +20,14 @@ from sfode.systems import LorenzParams, SystemModel, linear_test, lorenz, newton
 
 def constant_diffusion_model(sigma0: float, y0: float = 0.0) -> SystemModel:
     return linear_test(lam=0.0, sigma0=sigma0, y0=y0)
+
+
+def primed_stepper(states, path, model, cfg, n) -> _Stepper:
+    """A stepper whose caches hold the node values states[:, 0..n]."""
+    stepper = _Stepper(model, cfg, path)
+    for j in range(n + 1):
+        stepper.push(j, states[:, j])
+    return stepper
 
 
 class TestConfig:
@@ -144,8 +151,7 @@ class TestPredictCorrect:
         model = constant_diffusion_model(sigma0, y0=1.0)
         cfg = SolverConfig(alpha=alpha, grid=grid, stochastic=True)
         path = generate_path(SeedSpec(4), grid)
-        history = np.array([[1.0]])
-        yp = predict(history, path, model, cfg, 0)
+        yp = primed_stepper(np.array([[1.0]]), path, model, cfg, 0).predict(0)
         expected = 1.0 + (h**alpha / alpha) * sigma0 * path.increments[0, 0] / (gamma(alpha) * h)
         assert yp[0] == pytest.approx(expected, rel=1e-14)
 
@@ -156,7 +162,7 @@ class TestPredictCorrect:
         cfg = SolverConfig(alpha=1.0, grid=grid)
         traj = solve(model, cfg)
         n = 5
-        yp = predict(traj, None, model, cfg, n)
+        yp = primed_stepper(traj.states, None, model, cfg, n).predict(n)
         history_sum = 1.0 + h * sum(-lam * traj.states[0, j] for j in range(n + 1))
         assert yp[0] == pytest.approx(history_sum, rel=1e-13)
 
@@ -168,17 +174,17 @@ class TestPredictCorrect:
         path = generate_path(SeedSpec(21), grid, num_channels=3)
         traj = solve(model, cfg, path)
         for n in (0, 3, grid.num_steps - 1):
-            yp = predict(traj, path, model, cfg, n)
-            yc = correct(traj, yp, path, model, cfg, n)
+            stepper = primed_stepper(traj.states, path, model, cfg, n)
+            yc = stepper.correct(n, stepper.predict(n))
             np.testing.assert_array_equal(yc, traj.states[:, n + 1])
 
     def test_zero_system_correction_stays_at_start(self):
         model = linear_test(lam=0.0, sigma0=0.0, y0=2.0)
         grid = make_grid(1.0, 0.25)
         cfg = SolverConfig(alpha=0.8, grid=grid)
-        history = np.full((1, 1), 2.0)
-        yp = predict(history, None, model, cfg, 0)
-        yc = correct(history, yp, None, model, cfg, 0)
+        stepper = primed_stepper(np.full((1, 1), 2.0), None, model, cfg, 0)
+        yp = stepper.predict(0)
+        yc = stepper.correct(0, yp)
         assert yp[0] == 2.0 and yc[0] == 2.0
 
 

@@ -1,4 +1,3 @@
-import io
 import math
 
 import numpy as np
@@ -12,14 +11,12 @@ from sfode.stochastic import (
     generate_path,
     make_grid,
     restrict_path,
-    write_path_csv,
 )
 
 
 class TestMakeGrid:
     def test_two_step_grid(self):
         grid = make_grid(1.0, 0.5)
-        assert grid.N == 1
         assert grid.num_steps == 2
         np.testing.assert_allclose(grid.nodes(), [0.0, 0.5, 1.0])
 
@@ -155,13 +152,3 @@ class TestRestrictPath:
         fine = generate_path(SeedSpec(6), make_grid(1.0, 0.125))
         assert restrict_path(fine, 1) is fine
 
-
-def test_write_path_csv():
-    path = generate_path(SeedSpec(3), make_grid(1.0, 0.25), num_channels=2)
-    buf = io.StringIO()
-    write_path_csv(path, buf)
-    lines = buf.getvalue().strip().split("\n")
-    assert lines[0] == "n,t_n,dW1,dW2,W1,W2"
-    assert len(lines) == 1 + path.grid.num_steps
-    first = lines[1].split(",")
-    assert float(first[4]) == 0.0 and float(first[5]) == 0.0
