@@ -1,21 +1,21 @@
 """Ensemble statistics, noise-integral checks, and convergence measurement.
 
-The Monte Carlo machinery here works path-by-path with counter-based seeds
-(path i of a run is SeedSpec(master_seed, i, 0)), and all
-reductions run in path-index order, so every statistic is bit-reproducible
-and independent of how many workers computed the paths.
+The Monte Carlo machinery here uses counter-based seeds (path i of a run is
+SeedSpec(master_seed, i, 0)), solves paths in batches whose per-path results
+equal single-path solves bit for bit, and runs every reduction in path-index
+order, so every statistic is bit-reproducible and independent of the batch
+size.
 """
 
 import math
-import multiprocessing
-import os
 from dataclasses import dataclass
 
 import numpy as np
 
 from . import checks
-from .solver import SolverConfig, Trajectory, solve
+from .solver import DivergenceError, SolverConfig, Trajectory, solve, solve_batch
 from .stochastic import SeedSpec, TimeGrid, generate_path, make_grid, restrict_path
+from .stochastic import increment_batches
 from .systems import SystemModel
 from .table import write_table
 
@@ -81,57 +81,29 @@ def accumulate_stats(grid: TimeGrid, states_seq) -> EnsembleStats:
     )
 
 
-# Worker state is installed before the fork so the (possibly closure-holding)
-# model never needs to be pickled; children inherit it by memory copy.
-_WORKER_STATE = None
-
-
-def _path_worker(index: int) -> np.ndarray:
-    model, cfg, master_seed = _WORKER_STATE
-    path = generate_path(SeedSpec(master_seed, index, 0), cfg.grid, model.noise_dim)
-    try:
-        return solve(model, cfg, path).states
-    except Exception as exc:
-        # annotate with the path index before the error crosses the process
-        # boundary; DivergenceError keeps its fields through pickling
-        if hasattr(exc, "path_index"):
-            raise type(exc)(
-                f"path {index}: {exc}",
-                getattr(exc, "step", None),
-                getattr(exc, "time", None),
-                index,
-            ) from None
-        raise
-
-
 def ensemble_run(model: SystemModel, cfg: SolverConfig, master_seed: int, M: int,
                  workers: int = 1) -> EnsembleStats:
     """Solve M independent paths and reduce them to EnsembleStats.
 
-    Results are identical for any worker count: path i depends only on its
-    own seed triple and the reduction always runs in index order.  Parallel
-    execution uses fork-based processes, at most one per path and per core
-    (falls back to serial where fork is unavailable).
+    Paths run in the batches of :func:`increment_batches`, each reduced in
+    path-index order as soon as it is solved, so memory is bounded by one
+    batch and the results are the same for any batch size.  ``workers``
+    (>= 0) is accepted for compatibility and has no effect.
     """
-    global _WORKER_STATE
-    if M < 1:
-        raise checks.ConfigError(f"M must be >= 1, got {M}")
-    processes = min(workers, M, os.cpu_count() or 1)
-    _WORKER_STATE = (model, cfg, master_seed)
-    try:
-        if processes > 1:
+    problems = [] if M >= 1 else [f"M must be >= 1, got {M}"]
+    if workers < 0:
+        problems.append(f"workers must be >= 0, got {workers}")
+    checks.require(problems)
+
+    def states():
+        for start, dW in increment_batches(master_seed, M, cfg.grid, model.noise_dim):
             try:
-                ctx = multiprocessing.get_context("fork")
-            except ValueError:
-                ctx = None
-            if ctx is not None:
-                chunk = max(1, M // (4 * processes))
-                with ctx.Pool(processes=processes) as pool:
-                    all_states = pool.map(_path_worker, range(M), chunksize=chunk)
-                return accumulate_stats(cfg.grid, all_states)
-        return accumulate_stats(cfg.grid, (_path_worker(i) for i in range(M)))
-    finally:
-        _WORKER_STATE = None
+                batch = solve_batch(model, cfg, dW)
+            except DivergenceError as exc:
+                raise exc.in_batch(start) from None
+            yield from batch
+
+    return accumulate_stats(cfg.grid, states())
 
 
 def ito_isometry_check(alpha: float, grid: TimeGrid, M: int,

@@ -25,6 +25,11 @@ __all__ = [
 #: Largest |T/h - round(T/h)| still taken as a whole number of steps.
 GRID_REL_TOL = 1e-9
 
+#: Most steps a grid may have.  The stepper's history arrays and its O(N^2)
+#: history sums grow with it: 2**22 steps of a 3-D system already hold
+#: about 0.3 GB of history and need about 1e14 flops.
+MAX_STEPS = 2**22
+
 
 class ConfigError(ValueError):
     """One or more input-domain constraints are violated."""
@@ -66,13 +71,15 @@ def positive_rule(**values) -> list:
 
 
 def grid_rule(T: float, h: float) -> list:
-    """T and h finite and positive, and T/h an integer >= 2."""
+    """T and h finite and positive, and T/h an integer in [2, MAX_STEPS]."""
     problems = finite_rule(h=h, T=T) + positive_rule(h=h, T=T)
     if not problems:
         ratio = T / h
         steps = round(ratio) if math.isfinite(ratio) else 0
         if steps < 2 or abs(ratio - steps) > GRID_REL_TOL:
             problems.append(f"T/h must be an integer >= 2; got T/h = {ratio!r}")
+        elif steps > MAX_STEPS:
+            problems.append(f"T/h must be at most {MAX_STEPS} steps; got T/h = {ratio!r}")
     return problems
 
 

@@ -3,7 +3,7 @@
 Runs are described by a flat key=value config file plus command-line flag
 overrides (flags win).  Every output file embeds the tool version and the
 fully resolved configuration, and a given (config, seed) pair always produces
-byte-identical files, whatever the worker count.
+byte-identical files.
 
 Exit codes: 0 ok, 2 config error, 3 divergence, 4 convergence-diagnostic
 failure.
@@ -15,7 +15,7 @@ import json
 import math
 import os
 import sys
-from dataclasses import dataclass, fields, replace
+from dataclasses import dataclass, fields
 
 from . import __version__, checks
 from .analysis import (
@@ -61,7 +61,7 @@ class RunConfig:
     alpha: float = 0.9
     h: float = 0.01
     T: float = 1.0
-    mu: float | None = None   # resolved to DEFAULT_MU for the built-in systems
+    mu: float = DEFAULT_MU
     beta: float = 0.4
     rho: float = 0.175
     a: float = 10.0
@@ -71,22 +71,14 @@ class RunConfig:
     sigma0: float = 0.0
     seed: int = 0
     paths: int = 1
-    workers: int = 0          # 0 = one worker per available core
+    workers: int = 0          # accepted for compatibility; selects nothing
     noise_history: str = NoiseHistory.PER_STEP.value
     weight_mode: str = WeightMode.STANDARD.value
-
-    def resolved(self) -> "RunConfig":
-        cfg = replace(self)
-        if cfg.mu is None:
-            cfg.mu = DEFAULT_MU
-        if cfg.workers == 0:
-            cfg.workers = os.cpu_count() or 1
-        return cfg
 
     def stochastic(self) -> bool:
         if self.system == "linear_test":
             return self.sigma0 != 0.0
-        return (self.mu if self.mu is not None else DEFAULT_MU) != 0.0
+        return self.mu != 0.0
 
 
 def _validate(cfg: RunConfig) -> None:
@@ -103,7 +95,7 @@ def _validate(cfg: RunConfig) -> None:
     if cfg.paths < 1:
         problems.append(f"paths must be >= 1; got {cfg.paths!r}")
     if cfg.workers < 0:
-        problems.append(f"workers must be >= 0 (0 = auto); got {cfg.workers!r}")
+        problems.append(f"workers must be >= 0; got {cfg.workers!r}")
     problems += checks.choice_rule("noise_history", cfg.noise_history, NoiseHistory)
     problems += checks.choice_rule("weight_mode", cfg.weight_mode, WeightMode)
     checks.require(problems)
@@ -157,7 +149,6 @@ def _build_config(args) -> RunConfig:
         flag = getattr(args, f.name, None)
         if flag is not None:
             setattr(cfg, f.name, _coerce(f.name, flag))
-    cfg = cfg.resolved()
     _validate(cfg)
     return cfg
 
@@ -196,10 +187,19 @@ def _write(path, writer) -> None:
 
     A regular file is written to a temporary file beside it that replaces it
     only once complete, so a failed run leaves no partial file and any earlier
-    file intact.  A device or pipe is written in place.
+    file intact.  A device or pipe is written in place.  Any OSError, a
+    standard output closed early by its reader included, is a ConfigError.
     """
     if path is None:
-        writer(sys.stdout)
+        try:
+            writer(sys.stdout)
+            sys.stdout.flush()
+        except OSError as exc:
+            # what is still buffered can never be written: point stdout at
+            # the null device so that the flush at exit does not fail again
+            with contextlib.suppress(OSError):
+                os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+            raise ConfigError(f"cannot write standard output: {exc.strerror or exc}") from None
         return
     try:
         if os.path.exists(path) and not (os.path.isfile(path) or os.path.isdir(path)):
@@ -220,6 +220,23 @@ def _replace(target: str, writer) -> None:
     finally:
         with contextlib.suppress(OSError):
             os.unlink(tmp)
+
+
+def _finite_or_null(value):
+    """value with every non-finite float in it replaced by None (JSON null)."""
+    if isinstance(value, dict):
+        return {k: _finite_or_null(v) for k, v in value.items()}
+    if isinstance(value, list):
+        return [_finite_or_null(v) for v in value]
+    if isinstance(value, float) and not math.isfinite(value):
+        return None
+    return value
+
+
+def _write_json(path, summary: dict) -> None:
+    """Write summary as strict JSON: a non-finite number becomes null."""
+    text = json.dumps(_finite_or_null(summary), indent=2, allow_nan=False) + "\n"
+    _write(path, lambda s: s.write(text))
 
 
 def cmd_simulate(args) -> int:
@@ -270,7 +287,7 @@ def cmd_ensemble(args) -> int:
                 "rel_error": rel,
                 "passed": bool(rel <= 0.10),
             }
-        _write(args.output, lambda s: s.write(json.dumps(summary, indent=2) + "\n"))
+        _write_json(args.output, summary)
     else:
         _write(args.output, lambda s: write_stats_csv(stats, s, meta))
     return 0
@@ -315,7 +332,7 @@ def cmd_converge(args) -> int:
         "order": None if report.degenerate else report.order,
         "degenerate": report.degenerate,
     }
-    _write(args.output, lambda s: s.write(json.dumps(summary, indent=2) + "\n"))
+    _write_json(args.output, summary)
     return 4 if report.degenerate else 0
 
 
@@ -323,8 +340,8 @@ def cmd_weights(args) -> int:
     problems = (checks.alpha_rule(args.alpha) + checks.finite_rule(h=args.h)
                 + checks.positive_rule(h=args.h)
                 + checks.choice_rule("mode", args.mode, WeightMode))
-    if args.step < 0:
-        problems.append(f"step index must be >= 0; got {args.step}")
+    if not 0 <= args.step < checks.MAX_STEPS:
+        problems.append(f"step index must be in [0, {checks.MAX_STEPS}); got {args.step}")
     checks.require(problems)
     mode = WeightMode(args.mode)
     meta = {"version": __version__, "n": args.step, "alpha": args.alpha,

@@ -12,7 +12,7 @@ integrand, which absorbs the (t-s)**(a-1) singularity); the noise integral
 uses left-point evaluation because the Ito integral mandates non-anticipating
 integrands.  The mean-square gaps between successive iterates should shrink
 toward zero; :func:`cauchy_diagnostic` measures exactly that over a Monte
-Carlo batch of paths.
+Carlo ensemble of paths, swept in batches.
 """
 
 import math
@@ -22,7 +22,7 @@ import numpy as np
 
 from . import checks
 from .solver import DEFAULT_BLOWUP, DivergenceError, Trajectory
-from .stochastic import SeedSpec, TimeGrid, WienerPath, generate_path
+from .stochastic import TimeGrid, WienerPath, increment_batches
 from .systems import SystemModel
 from .table import write_table
 
@@ -49,19 +49,6 @@ class PicardSequence:
             float(np.sum((ends[k + 1] - ends[k])**2)) for k in range(len(ends) - 1)
         ])
 
-    def sup_gaps(self) -> np.ndarray:
-        """Squared gaps maximized over the whole grid instead of at T."""
-        return np.array([
-            float(np.max(np.sum(
-                (self.iterates[k + 1].states - self.iterates[k].states)**2, axis=0
-            )))
-            for k in range(len(self.iterates) - 1)
-        ])
-
-    def terminal_sq_norms(self) -> np.ndarray:
-        """|y_k(T)|**2 for every iterate (boundedness diagnostic)."""
-        return np.array([float(np.sum(it.terminal()**2)) for it in self.iterates])
-
 
 class _SweepKernels:
     """Quadrature tables shared by every sweep on one (grid, alpha) pair.
@@ -87,38 +74,55 @@ class _SweepKernels:
 
 
 def _sweep(model: SystemModel, kernels: _SweepKernels, t: np.ndarray,
-           states: np.ndarray, path: WienerPath | None) -> np.ndarray:
-    """One Picard sweep over all nodes.
+           states: np.ndarray, dW: np.ndarray | None) -> np.ndarray:
+    """One Picard sweep of iterates shaped batch + (d, nodes); dW is (d, nodes - 1) + batch.
 
-    f and sigma are evaluated once per node of the incoming iterate instead of
-    once per (node, history) pair, which drops a sweep from O(N^2) to O(N)
+    f and sigma are evaluated once per node of the incoming iterates instead
+    of once per (node, history) pair, which drops a sweep from O(N^2) to O(N)
     right-hand-side evaluations.
     """
-    dim, nodes = states.shape
-    f_vals = np.empty((dim, nodes))
+    nodes = states.shape[-1]
+    f_vals = np.empty_like(states)
     for j in range(nodes):
-        f_vals[:, j] = model.drift(t[j], states[:, j])
+        f_vals[..., j] = model.evaluate("drift", t[j], states[..., j].T).T
     noise = None
-    if path is not None:
-        noise = np.empty((dim, nodes - 1))
+    if dW is not None:
+        noise = np.empty(states.shape[:-1] + (nodes - 1,))
         for j in range(nodes - 1):
-            sigma = np.asarray(model.diffusion(t[j], states[:, j]), dtype=float)
-            noise[:, j] = sigma @ path.increments[:, j]
-    y0 = np.asarray(model.y0, dtype=float)
+            sigma = model.evaluate("diffusion", t[j], states[..., j].T)
+            noise[..., j] = (sigma * dW[:, j]).T
     out = np.empty_like(states)
-    out[:, 0] = y0
+    out[..., 0] = model.y0
     for n in range(1, nodes):
-        val = y0 + f_vals[:, :n] @ kernels.drift_weights(n)
+        val = model.y0 + f_vals[..., :n] @ kernels.drift_weights(n)
         if noise is not None:
-            val = val + noise[:, :n] @ kernels.noise_kernel(n)
-        out[:, n] = val
+            val = val + noise[..., :n] @ kernels.noise_kernel(n)
+        out[..., n] = val
     return out
+
+
+def _iterates(model: SystemModel, alpha: float, grid: TimeGrid, dW: np.ndarray | None,
+              K: int, blowup: float):
+    """Yield iterates 0..K (0 is the constant y0) of the batch of paths of dW,
+    as in :func:`_sweep`; a DivergenceError names a batch column."""
+    batch = () if dW is None else dW.shape[2:]
+    states = np.tile(model.y0[:, None], batch + (1, grid.num_nodes))
+    yield states
+    t = grid.nodes()
+    kernels = _SweepKernels(grid, alpha)
+    for k in range(1, K + 1):
+        states = _sweep(model, kernels, t, states, dW)
+        ok = (np.abs(states) <= blowup).all(axis=(-2, -1))  # False for non-finite too
+        if not ok.all():
+            raise DivergenceError(f"Picard iterate {k} exceeded blow-up bound", step=k,
+                                  path_index=None if ok.ndim == 0 else int(np.argmin(ok)))
+        yield states
 
 
 def picard_iterate(model: SystemModel, alpha: float, grid: TimeGrid,
                    path: WienerPath | None, K: int,
                    blowup: float = DEFAULT_BLOWUP) -> PicardSequence:
-    """Run K Picard sweeps; iterate 0 is the constant initial state.
+    """Run K Picard sweeps on one path; iterate 0 is the constant initial state.
 
     A None path switches the noise convolution off (deterministic check).
     """
@@ -128,22 +132,11 @@ def picard_iterate(model: SystemModel, alpha: float, grid: TimeGrid,
     checks.require(problems)
     if path is not None and path.grid != grid:
         raise ValueError("path grid does not match iteration grid")
-
-    nodes = grid.num_nodes
-    t = grid.nodes()
-    y0 = np.asarray(model.y0, dtype=float)
-    first = Trajectory(
-        grid=grid,
-        states=np.tile(y0[:, None], (1, nodes)),
-        meta={"picard_iterate": 0},
-    )
-    iterates = [first]
-    kernels = _SweepKernels(grid, alpha)
-    for k in range(1, K + 1):
-        states = _sweep(model, kernels, t, iterates[-1].states, path)
-        if not np.all(np.isfinite(states)) or np.max(np.abs(states)) > blowup:
-            raise DivergenceError(f"Picard iterate {k} exceeded blow-up bound", step=k)
-        iterates.append(Trajectory(grid=grid, states=states, meta={"picard_iterate": k}))
+    dW = None if path is None else path.increments
+    iterates = [
+        Trajectory(grid=grid, states=states, meta={"picard_iterate": k})
+        for k, states in enumerate(_iterates(model, alpha, grid, dW, K, blowup))
+    ]
     return PicardSequence(grid=grid, iterates=iterates)
 
 
@@ -167,9 +160,11 @@ def cauchy_diagnostic(model: SystemModel, alpha: float, grid: TimeGrid,
                       sup_mode: bool = False) -> CauchyReport:
     """Monte Carlo contraction check of the Picard sweeps over M paths.
 
-    Path i uses the stream SeedSpec(master_seed, i, 0), so the report is
-    deterministic given the master seed.  By default gaps are measured at the
-    terminal node (the cheap proxy); sup_mode maximizes them over the grid.
+    Path i uses the stream SeedSpec(master_seed, i, 0), and paths are swept in
+    the batches of :func:`increment_batches` and summed in index order, so the
+    report is deterministic given the master seed, whatever the batch size.
+    By default gaps are measured at the terminal node (the cheap proxy);
+    sup_mode maximizes them over the grid.
     """
     problems = checks.alpha_rule(alpha, "Picard sweeps")
     if M < 100:
@@ -179,11 +174,22 @@ def cauchy_diagnostic(model: SystemModel, alpha: float, grid: TimeGrid,
     checks.require(problems)
     gap_sum = np.zeros(K)
     l2_sum = np.zeros(K + 1)
-    for i in range(M):
-        path = generate_path(SeedSpec(master_seed, i, 0), grid, model.noise_dim)
-        seq = picard_iterate(model, alpha, grid, path, K)
-        gap_sum += seq.sup_gaps() if sup_mode else seq.terminal_gaps()
-        l2_sum += seq.terminal_sq_norms()
+    for start, dW in increment_batches(master_seed, M, grid, model.noise_dim):
+        gaps, l2, prev = [], [], None
+        try:
+            for states in _iterates(model, alpha, grid, dW, K, DEFAULT_BLOWUP):
+                l2.append(np.sum(states[..., -1]**2, axis=-1))
+                if prev is not None:
+                    sq = (states - prev)**2
+                    gaps.append(np.max(np.sum(sq, axis=-2), axis=-1) if sup_mode
+                                else np.sum(sq[..., -1], axis=-1))
+                prev = states
+        except DivergenceError as exc:
+            raise exc.in_batch(start) from None
+        # one row per path, added in path-index order
+        for path_gaps, path_l2 in zip(np.stack(gaps, axis=-1), np.stack(l2, axis=-1)):
+            gap_sum += path_gaps
+            l2_sum += path_l2
     gaps = gap_sum / M
     distances = gaps[1:]  # d_1..d_{K-1}
     converged = bool(distances[-1] < 0.01 * distances[0]) if distances[0] > 0 else True

@@ -43,6 +43,7 @@ __all__ = [
     "Trajectory",
     "DivergenceError",
     "solve",
+    "solve_batch",
     "write_trajectory_csv",
 ]
 
@@ -58,14 +59,15 @@ class DivergenceError(RuntimeError):
     """A state left the admissible region (blow-up bound or non-finite value)."""
 
     def __init__(self, message, step=None, time=None, path_index=None):
-        # everything lives in args so the exception survives pickling intact
-        super().__init__(message, step, time, path_index)
+        super().__init__(message)
         self.step = step
         self.time = time
         self.path_index = path_index
 
-    def __str__(self):
-        return self.args[0]
+    def in_batch(self, start: int) -> "DivergenceError":
+        """This error with path_index, a batch column, offset by start."""
+        index = start + self.path_index
+        return DivergenceError(f"path {index}: {self}", self.step, self.time, index)
 
 
 @dataclass(frozen=True)
@@ -109,104 +111,101 @@ class Trajectory:
         return self.states[:, -1]
 
 
-class _Stepper:
-    """Stepping kernel with incremental drift/noise history caches.
+def _diverged(message: str, step: int, time: float, ok: np.ndarray) -> DivergenceError:
+    """DivergenceError at a step; ok marks the admissible entries of a (d,) + batch array."""
+    path = None if ok.ndim == 1 else int(np.argmin(ok.all(axis=0)))
+    return DivergenceError(message, step=step, time=float(time), path_index=path)
 
+
+class _Stepper:
+    """Stepping kernel for one path or a batch, with incremental history caches.
+
+    States have shape (d,) + batch, batch the trailing shape of dW, shaped
+    (d, num_steps) + batch (None: one path).  Histories are batch + (d, S),
+    so each history sum hist[..., :n+1] @ w rounds per path as for one path.
     :meth:`push` records node n; :meth:`predict` and :meth:`correct` then
     take step n -> n+1 from the records of nodes 0..n.
     """
 
-    def __init__(self, model: SystemModel, cfg: SolverConfig, path: WienerPath | None):
+    def __init__(self, model: SystemModel, cfg: SolverConfig, dW: np.ndarray | None):
         self.model = model
         self.cfg = cfg
         grid = cfg.grid
         self.t = grid.nodes()
         self.h = grid.h
-        self.y0 = np.asarray(model.y0, dtype=float)
+        batch = () if dW is None else dW.shape[2:]
+        y0 = model.y0.reshape(model.y0.shape + (1,) * len(batch))
+        self.y0 = np.broadcast_to(y0, model.y0.shape + batch)
         steps = grid.num_steps
         self.table = WeightTable(steps, cfg.alpha, grid.h, cfg.weight_mode)
         self.inv_gamma_a = 1.0 / math.gamma(cfg.alpha)
         self.corr_drift = self.h**cfg.alpha / math.gamma(cfg.alpha + 2.0)
-        self.drift_hist = np.empty((model.dim, steps + 1))
-        if cfg.stochastic:
+        self.drift_hist = np.empty(batch + (model.dim, steps + 1))
+        self.dW = dW if cfg.stochastic else None
+        if self.dW is not None:
             # alpha > 1/2 here keeps h**(alpha - 1) finite for every float h
             self.corr_noise = self.h ** (cfg.alpha - 1.0) / math.gamma(cfg.alpha + 2.0)
-            if path is None:
-                raise ValueError("stochastic solve requires a WienerPath")
-            if path.grid != grid:
-                raise ValueError("path grid does not match solver grid")
-            if path.num_channels != model.noise_dim:
-                raise ValueError(
-                    f"path has {path.num_channels} channels, model needs {model.noise_dim}"
-                )
-            self.dW = path.increments
-            if cfg.noise_history is NoiseHistory.PER_STEP:
-                # row j caches sigma(t_j, y_j) @ dW_j
-                self.noise_hist = np.empty((model.dim, steps))
-                self.sigma_hist = None
-            else:
-                self.noise_hist = None
-                self.sigma_hist = np.empty((steps, model.dim, model.noise_dim))
-        else:
-            self.dW = None
+            # node j caches sigma_j * dW_j (per_step) or sigma_j (last_increment)
+            self.per_step = cfg.noise_history is NoiseHistory.PER_STEP
+            self.noise_hist = np.empty(batch + (model.dim, steps))
 
-    def _eval_drift(self, n: int, y: np.ndarray) -> np.ndarray:
-        f = np.asarray(self.model.drift(self.t[n], y), dtype=float)
-        if not np.all(np.isfinite(f)):
-            raise DivergenceError(
-                f"non-finite drift at step {n} (t={self.t[n]:g})",
-                step=n, time=float(self.t[n]),
-            )
-        return f
-
-    def _eval_diffusion(self, n: int, y: np.ndarray) -> np.ndarray:
-        s = np.asarray(self.model.diffusion(self.t[n], y), dtype=float)
-        if s.shape != (self.model.dim, self.model.noise_dim):
-            raise ValueError(
-                f"diffusion must return shape {(self.model.dim, self.model.noise_dim)}, "
-                f"got {s.shape}"
-            )
-        if not np.all(np.isfinite(s)):
-            raise DivergenceError(
-                f"non-finite diffusion at step {n} (t={self.t[n]:g})",
-                step=n, time=float(self.t[n]),
-            )
-        return s
+    def _rhs(self, kind: str, n: int, y: np.ndarray) -> np.ndarray:
+        out = self.model.evaluate(kind, self.t[n], y)
+        ok = np.isfinite(out)
+        if not ok.all():
+            raise _diverged(f"non-finite {kind} at step {n} (t={self.t[n]:g})", n, self.t[n], ok)
+        return out
 
     def push(self, n: int, y: np.ndarray) -> None:
         """Cache f (and the noise record) at node n with state y."""
-        self.drift_hist[:, n] = self._eval_drift(n, y)
-        if self.cfg.stochastic and n < self.cfg.grid.num_steps:
-            sigma = self._eval_diffusion(n, y)
-            if self.cfg.noise_history is NoiseHistory.PER_STEP:
-                self.noise_hist[:, n] = sigma @ self.dW[:, n]
-            else:
-                self.sigma_hist[n] = sigma
+        self.drift_hist[..., n] = self._rhs("drift", n, y).T
+        if self.dW is not None and n < self.cfg.grid.num_steps:
+            sigma = self._rhs("diffusion", n, y)
+            if self.per_step:
+                sigma = sigma * self.dW[:, n]
+            self.noise_hist[..., n] = sigma.T
+
+    def _noise_sum(self, n: int, w: np.ndarray) -> np.ndarray:
+        hist = (self.noise_hist[..., :n + 1] @ w).T
+        return hist if self.per_step else hist * self.dW[:, n]
 
     def predict(self, n: int) -> np.ndarray:
         b = self.table.predictor(n)
-        yp = self.y0 + self.inv_gamma_a * (self.drift_hist[:, :n + 1] @ b)
-        if self.cfg.stochastic:
-            if self.cfg.noise_history is NoiseHistory.PER_STEP:
-                noise = self.noise_hist[:, :n + 1] @ b
-            else:
-                sig_sum = np.tensordot(b, self.sigma_hist[:n + 1], axes=(0, 0))
-                noise = sig_sum @ self.dW[:, n]
-            yp = yp + (self.inv_gamma_a / self.h) * noise
+        yp = self.y0 + self.inv_gamma_a * (self.drift_hist[..., :n + 1] @ b).T
+        if self.dW is not None:
+            yp = yp + (self.inv_gamma_a / self.h) * self._noise_sum(n, b)
         return yp
 
     def correct(self, n: int, predicted: np.ndarray) -> np.ndarray:
         a = self.table.corrector(n)[:n + 1]
-        f_new = self._eval_drift(n + 1, predicted)
-        y = self.y0 + self.corr_drift * (f_new + self.drift_hist[:, :n + 1] @ a)
-        if self.cfg.stochastic:
-            sigma_new = self._eval_diffusion(n + 1, predicted)
-            if self.cfg.noise_history is NoiseHistory.PER_STEP:
-                hist = self.noise_hist[:, :n + 1] @ a
-            else:
-                hist = np.tensordot(a, self.sigma_hist[:n + 1], axes=(0, 0)) @ self.dW[:, n]
-            y = y + self.corr_noise * (sigma_new @ self.dW[:, n] + hist)
+        f_new = self._rhs("drift", n + 1, predicted)
+        y = self.y0 + self.corr_drift * (f_new + (self.drift_hist[..., :n + 1] @ a).T)
+        if self.dW is not None:
+            sigma_new = self._rhs("diffusion", n + 1, predicted)
+            y = y + self.corr_noise * (sigma_new * self.dW[:, n] + self._noise_sum(n, a))
         return y
+
+
+def solve_batch(model: SystemModel, cfg: SolverConfig, dW: np.ndarray | None) -> np.ndarray:
+    """Node states, batch + (d, num_nodes), of the paths of dW (see :class:`_Stepper`;
+    deterministic runs use only its shape), each equal to :func:`solve` bit for bit."""
+    grid = cfg.grid
+    stepper = _Stepper(model, cfg, dW)
+    states = np.empty(stepper.y0.shape[1:] + (model.dim, grid.num_nodes))
+    states[..., 0] = stepper.y0.T
+    stepper.push(0, stepper.y0)
+    for n in range(grid.num_steps):
+        y_next = stepper.correct(n, stepper.predict(n))
+        ok = np.abs(y_next) <= cfg.blowup  # False for non-finite values too
+        if not ok.all():
+            raise _diverged(
+                f"state exceeded blow-up bound {cfg.blowup:g} at step {n + 1} "
+                f"(t={stepper.t[n + 1]:g})",
+                n + 1, stepper.t[n + 1], ok,
+            )
+        states[..., n + 1] = y_next.T
+        stepper.push(n + 1, y_next)
+    return states
 
 
 def solve(model: SystemModel, cfg: SolverConfig,
@@ -220,20 +219,18 @@ def solve(model: SystemModel, cfg: SolverConfig,
     NaN rows.
     """
     grid = cfg.grid
-    stepper = _Stepper(model, cfg, path if cfg.stochastic else None)
-    states = np.empty((model.dim, grid.num_nodes))
-    states[:, 0] = stepper.y0
-    stepper.push(0, stepper.y0)
-    for n in range(grid.num_steps):
-        y_next = stepper.correct(n, stepper.predict(n))
-        if not np.all(np.isfinite(y_next)) or np.max(np.abs(y_next)) > cfg.blowup:
-            raise DivergenceError(
-                f"state exceeded blow-up bound {cfg.blowup:g} at step {n + 1} "
-                f"(t={grid.nodes()[n + 1]:g})",
-                step=n + 1, time=float(grid.nodes()[n + 1]),
+    dW = None
+    if cfg.stochastic:
+        if path is None:
+            raise ValueError("stochastic solve requires a WienerPath")
+        if path.grid != grid:
+            raise ValueError("path grid does not match solver grid")
+        if path.num_channels != model.noise_dim:
+            raise ValueError(
+                f"path has {path.num_channels} channels, model needs {model.noise_dim}"
             )
-        states[:, n + 1] = y_next
-        stepper.push(n + 1, y_next)
+        dW = path.increments
+    states = solve_batch(model, cfg, dW)
 
     seed = path.seed if (cfg.stochastic and path is not None) else None
     meta = {

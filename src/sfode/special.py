@@ -8,8 +8,6 @@ here behind small, strictly validated wrappers.
 
 import math
 
-import mpmath
-
 from . import checks
 
 __all__ = ["ConvergenceError", "gamma", "mittag_leffler"]
@@ -62,6 +60,8 @@ def mittag_leffler(alpha: float, z: float) -> float:
         )
     if z == 0.0:
         return 1.0
+
+    import mpmath  # here, not with the package: it costs every process ~4 MB
 
     # private context: the global mpmath precision stays untouched, so
     # concurrent callers cannot race on it

@@ -21,8 +21,13 @@ __all__ = [
     "WienerPath",
     "make_grid",
     "generate_path",
+    "increment_batches",
     "restrict_path",
 ]
+
+#: Byte budget of one (paths, channels, nodes) float array of a path batch,
+#: which bounds the memory of ensembles and Picard diagnostics of any size.
+BATCH_BYTES = 8 * 2**20
 
 
 @dataclass(frozen=True)
@@ -145,6 +150,21 @@ def generate_path(seed: SeedSpec, grid: TimeGrid, num_channels: int = 1) -> Wien
         [np.zeros((num_channels, 1)), np.cumsum(draws, axis=1)], axis=1
     )
     return _from_cumulative(grid, cumulative, seed=seed)
+
+
+def increment_batches(master_seed: int, M: int, grid: TimeGrid, num_channels: int):
+    """Yield (start, dW) for paths 0..M-1 in contiguous index batches of B paths.
+
+    Column b of dW, shape (num_channels, num_steps, B), holds the increments
+    of path start + b, keyed SeedSpec(master_seed, start + b, 0).  B >= 1 is
+    the most paths whose (B, num_channels, num_nodes) floats fit BATCH_BYTES.
+    """
+    size = max(1, BATCH_BYTES // (8 * num_channels * grid.num_nodes))
+    for start in range(0, M, size):
+        yield start, np.stack([
+            generate_path(SeedSpec(master_seed, i, 0), grid, num_channels).increments
+            for i in range(start, min(M, start + size))
+        ], axis=-1)
 
 
 def restrict_path(path: WienerPath, factor: int) -> WienerPath:

@@ -1,10 +1,11 @@
 """Drift/diffusion models: the two 3-D benchmark systems and a linear test problem.
 
-Both benchmark systems carry diagonal, state-proportional noise: channel i is
-driven by sigma_i(y) = mu * y_i (Newton-Leipnik) or mu * y_i**2 (Lorenz).
-Their quadratic drifts also admit an exact bilinear-matrix decomposition,
-which doubles as an independent check of the componentwise right-hand sides
-and feeds the growth-bound constants below.
+Every model carries diagonal noise: component i is driven by Wiener channel i
+alone, with intensity sigma_i(y) = mu * y_i (Newton-Leipnik), mu * y_i**2
+(Lorenz) or the constant sigma0 (linear test problem).  The quadratic
+drifts of the two benchmark systems also admit an exact bilinear-matrix
+decomposition, which doubles as an independent check of the componentwise
+right-hand sides and feeds the growth-bound constants below.
 """
 
 import warnings
@@ -34,16 +35,16 @@ DEFAULT_MU = 0.1
 
 @dataclass(frozen=True)
 class SystemModel:
-    """A d-dimensional system dy = f(t, y) dt + sigma(t, y) dW.
+    """A d-dimensional system dy_i = f_i(t, y) dt + sigma_i(t, y) dW_i.
 
-    ``drift(t, y)`` returns a length-d vector; ``diffusion(t, y)`` a
-    (d, noise_dim) matrix.  Instances are immutable and their callables pure,
-    so a model can be shared freely across concurrent solves.
+    ``drift(t, y)`` and ``diffusion(t, y)`` (the diagonal noise intensities)
+    take a state of shape (d,), one path, or (d, B), B paths as columns, and
+    return that same shape.  Instances are immutable and their callables
+    pure, so a model can be shared freely across solves.
     """
 
     name: str
     dim: int
-    noise_dim: int
     drift: Callable[[float, np.ndarray], np.ndarray]
     diffusion: Callable[[float, np.ndarray], np.ndarray]
     y0: np.ndarray
@@ -55,6 +56,18 @@ class SystemModel:
             raise ValueError(f"y0 must have shape ({self.dim},), got {y0.shape}")
         y0.flags.writeable = False
         object.__setattr__(self, "y0", y0)
+
+    @property
+    def noise_dim(self) -> int:
+        """Number of Wiener channels: one per component."""
+        return self.dim
+
+    def evaluate(self, kind: str, t: float, y: np.ndarray) -> np.ndarray:
+        """drift or diffusion (kind) at (t, y); ValueError unless shaped like y."""
+        out = np.asarray(getattr(self, kind)(t, y), dtype=float)
+        if out.shape != y.shape:
+            raise ValueError(f"{self.name} {kind} returned shape {out.shape} for state {y.shape}")
+        return out
 
 
 @dataclass(frozen=True)
@@ -90,7 +103,7 @@ _LORENZ_Y0 = (0.1, 0.1, 0.1)
 
 def newton_leipnik(params: NewtonLeipnikParams | None = None,
                    y0=None) -> SystemModel:
-    """Newton-Leipnik rigid-body system with diagonal noise diag(mu * y)."""
+    """Newton-Leipnik rigid-body system with diagonal noise mu * y."""
     p = params or NewtonLeipnikParams()
     beta, rho, mu = p.beta, p.rho, p.mu
     start = np.asarray(_NL_Y0 if y0 is None else y0, dtype=float)
@@ -104,12 +117,11 @@ def newton_leipnik(params: NewtonLeipnikParams | None = None,
         ])
 
     def diffusion(t, y):
-        return np.diag(mu * y)
+        return mu * y
 
     return SystemModel(
         name="newton_leipnik",
         dim=3,
-        noise_dim=3,
         drift=drift,
         diffusion=diffusion,
         y0=start,
@@ -118,7 +130,7 @@ def newton_leipnik(params: NewtonLeipnikParams | None = None,
 
 
 def lorenz(params: LorenzParams | None = None, y0=None) -> SystemModel:
-    """Lorenz convection system with diagonal noise diag(mu * y**2)."""
+    """Lorenz convection system with diagonal noise mu * y**2."""
     p = params or LorenzParams()
     a, b, c, mu = p.a, p.b, p.c, p.mu
     start = np.asarray(_LORENZ_Y0 if y0 is None else y0, dtype=float)
@@ -132,12 +144,11 @@ def lorenz(params: LorenzParams | None = None, y0=None) -> SystemModel:
         ])
 
     def diffusion(t, y):
-        return np.diag(mu * y * y)
+        return mu * y * y
 
     return SystemModel(
         name="lorenz",
         dim=3,
-        noise_dim=3,
         drift=drift,
         diffusion=diffusion,
         y0=start,
@@ -159,12 +170,11 @@ def linear_test(lam: float = 1.0, sigma0: float = 0.0, y0: float = 1.0) -> Syste
         return -lam * y
 
     def diffusion(t, y):
-        return np.full((1, 1), sigma0)
+        return np.full(y.shape, sigma0)
 
     return SystemModel(
         name="linear_test",
         dim=1,
-        noise_dim=1,
         drift=drift,
         diffusion=diffusion,
         y0=np.array([float(y0)]),

@@ -1,10 +1,11 @@
+import dataclasses
 import io
 import math
 
 import numpy as np
 import pytest
 
-from sfode import analysis
+from sfode import stochastic
 from sfode.analysis import (
     accumulate_stats,
     bounded_attractor_check,
@@ -13,7 +14,8 @@ from sfode.analysis import (
     ito_isometry_check,
     write_stats_csv,
 )
-from sfode.solver import DivergenceError, SolverConfig, solve
+from sfode.picard import cauchy_diagnostic, picard_iterate
+from sfode.solver import DivergenceError, NoiseHistory, SolverConfig, solve
 from sfode.special import mittag_leffler
 from sfode.stochastic import SeedSpec, generate_path, make_grid
 from sfode.systems import LorenzParams, linear_test, lorenz, newton_leipnik
@@ -67,41 +69,6 @@ class TestEnsembleRun:
         np.testing.assert_array_equal(serial.variance, parallel.variance)
         np.testing.assert_array_equal(serial.l2sq, parallel.l2sq)
 
-    @pytest.mark.parametrize("workers, M, cores, expected", [
-        (100000, 2, 8, 2),   # no more processes than paths
-        (100000, 50, 3, 3),  # no more processes than cores
-        (2, 200, 4, 2),      # the requested count when it is the smallest
-    ])
-    def test_pool_size_is_capped(self, monkeypatch, workers, M, cores, expected):
-        # a fake pool records its size and maps serially; no process starts
-        started = []
-
-        class FakePool:
-            def __init__(self, processes):
-                started.append(processes)
-
-            def __enter__(self):
-                return self
-
-            def __exit__(self, *exc):
-                return False
-
-            def map(self, fn, items, chunksize=1):
-                return [fn(i) for i in items]
-
-        class FakeContext:
-            Pool = FakePool
-
-        monkeypatch.setattr(analysis.os, "cpu_count", lambda: cores)
-        monkeypatch.setattr(analysis.multiprocessing, "get_context", lambda method: FakeContext)
-        model = linear_test(lam=1.0)
-        cfg = SolverConfig(alpha=0.8, grid=make_grid(0.5, 0.25))
-        pooled = ensemble_run(model, cfg, 0, M=M, workers=workers)
-        assert started == [expected]
-        serial = ensemble_run(model, cfg, 0, M=M, workers=1)
-        np.testing.assert_array_equal(pooled.mean, serial.mean)
-        assert started == [expected]  # the serial run starts no pool
-
     def test_divergence_reports_path_index(self):
         model = lorenz(LorenzParams(mu=50.0))
         cfg = SolverConfig(alpha=0.9, grid=make_grid(5.0, 0.005), stochastic=True)
@@ -113,6 +80,66 @@ class TestEnsembleRun:
     def test_requires_at_least_one_path(self):
         with pytest.raises(ValueError):
             ensemble_run(newton_leipnik(), diffusion_cfg(), 0, M=0)
+
+
+class TestBatchSize:
+    """Batches of 1, 3 or all M paths give the per-path results bit for bit."""
+
+    M_ENSEMBLE = 7
+    M_PICARD = 100  # the diagnostic's minimum
+
+    @staticmethod
+    def spy(model, monkeypatch, size, grid):
+        """The model with its drift recording batch sizes, and the byte
+        budget set so that one (paths, d, nodes) array holds size paths."""
+        monkeypatch.setattr(stochastic, "BATCH_BYTES", size * 8 * model.dim * grid.num_nodes)
+        seen = set()
+
+        def drift(t, y):
+            seen.add(y.shape[1])
+            return model.drift(t, y)
+
+        return dataclasses.replace(model, drift=drift), seen
+
+    @pytest.mark.parametrize("mode", list(NoiseHistory))
+    @pytest.mark.parametrize("size", [1, 3, M_ENSEMBLE])
+    def test_ensemble_run(self, monkeypatch, size, mode):
+        model = newton_leipnik()
+        cfg = SolverConfig(alpha=0.93, grid=make_grid(0.5, 0.05), stochastic=True,
+                           noise_history=mode)
+        per_path = accumulate_stats(cfg.grid, [
+            solve(model, cfg, generate_path(SeedSpec(11, i, 0), cfg.grid, 3)).states
+            for i in range(self.M_ENSEMBLE)
+        ])
+        spied, seen = self.spy(model, monkeypatch, size, cfg.grid)
+        stats = ensemble_run(spied, cfg, 11, M=self.M_ENSEMBLE, workers=4)
+        assert max(seen) == size
+        np.testing.assert_array_equal(stats.mean, per_path.mean)
+        np.testing.assert_array_equal(stats.variance, per_path.variance)
+        np.testing.assert_array_equal(stats.l2sq, per_path.l2sq)
+
+    @pytest.mark.parametrize("size", [1, 3, M_PICARD])
+    def test_cauchy_diagnostic(self, monkeypatch, size):
+        model = newton_leipnik()
+        grid = make_grid(0.1, 0.01)
+        gap_sum = np.zeros(3)
+        for i in range(self.M_PICARD):  # per-path runs, reduced in index order
+            path = generate_path(SeedSpec(5, i, 0), grid, 3)
+            gap_sum += picard_iterate(model, 0.93, grid, path, K=3).terminal_gaps()
+        spied, seen = self.spy(model, monkeypatch, size, grid)
+        report = cauchy_diagnostic(spied, 0.93, grid, 5, M=self.M_PICARD, K=3)
+        assert max(seen) == size
+        np.testing.assert_array_equal(report.distances, (gap_sum / self.M_PICARD)[1:])
+
+    def test_drift_that_ignores_the_path_axis_is_rejected(self):
+        model = newton_leipnik()
+        cfg = SolverConfig(alpha=0.93, grid=make_grid(0.5, 0.05), stochastic=True)
+        one_path = dataclasses.replace(model, drift=lambda t, y: model.drift(t, model.y0))
+        solve(one_path, cfg, generate_path(SeedSpec(1), cfg.grid, 3))  # shape fits one path
+        with pytest.raises(ValueError, match="shape"):
+            ensemble_run(one_path, cfg, 1, M=2)
+        with pytest.raises(ValueError, match="shape"):
+            cauchy_diagnostic(one_path, 0.93, cfg.grid, 1, M=100, K=2)
 
 
 class TestVarianceLaw:

@@ -2,6 +2,8 @@ import json
 import math
 import os
 import stat
+import subprocess
+import sys
 import tempfile
 import threading
 from pathlib import Path
@@ -17,6 +19,13 @@ from sfode.cli import main
 
 def run(args):
     return main([str(a) for a in args])
+
+
+def strict_json(text):
+    """Parse JSON, rejecting the NaN and Infinity extensions."""
+    def reject(name):
+        raise ValueError(f"non-standard JSON constant {name}")
+    return json.loads(text, parse_constant=reject)
 
 
 def read_csv(path):
@@ -190,7 +199,9 @@ class TestEnsembleCommand:
             "--format", "json", "-o", out,
         ])
         assert code == 0
-        assert json.loads(out.read_text())["variance_law"]["passed"] is False
+        law = strict_json(out.read_text())["variance_law"]
+        assert law["passed"] is False
+        assert None in (law["expected"], law["rel_error"])  # inf or nan written as null
 
 
 class TestPicardCommand:
@@ -265,6 +276,11 @@ class TestConvergeCommand:
     ["weights", "-n", 2, "--alpha", 0.5, "--h", "inf"],
     ["simulate", "--config", "no-such-dir/run.cfg"],
     ["converge", "--mu", 0, "--levels", 1100],
+    # grids and weight tables too large to allocate or to step through
+    ["simulate", "--mu", 0, "--T", 1e300, "--h", 0.5],
+    ["simulate", "--T", 1e9, "--h", 1],
+    ["converge", "--levels", 30],
+    ["weights", "-n", 10000000000, "--alpha", 0.5],
 ])
 def test_bad_input_is_config_error(args, tmp_path, capsys):
     assert run(args + ["-o", tmp_path / "out"]) == 2
@@ -310,6 +326,25 @@ class TestOutputFile:
         assert not reader.is_alive()
         assert received[0].splitlines()[-1].startswith("1,")
         assert stat.S_ISFIFO(fifo.stat().st_mode)
+
+
+def test_closed_stdout_is_config_error():
+    # the reader takes one line and goes away; the writer must not end in a
+    # BrokenPipeError traceback, nor in an error at interpreter exit
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "sfode.cli", "simulate", "--T", "50", "--mu", "0"],
+        stdout=subprocess.PIPE, stderr=subprocess.PIPE,
+        env={**os.environ, "PYTHONPATH": src},
+    )
+    assert proc.stdout.readline().startswith(b"# ")
+    proc.stdout.close()
+    err = proc.stderr.read().decode()
+    proc.stderr.close()
+    assert proc.wait(timeout=120) == 2
+    assert err.startswith("sfode: configuration error:")
+    assert "Broken pipe" in err
+    assert "Traceback" not in err and "Exception ignored" not in err
 
 
 _ODD_FLOATS = [math.nan, math.inf, -math.inf, 0.0, -1.0, -1e300, 1e300]

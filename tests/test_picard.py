@@ -15,9 +15,8 @@ def constant_drift_model(value: float) -> SystemModel:
     return SystemModel(
         name="const",
         dim=1,
-        noise_dim=1,
-        drift=lambda t, y: np.array([value]),
-        diffusion=lambda t, y: np.zeros((1, 1)),
+        drift=lambda t, y: np.full_like(y, value),
+        diffusion=lambda t, y: np.zeros_like(y),
         y0=np.array([0.0]),
         params={},
     )
@@ -28,9 +27,8 @@ def ramp_drift_model() -> SystemModel:
     return SystemModel(
         name="ramp",
         dim=1,
-        noise_dim=1,
-        drift=lambda t, y: np.array([t]),
-        diffusion=lambda t, y: np.zeros((1, 1)),
+        drift=lambda t, y: np.full_like(y, t),
+        diffusion=lambda t, y: np.zeros_like(y),
         y0=np.array([0.0]),
         params={},
     )
@@ -62,7 +60,7 @@ def g2_reference(states, grid, model, alpha, path, n):
     out = np.zeros(model.dim)
     for j in range(n):
         sigma = np.asarray(model.diffusion(t[j], states[:, j]), dtype=float)
-        out += k[j] * (sigma @ path.increments[:, j])
+        out += k[j] * (sigma * path.increments[:, j])
     return out
 
 

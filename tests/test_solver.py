@@ -24,7 +24,7 @@ def constant_diffusion_model(sigma0: float, y0: float = 0.0) -> SystemModel:
 
 def primed_stepper(states, path, model, cfg, n) -> _Stepper:
     """A stepper whose caches hold the node values states[:, 0..n]."""
-    stepper = _Stepper(model, cfg, path)
+    stepper = _Stepper(model, cfg, None if path is None else path.increments)
     for j in range(n + 1):
         stepper.push(j, states[:, j])
     return stepper
@@ -123,8 +123,8 @@ class TestDeterministic:
             return np.array([forcing + (y[0] - t * t)])
 
         model = SystemModel(
-            name="poly", dim=1, noise_dim=1, drift=drift,
-            diffusion=lambda t, y: np.zeros((1, 1)), y0=np.array([0.0]),
+            name="poly", dim=1, drift=drift,
+            diffusion=lambda t, y: np.zeros_like(y), y0=np.array([0.0]),
         )
         errs = []
         for steps in (100, 200):

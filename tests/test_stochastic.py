@@ -152,3 +152,16 @@ class TestRestrictPath:
         fine = generate_path(SeedSpec(6), make_grid(1.0, 0.125))
         assert restrict_path(fine, 1) is fine
 
+    @settings(deadline=None, max_examples=100)
+    @given(st.integers(1, 8), st.integers(1, 8), st.integers(2, 6),
+           st.floats(1e-3, 1.0), st.integers(0, 2**64 - 1))
+    def test_restrictions_nest_bitwise(self, a, b, blocks, h, seed):
+        fine = generate_path(SeedSpec(seed), make_grid(a * b * blocks * h, h), num_channels=2)
+        twice = restrict_path(restrict_path(fine, a), b)
+        once = restrict_path(fine, a * b)
+        np.testing.assert_array_equal(twice.cumulative, once.cumulative)
+        np.testing.assert_array_equal(twice.increments, once.increments)
+        assert twice.grid.num_steps == once.grid.num_steps == blocks
+        # the coarse steps (h*a)*b and h*(a*b) may differ in the last bit
+        assert twice.grid.h == pytest.approx(once.grid.h, rel=1e-15)
+

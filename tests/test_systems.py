@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -59,17 +61,35 @@ class TestLorenz:
 class TestDiffusionStructure:
     @pytest.mark.parametrize("factory", [newton_leipnik, lorenz])
     def test_diagonal_and_state_local(self, factory):
+        # diffusion returns the diagonal intensities, one per component
         model = factory()
         rng = np.random.default_rng(1)
         for _ in range(20):
             y = rng.uniform(-1.5, 1.5, size=3)
             sigma = model.diffusion(0.0, y)
-            assert sigma.shape == (3, 3)
-            np.testing.assert_array_equal(sigma - np.diag(np.diag(sigma)), 0.0)
+            assert sigma.shape == (3,)
             # entry i must depend on y_i only
             z = y.copy()
             z[(0 + 1) % 3] += 0.7
-            assert model.diffusion(0.0, z)[0, 0] == sigma[0, 0]
+            assert model.diffusion(0.0, z)[0] == sigma[0]
+
+    @pytest.mark.parametrize("factory", [newton_leipnik, lorenz, linear_test])
+    def test_batch_columns_match_single_paths(self, factory):
+        # a (d, B) state is B paths, one per column, each evaluated as alone
+        model = factory()
+        ys = np.random.default_rng(3).uniform(-1.5, 1.5, size=(model.dim, 4))
+        for kind in ("drift", "diffusion"):
+            batch = model.evaluate(kind, 0.5, ys)
+            assert batch.shape == ys.shape
+            for b in range(4):
+                np.testing.assert_array_equal(batch[:, b], model.evaluate(kind, 0.5, ys[:, b]))
+
+    def test_result_of_wrong_shape_rejected(self):
+        model = newton_leipnik()
+        flat = dataclasses.replace(model, diffusion=lambda t, y: np.full(3, 0.1))
+        flat.evaluate("diffusion", 0.0, np.zeros(3))  # one path: fine
+        with pytest.raises(ValueError):
+            flat.evaluate("diffusion", 0.0, np.zeros((3, 2)))
 
 
 class TestMatrixForm:
@@ -137,4 +157,4 @@ class TestLinearTest:
         model = linear_test(lam=2.0, sigma0=0.5, y0=3.0)
         assert model.dim == 1 and model.noise_dim == 1
         np.testing.assert_array_equal(model.drift(0.0, np.array([3.0])), [-6.0])
-        np.testing.assert_array_equal(model.diffusion(0.0, np.array([3.0])), [[0.5]])
+        np.testing.assert_array_equal(model.diffusion(0.0, np.array([3.0])), [0.5])

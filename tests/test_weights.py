@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given
@@ -77,6 +79,16 @@ class TestWeightTable:
         for n in (0, 1, 7, 39):
             np.testing.assert_array_equal(table.corrector(n), corrector_weights(n, 0.73, mode))
             np.testing.assert_array_equal(table.predictor(n), predictor_weights(n, 0.73, 0.02))
+
+    # alpha down to 1e-300 (below that h**alpha / alpha overflows); the
+    # corrector sum's rounding error grows like n**2 * eps, so n <= 200
+    @given(st.integers(0, 200), st.floats(1e-300, 1.0), st.floats(1e-4, 1.0))
+    def test_weight_sum_identities(self, n, alpha, h):
+        table = WeightTable(n + 1, alpha, h)
+        b_sum = h**alpha * (n + 1) ** alpha / alpha
+        assert math.fsum(table.predictor(n)) == pytest.approx(b_sum, rel=1e-12)
+        a_sum = (alpha + 1.0) * (n + 1) ** alpha
+        assert math.fsum(table.corrector(n)) == pytest.approx(a_sum, rel=1e-12)
 
     def test_range_checks(self):
         table = WeightTable(10, 0.5, 0.1)
