@@ -171,7 +171,7 @@ def convergence_order(model: SystemModel, alpha: float, T: float, h_list,
         cfg = SolverConfig(alpha=alpha, grid=grid, stochastic=stochastic, **kwargs)
         path = None
         if stochastic:
-            path = restrict_path(fine_path, fine_path.grid.num_steps // grid.num_steps)
+            path = restrict_path(fine_path, grid)
         runs.append(solve(model, cfg, path))
 
     if reference is not None:

@@ -121,36 +121,40 @@ class _Stepper:
     """Stepping kernel for one path or a batch, with incremental history caches.
 
     States have shape (d,) + batch, batch the trailing shape of dW, shaped
-    (d, num_steps) + batch (None: one path).  Histories are batch + (d, S),
-    so each history sum hist[..., :n+1] @ w rounds per path as for one path.
+    (d, num_steps) + batch (None: one path).  The history is one buffer
+    batch + (blocks, d, S): block 0 caches f at each node, block 1 (stochastic
+    runs only) the noise record.  A history sum is the one stacked product
+    hist[..., :n+1] @ w, which numpy evaluates as one d-row product per path
+    and block, so each path rounds exactly as it would alone.
     :meth:`push` records node n; :meth:`predict` and :meth:`correct` then
     take step n -> n+1 from the records of nodes 0..n.
     """
 
     def __init__(self, model: SystemModel, cfg: SolverConfig, dW: np.ndarray | None):
-        self.model = model
-        self.cfg = cfg
         grid = cfg.grid
         self.t = grid.nodes()
         self.h = grid.h
+        self.num_steps = steps = grid.num_steps
         batch = () if dW is None else dW.shape[2:]
         y0 = model.y0.reshape(model.y0.shape + (1,) * len(batch))
         self.y0 = np.broadcast_to(y0, model.y0.shape + batch)
-        steps = grid.num_steps
         self.table = WeightTable(steps, cfg.alpha, grid.h, cfg.weight_mode)
         self.inv_gamma_a = 1.0 / math.gamma(cfg.alpha)
         self.corr_drift = self.h**cfg.alpha / math.gamma(cfg.alpha + 2.0)
-        self.drift_hist = np.empty(batch + (model.dim, steps + 1))
+        self.evaluate = model.evaluate
         self.dW = dW if cfg.stochastic else None
+        blocks = 1
         if self.dW is not None:
+            blocks = 2
+            self.pred_noise = self.inv_gamma_a / self.h
             # alpha > 1/2 here keeps h**(alpha - 1) finite for every float h
             self.corr_noise = self.h ** (cfg.alpha - 1.0) / math.gamma(cfg.alpha + 2.0)
             # node j caches sigma_j * dW_j (per_step) or sigma_j (last_increment)
             self.per_step = cfg.noise_history is NoiseHistory.PER_STEP
-            self.noise_hist = np.empty(batch + (model.dim, steps))
+        self.hist = np.empty(batch + (blocks, model.dim, steps + 1))
 
     def _rhs(self, kind: str, n: int, y: np.ndarray) -> np.ndarray:
-        out = self.model.evaluate(kind, self.t[n], y)
+        out = self.evaluate(kind, self.t[n], y)
         ok = np.isfinite(out)
         if not ok.all():
             raise _diverged(f"non-finite {kind} at step {n} (t={self.t[n]:g})", n, self.t[n], ok)
@@ -158,31 +162,36 @@ class _Stepper:
 
     def push(self, n: int, y: np.ndarray) -> None:
         """Cache f (and the noise record) at node n with state y."""
-        self.drift_hist[..., n] = self._rhs("drift", n, y).T
-        if self.dW is not None and n < self.cfg.grid.num_steps:
+        hist = self.hist
+        hist[..., 0, :, n] = self._rhs("drift", n, y).T
+        if self.dW is not None and n < self.num_steps:
             sigma = self._rhs("diffusion", n, y)
             if self.per_step:
                 sigma = sigma * self.dW[:, n]
-            self.noise_hist[..., n] = sigma.T
+            hist[..., 1, :, n] = sigma.T
 
-    def _noise_sum(self, n: int, w: np.ndarray) -> np.ndarray:
-        hist = (self.noise_hist[..., :n + 1] @ w).T
-        return hist if self.per_step else hist * self.dW[:, n]
+    def _sums(self, n: int, w: np.ndarray) -> np.ndarray:
+        """Weighted sums over nodes 0..n, shaped (blocks, d) + batch."""
+        return (self.hist[..., :n + 1] @ w).T.swapaxes(0, 1)
+
+    def _noise(self, n: int, noise_sum: np.ndarray) -> np.ndarray:
+        """The noise history sum, times dW_n in last_increment mode."""
+        return noise_sum if self.per_step else noise_sum * self.dW[:, n]
 
     def predict(self, n: int) -> np.ndarray:
-        b = self.table.predictor(n)
-        yp = self.y0 + self.inv_gamma_a * (self.drift_hist[..., :n + 1] @ b).T
+        sums = self._sums(n, self.table.predictor(n))
+        yp = self.y0 + self.inv_gamma_a * sums[0]
         if self.dW is not None:
-            yp = yp + (self.inv_gamma_a / self.h) * self._noise_sum(n, b)
+            yp = yp + self.pred_noise * self._noise(n, sums[1])
         return yp
 
     def correct(self, n: int, predicted: np.ndarray) -> np.ndarray:
-        a = self.table.corrector(n)[:n + 1]
+        sums = self._sums(n, self.table.corrector(n)[:n + 1])
         f_new = self._rhs("drift", n + 1, predicted)
-        y = self.y0 + self.corr_drift * (f_new + (self.drift_hist[..., :n + 1] @ a).T)
+        y = self.y0 + self.corr_drift * (f_new + sums[0])
         if self.dW is not None:
             sigma_new = self._rhs("diffusion", n + 1, predicted)
-            y = y + self.corr_noise * (sigma_new * self.dW[:, n] + self._noise_sum(n, a))
+            y = y + self.corr_noise * (sigma_new * self.dW[:, n] + self._noise(n, sums[1]))
         return y
 
 

@@ -167,26 +167,23 @@ def increment_batches(master_seed: int, M: int, grid: TimeGrid, num_channels: in
         ], axis=-1)
 
 
-def restrict_path(path: WienerPath, factor: int) -> WienerPath:
-    """Restrict a fine path to a grid coarsened by an integer factor.
+def restrict_path(path: WienerPath, grid: TimeGrid) -> WienerPath:
+    """Restrict a fine path to a coarser grid on the same horizon.
 
-    The coarse cumulative values are taken directly from the fine ones
-    (every ``factor``-th node), so the coarse path's endpoint W(T) equals the
-    fine endpoint bitwise and each coarse increment is the exact sum of the
-    fine increments it spans.
+    grid must share the path's T and have a step count that divides the
+    path's; the coarse path carries grid itself, so restrictions nest
+    exactly.  The coarse cumulative values are taken directly from the fine
+    ones (every factor-th node, factor = path steps / grid steps), so the
+    coarse path's endpoint W(T) equals the fine endpoint bitwise and each
+    coarse increment is the exact sum of the fine increments it spans.
     """
-    if factor < 1:
-        raise ValueError(f"factor must be >= 1, got {factor}")
-    if path.grid.num_steps % factor != 0:
+    fine = path.grid
+    if grid.T != fine.T or fine.num_steps % grid.num_steps != 0:
         raise ValueError(
-            f"cannot coarsen {path.grid.num_steps} steps by factor {factor}"
+            f"cannot restrict a path of {fine.num_steps} steps on T={fine.T} "
+            f"to a grid of {grid.num_steps} steps on T={grid.T}"
         )
-    if factor == 1:
+    if grid == fine:
         return path
-    coarse = TimeGrid(
-        T=path.grid.T,
-        h=path.grid.h * factor,
-        num_steps=path.grid.num_steps // factor,
-    )
-    cumulative = path.cumulative[:, ::factor].copy()
-    return _from_cumulative(coarse, cumulative, seed=path.seed)
+    cumulative = path.cumulative[:, ::fine.num_steps // grid.num_steps].copy()
+    return _from_cumulative(grid, cumulative, seed=path.seed)

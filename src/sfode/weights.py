@@ -37,10 +37,17 @@ class WeightMode(str, enum.Enum):
 class WeightTable:
     """Per-run weight provider.
 
-    Precomputes the integer power tables m**alpha and m**(alpha+1) once, so
-    each per-step weight vector is an O(n) slice instead of an O(n) batch of
-    fractional powers.  The total work for an N-step run stays O(N**2) in the
-    history sums; no short-memory truncation is applied.
+    Precomputes the integer power tables m**alpha and m**(alpha+1) once and
+    lays the weights out reversed, so each per-step weight vector is an O(1)
+    view into the table instead of an O(n) batch of fractional powers or an
+    O(n) copy.  The total work for an N-step run stays O(N**2) in the history
+    sums; no short-memory truncation is applied.
+
+    Views are read-only and share memory with the table.  A predictor view
+    stays valid for the life of the table.  All corrector views share one
+    buffer whose a[0] slot each :meth:`corrector` call rewrites, so a
+    corrector view stays valid only until the next :meth:`corrector` call on
+    the same table.
     """
 
     def __init__(self, num_steps: int, alpha: float, h: float,
@@ -54,43 +61,54 @@ class WeightTable:
         self.h = float(h)
         self.mode = WeightMode(mode)
 
-        m = np.arange(num_steps + 2, dtype=float)
-        self._pow_a = m**alpha            # m**alpha
-        self._pow_a1 = m**(alpha + 1.0)   # m**(alpha+1)
-        p = self._pow_a1
+        N = num_steps
+        m = np.arange(N + 2, dtype=float)
+        pow_a = m**alpha
+        p = m**(alpha + 1.0)
         if self.mode is WeightMode.STANDARD:
-            self._interior = p[2:] + p[:-2] - 2.0 * p[1:-1]
+            interior = p[2:] + p[:-2] - 2.0 * p[1:-1]
         else:
-            self._interior = p[2:] - p[:-2] - 2.0 * p[1:-1]
-        self._b_scale = h**alpha / alpha
-        self._b_diff = self._pow_a[1:] - self._pow_a[:-1]  # (m+1)**a - m**a
+            interior = p[2:] - p[:-2] - 2.0 * p[1:-1]
+        # a[0] of step n, for n = 0..N-1
+        self._a0 = p[:N] - (m[:N] - self.alpha) * pow_a[1:N + 1]
+        # step n reads a[0..n+1] from _c_rev[N-1-n:]: its a[0] slot, then
+        # interior[n-1..0] and 1; corrector() restores the slot it wrote last
+        self._c_rev = np.empty(N + 1)
+        self._c_rev[:N] = interior[N - 1::-1]
+        self._c_rev[N] = 1.0
+        self._slot = 0
+        self._saved = self._c_rev[0]
+        self._c_view = self._c_rev.view()
+        self._c_view.flags.writeable = False
+        # step n reads b[0..n] from _b_rev[N-1-n:], with b[j] = scale * b_diff[n-j]
+        b_diff = pow_a[1:] - pow_a[:-1]   # (m+1)**a - m**a
+        self._b_rev = (h**alpha / alpha) * b_diff[N - 1::-1]
+        self._b_rev.flags.writeable = False
 
     def corrector(self, n: int) -> np.ndarray:
         """Weights a[0..n+1] for the correction of step n -> n+1."""
         if not 0 <= n <= self.num_steps - 1:
             raise ValueError(f"step index n={n} outside table range")
-        a = np.empty(n + 2)
-        a[0] = self._pow_a1[n] - (n - self.alpha) * self._pow_a[n + 1]
-        if n >= 1:
-            # a[j] = interior[n-j] for j = 1..n
-            a[1:n + 1] = self._interior[:n][::-1]
-        a[n + 1] = 1.0
-        return a
+        start = self.num_steps - 1 - n
+        c = self._c_rev
+        c[self._slot] = self._saved
+        self._slot, self._saved = start, c[start]
+        c[start] = self._a0[n]
+        return self._c_view[start:]
 
     def predictor(self, n: int) -> np.ndarray:
         """Weights b[0..n] for the prediction of step n -> n+1."""
         if not 0 <= n <= self.num_steps - 1:
             raise ValueError(f"step index n={n} outside table range")
-        # b[j] = scale * b_diff[n-j] for j = 0..n
-        return self._b_scale * self._b_diff[:n + 1][::-1]
+        return self._b_rev[self.num_steps - 1 - n:]
 
 
 def corrector_weights(n: int, alpha: float,
                       mode: WeightMode = WeightMode.STANDARD) -> np.ndarray:
-    """Corrector weights a[0..n+1] for a single step, built fresh in O(n)."""
+    """Corrector weights a[0..n+1] for a single step: a read-only array built fresh in O(n)."""
     return WeightTable(n + 1, alpha, 1.0, mode).corrector(n)
 
 
 def predictor_weights(n: int, alpha: float, h: float) -> np.ndarray:
-    """Predictor weights b[0..n] for a single step, built fresh in O(n)."""
+    """Predictor weights b[0..n] for a single step: a read-only array built fresh in O(n)."""
     return WeightTable(n + 1, alpha, h).predictor(n)

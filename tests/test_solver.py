@@ -11,15 +11,61 @@ from sfode.solver import (
     Trajectory,
     _Stepper,
     solve,
+    solve_batch,
     write_trajectory_csv,
 )
 from sfode.special import gamma, mittag_leffler
 from sfode.stochastic import SeedSpec, generate_path, make_grid
 from sfode.systems import LorenzParams, SystemModel, linear_test, lorenz, newton_leipnik
+from sfode.weights import WeightMode, corrector_weights, predictor_weights
 
 
 def constant_diffusion_model(sigma0: float, y0: float = 0.0) -> SystemModel:
     return linear_test(lam=0.0, sigma0=sigma0, y0=y0)
+
+
+def reference_pece(model, cfg, dW) -> np.ndarray:
+    """Node states (d, nodes) of one path by the plain PECE loop.
+
+    Fresh weight vectors at every step and separate drift and noise
+    (d, n+1) @ w history products; dW is (d, num_steps), None if deterministic.
+    """
+    alpha, h, steps = cfg.alpha, cfg.grid.h, cfg.grid.num_steps
+    t = cfg.grid.nodes()
+    per_step = cfg.noise_history is NoiseHistory.PER_STEP
+    inv_gamma_a = 1.0 / math.gamma(alpha)
+    corr_drift = h**alpha / math.gamma(alpha + 2.0)
+    corr_noise = h ** (alpha - 1.0) / math.gamma(alpha + 2.0)
+    y0 = model.y0
+    y = np.empty((model.dim, steps + 1))
+    f = np.empty((model.dim, steps + 1))
+    g = np.empty((model.dim, steps))
+    y[:, 0] = y0
+
+    def record(j):
+        f[:, j] = model.drift(t[j], y[:, j])
+        if dW is not None and j < steps:
+            sigma = model.diffusion(t[j], y[:, j])
+            g[:, j] = sigma * dW[:, j] if per_step else sigma
+
+    def noise_sum(n, w):
+        total = g[:, :n + 1] @ w
+        return total if per_step else total * dW[:, n]
+
+    record(0)
+    for n in range(steps):
+        b = predictor_weights(n, alpha, h)
+        a = corrector_weights(n, alpha, cfg.weight_mode)[:n + 1]
+        yp = y0 + inv_gamma_a * (f[:, :n + 1] @ b)
+        if dW is not None:
+            yp = yp + (inv_gamma_a / h) * noise_sum(n, b)
+        yc = y0 + corr_drift * (model.drift(t[n + 1], yp) + f[:, :n + 1] @ a)
+        if dW is not None:
+            yc = yc + corr_noise * (model.diffusion(t[n + 1], yp) * dW[:, n]
+                                    + noise_sum(n, a))
+        y[:, n + 1] = yc
+        record(n + 1)
+    return y
 
 
 def primed_stepper(states, path, model, cfg, n) -> _Stepper:
@@ -186,6 +232,28 @@ class TestPredictCorrect:
         yp = stepper.predict(0)
         yc = stepper.correct(0, yp)
         assert yp[0] == 2.0 and yc[0] == 2.0
+
+
+class TestReferenceOracle:
+    """solve and solve_batch equal the plain PECE loop bit for bit."""
+
+    @pytest.mark.parametrize("batch", [1, 3])
+    @pytest.mark.parametrize("dim", [1, 3])
+    @pytest.mark.parametrize("stochastic", [False, True])
+    @pytest.mark.parametrize("weight_mode", list(WeightMode))
+    @pytest.mark.parametrize("noise_history", list(NoiseHistory))
+    def test_matches_reference(self, noise_history, weight_mode, stochastic, dim, batch):
+        model = (linear_test(lam=0.8, sigma0=0.3, y0=0.5) if dim == 1
+                 else newton_leipnik())
+        cfg = SolverConfig(alpha=0.83, grid=make_grid(0.16, 0.01), stochastic=stochastic,
+                           noise_history=noise_history, weight_mode=weight_mode)
+        paths = [generate_path(SeedSpec(31, i), cfg.grid, dim) for i in range(batch)]
+        dW = np.stack([p.increments for p in paths], axis=-1)
+        batched = solve_batch(model, cfg, dW)
+        for i, path in enumerate(paths):
+            expected = reference_pece(model, cfg, path.increments if stochastic else None)
+            np.testing.assert_array_equal(solve(model, cfg, path).states, expected)
+            np.testing.assert_array_equal(batched[i], expected)
 
 
 class TestStochastic:

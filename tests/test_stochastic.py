@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from sfode.solver import SolverConfig, solve
 from sfode.stochastic import (
     SeedSpec,
     TimeGrid,
@@ -12,6 +13,7 @@ from sfode.stochastic import (
     make_grid,
     restrict_path,
 )
+from sfode.systems import linear_test
 
 
 class TestMakeGrid:
@@ -129,7 +131,7 @@ class TestRestrictPath:
     def test_terminal_value_preserved_bitwise(self):
         fine = generate_path(SeedSpec(5), make_grid(1.0, 1.0 / 256), num_channels=2)
         for factor in (2, 4, 16):
-            coarse = restrict_path(fine, factor)
+            coarse = restrict_path(fine, make_grid(1.0, factor / 256))
             assert coarse.grid.num_steps == 256 // factor
             np.testing.assert_array_equal(coarse.cumulative[:, -1], fine.cumulative[:, -1])
             # every coarse node value is a fine node value, bitwise
@@ -137,31 +139,45 @@ class TestRestrictPath:
 
     def test_coarse_increments_sum_fine_ones(self):
         fine = generate_path(SeedSpec(6), make_grid(1.0, 1.0 / 64))
-        coarse = restrict_path(fine, 4)
+        coarse = restrict_path(fine, make_grid(1.0, 4.0 / 64))
         sums = fine.increments[0].reshape(-1, 4).sum(axis=1)
         np.testing.assert_allclose(coarse.increments[0], sums, atol=1e-12)
 
     def test_factor_validation(self):
         fine = generate_path(SeedSpec(6), make_grid(1.0, 0.125))
         with pytest.raises(ValueError):
-            restrict_path(fine, 3)
+            restrict_path(fine, make_grid(1.0, 1.0 / 3))   # 3 does not divide 8
         with pytest.raises(ValueError):
-            restrict_path(fine, 0)
+            restrict_path(fine, make_grid(1.0, 0.0625))    # finer than the path
+        with pytest.raises(ValueError):
+            restrict_path(fine, make_grid(0.5, 0.125))     # another horizon
 
     def test_identity_factor(self):
         fine = generate_path(SeedSpec(6), make_grid(1.0, 0.125))
-        assert restrict_path(fine, 1) is fine
+        assert restrict_path(fine, make_grid(1.0, 0.125)) is fine
 
     @settings(deadline=None, max_examples=100)
     @given(st.integers(1, 8), st.integers(1, 8), st.integers(2, 6),
            st.floats(1e-3, 1.0), st.integers(0, 2**64 - 1))
     def test_restrictions_nest_bitwise(self, a, b, blocks, h, seed):
-        fine = generate_path(SeedSpec(seed), make_grid(a * b * blocks * h, h), num_channels=2)
-        twice = restrict_path(restrict_path(fine, a), b)
-        once = restrict_path(fine, a * b)
+        T = a * b * blocks * h
+        fine = generate_path(SeedSpec(seed), make_grid(T, h), num_channels=2)
+        middle, coarse = make_grid(T, T / (b * blocks)), make_grid(T, T / blocks)
+        twice = restrict_path(restrict_path(fine, middle), coarse)
+        once = restrict_path(fine, coarse)
         np.testing.assert_array_equal(twice.cumulative, once.cumulative)
         np.testing.assert_array_equal(twice.increments, once.increments)
-        assert twice.grid.num_steps == once.grid.num_steps == blocks
-        # the coarse steps (h*a)*b and h*(a*b) may differ in the last bit
-        assert twice.grid.h == pytest.approx(once.grid.h, rel=1e-15)
+        assert twice.grid == once.grid == coarse
+
+    def test_solve_accepts_twice_restricted_path(self):
+        # coarsening h = 0.1 by 3 twice used to give h = 0.9000000000000001,
+        # which solve rejected as a foreign grid
+        fine = generate_path(SeedSpec(11), make_grid(1.8, 0.1))
+        coarse = make_grid(1.8, 0.9)
+        twice = restrict_path(restrict_path(fine, make_grid(1.8, 0.3)), coarse)
+        once = restrict_path(fine, coarse)
+        cfg = SolverConfig(alpha=0.8, grid=coarse, stochastic=True)
+        model = linear_test(lam=0.5, sigma0=0.3)
+        np.testing.assert_array_equal(solve(model, cfg, twice).states,
+                                      solve(model, cfg, once).states)
 

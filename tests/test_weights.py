@@ -104,3 +104,38 @@ class TestWeightTable:
             WeightTable(10, 1.5, 0.1)
         with pytest.raises(ValueError):
             WeightTable(10, 0.5, 0.0)
+
+
+class TestWeightViews:
+    """Per-step weights are read-only views into one table, never stale."""
+
+    @pytest.mark.parametrize("mode", list(WeightMode))
+    @pytest.mark.parametrize("alpha", [0.55, 0.93, 1.0])
+    def test_views_match_fresh_weights_in_any_order(self, mode, alpha):
+        steps, h = 30, 0.01
+        table = WeightTable(steps, alpha, h, mode)
+        order = list(range(steps)) + list(range(steps - 1, -1, -1)) + [3, 17, 4, 29, 0, 28]
+        for n in order:
+            np.testing.assert_array_equal(table.corrector(n), corrector_weights(n, alpha, mode))
+            np.testing.assert_array_equal(table.predictor(n), predictor_weights(n, alpha, h))
+
+    def test_views_are_read_only_and_share_the_table(self):
+        steps = 12
+        table = WeightTable(steps, 0.8, 0.05)
+        for first, last in ((table.predictor(0), table.predictor(steps - 1)),
+                            (table.corrector(0), table.corrector(steps - 1))):
+            for view in (first, last):
+                assert not view.flags.writeable
+                assert not view.flags.owndata
+                assert view.flags.c_contiguous
+                with pytest.raises(ValueError):
+                    view[0] = 0.0
+            assert np.shares_memory(first, last)
+
+    def test_predictor_calls_leave_corrector_view_intact(self):
+        table = WeightTable(10, 0.7, 0.1)
+        a5 = table.corrector(5)
+        np.testing.assert_array_equal(a5, corrector_weights(5, 0.7))
+        for n in range(10):
+            table.predictor(n)
+        np.testing.assert_array_equal(a5, corrector_weights(5, 0.7))
