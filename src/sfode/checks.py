@@ -25,9 +25,9 @@ __all__ = [
 #: Largest |T/h - round(T/h)| still taken as a whole number of steps.
 GRID_REL_TOL = 1e-9
 
-#: Most steps a grid may have.  The stepper's history arrays and its O(N^2)
-#: history sums grow with it: 2**22 steps of a 3-D system already hold
-#: about 0.3 GB of history and need about 1e14 flops.
+#: Most steps a grid may have.  The stepper's memory grows with it: 2**22
+#: steps of a 3-D stochastic system hold about 0.2 GB of history and as much
+#: again of far-field sums.
 MAX_STEPS = 2**22
 
 

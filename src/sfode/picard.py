@@ -54,23 +54,26 @@ class _SweepKernels:
     """Quadrature tables shared by every sweep on one (grid, alpha) pair.
 
     On the uniform grid t_n - t_j = (n-j)h, so the drift weights and the noise
-    kernel at node n are reversed slices of single power tables: the
-    fractional powers cost O(N) in total, not O(N) per node.
+    kernel at node n are the last n entries of single power tables laid out
+    in reverse: the fractional powers cost O(N) in total, not O(N) per node,
+    and each weight vector is a contiguous view, which keeps the history
+    sums on BLAS.
     """
 
     def __init__(self, grid: TimeGrid, alpha: float):
         inv_gamma = 1.0 / math.gamma(alpha)
         m = np.arange(grid.num_nodes) * grid.h
         p = m**alpha
-        self.drift_w = (p[1:] - p[:-1]) * (inv_gamma / alpha)  # index n-j-1
-        with np.errstate(divide="ignore"):
-            self.noise_k = m**(alpha - 1.0) * inv_gamma        # index n-j
+        drift_w = (p[1:] - p[:-1]) * (inv_gamma / alpha)  # index n-j-1
+        noise_k = m[1:]**(alpha - 1.0) * inv_gamma        # index n-j-1
+        self.drift_rev = np.ascontiguousarray(drift_w[::-1])
+        self.noise_rev = np.ascontiguousarray(noise_k[::-1])
 
     def drift_weights(self, n: int) -> np.ndarray:
-        return self.drift_w[:n][::-1]
+        return self.drift_rev[len(self.drift_rev) - n:]
 
     def noise_kernel(self, n: int) -> np.ndarray:
-        return self.noise_k[1:n + 1][::-1]
+        return self.noise_rev[len(self.noise_rev) - n:]
 
 
 def _sweep(model: SystemModel, kernels: _SweepKernels, t: np.ndarray,

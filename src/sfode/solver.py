@@ -23,6 +23,13 @@ history term j:
 
 The corrector's own sigma(t_{n+1}, y_p) dW_n term is the current step's
 increment in both modes.  Exactly one correction is applied per step.
+
+The history sums keep the full memory.  Each splits at the start of the
+current block of BLOCK steps: the nodes of that block are summed directly,
+and the older nodes arrive through an FFT far field (the square tiling of
+Hairer, Lubich & Schlichte, SIAM J. Sci. Stat. Comput. 6, 1985), so an
+N-step run costs O(N log^2 N) in its sums instead of O(N^2).  A run of at
+most BLOCK steps is all near field.
 """
 
 import enum
@@ -48,6 +55,15 @@ __all__ = [
 ]
 
 DEFAULT_BLOWUP = 1e6
+
+#: Steps per history block: the near field of a step is its own block.
+BLOCK = 256
+#: Squares of at most TILE source nodes are transformed whole; larger ones
+#: are cut into TILE x TILE tiles, which bounds the FFT size (and numpy's
+#: cached FFT plans) at 2 * TILE.
+TILE = 4096
+#: Rows per FFT call are capped so that one call's temporaries stay near this.
+FFT_BYTES = 1 << 18
 
 
 class NoiseHistory(str, enum.Enum):
@@ -123,11 +139,24 @@ class _Stepper:
     States have shape (d,) + batch, batch the trailing shape of dW, shaped
     (d, num_steps) + batch (None: one path).  The history is one buffer
     batch + (blocks, d, S): block 0 caches f at each node, block 1 (stochastic
-    runs only) the noise record.  A history sum is the one stacked product
-    hist[..., :n+1] @ w, which numpy evaluates as one d-row product per path
-    and block, so each path rounds exactly as it would alone.
-    :meth:`push` records node n; :meth:`predict` and :meth:`correct` then
-    take step n -> n+1 from the records of nodes 0..n.
+    runs only) the noise record.  :meth:`push` records node n; :meth:`predict`
+    and :meth:`correct` then take step n -> n+1 from the records of nodes 0..n.
+
+    A history sum over nodes 0..n splits at s = n - n % BLOCK.  The near
+    field, nodes s..n, is a stacked product that numpy evaluates as one
+    d-row product per path and block, so each path rounds exactly as it
+    would alone: hist[..., :n+1] @ w for each sum in the first block, where
+    s = 0 and the sums are the plain full-memory ones, and past it one
+    hist[..., s:n+1] @ W with the predictor and corrector weights as the two
+    columns of W.  The far field, nodes j < s, is read from a ring of
+    per-step accumulators filled by square tiling: once the source block
+    [e - L, e) of L = BLOCK * 2**k nodes is recorded, with e / L odd, one FFT
+    convolution of size 2L (tiles of TILE nodes for larger L) adds its part
+    of the sums of steps e..e+L-1, for the predictor and the corrector kernel
+    by lag.  Each node before s lies in exactly one square of step n.  The
+    corrector weight a[0] depends on n, not on the lag, so node 0 leaves the
+    corrector FFT and a[0] * g_0 is added on its own.  Steps must be taken
+    in order.
     """
 
     def __init__(self, model: SystemModel, cfg: SolverConfig, dW: np.ndarray | None):
@@ -138,6 +167,10 @@ class _Stepper:
         batch = () if dW is None else dW.shape[2:]
         y0 = model.y0.reshape(model.y0.shape + (1,) * len(batch))
         self.y0 = np.broadcast_to(y0, model.y0.shape + batch)
+        # axis orders: (d,) + batch -> batch + (d,), batch + (blocks, d) -> (blocks, d) + batch
+        self.paths_first = tuple(range(1, len(batch) + 1)) + (0,)
+        self.blocks_first = (len(batch), len(batch) + 1) + tuple(range(len(batch)))
+        self.pairs_first = (len(batch) + 2,) + self.blocks_first  # batch + (blocks, d, 2)
         self.table = WeightTable(steps, cfg.alpha, grid.h, cfg.weight_mode)
         self.inv_gamma_a = 1.0 / math.gamma(cfg.alpha)
         self.corr_drift = self.h**cfg.alpha / math.gamma(cfg.alpha + 2.0)
@@ -152,6 +185,14 @@ class _Stepper:
             # node j caches sigma_j * dW_j (per_step) or sigma_j (last_increment)
             self.per_step = cfg.noise_history is NoiseHistory.PER_STEP
         self.hist = np.empty(batch + (blocks, model.dim, steps + 1))
+        if steps > BLOCK:
+            pred, corr, _ = self.table.lag_kernels()
+            # near-field weights past the first block, lags BLOCK-1..0 as
+            # (predictor, corrector) rows: node 0 and its a[0] are far field there
+            self.near_w = np.stack([pred[BLOCK - 1::-1], corr[BLOCK - 1::-1]], axis=1)
+            self.ring = _ring_size(steps)
+            # (predictor, corrector) far-field sums; step n reads slot n % ring
+            self.far = np.zeros(self.hist.shape[:-1] + (self.ring, 2))
 
     def _rhs(self, kind: str, n: int, y: np.ndarray) -> np.ndarray:
         out = self.evaluate(kind, self.t[n], y)
@@ -163,30 +204,79 @@ class _Stepper:
     def push(self, n: int, y: np.ndarray) -> None:
         """Cache f (and the noise record) at node n with state y."""
         hist = self.hist
-        hist[..., 0, :, n] = self._rhs("drift", n, y).T
+        hist[..., 0, :, n] = self._rhs("drift", n, y).transpose(self.paths_first)
         if self.dW is not None and n < self.num_steps:
             sigma = self._rhs("diffusion", n, y)
             if self.per_step:
                 sigma = sigma * self.dW[:, n]
-            hist[..., 1, :, n] = sigma.T
+            hist[..., 1, :, n] = sigma.transpose(self.paths_first)
 
-    def _sums(self, n: int, w: np.ndarray) -> np.ndarray:
-        """Weighted sums over nodes 0..n, shaped (blocks, d) + batch."""
-        return (self.hist[..., :n + 1] @ w).T.swapaxes(0, 1)
+    def sums(self, n: int):
+        """Predictor and corrector history sums of step n over nodes 0..n,
+        each shaped (blocks, d) + batch.  Call once per step, in order."""
+        s = n - n % BLOCK
+        if not s:
+            hist = self.hist[..., :n + 1]
+            pred = hist @ self.table.predictor(n)
+            corr = hist @ self.table.corrector(n)[:n + 1]
+            return pred.transpose(self.blocks_first), corr.transpose(self.blocks_first)
+        if s == n:
+            self._far_field(n)
+        sums = self.hist[..., s:n + 1] @ self.near_w[BLOCK - 1 - n + s:]
+        sums += self.far[..., n % self.ring, :]
+        return sums.transpose(self.pairs_first)
+
+    def _far_field(self, end: int) -> None:
+        """Free the slots of the block before end and add the square whose
+        source block ends at node end - 1."""
+        ring, steps = self.ring, self.num_steps
+        far = self.far.reshape(-1, ring, 2)
+        far[:, (end - BLOCK) % ring:][:, :BLOCK] = 0.0
+        hist = self.hist.reshape(-1, steps + 1)
+        a0 = self.table.lag_kernels()[2]
+        L = _square(end)
+        M, stop = min(L, TILE), min(end + L, steps)
+        for src in range(end - L, end, M):
+            for dst in range(end, stop, M):
+                count = min(M, stop - dst)
+                first = dst % ring
+                self._tile(hist[:, src:src + M], far[:, first:first + count],
+                           dst - src - M + 1, a0[dst:dst + count] if src == 0 else None)
+
+    def _tile(self, x: np.ndarray, out: np.ndarray, lag: int, a0: np.ndarray | None) -> None:
+        """Add to out, (rows, count, 2), the sums over the M source nodes of
+        x, (rows, M), at count <= M target steps, which take the kernels at
+        lags lag..lag+2M-2; a0 is given when x starts at node 0."""
+        M, count = x.shape[1], out.shape[1]
+        size = 2 * M
+        pred, corr, _ = self.table.lag_kernels()
+        cut = slice(lag, lag + size - 1)
+        pred_hat, corr_hat = np.fft.rfft(pred[cut], size), np.fft.rfft(corr[cut], size)
+        rows = max(1, FFT_BYTES // (48 * M))  # x_hat, a product, an irfft: 16M bytes each
+        for r in range(0, len(x), rows):
+            part = slice(r, r + rows)
+            x_hat = np.fft.rfft(x[part], size)
+            out[part, :, 0] += np.fft.irfft(x_hat * pred_hat, size)[:, M - 1:M - 1 + count]
+            if a0 is not None:  # the corrector weights node 0 by a0[n], not by lag
+                g0 = x[part, :1]
+                x_hat -= g0
+                out[part, :, 1] += g0 * a0
+            out[part, :, 1] += np.fft.irfft(x_hat * corr_hat, size)[:, M - 1:M - 1 + count]
 
     def _noise(self, n: int, noise_sum: np.ndarray) -> np.ndarray:
         """The noise history sum, times dW_n in last_increment mode."""
         return noise_sum if self.per_step else noise_sum * self.dW[:, n]
 
     def predict(self, n: int) -> np.ndarray:
-        sums = self._sums(n, self.table.predictor(n))
+        sums, self.corr_sums = self.sums(n)
         yp = self.y0 + self.inv_gamma_a * sums[0]
         if self.dW is not None:
             yp = yp + self.pred_noise * self._noise(n, sums[1])
         return yp
 
     def correct(self, n: int, predicted: np.ndarray) -> np.ndarray:
-        sums = self._sums(n, self.table.corrector(n)[:n + 1])
+        """Step n -> n+1 from the corrector sums of the last :meth:`predict`."""
+        sums = self.corr_sums
         f_new = self._rhs("drift", n + 1, predicted)
         y = self.y0 + self.corr_drift * (f_new + sums[0])
         if self.dW is not None:
@@ -195,13 +285,33 @@ class _Stepper:
         return y
 
 
+def _square(end: int) -> int:
+    """Nodes L of the square whose source block ends at node end - 1: the
+    BLOCK * 2**k with end / L odd."""
+    blocks = end // BLOCK
+    return BLOCK * (blocks & -blocks)
+
+
+def _ring_size(steps: int) -> int:
+    """Far-field slots for a run: the least BLOCK * 2**k that covers the
+    steps any square has written to and no step has yet read."""
+    ahead = reach = 0
+    for end in range(BLOCK, steps, BLOCK):
+        reach = max(reach, min(end + _square(end), steps))
+        ahead = max(ahead, reach - end)
+    ring = BLOCK
+    while ring < ahead:
+        ring *= 2
+    return ring
+
+
 def solve_batch(model: SystemModel, cfg: SolverConfig, dW: np.ndarray | None) -> np.ndarray:
     """Node states, batch + (d, num_nodes), of the paths of dW (see :class:`_Stepper`;
     deterministic runs use only its shape), each equal to :func:`solve` bit for bit."""
     grid = cfg.grid
     stepper = _Stepper(model, cfg, dW)
     states = np.empty(stepper.y0.shape[1:] + (model.dim, grid.num_nodes))
-    states[..., 0] = stepper.y0.T
+    states[..., 0] = stepper.y0.transpose(stepper.paths_first)
     stepper.push(0, stepper.y0)
     for n in range(grid.num_steps):
         y_next = stepper.correct(n, stepper.predict(n))
@@ -212,7 +322,7 @@ def solve_batch(model: SystemModel, cfg: SolverConfig, dW: np.ndarray | None) ->
                 f"(t={stepper.t[n + 1]:g})",
                 n + 1, stepper.t[n + 1], ok,
             )
-        states[..., n + 1] = y_next.T
+        states[..., n + 1] = y_next.transpose(stepper.paths_first)
         stepper.push(n + 1, y_next)
     return states
 

@@ -18,6 +18,13 @@ The "literal" corrector variant subtracts the (n-j)**(alpha+1) term instead
 of adding it, as the scheme is sometimes stated.  That sign breaks the
 trapezoid limit (interior weights become 0 instead of 2 at alpha = 1), so
 standard is the default; the variant is kept behind a flag for comparison.
+
+Away from j = 0 both weights depend only on the lag k = n - j: b[j] is
+b(k) = (h**alpha / alpha) * ((k+1)**alpha - k**alpha) and the interior a[j]
+is a(k) = (k+2)**(alpha+1) + k**(alpha+1) - 2*(k+1)**(alpha+1) in standard
+mode.  :meth:`WeightTable.lag_kernels` exposes these kernels for the
+solver's FFT far field; the corrector's a[0] is the one weight that is not a
+function of the lag.
 """
 
 import enum
@@ -40,14 +47,13 @@ class WeightTable:
     Precomputes the integer power tables m**alpha and m**(alpha+1) once and
     lays the weights out reversed, so each per-step weight vector is an O(1)
     view into the table instead of an O(n) batch of fractional powers or an
-    O(n) copy.  The total work for an N-step run stays O(N**2) in the history
-    sums; no short-memory truncation is applied.
+    O(n) copy.  No short-memory truncation is applied.
 
     Views are read-only and share memory with the table.  A predictor view
     stays valid for the life of the table.  All corrector views share one
     buffer whose a[0] slot each :meth:`corrector` call rewrites, so a
-    corrector view stays valid only until the next :meth:`corrector` call on
-    the same table.
+    corrector view stays valid only until the next :meth:`corrector` or
+    :meth:`lag_kernels` call on the same table.
     """
 
     def __init__(self, num_steps: int, alpha: float, h: float,
@@ -71,6 +77,7 @@ class WeightTable:
             interior = p[2:] - p[:-2] - 2.0 * p[1:-1]
         # a[0] of step n, for n = 0..N-1
         self._a0 = p[:N] - (m[:N] - self.alpha) * pow_a[1:N + 1]
+        self._a0.flags.writeable = False
         # step n reads a[0..n+1] from _c_rev[N-1-n:]: its a[0] slot, then
         # interior[n-1..0] and 1; corrector() restores the slot it wrote last
         self._c_rev = np.empty(N + 1)
@@ -95,6 +102,18 @@ class WeightTable:
         self._slot, self._saved = start, c[start]
         c[start] = self._a0[n]
         return self._c_view[start:]
+
+    def lag_kernels(self) -> tuple:
+        """(b, a, a0): the predictor weights b(k) and the interior corrector
+        weights a(k) by lag k = n - j, k = 0..N-1, and the corrector's a[0]
+        by step n = 0..N-1.
+
+        Read-only reversed views of the tables, not copies.  The corrector
+        kernel shares the corrector buffer, so this call restores its a[0]
+        slot and the kernel stays valid until the next :meth:`corrector` call.
+        """
+        self._c_rev[self._slot] = self._saved
+        return self._b_rev[::-1], self._c_view[self.num_steps - 1::-1], self._a0
 
     def predictor(self, n: int) -> np.ndarray:
         """Weights b[0..n] for the prediction of step n -> n+1."""

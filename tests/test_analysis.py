@@ -15,7 +15,7 @@ from sfode.analysis import (
     write_stats_csv,
 )
 from sfode.picard import cauchy_diagnostic, picard_iterate
-from sfode.solver import DivergenceError, NoiseHistory, SolverConfig, solve
+from sfode.solver import BLOCK, DivergenceError, NoiseHistory, SolverConfig, solve
 from sfode.special import mittag_leffler
 from sfode.stochastic import SeedSpec, generate_path, make_grid
 from sfode.systems import LorenzParams, linear_test, lorenz, newton_leipnik
@@ -104,8 +104,16 @@ class TestBatchSize:
     @pytest.mark.parametrize("mode", list(NoiseHistory))
     @pytest.mark.parametrize("size", [1, 3, M_ENSEMBLE])
     def test_ensemble_run(self, monkeypatch, size, mode):
+        self.check_ensemble_run(monkeypatch, size, mode, steps=10)
+
+    @pytest.mark.parametrize("mode", list(NoiseHistory))
+    @pytest.mark.parametrize("size", [1, 3, M_ENSEMBLE])
+    def test_ensemble_run_past_one_block(self, monkeypatch, size, mode):
+        self.check_ensemble_run(monkeypatch, size, mode, steps=BLOCK + 64)  # FFT far field
+
+    def check_ensemble_run(self, monkeypatch, size, mode, steps):
         model = newton_leipnik()
-        cfg = SolverConfig(alpha=0.93, grid=make_grid(0.5, 0.05), stochastic=True,
+        cfg = SolverConfig(alpha=0.93, grid=make_grid(steps / 20, 0.05), stochastic=True,
                            noise_history=mode)
         per_path = accumulate_stats(cfg.grid, [
             solve(model, cfg, generate_path(SeedSpec(11, i, 0), cfg.grid, 3)).states

@@ -4,7 +4,9 @@ import math
 import numpy as np
 import pytest
 
+from sfode import solver
 from sfode.solver import (
+    BLOCK,
     DivergenceError,
     NoiseHistory,
     SolverConfig,
@@ -16,8 +18,15 @@ from sfode.solver import (
 )
 from sfode.special import gamma, mittag_leffler
 from sfode.stochastic import SeedSpec, generate_path, make_grid
-from sfode.systems import LorenzParams, SystemModel, linear_test, lorenz, newton_leipnik
-from sfode.weights import WeightMode, corrector_weights, predictor_weights
+from sfode.systems import (
+    LorenzParams,
+    NewtonLeipnikParams,
+    SystemModel,
+    linear_test,
+    lorenz,
+    newton_leipnik,
+)
+from sfode.weights import WeightMode, WeightTable, corrector_weights, predictor_weights
 
 
 def constant_diffusion_model(sigma0: float, y0: float = 0.0) -> SystemModel:
@@ -66,6 +75,10 @@ def reference_pece(model, cfg, dW) -> np.ndarray:
         y[:, n + 1] = yc
         record(n + 1)
     return y
+
+
+# deterministic runs, then stochastic runs in each noise-history mode
+RUN_KINDS = [(False, NoiseHistory.PER_STEP)] + [(True, mode) for mode in NoiseHistory]
 
 
 def primed_stepper(states, path, model, cfg, n) -> _Stepper:
@@ -254,6 +267,107 @@ class TestReferenceOracle:
             expected = reference_pece(model, cfg, path.increments if stochastic else None)
             np.testing.assert_array_equal(solve(model, cfg, path).states, expected)
             np.testing.assert_array_equal(batched[i], expected)
+
+
+    @pytest.mark.parametrize("size", [1, 3, 5])
+    @pytest.mark.parametrize("stochastic,noise_history", RUN_KINDS)
+    def test_batches_past_one_block(self, stochastic, noise_history, size):
+        # past BLOCK steps the far field rounds differently from the plain
+        # loop, but every path of a batch still rounds exactly as alone
+        # (literal weights blow this run up within one block; TestFarField
+        # checks their far-field sums)
+        model = newton_leipnik()
+        cfg = SolverConfig(alpha=0.83, grid=make_grid(2.5, 1 / 256), stochastic=stochastic,
+                           noise_history=noise_history)
+        assert cfg.grid.num_steps > 2 * BLOCK
+        paths = [generate_path(SeedSpec(31, i), cfg.grid, 3) for i in range(size)]
+        batched = solve_batch(model, cfg, np.stack([p.increments for p in paths], axis=-1))
+        for i, path in enumerate(paths):
+            single = solve(model, cfg, path).states
+            np.testing.assert_array_equal(batched[i], single)
+        expected = reference_pece(model, cfg, paths[-1].increments if stochastic else None)
+        assert np.max(np.abs(single - expected)) <= 1e-12 * np.max(np.abs(expected))
+
+
+class TestBatchAxes:
+    """Any trailing batch shape of dW: each path equals its own solve."""
+
+    @pytest.mark.parametrize("shape", [(2, 2), (1, 2), (2, 1, 3)])
+    @pytest.mark.parametrize("steps", [64, BLOCK + 100])
+    def test_columns_match_single_paths(self, shape, steps):
+        model = newton_leipnik()
+        cfg = SolverConfig(alpha=0.9, grid=make_grid(steps / 128, 1 / 128), stochastic=True)
+        count = math.prod(shape)
+        paths = [generate_path(SeedSpec(9, i), cfg.grid, 3) for i in range(count)]
+        dW = np.stack([p.increments for p in paths], axis=-1)
+        states = solve_batch(model, cfg, dW.reshape(dW.shape[:2] + shape))
+        assert states.shape == shape + (3, steps + 1)
+        for i, path in enumerate(paths):
+            np.testing.assert_array_equal(states[np.unravel_index(i, shape)],
+                                          solve(model, cfg, path).states)
+
+
+class TestFarField:
+    """Every step's predictor and corrector sums equal the direct full-memory
+    sums hist[..., :n+1] @ w to 1e-12 relative to sum |w| |g|, on a recorded
+    history replayed step by step; within the first block they are equal."""
+
+    STEPS = 5 * BLOCK + 37
+
+    def replay(self, source, stochastic, noise_history, weight_mode):
+        """A fresh stepper for a STEPS-step run, and the history g, shaped
+        (blocks, d, STEPS + 1), to replay into it: random numbers spread over
+        six decades, or the records of a solved run (standard weights, so
+        that literal-mode sums are taken on a history that stays bounded)."""
+        model, alpha = {
+            "random": (newton_leipnik(), 0.83),
+            "fig1": (newton_leipnik(NewtonLeipnikParams(mu=0.1)), 0.93),
+            "lorenz": (lorenz(LorenzParams(mu=0.01)), 0.88),
+        }[source]
+        grid = make_grid(self.STEPS / 256, 1 / 256)
+        cfg = SolverConfig(alpha=alpha, grid=grid, stochastic=stochastic,
+                           noise_history=noise_history, weight_mode=weight_mode)
+        path = generate_path(SeedSpec(5), grid, 3)
+        stepper = _Stepper(model, cfg, path.increments)
+        blocks = 2 if stochastic else 1
+        if source == "random":
+            rng = np.random.default_rng(17)
+            scale = np.exp(rng.uniform(-7.0, 7.0, (blocks, 3, 1)))
+            return stepper, scale * rng.standard_normal((blocks, 3, self.STEPS + 1))
+        run = SolverConfig(alpha=alpha, grid=grid, stochastic=stochastic)
+        states = solve(model, run, path).states
+        g = np.zeros((blocks, 3, self.STEPS + 1))
+        g[0] = model.drift(0.0, states)  # both systems are autonomous
+        if stochastic:
+            sigma = model.diffusion(0.0, states[:, :-1])
+            per_step = noise_history is NoiseHistory.PER_STEP
+            g[1, :, :-1] = sigma * path.increments if per_step else sigma
+        return stepper, g
+
+    @pytest.mark.parametrize("weight_mode", list(WeightMode))
+    @pytest.mark.parametrize("stochastic,noise_history", RUN_KINDS)
+    @pytest.mark.parametrize("source", ["random", "fig1", "lorenz"])
+    def test_sums_match_direct(self, source, stochastic, noise_history, weight_mode):
+        stepper, g = self.replay(source, stochastic, noise_history, weight_mode)
+        table = WeightTable(self.STEPS, stepper.table.alpha, stepper.table.h, weight_mode)
+        worst = 0.0
+        for n in range(self.STEPS):
+            stepper.hist[..., n] = g[..., n]
+            sums = stepper.sums(n)
+            for got, w in zip(sums, (table.predictor(n), table.corrector(n)[:n + 1])):
+                direct = g[..., :n + 1] @ w
+                if n < BLOCK:
+                    np.testing.assert_array_equal(got, direct)
+                scale = np.maximum(np.abs(g[..., :n + 1]) @ np.abs(w), np.finfo(float).tiny)
+                error = np.abs(got - direct) / scale
+                worst = max(worst, float(np.max(error)))
+        assert worst <= 1e-12
+
+    def test_tiled_squares_match_direct(self, monkeypatch):
+        # squares larger than TILE are cut into tiles; a run this short has
+        # none at the default TILE, so shrink it
+        monkeypatch.setattr(solver, "TILE", BLOCK)
+        self.test_sums_match_direct("random", True, NoiseHistory.PER_STEP, WeightMode.STANDARD)
 
 
 class TestStochastic:

@@ -139,3 +139,19 @@ class TestWeightViews:
         for n in range(10):
             table.predictor(n)
         np.testing.assert_array_equal(a5, corrector_weights(5, 0.7))
+
+    @pytest.mark.parametrize("mode", list(WeightMode))
+    def test_lag_kernels_match_fresh_weights(self, mode):
+        # b[j] = b(n - j) for every j, a[j] = a(n - j) for j >= 1, a[0] = a0[n],
+        # whichever corrector view was taken last
+        steps, alpha, h = 20, 0.83, 0.05
+        table = WeightTable(steps, alpha, h, mode)
+        for n in (7, steps - 1, 0, 12):
+            table.corrector(n)
+            b, a, a0 = table.lag_kernels()
+            assert not (b.flags.writeable or a.flags.writeable or a0.flags.writeable)
+            for m in range(steps):
+                fresh_a = corrector_weights(m, alpha, mode)
+                np.testing.assert_array_equal(b[m::-1], predictor_weights(m, alpha, h))
+                np.testing.assert_array_equal(a[m - 1::-1] if m else a[:0], fresh_a[1:m + 1])
+                assert a0[m] == fresh_a[0]
