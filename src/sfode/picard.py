@@ -133,8 +133,13 @@ def picard_iterate(model: SystemModel, alpha: float, grid: TimeGrid,
     if K < 1:
         problems.append(f"K must be >= 1; got {K}")
     checks.require(problems)
-    if path is not None and path.grid != grid:
-        raise ValueError("path grid does not match iteration grid")
+    if path is not None:
+        if path.grid != grid:
+            raise ValueError("path grid does not match iteration grid")
+        if path.num_channels != model.noise_dim:
+            raise ValueError(
+                f"path has {path.num_channels} channels, model needs {model.noise_dim}"
+            )
     dW = None if path is None else path.increments
     iterates = [
         Trajectory(grid=grid, states=states, meta={"picard_iterate": k})

@@ -142,21 +142,26 @@ class _Stepper:
     runs only) the noise record.  :meth:`push` records node n; :meth:`predict`
     and :meth:`correct` then take step n -> n+1 from the records of nodes 0..n.
 
+    The weights come from a :class:`~sfode.weights.WeightTable`: b and the
+    interior a by lag, a0 by step.  The stepper keeps contiguous reversed
+    copies b_rev and a_rev of their first K = min(num_steps, BLOCK) lags.
+
     A history sum over nodes 0..n splits at s = n - n % BLOCK.  The near
     field, nodes s..n, is a stacked product that numpy evaluates as one
     d-row product per path and block, so each path rounds exactly as it
-    would alone: hist[..., :n+1] @ w for each sum in the first block, where
-    s = 0 and the sums are the plain full-memory ones, and past it one
-    hist[..., s:n+1] @ W with the predictor and corrector weights as the two
-    columns of W.  The far field, nodes j < s, is read from a ring of
+    would alone.  In the first block, where s = 0 and the sums are the plain
+    full-memory ones, step n takes hist[..., :n+1] @ b_rev[K-1-n:] and
+    hist[..., :n+1] @ (a0[n], a_rev[K-n:]).  Past it, one
+    hist[..., s:n+1] @ W takes both, with b_rev and a_rev as the two columns
+    of W.  The far field, nodes j < s, is read from a ring of
     per-step accumulators filled by square tiling: once the source block
     [e - L, e) of L = BLOCK * 2**k nodes is recorded, with e / L odd, one FFT
     convolution of size 2L (tiles of TILE nodes for larger L) adds its part
-    of the sums of steps e..e+L-1, for the predictor and the corrector kernel
-    by lag.  Each node before s lies in exactly one square of step n.  The
-    corrector weight a[0] depends on n, not on the lag, so node 0 leaves the
-    corrector FFT and a[0] * g_0 is added on its own.  Steps must be taken
-    in order.
+    of the sums of steps e..e+L-1, with the full lag kernels b and a.  Each
+    node before s lies in exactly one square of step n.  The corrector
+    weight a0[n] of node 0 depends on n, not on the lag, so node 0 leaves
+    the corrector FFT and a0[n] * g_0 is added on its own.  Steps must be
+    taken in order.
     """
 
     def __init__(self, model: SystemModel, cfg: SolverConfig, dW: np.ndarray | None):
@@ -171,7 +176,10 @@ class _Stepper:
         self.paths_first = tuple(range(1, len(batch) + 1)) + (0,)
         self.blocks_first = (len(batch), len(batch) + 1) + tuple(range(len(batch)))
         self.pairs_first = (len(batch) + 2,) + self.blocks_first  # batch + (blocks, d, 2)
-        self.table = WeightTable(steps, cfg.alpha, grid.h, cfg.weight_mode)
+        self.table = table = WeightTable(steps, cfg.alpha, grid.h, cfg.weight_mode)
+        # lags K-1..0; slicing at BLOCK - 1 stops at the table's end
+        self.b_rev = table.b[BLOCK - 1::-1].copy()
+        self.a_rev = table.a[BLOCK - 1::-1].copy()
         self.inv_gamma_a = 1.0 / math.gamma(cfg.alpha)
         self.corr_drift = self.h**cfg.alpha / math.gamma(cfg.alpha + 2.0)
         self.evaluate = model.evaluate
@@ -186,10 +194,9 @@ class _Stepper:
             self.per_step = cfg.noise_history is NoiseHistory.PER_STEP
         self.hist = np.empty(batch + (blocks, model.dim, steps + 1))
         if steps > BLOCK:
-            pred, corr, _ = self.table.lag_kernels()
-            # near-field weights past the first block, lags BLOCK-1..0 as
-            # (predictor, corrector) rows: node 0 and its a[0] are far field there
-            self.near_w = np.stack([pred[BLOCK - 1::-1], corr[BLOCK - 1::-1]], axis=1)
+            # near-field weights past the first block as (predictor, corrector)
+            # rows: node 0 and its a[0] are far field there
+            self.near_w = np.stack([self.b_rev, self.a_rev], axis=1)
             self.ring = _ring_size(steps)
             # (predictor, corrector) far-field sums; step n reads slot n % ring
             self.far = np.zeros(self.hist.shape[:-1] + (self.ring, 2))
@@ -216,9 +223,9 @@ class _Stepper:
         each shaped (blocks, d) + batch.  Call once per step, in order."""
         s = n - n % BLOCK
         if not s:
-            hist = self.hist[..., :n + 1]
-            pred = hist @ self.table.predictor(n)
-            corr = hist @ self.table.corrector(n)[:n + 1]
+            hist, K = self.hist[..., :n + 1], len(self.b_rev)
+            pred = hist @ self.b_rev[K - 1 - n:]
+            corr = hist @ np.concatenate((self.table.a0[n:n + 1], self.a_rev[K - n:]))
             return pred.transpose(self.blocks_first), corr.transpose(self.blocks_first)
         if s == n:
             self._far_field(n)
@@ -233,7 +240,7 @@ class _Stepper:
         far = self.far.reshape(-1, ring, 2)
         far[:, (end - BLOCK) % ring:][:, :BLOCK] = 0.0
         hist = self.hist.reshape(-1, steps + 1)
-        a0 = self.table.lag_kernels()[2]
+        a0 = self.table.a0
         L = _square(end)
         M, stop = min(L, TILE), min(end + L, steps)
         for src in range(end - L, end, M):
@@ -249,7 +256,7 @@ class _Stepper:
         lags lag..lag+2M-2; a0 is given when x starts at node 0."""
         M, count = x.shape[1], out.shape[1]
         size = 2 * M
-        pred, corr, _ = self.table.lag_kernels()
+        pred, corr = self.table.b, self.table.a
         cut = slice(lag, lag + size - 1)
         pred_hat, corr_hat = np.fft.rfft(pred[cut], size), np.fft.rfft(corr[cut], size)
         rows = max(1, FFT_BYTES // (48 * M))  # x_hat, a product, an irfft: 16M bytes each
@@ -306,9 +313,21 @@ def _ring_size(steps: int) -> int:
 
 
 def solve_batch(model: SystemModel, cfg: SolverConfig, dW: np.ndarray | None) -> np.ndarray:
-    """Node states, batch + (d, num_nodes), of the paths of dW (see :class:`_Stepper`;
-    deterministic runs use only its shape), each equal to :func:`solve` bit for bit."""
+    """Node states, batch + (d, num_nodes), of the paths of dW, each equal to
+    :func:`solve` bit for bit.
+
+    dW holds the Wiener increments shaped (noise_dim, num_steps) + batch, the
+    path of column b in dW[..., b] (batch () is one path).  A stochastic cfg
+    requires dW; a deterministic one uses only its batch shape, and None
+    means one path.
+    """
     grid = cfg.grid
+    if dW is None:
+        if cfg.stochastic:
+            raise ValueError("stochastic solve requires Wiener increments (a WienerPath or dW)")
+    elif dW.shape[:2] != (model.noise_dim, grid.num_steps):
+        raise ValueError(f"dW is shaped {dW.shape}, needs (noise_dim, num_steps) = "
+                         f"{(model.noise_dim, grid.num_steps)} + batch")
     stepper = _Stepper(model, cfg, dW)
     states = np.empty(stepper.y0.shape[1:] + (model.dim, grid.num_nodes))
     states[..., 0] = stepper.y0.transpose(stepper.paths_first)
@@ -339,15 +358,9 @@ def solve(model: SystemModel, cfg: SolverConfig,
     """
     grid = cfg.grid
     dW = None
-    if cfg.stochastic:
-        if path is None:
-            raise ValueError("stochastic solve requires a WienerPath")
+    if cfg.stochastic and path is not None:
         if path.grid != grid:
             raise ValueError("path grid does not match solver grid")
-        if path.num_channels != model.noise_dim:
-            raise ValueError(
-                f"path has {path.num_channels} channels, model needs {model.noise_dim}"
-            )
         dW = path.increments
     states = solve_batch(model, cfg, dW)
 

@@ -192,6 +192,15 @@ class TestPicardIterate:
         with pytest.raises(ValueError):
             picard_iterate(model, 0.8, grid, wrong, K=2)
 
+    def test_path_channels_must_match_noise_dim(self):
+        # as in solve: one channel must not be broadcast over three components
+        model = newton_leipnik()
+        grid = make_grid(0.5, 0.05)
+        for channels in (1, 2):
+            path = generate_path(SeedSpec(0), grid, num_channels=channels)
+            with pytest.raises(ValueError, match="channels"):
+                picard_iterate(model, 0.9, grid, path, K=2)
+
 
 class TestCauchyDiagnostic:
     def test_zero_system_all_zero(self):

@@ -26,7 +26,7 @@ from sfode.systems import (
     lorenz,
     newton_leipnik,
 )
-from sfode.weights import WeightMode, WeightTable, corrector_weights, predictor_weights
+from sfode.weights import WeightMode, corrector_weights, predictor_weights
 
 
 def constant_diffusion_model(sigma0: float, y0: float = 0.0) -> SystemModel:
@@ -114,6 +114,31 @@ class TestConfig:
         wrong_channels = generate_path(SeedSpec(0), grid, num_channels=2)
         with pytest.raises(ValueError):
             solve(constant_diffusion_model(1.0), cfg, wrong_channels)
+
+
+class TestSolveBatchInput:
+    """solve_batch checks dW itself: solve and ensembles share these checks."""
+
+    model = newton_leipnik()
+    grid = make_grid(0.25, 0.025)
+
+    def test_stochastic_needs_dW(self):
+        cfg = SolverConfig(alpha=0.9, grid=self.grid, stochastic=True)
+        with pytest.raises(ValueError, match="requires Wiener increments"):
+            solve_batch(self.model, cfg, None)
+
+    @pytest.mark.parametrize("stochastic", [False, True])
+    @pytest.mark.parametrize("channels,extra_steps", [(1, 0), (2, 0), (4, 0), (3, 1), (3, -1)])
+    def test_dW_shape_must_match(self, stochastic, channels, extra_steps):
+        cfg = SolverConfig(alpha=0.9, grid=self.grid, stochastic=stochastic)
+        dW = np.zeros((channels, self.grid.num_steps + extra_steps, 2))
+        with pytest.raises(ValueError, match="dW is shaped"):
+            solve_batch(self.model, cfg, dW)
+
+    def test_flat_dW_is_rejected(self):
+        cfg = SolverConfig(alpha=0.9, grid=self.grid, stochastic=True)
+        with pytest.raises(ValueError, match="dW is shaped"):
+            solve_batch(self.model, cfg, np.zeros(3 * self.grid.num_steps))
 
 
 class TestDeterministic:
@@ -288,6 +313,21 @@ class TestReferenceOracle:
         expected = reference_pece(model, cfg, paths[-1].increments if stochastic else None)
         assert np.max(np.abs(single - expected)) <= 1e-12 * np.max(np.abs(expected))
 
+    @pytest.mark.parametrize("steps", [BLOCK - 1, BLOCK, BLOCK + 1])
+    @pytest.mark.parametrize("stochastic,noise_history", RUN_KINDS)
+    def test_runs_around_one_block(self, stochastic, noise_history, steps):
+        # the first BLOCK steps are plain full-memory sums; the step past
+        # them is the first with a far field
+        model = newton_leipnik()
+        cfg = SolverConfig(alpha=0.83, grid=make_grid(steps / 256, 1 / 256),
+                           stochastic=stochastic, noise_history=noise_history)
+        assert cfg.grid.num_steps == steps
+        path = generate_path(SeedSpec(37), cfg.grid, 3)
+        got = solve(model, cfg, path).states
+        expected = reference_pece(model, cfg, path.increments if stochastic else None)
+        np.testing.assert_array_equal(got[:, :BLOCK + 1], expected[:, :BLOCK + 1])
+        assert np.max(np.abs(got - expected)) <= 1e-12 * np.max(np.abs(expected))
+
 
 class TestBatchAxes:
     """Any trailing batch shape of dW: each path equals its own solve."""
@@ -349,12 +389,14 @@ class TestFarField:
     @pytest.mark.parametrize("source", ["random", "fig1", "lorenz"])
     def test_sums_match_direct(self, source, stochastic, noise_history, weight_mode):
         stepper, g = self.replay(source, stochastic, noise_history, weight_mode)
-        table = WeightTable(self.STEPS, stepper.table.alpha, stepper.table.h, weight_mode)
+        alpha, h = stepper.table.alpha, stepper.table.h
         worst = 0.0
         for n in range(self.STEPS):
             stepper.hist[..., n] = g[..., n]
             sums = stepper.sums(n)
-            for got, w in zip(sums, (table.predictor(n), table.corrector(n)[:n + 1])):
+            weights = (predictor_weights(n, alpha, h),
+                       corrector_weights(n, alpha, weight_mode)[:n + 1])
+            for got, w in zip(sums, weights):
                 direct = g[..., :n + 1] @ w
                 if n < BLOCK:
                     np.testing.assert_array_equal(got, direct)

@@ -75,27 +75,29 @@ class TestPredictorWeights:
 class TestWeightTable:
     @pytest.mark.parametrize("mode", list(WeightMode))
     def test_matches_single_step_functions(self, mode):
-        table = WeightTable(40, 0.73, 0.02, mode)
-        for n in (0, 1, 7, 39):
-            np.testing.assert_array_equal(table.corrector(n), corrector_weights(n, 0.73, mode))
-            np.testing.assert_array_equal(table.predictor(n), predictor_weights(n, 0.73, 0.02))
+        steps, alpha, h = 40, 0.73, 0.02
+        table = WeightTable(steps, alpha, h, mode)
+        for weights in (table.b, table.a, table.a0):
+            assert weights.shape == (steps,)
+        for n in range(steps):
+            a = np.concatenate((table.a0[n:n + 1], table.a[:n][::-1], [1.0]))
+            np.testing.assert_array_equal(a, corrector_weights(n, alpha, mode))
+            np.testing.assert_array_equal(table.b[n::-1], predictor_weights(n, alpha, h))
 
     # alpha down to 1e-300 (below that h**alpha / alpha overflows); the
     # corrector sum's rounding error grows like n**2 * eps, so n <= 200
     @given(st.integers(0, 200), st.floats(1e-300, 1.0), st.floats(1e-4, 1.0))
     def test_weight_sum_identities(self, n, alpha, h):
-        table = WeightTable(n + 1, alpha, h)
         b_sum = h**alpha * (n + 1) ** alpha / alpha
-        assert math.fsum(table.predictor(n)) == pytest.approx(b_sum, rel=1e-12)
+        assert math.fsum(predictor_weights(n, alpha, h)) == pytest.approx(b_sum, rel=1e-12)
         a_sum = (alpha + 1.0) * (n + 1) ** alpha
-        assert math.fsum(table.corrector(n)) == pytest.approx(a_sum, rel=1e-12)
+        assert math.fsum(corrector_weights(n, alpha)) == pytest.approx(a_sum, rel=1e-12)
 
     def test_range_checks(self):
-        table = WeightTable(10, 0.5, 0.1)
         with pytest.raises(ValueError):
-            table.corrector(10)
+            corrector_weights(-1, 0.5)
         with pytest.raises(ValueError):
-            table.predictor(-1)
+            predictor_weights(-1, 0.5, 0.1)
 
     def test_parameter_validation(self):
         with pytest.raises(ValueError):
@@ -106,8 +108,14 @@ class TestWeightTable:
             WeightTable(10, 0.5, 0.0)
 
 
+def step_weights(table, n):
+    """Step n's (b[0..n], a[0], a[1..n]) as slices of the lag arrays."""
+    return table.b[n::-1], table.a0[n], table.a[:n][::-1]
+
+
 class TestWeightViews:
-    """Per-step weights are read-only views into one table, never stale."""
+    """Per-step weights are read-only slices of the three lag arrays; no
+    read changes what a later read sees."""
 
     @pytest.mark.parametrize("mode", list(WeightMode))
     @pytest.mark.parametrize("alpha", [0.55, 0.93, 1.0])
@@ -116,42 +124,37 @@ class TestWeightViews:
         table = WeightTable(steps, alpha, h, mode)
         order = list(range(steps)) + list(range(steps - 1, -1, -1)) + [3, 17, 4, 29, 0, 28]
         for n in order:
-            np.testing.assert_array_equal(table.corrector(n), corrector_weights(n, alpha, mode))
-            np.testing.assert_array_equal(table.predictor(n), predictor_weights(n, alpha, h))
+            b, a0, a = step_weights(table, n)
+            fresh_a = corrector_weights(n, alpha, mode)
+            np.testing.assert_array_equal(b, predictor_weights(n, alpha, h))
+            assert a0 == fresh_a[0]
+            np.testing.assert_array_equal(a, fresh_a[1:n + 1])
 
     def test_views_are_read_only_and_share_the_table(self):
         steps = 12
         table = WeightTable(steps, 0.8, 0.05)
-        for first, last in ((table.predictor(0), table.predictor(steps - 1)),
-                            (table.corrector(0), table.corrector(steps - 1))):
-            for view in (first, last):
+        for weights in (table.b, table.a, table.a0):
+            assert not weights.flags.writeable
+            assert weights.flags.c_contiguous
+            with pytest.raises(ValueError):
+                weights[0] = 0.0
+        for n in (1, steps - 1):
+            b, _, a = step_weights(table, n)
+            for view, whole in ((b, table.b), (a, table.a)):
                 assert not view.flags.writeable
                 assert not view.flags.owndata
-                assert view.flags.c_contiguous
+                assert np.shares_memory(view, whole)
                 with pytest.raises(ValueError):
                     view[0] = 0.0
-            assert np.shares_memory(first, last)
-
-    def test_predictor_calls_leave_corrector_view_intact(self):
-        table = WeightTable(10, 0.7, 0.1)
-        a5 = table.corrector(5)
-        np.testing.assert_array_equal(a5, corrector_weights(5, 0.7))
-        for n in range(10):
-            table.predictor(n)
-        np.testing.assert_array_equal(a5, corrector_weights(5, 0.7))
 
     @pytest.mark.parametrize("mode", list(WeightMode))
     def test_lag_kernels_match_fresh_weights(self, mode):
-        # b[j] = b(n - j) for every j, a[j] = a(n - j) for j >= 1, a[0] = a0[n],
-        # whichever corrector view was taken last
+        # b[j] = b(n - j) for every j, a[j] = a(n - j) for j >= 1, a[0] = a0[n]
         steps, alpha, h = 20, 0.83, 0.05
         table = WeightTable(steps, alpha, h, mode)
-        for n in (7, steps - 1, 0, 12):
-            table.corrector(n)
-            b, a, a0 = table.lag_kernels()
-            assert not (b.flags.writeable or a.flags.writeable or a0.flags.writeable)
-            for m in range(steps):
-                fresh_a = corrector_weights(m, alpha, mode)
-                np.testing.assert_array_equal(b[m::-1], predictor_weights(m, alpha, h))
-                np.testing.assert_array_equal(a[m - 1::-1] if m else a[:0], fresh_a[1:m + 1])
-                assert a0[m] == fresh_a[0]
+        b, a, a0 = table.b, table.a, table.a0
+        for m in range(steps):
+            fresh_a = corrector_weights(m, alpha, mode)
+            np.testing.assert_array_equal(b[m::-1], predictor_weights(m, alpha, h))
+            np.testing.assert_array_equal(a[m - 1::-1] if m else a[:0], fresh_a[1:m + 1])
+            assert a0[m] == fresh_a[0]
