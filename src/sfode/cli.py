@@ -249,6 +249,7 @@ def cmd_simulate(args) -> int:
     traj = solve(model, scfg, path)
     meta = _metadata(cfg, model)
     check = bounded_attractor_check(traj, float("inf"))
+    meta["num_steps"] = scfg.grid.num_steps
     meta["max_abs_state"] = format(check.max_abs, ".17g")
     _write(args.output, lambda s: write_trajectory_csv(traj, s, meta))
     return 0

@@ -21,7 +21,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import checks
-from .solver import DEFAULT_BLOWUP, DivergenceError, Trajectory
+from .solver import BLOWUP, DivergenceError, Trajectory
 from .stochastic import TimeGrid, WienerPath, increment_batches
 from .systems import SystemModel
 from .table import write_table
@@ -50,72 +50,63 @@ class PicardSequence:
         ])
 
 
-class _SweepKernels:
-    """Quadrature tables shared by every sweep on one (grid, alpha) pair.
+def _kernels(grid: TimeGrid, alpha: float) -> tuple:
+    """The drift weights and the noise kernel of every sweep on one (grid, alpha)
+    pair, as two reversed contiguous arrays indexed nodes - 1 - (n - j).
 
-    On the uniform grid t_n - t_j = (n-j)h, so the drift weights and the noise
-    kernel at node n are the last n entries of single power tables laid out
-    in reverse: the fractional powers cost O(N) in total, not O(N) per node,
-    and each weight vector is a contiguous view, which keeps the history
-    sums on BLAS.
+    On the uniform grid t_n - t_j = (n-j)h, so the weights of node n are the
+    last n entries of each: the fractional powers cost O(N) in total, not
+    O(N) per node, and each weight vector is a contiguous view, which keeps
+    the history sums on BLAS.
     """
-
-    def __init__(self, grid: TimeGrid, alpha: float):
-        inv_gamma = 1.0 / math.gamma(alpha)
-        m = np.arange(grid.num_nodes) * grid.h
-        p = m**alpha
-        drift_w = (p[1:] - p[:-1]) * (inv_gamma / alpha)  # index n-j-1
-        noise_k = m[1:]**(alpha - 1.0) * inv_gamma        # index n-j-1
-        self.drift_rev = np.ascontiguousarray(drift_w[::-1])
-        self.noise_rev = np.ascontiguousarray(noise_k[::-1])
-
-    def drift_weights(self, n: int) -> np.ndarray:
-        return self.drift_rev[len(self.drift_rev) - n:]
-
-    def noise_kernel(self, n: int) -> np.ndarray:
-        return self.noise_rev[len(self.noise_rev) - n:]
+    inv_gamma = 1.0 / math.gamma(alpha)
+    m = np.arange(grid.num_nodes) * grid.h
+    p = m**alpha
+    drift_w = (p[1:] - p[:-1]) * (inv_gamma / alpha)  # index n-j-1
+    noise_k = m[1:]**(alpha - 1.0) * inv_gamma        # index n-j-1
+    return np.ascontiguousarray(drift_w[::-1]), np.ascontiguousarray(noise_k[::-1])
 
 
-def _sweep(model: SystemModel, kernels: _SweepKernels, t: np.ndarray,
+def _sweep(model: SystemModel, kernels: tuple, t: np.ndarray,
            states: np.ndarray, dW: np.ndarray | None) -> np.ndarray:
-    """One Picard sweep of iterates shaped batch + (d, nodes); dW is (d, nodes - 1) + batch.
+    """One Picard sweep of iterates shaped batch + (d, nodes); dW is batch + (d, nodes - 1).
 
     f and sigma are evaluated once per node of the incoming iterates instead
     of once per (node, history) pair, which drops a sweep from O(N^2) to O(N)
     right-hand-side evaluations.
     """
     nodes = states.shape[-1]
+    drift_w, noise_k = kernels
     f_vals = np.empty_like(states)
     for j in range(nodes):
-        f_vals[..., j] = model.evaluate("drift", t[j], states[..., j].T).T
+        f_vals[..., j] = model.evaluate("drift", t[j], states[..., j])
     noise = None
     if dW is not None:
         noise = np.empty(states.shape[:-1] + (nodes - 1,))
         for j in range(nodes - 1):
-            sigma = model.evaluate("diffusion", t[j], states[..., j].T)
-            noise[..., j] = (sigma * dW[:, j]).T
+            noise[..., j] = model.evaluate("diffusion", t[j], states[..., j]) * dW[..., j]
     out = np.empty_like(states)
     out[..., 0] = model.y0
     for n in range(1, nodes):
-        val = model.y0 + f_vals[..., :n] @ kernels.drift_weights(n)
+        val = model.y0 + f_vals[..., :n] @ drift_w[nodes - 1 - n:]
         if noise is not None:
-            val = val + noise[..., :n] @ kernels.noise_kernel(n)
+            val = val + noise[..., :n] @ noise_k[nodes - 1 - n:]
         out[..., n] = val
     return out
 
 
 def _iterates(model: SystemModel, alpha: float, grid: TimeGrid, dW: np.ndarray | None,
-              K: int, blowup: float):
+              K: int):
     """Yield iterates 0..K (0 is the constant y0) of the batch of paths of dW,
-    as in :func:`_sweep`; a DivergenceError names a batch column."""
-    batch = () if dW is None else dW.shape[2:]
+    as in :func:`_sweep`; a DivergenceError names the path's index in the batch."""
+    batch = () if dW is None else dW.shape[:-2]
     states = np.tile(model.y0[:, None], batch + (1, grid.num_nodes))
     yield states
     t = grid.nodes()
-    kernels = _SweepKernels(grid, alpha)
+    kernels = _kernels(grid, alpha)
     for k in range(1, K + 1):
         states = _sweep(model, kernels, t, states, dW)
-        ok = (np.abs(states) <= blowup).all(axis=(-2, -1))  # False for non-finite too
+        ok = (np.abs(states) <= BLOWUP).all(axis=(-2, -1))  # False for non-finite too
         if not ok.all():
             raise DivergenceError(f"Picard iterate {k} exceeded blow-up bound", step=k,
                                   path_index=None if ok.ndim == 0 else int(np.argmin(ok)))
@@ -123,8 +114,7 @@ def _iterates(model: SystemModel, alpha: float, grid: TimeGrid, dW: np.ndarray |
 
 
 def picard_iterate(model: SystemModel, alpha: float, grid: TimeGrid,
-                   path: WienerPath | None, K: int,
-                   blowup: float = DEFAULT_BLOWUP) -> PicardSequence:
+                   path: WienerPath | None, K: int) -> PicardSequence:
     """Run K Picard sweeps on one path; iterate 0 is the constant initial state.
 
     A None path switches the noise convolution off (deterministic check).
@@ -141,10 +131,8 @@ def picard_iterate(model: SystemModel, alpha: float, grid: TimeGrid,
                 f"path has {path.num_channels} channels, model needs {model.noise_dim}"
             )
     dW = None if path is None else path.increments
-    iterates = [
-        Trajectory(grid=grid, states=states, meta={"picard_iterate": k})
-        for k, states in enumerate(_iterates(model, alpha, grid, dW, K, blowup))
-    ]
+    iterates = [Trajectory(grid=grid, states=states)
+                for states in _iterates(model, alpha, grid, dW, K)]
     return PicardSequence(grid=grid, iterates=iterates)
 
 
@@ -185,7 +173,7 @@ def cauchy_diagnostic(model: SystemModel, alpha: float, grid: TimeGrid,
     for start, dW in increment_batches(master_seed, M, grid, model.noise_dim):
         gaps, l2, prev = [], [], None
         try:
-            for states in _iterates(model, alpha, grid, dW, K, DEFAULT_BLOWUP):
+            for states in _iterates(model, alpha, grid, dW, K):
                 l2.append(np.sum(states[..., -1]**2, axis=-1))
                 if prev is not None:
                     sq = (states - prev)**2

@@ -34,7 +34,7 @@ most BLOCK steps is all near field.
 
 import enum
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -54,7 +54,8 @@ __all__ = [
     "write_trajectory_csv",
 ]
 
-DEFAULT_BLOWUP = 1e6
+#: A state component beyond this magnitude is a divergence.
+BLOWUP = 1e6
 
 #: Steps per history block: the near field of a step is its own block.
 BLOCK = 256
@@ -81,7 +82,7 @@ class DivergenceError(RuntimeError):
         self.path_index = path_index
 
     def in_batch(self, start: int) -> "DivergenceError":
-        """This error with path_index, a batch column, offset by start."""
+        """This error with path_index, an index into the batch, offset by start."""
         index = start + self.path_index
         return DivergenceError(f"path {index}: {self}", self.step, self.time, index)
 
@@ -99,14 +100,11 @@ class SolverConfig:
     stochastic: bool = False
     noise_history: NoiseHistory = NoiseHistory.PER_STEP
     weight_mode: WeightMode = WeightMode.STANDARD
-    blowup: float = DEFAULT_BLOWUP
 
     def __post_init__(self):
         checks.require(checks.alpha_rule(
             self.alpha, "stochastic runs (nonzero noise)" if self.stochastic else None
         ))
-        if not self.blowup > 0:
-            raise ValueError(f"blowup bound must be > 0, got {self.blowup!r}")
         object.__setattr__(self, "noise_history", NoiseHistory(self.noise_history))
         object.__setattr__(self, "weight_mode", WeightMode(self.weight_mode))
 
@@ -117,7 +115,6 @@ class Trajectory:
 
     grid: TimeGrid
     states: np.ndarray  # shape (dim, num_nodes)
-    meta: dict = field(default_factory=dict)
 
     @property
     def dim(self) -> int:
@@ -128,19 +125,20 @@ class Trajectory:
 
 
 def _diverged(message: str, step: int, time: float, ok: np.ndarray) -> DivergenceError:
-    """DivergenceError at a step; ok marks the admissible entries of a (d,) + batch array."""
-    path = None if ok.ndim == 1 else int(np.argmin(ok.all(axis=0)))
+    """DivergenceError at a step; ok marks the admissible entries of a batch + (d,) array."""
+    path = None if ok.ndim == 1 else int(np.argmin(ok.all(axis=-1)))
     return DivergenceError(message, step=step, time=float(time), path_index=path)
 
 
 class _Stepper:
     """Stepping kernel for one path or a batch, with incremental history caches.
 
-    States have shape (d,) + batch, batch the trailing shape of dW, shaped
-    (d, num_steps) + batch (None: one path).  The history is one buffer
-    batch + (blocks, d, S): block 0 caches f at each node, block 1 (stochastic
-    runs only) the noise record.  :meth:`push` records node n; :meth:`predict`
-    and :meth:`correct` then take step n -> n+1 from the records of nodes 0..n.
+    Every array holds the path axes first: states are batch + (d,), batch the
+    leading shape of dW, shaped batch + (noise_dim, num_steps) (None: one
+    path).  The history is one buffer batch + (blocks, d, S): block 0 caches
+    f at each node, block 1 (stochastic runs only) the noise record.
+    :meth:`push` records node n; :meth:`predict` and :meth:`correct` then
+    take step n -> n+1 from the records of nodes 0..n.
 
     The weights come from a :class:`~sfode.weights.WeightTable`: b and the
     interior a by lag, a0 by step.  The stepper keeps contiguous reversed
@@ -169,13 +167,8 @@ class _Stepper:
         self.t = grid.nodes()
         self.h = grid.h
         self.num_steps = steps = grid.num_steps
-        batch = () if dW is None else dW.shape[2:]
-        y0 = model.y0.reshape(model.y0.shape + (1,) * len(batch))
-        self.y0 = np.broadcast_to(y0, model.y0.shape + batch)
-        # axis orders: (d,) + batch -> batch + (d,), batch + (blocks, d) -> (blocks, d) + batch
-        self.paths_first = tuple(range(1, len(batch) + 1)) + (0,)
-        self.blocks_first = (len(batch), len(batch) + 1) + tuple(range(len(batch)))
-        self.pairs_first = (len(batch) + 2,) + self.blocks_first  # batch + (blocks, d, 2)
+        batch = () if dW is None else dW.shape[:-2]
+        self.y0 = np.broadcast_to(model.y0, batch + model.y0.shape)
         self.table = table = WeightTable(steps, cfg.alpha, grid.h, cfg.weight_mode)
         # lags K-1..0; slicing at BLOCK - 1 stops at the table's end
         self.b_rev = table.b[BLOCK - 1::-1].copy()
@@ -211,27 +204,24 @@ class _Stepper:
     def push(self, n: int, y: np.ndarray) -> None:
         """Cache f (and the noise record) at node n with state y."""
         hist = self.hist
-        hist[..., 0, :, n] = self._rhs("drift", n, y).transpose(self.paths_first)
+        hist[..., 0, :, n] = self._rhs("drift", n, y)
         if self.dW is not None and n < self.num_steps:
             sigma = self._rhs("diffusion", n, y)
-            if self.per_step:
-                sigma = sigma * self.dW[:, n]
-            hist[..., 1, :, n] = sigma.transpose(self.paths_first)
+            hist[..., 1, :, n] = sigma * self.dW[..., n] if self.per_step else sigma
 
     def sums(self, n: int):
         """Predictor and corrector history sums of step n over nodes 0..n,
-        each shaped (blocks, d) + batch.  Call once per step, in order."""
+        each shaped batch + (blocks, d).  Call once per step, in order."""
         s = n - n % BLOCK
         if not s:
             hist, K = self.hist[..., :n + 1], len(self.b_rev)
-            pred = hist @ self.b_rev[K - 1 - n:]
-            corr = hist @ np.concatenate((self.table.a0[n:n + 1], self.a_rev[K - n:]))
-            return pred.transpose(self.blocks_first), corr.transpose(self.blocks_first)
+            return (hist @ self.b_rev[K - 1 - n:],
+                    hist @ np.concatenate((self.table.a0[n:n + 1], self.a_rev[K - n:])))
         if s == n:
             self._far_field(n)
         sums = self.hist[..., s:n + 1] @ self.near_w[BLOCK - 1 - n + s:]
         sums += self.far[..., n % self.ring, :]
-        return sums.transpose(self.pairs_first)
+        return sums[..., 0], sums[..., 1]
 
     def _far_field(self, end: int) -> None:
         """Free the slots of the block before end and add the square whose
@@ -272,23 +262,24 @@ class _Stepper:
 
     def _noise(self, n: int, noise_sum: np.ndarray) -> np.ndarray:
         """The noise history sum, times dW_n in last_increment mode."""
-        return noise_sum if self.per_step else noise_sum * self.dW[:, n]
+        return noise_sum if self.per_step else noise_sum * self.dW[..., n]
 
     def predict(self, n: int) -> np.ndarray:
         sums, self.corr_sums = self.sums(n)
-        yp = self.y0 + self.inv_gamma_a * sums[0]
+        yp = self.y0 + self.inv_gamma_a * sums[..., 0, :]
         if self.dW is not None:
-            yp = yp + self.pred_noise * self._noise(n, sums[1])
+            yp = yp + self.pred_noise * self._noise(n, sums[..., 1, :])
         return yp
 
     def correct(self, n: int, predicted: np.ndarray) -> np.ndarray:
         """Step n -> n+1 from the corrector sums of the last :meth:`predict`."""
         sums = self.corr_sums
         f_new = self._rhs("drift", n + 1, predicted)
-        y = self.y0 + self.corr_drift * (f_new + sums[0])
+        y = self.y0 + self.corr_drift * (f_new + sums[..., 0, :])
         if self.dW is not None:
             sigma_new = self._rhs("diffusion", n + 1, predicted)
-            y = y + self.corr_noise * (sigma_new * self.dW[:, n] + self._noise(n, sums[1]))
+            noise = sigma_new * self.dW[..., n] + self._noise(n, sums[..., 1, :])
+            y = y + self.corr_noise * noise
         return y
 
 
@@ -316,32 +307,32 @@ def solve_batch(model: SystemModel, cfg: SolverConfig, dW: np.ndarray | None) ->
     """Node states, batch + (d, num_nodes), of the paths of dW, each equal to
     :func:`solve` bit for bit.
 
-    dW holds the Wiener increments shaped (noise_dim, num_steps) + batch, the
-    path of column b in dW[..., b] (batch () is one path).  A stochastic cfg
-    requires dW; a deterministic one uses only its batch shape, and None
-    means one path.
+    dW holds the Wiener increments shaped batch + (noise_dim, num_steps),
+    path i in dW[i] (batch () is one path), so np.stack of the paths'
+    increments builds it.  A stochastic cfg requires dW; a deterministic one
+    uses only its batch shape, and None means one path.
     """
     grid = cfg.grid
     if dW is None:
         if cfg.stochastic:
             raise ValueError("stochastic solve requires Wiener increments (a WienerPath or dW)")
-    elif dW.shape[:2] != (model.noise_dim, grid.num_steps):
-        raise ValueError(f"dW is shaped {dW.shape}, needs (noise_dim, num_steps) = "
-                         f"{(model.noise_dim, grid.num_steps)} + batch")
+    elif dW.shape[-2:] != (model.noise_dim, grid.num_steps):
+        raise ValueError(f"dW is shaped {dW.shape}, needs batch + (noise_dim, num_steps) = "
+                         f"batch + {(model.noise_dim, grid.num_steps)}")
     stepper = _Stepper(model, cfg, dW)
-    states = np.empty(stepper.y0.shape[1:] + (model.dim, grid.num_nodes))
-    states[..., 0] = stepper.y0.transpose(stepper.paths_first)
+    states = np.empty(stepper.y0.shape + (grid.num_nodes,))
+    states[..., 0] = stepper.y0
     stepper.push(0, stepper.y0)
     for n in range(grid.num_steps):
         y_next = stepper.correct(n, stepper.predict(n))
-        ok = np.abs(y_next) <= cfg.blowup  # False for non-finite values too
+        ok = np.abs(y_next) <= BLOWUP  # False for non-finite values too
         if not ok.all():
             raise _diverged(
-                f"state exceeded blow-up bound {cfg.blowup:g} at step {n + 1} "
+                f"state exceeded blow-up bound {BLOWUP:g} at step {n + 1} "
                 f"(t={stepper.t[n + 1]:g})",
                 n + 1, stepper.t[n + 1], ok,
             )
-        states[..., n + 1] = y_next.transpose(stepper.paths_first)
+        states[..., n + 1] = y_next
         stepper.push(n + 1, y_next)
     return states
 
@@ -353,7 +344,7 @@ def solve(model: SystemModel, cfg: SolverConfig,
     Deterministic given (model, cfg, path).  In deterministic mode
     (cfg.stochastic False) a supplied path is ignored, so the output cannot
     depend on it.  Raises :class:`DivergenceError` the moment any state
-    component exceeds cfg.blowup or turns non-finite, rather than emitting
+    component exceeds BLOWUP or turns non-finite, rather than emitting
     NaN rows.
     """
     grid = cfg.grid
@@ -362,29 +353,10 @@ def solve(model: SystemModel, cfg: SolverConfig,
         if path.grid != grid:
             raise ValueError("path grid does not match solver grid")
         dW = path.increments
-    states = solve_batch(model, cfg, dW)
-
-    seed = path.seed if (cfg.stochastic and path is not None) else None
-    meta = {
-        "system": model.name,
-        "alpha": cfg.alpha,
-        "h": grid.h,
-        "T": grid.T,
-        "num_steps": grid.num_steps,
-        "stochastic": cfg.stochastic,
-        "noise_history": cfg.noise_history.value,
-        "weight_mode": cfg.weight_mode.value,
-        "seed": None if seed is None else (seed.master_seed, seed.path_index, seed.channel_index),
-    }
-    meta.update(sorted(model.params.items()))
-    return Trajectory(grid=grid, states=states, meta=meta)
+    return Trajectory(grid=grid, states=solve_batch(model, cfg, dW))
 
 
 def write_trajectory_csv(traj: Trajectory, stream, metadata: dict | None = None) -> None:
-    """Write t, y1..yd rows in the shared table format.
-
-    Metadata is merged over the trajectory's own.
-    """
+    """Write the metadata, then t, y1..yd rows, in the shared table format."""
     header = ["t"] + [f"y{i + 1}" for i in range(traj.dim)]
-    write_table(stream, {**traj.meta, **(metadata or {})}, header,
-                [traj.grid.nodes(), *traj.states])
+    write_table(stream, metadata or {}, header, [traj.grid.nodes(), *traj.states])

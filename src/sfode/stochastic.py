@@ -155,8 +155,8 @@ def generate_path(seed: SeedSpec, grid: TimeGrid, num_channels: int = 1) -> Wien
 def increment_batches(master_seed: int, M: int, grid: TimeGrid, num_channels: int):
     """Yield (start, dW) for paths 0..M-1 in contiguous index batches of B paths.
 
-    Column b of dW, shape (num_channels, num_steps, B), holds the increments
-    of path start + b, keyed SeedSpec(master_seed, start + b, 0).  B >= 1 is
+    Row b of dW, shape (B, num_channels, num_steps), holds the increments of
+    path start + b, keyed SeedSpec(master_seed, start + b, 0).  B >= 1 is
     the most paths whose (B, num_channels, num_nodes) floats fit BATCH_BYTES.
     """
     size = max(1, BATCH_BYTES // (8 * num_channels * grid.num_nodes))
@@ -164,7 +164,7 @@ def increment_batches(master_seed: int, M: int, grid: TimeGrid, num_channels: in
         yield start, np.stack([
             generate_path(SeedSpec(master_seed, i, 0), grid, num_channels).increments
             for i in range(start, min(M, start + size))
-        ], axis=-1)
+        ])
 
 
 def restrict_path(path: WienerPath, grid: TimeGrid) -> WienerPath:

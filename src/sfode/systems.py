@@ -39,7 +39,8 @@ class SystemModel:
 
     ``drift(t, y)`` and ``diffusion(t, y)`` (the diagonal noise intensities)
     take a state of shape (d,), one path, or (d, B), B paths as columns, and
-    return that same shape.  Instances are immutable and their callables
+    return that same shape; the solvers, which hold paths first, reach them
+    through :meth:`evaluate`.  Instances are immutable and their callables
     pure, so a model can be shared freely across solves.
     """
 
@@ -63,11 +64,19 @@ class SystemModel:
         return self.dim
 
     def evaluate(self, kind: str, t: float, y: np.ndarray) -> np.ndarray:
-        """drift or diffusion (kind) at (t, y); ValueError unless shaped like y."""
-        out = np.asarray(getattr(self, kind)(t, y), dtype=float)
-        if out.shape != y.shape:
-            raise ValueError(f"{self.name} {kind} returned shape {out.shape} for state {y.shape}")
-        return out
+        """drift or diffusion (kind) at (t, y) for states y shaped batch + (d,).
+
+        The one conversion between the solvers' paths-first states and the
+        model's convention: the callable sees y.T, (d, B) for B paths, and
+        must return that shape (else ValueError); the result comes back as
+        out.T, shaped like y.
+        """
+        state = y.T
+        out = np.asarray(getattr(self, kind)(t, state), dtype=float)
+        if out.shape != state.shape:
+            raise ValueError(
+                f"{self.name} {kind} returned shape {out.shape} for state {state.shape}")
+        return out.T
 
 
 @dataclass(frozen=True)

@@ -112,6 +112,15 @@ class TestSimulateCommand:
         assert run(args + ["-o", b]) == 0
         assert a.read_bytes() == b.read_bytes()
 
+    def test_header_echoes_run_settings(self, tmp_path):
+        out = tmp_path / "traj.csv"
+        assert run(["simulate", "--system", "linear_test", "--alpha", 0.8, "--h", 0.25,
+                    "--T", 1.0, "--seed", 6, "-o", out]) == 0
+        comments, _ = read_csv(out)
+        for line in ("# alpha=0.8", "# noise_history=per_step", "# weight_mode=standard",
+                     "# num_steps=4", "# seed=6"):
+            assert line in comments
+
 
 class TestConfigHandling:
     def test_config_file_with_flag_override(self, tmp_path):

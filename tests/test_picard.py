@@ -4,10 +4,10 @@ import math
 import numpy as np
 import pytest
 
-from sfode.picard import cauchy_diagnostic, picard_iterate, write_distance_csv
+from sfode.picard import _iterates, cauchy_diagnostic, picard_iterate, write_distance_csv
 from sfode.solver import SolverConfig, solve
 from sfode.special import gamma, mittag_leffler
-from sfode.stochastic import SeedSpec, generate_path, make_grid
+from sfode.stochastic import SeedSpec, generate_path, increment_batches, make_grid
 from sfode.systems import LorenzParams, SystemModel, linear_test, lorenz, newton_leipnik
 
 
@@ -124,14 +124,18 @@ class TestG2:
 
     def test_variance_law(self):
         # terminal variance of the noise convolution for sigma = 1 must match
-        # T**(2a-1) / ((2a-1) * Gamma(a)**2) within 10% at M = 2000
+        # T**(2a-1) / ((2a-1) * Gamma(a)**2) within 10% at M = 2000; the
+        # paths are swept in batches, and the first 16 equal their serial sweeps
         alpha, steps, M = 0.75, 256, 2000
         grid = make_grid(1.0, 1.0 / steps)
         model = linear_test(lam=0.0, sigma0=1.0, y0=0.0)
         vals = np.empty(M)
-        for i in range(M):
+        for start, dW in increment_batches(314, M, grid, 1):
+            sweep = list(_iterates(model, alpha, grid, dW, K=1))[1]
+            vals[start:start + len(dW)] = sweep[:, 0, steps]
+        for i in range(16):
             path = generate_path(SeedSpec(314, i, 0), grid)
-            vals[i] = first_sweep(model, alpha, grid, path)[0, steps]
+            assert first_sweep(model, alpha, grid, path)[0, steps] == vals[i]
         expected = 1.0 / ((2 * alpha - 1) * gamma(alpha) ** 2)
         assert abs(np.var(vals) - expected) / expected <= 0.10
 

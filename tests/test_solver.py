@@ -131,7 +131,7 @@ class TestSolveBatchInput:
     @pytest.mark.parametrize("channels,extra_steps", [(1, 0), (2, 0), (4, 0), (3, 1), (3, -1)])
     def test_dW_shape_must_match(self, stochastic, channels, extra_steps):
         cfg = SolverConfig(alpha=0.9, grid=self.grid, stochastic=stochastic)
-        dW = np.zeros((channels, self.grid.num_steps + extra_steps, 2))
+        dW = np.zeros((2, channels, self.grid.num_steps + extra_steps))
         with pytest.raises(ValueError, match="dW is shaped"):
             solve_batch(self.model, cfg, dW)
 
@@ -286,8 +286,7 @@ class TestReferenceOracle:
         cfg = SolverConfig(alpha=0.83, grid=make_grid(0.16, 0.01), stochastic=stochastic,
                            noise_history=noise_history, weight_mode=weight_mode)
         paths = [generate_path(SeedSpec(31, i), cfg.grid, dim) for i in range(batch)]
-        dW = np.stack([p.increments for p in paths], axis=-1)
-        batched = solve_batch(model, cfg, dW)
+        batched = solve_batch(model, cfg, np.stack([p.increments for p in paths]))
         for i, path in enumerate(paths):
             expected = reference_pece(model, cfg, path.increments if stochastic else None)
             np.testing.assert_array_equal(solve(model, cfg, path).states, expected)
@@ -306,7 +305,7 @@ class TestReferenceOracle:
                            noise_history=noise_history)
         assert cfg.grid.num_steps > 2 * BLOCK
         paths = [generate_path(SeedSpec(31, i), cfg.grid, 3) for i in range(size)]
-        batched = solve_batch(model, cfg, np.stack([p.increments for p in paths], axis=-1))
+        batched = solve_batch(model, cfg, np.stack([p.increments for p in paths]))
         for i, path in enumerate(paths):
             single = solve(model, cfg, path).states
             np.testing.assert_array_equal(batched[i], single)
@@ -330,7 +329,7 @@ class TestReferenceOracle:
 
 
 class TestBatchAxes:
-    """Any trailing batch shape of dW: each path equals its own solve."""
+    """Any leading batch shape of dW: each path equals its own solve."""
 
     @pytest.mark.parametrize("shape", [(2, 2), (1, 2), (2, 1, 3)])
     @pytest.mark.parametrize("steps", [64, BLOCK + 100])
@@ -339,8 +338,8 @@ class TestBatchAxes:
         cfg = SolverConfig(alpha=0.9, grid=make_grid(steps / 128, 1 / 128), stochastic=True)
         count = math.prod(shape)
         paths = [generate_path(SeedSpec(9, i), cfg.grid, 3) for i in range(count)]
-        dW = np.stack([p.increments for p in paths], axis=-1)
-        states = solve_batch(model, cfg, dW.reshape(dW.shape[:2] + shape))
+        dW = np.stack([p.increments for p in paths])
+        states = solve_batch(model, cfg, dW.reshape(shape + dW.shape[1:]))
         assert states.shape == shape + (3, steps + 1)
         for i, path in enumerate(paths):
             np.testing.assert_array_equal(states[np.unravel_index(i, shape)],
@@ -447,10 +446,10 @@ class TestStochastic:
             solve(model, cfg, path)
         assert err.value.step is not None
 
-    def test_blowup_bound_configurable(self):
-        model = linear_test(lam=-3.0, y0=1.0)  # grows without noise
-        cfg = SolverConfig(alpha=1.0, grid=make_grid(5.0, 0.05), blowup=10.0)
-        with pytest.raises(DivergenceError):
+    def test_blowup_bound_is_fixed(self):
+        model = linear_test(lam=-3.0, y0=1.0)  # grows like exp(3t), past 1e6 by T = 5
+        cfg = SolverConfig(alpha=1.0, grid=make_grid(5.0, 0.05))
+        with pytest.raises(DivergenceError, match="blow-up bound 1e"):
             solve(model, cfg)
 
 
@@ -470,12 +469,3 @@ class TestTrajectoryExport:
         # 17 significant digits must round-trip exactly
         values = np.array([[float(x) for x in l.split(",")] for l in data[1:]])
         np.testing.assert_array_equal(values[:, 1:].T, traj.states)
-
-    def test_meta_echoes_run_settings(self):
-        model = linear_test()
-        cfg = SolverConfig(alpha=0.8, grid=make_grid(1.0, 0.25))
-        traj = solve(model, cfg)
-        assert traj.meta["alpha"] == 0.8
-        assert traj.meta["noise_history"] == "per_step"
-        assert traj.meta["weight_mode"] == "standard"
-        assert traj.meta["seed"] is None

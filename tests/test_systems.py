@@ -75,21 +75,23 @@ class TestDiffusionStructure:
 
     @pytest.mark.parametrize("factory", [newton_leipnik, lorenz, linear_test])
     def test_batch_columns_match_single_paths(self, factory):
-        # a (d, B) state is B paths, one per column, each evaluated as alone
+        # the model takes B paths as the columns of (d, B); evaluate hands it
+        # the (B, d) states of the solvers as that, and each path is as alone
         model = factory()
-        ys = np.random.default_rng(3).uniform(-1.5, 1.5, size=(model.dim, 4))
+        ys = np.random.default_rng(3).uniform(-1.5, 1.5, size=(4, model.dim))
         for kind in ("drift", "diffusion"):
             batch = model.evaluate(kind, 0.5, ys)
             assert batch.shape == ys.shape
+            np.testing.assert_array_equal(batch, getattr(model, kind)(0.5, ys.T).T)
             for b in range(4):
-                np.testing.assert_array_equal(batch[:, b], model.evaluate(kind, 0.5, ys[:, b]))
+                np.testing.assert_array_equal(batch[b], model.evaluate(kind, 0.5, ys[b]))
 
     def test_result_of_wrong_shape_rejected(self):
         model = newton_leipnik()
         flat = dataclasses.replace(model, diffusion=lambda t, y: np.full(3, 0.1))
         flat.evaluate("diffusion", 0.0, np.zeros(3))  # one path: fine
         with pytest.raises(ValueError):
-            flat.evaluate("diffusion", 0.0, np.zeros((3, 2)))
+            flat.evaluate("diffusion", 0.0, np.zeros((2, 3)))
 
 
 class TestMatrixForm:
