@@ -15,7 +15,7 @@ import numpy as np
 from . import checks
 from .solver import DivergenceError, SolverConfig, Trajectory, solve, solve_batch
 from .stochastic import SeedSpec, TimeGrid, generate_path, make_grid, restrict_path
-from .stochastic import increment_batches
+from .stochastic import _stream, increment_batches
 from .systems import SystemModel
 from .table import write_table
 
@@ -120,9 +120,7 @@ def ito_isometry_check(alpha: float, grid: TimeGrid, M: int,
     T = grid.T
     t = grid.nodes()[:-1]
     v = (T - t)**(alpha - 1.0)
-    ss = np.random.SeedSequence(entropy=master_seed, spawn_key=(0, 0))
-    rng = np.random.Generator(np.random.Philox(ss))
-    dW = rng.standard_normal((M, grid.num_steps)) * math.sqrt(grid.h)
+    dW = _stream(master_seed, 0, 0).standard_normal((M, grid.num_steps)) * math.sqrt(grid.h)
     mc = float(np.mean((dW @ v)**2))
     exact = T**(2.0 * alpha - 1.0) / (2.0 * alpha - 1.0)
     return abs(mc - exact) / exact
@@ -160,45 +158,27 @@ def convergence_order(model: SystemModel, alpha: float, T: float, h_list,
         raise ValueError("stochastic convergence measurement needs a master_seed")
 
     grids = [make_grid(T, h) for h in hs]
-    fine_grid = grids[-1]
     fine_path = None
     if stochastic:
-        fine_path = generate_path(SeedSpec(master_seed, 0, 0), fine_grid, model.noise_dim)
-
+        fine_path = generate_path(SeedSpec(master_seed, 0, 0), grids[-1], model.noise_dim)
     kwargs = dict(cfg_kwargs or {})
-    runs = []
-    for grid in grids:
-        cfg = SolverConfig(alpha=alpha, grid=grid, stochastic=stochastic, **kwargs)
-        path = None
-        if stochastic:
-            path = restrict_path(fine_path, grid)
-        runs.append(solve(model, cfg, path))
+    runs = [solve(model, SolverConfig(alpha=alpha, grid=grid, stochastic=stochastic, **kwargs),
+                  None if fine_path is None else restrict_path(fine_path, grid)).states
+            for grid in grids]
 
-    if reference is not None:
-        errs, err_h = [], []
-        for grid, run in zip(grids, runs):
-            exact = np.stack([np.asarray(reference(t), dtype=float)
-                              for t in grid.nodes()], axis=1)
-            errs.append(float(np.max(np.abs(run.states - exact))))
-            err_h.append(grid.h)
+    if reference is None:
+        # the finest run is the reference at the nodes each coarser grid shares
+        fine, fine_steps = runs.pop(), grids.pop().num_steps
+        targets = [fine[:, ::fine_steps // grid.num_steps] for grid in grids]
     else:
-        fine = runs[-1]
-        errs, err_h = [], []
-        for grid, run in zip(grids[:-1], runs[:-1]):
-            factor = fine_grid.num_steps // grid.num_steps
-            restricted = fine.states[:, ::factor]
-            errs.append(float(np.max(np.abs(run.states - restricted))))
-            err_h.append(grid.h)
-
-    errors = np.array(errs)
-    if np.all(errors < 1e-300):
-        return ConvergenceReport(
-            h=np.array(err_h), errors=errors, order=float("nan"), degenerate=True
-        )
-    slope = np.polyfit(np.log(err_h), np.log(errors), 1)[0]
-    return ConvergenceReport(
-        h=np.array(err_h), errors=errors, order=float(slope), degenerate=False
-    )
+        targets = [np.stack([np.asarray(reference(t), dtype=float) for t in grid.nodes()],
+                            axis=1) for grid in grids]
+    errors = np.array([float(np.max(np.abs(run - target)))
+                       for run, target in zip(runs, targets)])
+    h = np.array([grid.h for grid in grids])
+    degenerate = bool(np.all(errors < 1e-300))
+    order = float("nan") if degenerate else float(np.polyfit(np.log(h), np.log(errors), 1)[0])
+    return ConvergenceReport(h=h, errors=errors, order=order, degenerate=degenerate)
 
 
 @dataclass

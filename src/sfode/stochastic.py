@@ -3,13 +3,15 @@
 Noise streams are counter-based: the generator for a given (master seed,
 path index, channel index) triple is a Philox engine keyed through
 ``numpy.random.SeedSequence`` with the triple as entropy + spawn key, so an
-ensemble produces the same paths no matter in which order (or on how many
-workers) its members run.  Gaussians come from numpy's ziggurat sampler on
-that stream, which is deterministic for a fixed numpy build.
+ensemble produces the same paths whatever the order or batch size in which
+its members run.  :func:`_stream` is the one place a stream is keyed, and
+paths are drawn in batches: one path is the batch of one.  Gaussians come
+from numpy's ziggurat sampler on that stream, which is deterministic for a
+fixed numpy build.
 """
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -91,80 +93,86 @@ class SeedSpec:
 class WienerPath:
     """Sampled Brownian motion on a grid; immutable after construction.
 
-    ``cumulative`` (shape (d_w, num_steps + 1), W(0) = 0) is the primary
-    record; ``increments`` (shape (d_w, num_steps)) are stored as its exact
-    floating-point differences so the two views agree bitwise.
+    ``cumulative`` (shape (d_w, num_steps + 1), W(0) = 0) is the one record;
+    the read-only ``increments`` (shape (d_w, num_steps)) are derived from it
+    as its exact floating-point differences, so the two views agree bitwise.
     """
 
     grid: TimeGrid
-    increments: np.ndarray
     cumulative: np.ndarray
-    seed: SeedSpec | None = None
+    increments: np.ndarray = field(init=False)
 
     def __post_init__(self):
-        self.increments = np.asarray(self.increments, dtype=float)
         self.cumulative = np.asarray(self.cumulative, dtype=float)
-        if self.cumulative.shape != (self.increments.shape[0], self.grid.num_steps + 1):
-            raise ValueError("cumulative shape does not match grid/increments")
-        if self.increments.shape[1] != self.grid.num_steps:
-            raise ValueError("increments shape does not match grid")
+        if self.cumulative.ndim != 2 or self.cumulative.shape[1] != self.grid.num_nodes:
+            raise ValueError("cumulative shape does not match grid")
         if np.any(self.cumulative[:, 0] != 0.0):
             raise ValueError("W(0) must be 0")
-        self.increments.flags.writeable = False
         self.cumulative.flags.writeable = False
+        self.increments = np.diff(self.cumulative, axis=1)
+        self.increments.flags.writeable = False
 
     @property
     def num_channels(self) -> int:
-        return self.increments.shape[0]
+        return self.cumulative.shape[0]
 
 
-def _from_cumulative(grid: TimeGrid, cumulative: np.ndarray, seed=None) -> WienerPath:
-    return WienerPath(
-        grid=grid,
-        increments=np.diff(cumulative, axis=1),
-        cumulative=cumulative,
-        seed=seed,
-    )
+def _stream(master_seed: int, path: int, channel: int):
+    """The numpy Philox Generator keyed by (master_seed, path, channel)."""
+    seq = np.random.SeedSequence(entropy=master_seed, spawn_key=(path, channel))
+    return np.random.Generator(np.random.Philox(seq))
+
+
+def _wiener(master_seed: int, paths: range, channel: int, grid: TimeGrid,
+            num_channels: int) -> np.ndarray:
+    """W at the nodes, (len(paths), num_channels, num_nodes), with W(0) = 0.
+
+    Channel c of path i draws its N(0, 1) Gaussians from
+    _stream(master_seed, i, channel + c), scales them by sqrt(h) and sums
+    them along the steps into nodes 1..N.
+    """
+    sqrt_h = math.sqrt(grid.h)
+    draws = np.empty((len(paths), num_channels, grid.num_steps))
+    for b, i in enumerate(paths):
+        for c in range(num_channels):
+            rng = _stream(master_seed, i, channel + c)
+            draws[b, c] = rng.standard_normal(grid.num_steps) * sqrt_h
+    W = np.zeros(draws.shape[:-1] + (grid.num_nodes,))
+    np.cumsum(draws, axis=-1, out=W[..., 1:])
+    return W
 
 
 def generate_path(seed: SeedSpec, grid: TimeGrid, num_channels: int = 1) -> WienerPath:
     """Draw a Wiener path with i.i.d. Normal(0, h) increments per channel.
 
-    Channel c of the path uses the stream keyed by
+    The batch of one: channel c of the path uses the stream keyed by
     (master_seed, path_index, channel_index + c), so channels are mutually
     independent and the whole path is reproducible bit-for-bit from its
-    SeedSpec.
+    SeedSpec.  With channel_index 0 its increments are bit for bit those
+    that :func:`increment_batches` yields for path path_index.
     """
     if num_channels < 1:
         raise ValueError(f"num_channels must be >= 1, got {num_channels}")
-    sqrt_h = math.sqrt(grid.h)
-    draws = np.empty((num_channels, grid.num_steps))
-    for c in range(num_channels):
-        ss = np.random.SeedSequence(
-            entropy=seed.master_seed,
-            spawn_key=(seed.path_index, seed.channel_index + c),
-        )
-        rng = np.random.Generator(np.random.Philox(ss))
-        draws[c] = rng.standard_normal(grid.num_steps) * sqrt_h
-    cumulative = np.concatenate(
-        [np.zeros((num_channels, 1)), np.cumsum(draws, axis=1)], axis=1
-    )
-    return _from_cumulative(grid, cumulative, seed=seed)
+    paths = range(seed.path_index, seed.path_index + 1)
+    return WienerPath(grid, _wiener(seed.master_seed, paths, seed.channel_index, grid,
+                                    num_channels)[0])
 
 
 def increment_batches(master_seed: int, M: int, grid: TimeGrid, num_channels: int):
     """Yield (start, dW) for paths 0..M-1 in contiguous index batches of B paths.
 
     Row b of dW, shape (B, num_channels, num_steps), holds the increments of
-    path start + b, keyed SeedSpec(master_seed, start + b, 0).  B >= 1 is
-    the most paths whose (B, num_channels, num_nodes) floats fit BATCH_BYTES.
+    path start + b, bit for bit those of
+    generate_path(SeedSpec(master_seed, start + b, 0), grid, num_channels).
+    B >= 1 is the most paths whose (B, num_channels, num_nodes) floats fit
+    BATCH_BYTES.  master_seed must be a 64-bit unsigned integer (else
+    ConfigError).
     """
+    checks.require(checks.seed_rule(master_seed))
     size = max(1, BATCH_BYTES // (8 * num_channels * grid.num_nodes))
     for start in range(0, M, size):
-        yield start, np.stack([
-            generate_path(SeedSpec(master_seed, i, 0), grid, num_channels).increments
-            for i in range(start, min(M, start + size))
-        ])
+        paths = range(start, min(M, start + size))
+        yield start, np.diff(_wiener(master_seed, paths, 0, grid, num_channels), axis=-1)
 
 
 def restrict_path(path: WienerPath, grid: TimeGrid) -> WienerPath:
@@ -185,5 +193,4 @@ def restrict_path(path: WienerPath, grid: TimeGrid) -> WienerPath:
         )
     if grid == fine:
         return path
-    cumulative = path.cumulative[:, ::fine.num_steps // grid.num_steps].copy()
-    return _from_cumulative(grid, cumulative, seed=path.seed)
+    return WienerPath(grid, path.cumulative[:, ::fine.num_steps // grid.num_steps].copy())

@@ -14,6 +14,7 @@ from sfode.analysis import (
     ito_isometry_check,
     write_stats_csv,
 )
+from sfode.checks import ConfigError
 from sfode.picard import cauchy_diagnostic, picard_iterate
 from sfode.solver import BLOCK, DivergenceError, NoiseHistory, SolverConfig, solve
 from sfode.special import mittag_leffler
@@ -80,6 +81,14 @@ class TestEnsembleRun:
     def test_requires_at_least_one_path(self):
         with pytest.raises(ValueError):
             ensemble_run(newton_leipnik(), diffusion_cfg(), 0, M=0)
+
+    @pytest.mark.parametrize("seed", [-1, 2**64])
+    def test_master_seed_outside_64_bits_rejected(self, seed):
+        model = newton_leipnik()
+        with pytest.raises(ConfigError, match="seed"):
+            ensemble_run(model, diffusion_cfg(), seed, M=2)
+        with pytest.raises(ConfigError, match="seed"):
+            cauchy_diagnostic(model, 0.93, make_grid(0.1, 0.01), seed, M=100, K=2)
 
 
 class TestBatchSize:

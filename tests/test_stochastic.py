@@ -5,11 +5,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from sfode import stochastic
 from sfode.solver import SolverConfig, solve
 from sfode.stochastic import (
     SeedSpec,
     TimeGrid,
+    WienerPath,
     generate_path,
+    increment_batches,
     make_grid,
     restrict_path,
 )
@@ -98,6 +101,60 @@ class TestGeneratePath:
         path = generate_path(SeedSpec(1), make_grid(1.0, 0.5))
         with pytest.raises(ValueError):
             path.increments[0, 0] = 99.0
+
+
+class TestWienerPath:
+    def test_increments_derived_read_only(self):
+        grid = make_grid(1.0, 0.25)
+        cumulative = np.array([[0.0, 1.0, 3.0, 2.0, 2.5]])
+        path = WienerPath(grid, cumulative)
+        np.testing.assert_array_equal(path.increments, [[1.0, 2.0, -1.0, 0.5]])
+        assert path.num_channels == 1
+        with pytest.raises(ValueError):
+            path.cumulative[0, 1] = 0.0
+        with pytest.raises(ValueError):
+            path.increments[0, 0] = 0.0
+
+    def test_validation(self):
+        grid = make_grid(1.0, 0.25)
+        with pytest.raises(ValueError, match="shape"):
+            WienerPath(grid, np.zeros((1, 4)))   # one node short
+        with pytest.raises(ValueError, match="shape"):
+            WienerPath(grid, np.zeros(5))        # no channel axis
+        with pytest.raises(ValueError, match="W\\(0\\)"):
+            WienerPath(grid, np.ones((2, 5)))
+
+
+class TestDrawContract:
+    """A batch draw equals the single-path draws bit for bit, and streams are
+    keyed as README "Reproducibility" documents."""
+
+    M = 7
+
+    @pytest.mark.parametrize("channels", [1, 3])
+    @pytest.mark.parametrize("size", [1, 3, M])
+    def test_batches_match_single_paths(self, monkeypatch, channels, size):
+        grid = make_grid(1.0, 0.0625)
+        monkeypatch.setattr(stochastic, "BATCH_BYTES", size * 8 * channels * grid.num_nodes)
+        starts, rows = [], []
+        for start, dW in increment_batches(23, self.M, grid, channels):
+            assert dW.shape == (min(size, self.M - start), channels, grid.num_steps)
+            starts.append(start)
+            rows.extend((start + b, row) for b, row in enumerate(dW))
+        assert starts == list(range(0, self.M, size))
+        assert [i for i, _ in rows] == list(range(self.M))
+        for i, row in rows:
+            np.testing.assert_array_equal(
+                row, generate_path(SeedSpec(23, i), grid, channels).increments)
+
+    @pytest.mark.parametrize("s,i,c", [(0, 0, 0), (7, 3, 2), (2**64 - 1, 5, 1)])
+    def test_stream_keying(self, s, i, c):
+        grid = make_grid(1.0, 0.125)
+        seq = np.random.SeedSequence(s, spawn_key=(i, c))
+        draws = np.random.Generator(np.random.Philox(seq)).standard_normal(grid.num_steps)
+        W = np.concatenate([[0.0], np.cumsum(draws * math.sqrt(grid.h))])
+        np.testing.assert_array_equal(
+            generate_path(SeedSpec(s, i, c), grid, 1).increments[0], np.diff(W))
 
 
 class TestPathStatistics:

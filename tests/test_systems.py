@@ -6,6 +6,7 @@ import pytest
 from sfode.systems import (
     LorenzParams,
     NewtonLeipnikParams,
+    SystemModel,
     linear_test,
     lipschitz_bound,
     lorenz,
@@ -92,6 +93,15 @@ class TestDiffusionStructure:
         flat.evaluate("diffusion", 0.0, np.zeros(3))  # one path: fine
         with pytest.raises(ValueError):
             flat.evaluate("diffusion", 0.0, np.zeros((2, 3)))
+
+
+class TestSystemModel:
+    @pytest.mark.parametrize("dim", [0, -1])
+    def test_dim_below_one_rejected(self, dim):
+        # an ensemble of a system with no components would size its batches by 0
+        with pytest.raises(ValueError, match="dim must be >= 1"):
+            SystemModel(name="empty", dim=dim, drift=lambda t, y: y,
+                        diffusion=lambda t, y: y, y0=[])
 
 
 class TestMatrixForm:
