@@ -8,14 +8,14 @@ size.
 """
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
 from . import checks
 from .solver import DivergenceError, SolverConfig, Trajectory, solve, solve_batch
 from .stochastic import SeedSpec, TimeGrid, generate_path, make_grid, restrict_path
-from .stochastic import _stream, increment_batches
+from .stochastic import increment_batches
 from .systems import SystemModel
 from .table import write_table
 
@@ -111,7 +111,9 @@ def ito_isometry_check(alpha: float, grid: TimeGrid, M: int,
     """Empirical check of E|int v dW|**2 = int E|v|**2 ds for the scheme's
     kernel v(s) = (T - s)**(alpha - 1).
 
-    Left-point Monte Carlo estimate against the closed form
+    Left-point Monte Carlo estimate over paths 0..M-1 of master_seed, drawn
+    in the batches of :func:`increment_batches` (path i from the stream of
+    SeedSpec(master_seed, i, 0)), against the closed form
     T**(2*alpha-1) / (2*alpha-1); returns the relative error.
     """
     checks.require(checks.alpha_rule(alpha, "noise integrals"))
@@ -120,8 +122,8 @@ def ito_isometry_check(alpha: float, grid: TimeGrid, M: int,
     T = grid.T
     t = grid.nodes()[:-1]
     v = (T - t)**(alpha - 1.0)
-    dW = _stream(master_seed, 0, 0).standard_normal((M, grid.num_steps)) * math.sqrt(grid.h)
-    mc = float(np.mean((dW @ v)**2))
+    mc = sum(float(np.sum((dW[:, 0] @ v)**2))
+             for _, dW in increment_batches(master_seed, M, grid, 1)) / M
     exact = T**(2.0 * alpha - 1.0) / (2.0 * alpha - 1.0)
     return abs(mc - exact) / exact
 
@@ -134,35 +136,32 @@ class ConvergenceReport:
     degenerate: bool     # all errors vanished; no rate can be fitted
 
 
-def convergence_order(model: SystemModel, alpha: float, T: float, h_list,
-                      master_seed: int | None = None, reference=None,
-                      stochastic: bool = False,
-                      cfg_kwargs: dict | None = None) -> ConvergenceReport:
-    """Empirical convergence rate over a dyadic chain of step sizes.
+def convergence_order(model: SystemModel, cfg: SolverConfig, levels: int,
+                      master_seed: int | None = None, reference=None) -> ConvergenceReport:
+    """Empirical convergence rate of cfg's run over ``levels`` dyadic grids.
 
-    With a ``reference`` callable (t -> exact state) errors are measured
-    against it on every grid; otherwise the finest run is the reference and
-    errors are measured for the coarser grids at their (nested) nodes.  In
-    stochastic mode one fine path is drawn and restricted to each coarse grid
-    by summing increments, so the measurement sees discretization error, not
+    Level i runs cfg on the grid of cfg.grid.T with step cfg.grid.h / 2**i;
+    levels must be at least 3, and the finest grid is checked before any
+    solve.  With a ``reference`` callable (t -> exact state) errors are
+    measured against it on every grid; otherwise the finest run is the
+    reference and errors are measured for the coarser grids at their
+    (nested) nodes.  A stochastic cfg needs ``master_seed``: one fine path,
+    path 0 of that seed, is drawn and restricted to each coarse grid by
+    summing increments, so the measurement sees discretization error, not
     noise resampling.
     """
-    hs = sorted(set(float(h) for h in h_list), reverse=True)
-    if len(hs) < 3:
-        raise checks.ConfigError(f"need at least 3 grid levels; got {len(hs)}")
-    checks.require(checks.grid_rule(T, hs[-1]))
-    for coarse, fine in zip(hs, hs[1:]):
-        if abs(coarse / fine - 2.0) > checks.GRID_REL_TOL:
-            raise checks.ConfigError(f"h_list must be a dyadic refinement chain; got {hs}")
-    if stochastic and master_seed is None:
+    if levels < 3:
+        raise checks.ConfigError(f"need at least 3 grid levels; got {max(levels, 0)}")
+    T, h = cfg.grid.T, cfg.grid.h
+    checks.require(checks.grid_rule(T, math.ldexp(h, 1 - levels)))
+    if cfg.stochastic and master_seed is None:
         raise ValueError("stochastic convergence measurement needs a master_seed")
 
-    grids = [make_grid(T, h) for h in hs]
+    grids = [make_grid(T, math.ldexp(h, -i)) for i in range(levels)]
     fine_path = None
-    if stochastic:
+    if cfg.stochastic:
         fine_path = generate_path(SeedSpec(master_seed, 0, 0), grids[-1], model.noise_dim)
-    kwargs = dict(cfg_kwargs or {})
-    runs = [solve(model, SolverConfig(alpha=alpha, grid=grid, stochastic=stochastic, **kwargs),
+    runs = [solve(model, replace(cfg, grid=grid),
                   None if fine_path is None else restrict_path(fine_path, grid)).states
             for grid in grids]
 

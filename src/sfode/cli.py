@@ -313,15 +313,7 @@ def cmd_picard(args) -> int:
 def cmd_converge(args) -> int:
     cfg = _build_config(args)
     model = _build_model(cfg)
-    h_list = [math.ldexp(cfg.h, -i) for i in range(args.levels)]
-    report = convergence_order(
-        model, cfg.alpha, cfg.T, h_list,
-        master_seed=cfg.seed, stochastic=cfg.stochastic(),
-        cfg_kwargs={
-            "noise_history": NoiseHistory(cfg.noise_history),
-            "weight_mode": WeightMode(cfg.weight_mode),
-        },
-    )
+    report = convergence_order(model, _solver_config(cfg), args.levels, master_seed=cfg.seed)
     meta = _metadata(cfg, model)
     summary = {
         "version": __version__,

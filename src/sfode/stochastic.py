@@ -36,21 +36,17 @@ BATCH_BYTES = 8 * 2**20
 class TimeGrid:
     """Nodes 0 = t_0 < t_1 < ... < t_{N+1} = T with uniform spacing h.
 
-    ``num_steps`` is the number of increments N+1, so there are
-    ``num_steps + 1`` nodes.
+    ``num_steps``, the number of increments N+1, is derived as round(T/h)
+    once T and h pass the grid rule, so there are ``num_steps + 1`` nodes.
     """
 
     T: float
     h: float
-    num_steps: int
+    num_steps: int = field(init=False)
 
     def __post_init__(self):
         checks.require(checks.grid_rule(self.T, self.h))
-        if self.num_steps != round(self.T / self.h):
-            raise ValueError(
-                f"TimeGrid is inconsistent: {self.num_steps} steps of h={self.h} "
-                f"do not reach T={self.T}"
-            )
+        object.__setattr__(self, "num_steps", round(self.T / self.h))
 
     @property
     def num_nodes(self) -> int:
@@ -66,8 +62,7 @@ def make_grid(T: float, h: float) -> TimeGrid:
     Non-commensurate (T, h) pairs are rejected rather than silently rounded,
     so a run always covers exactly the horizon it was asked for.
     """
-    checks.require(checks.grid_rule(T, h))
-    return TimeGrid(T=float(T), h=float(h), num_steps=round(T / h))
+    return TimeGrid(float(T), float(h))
 
 
 @dataclass(frozen=True)
@@ -93,9 +88,10 @@ class SeedSpec:
 class WienerPath:
     """Sampled Brownian motion on a grid; immutable after construction.
 
-    ``cumulative`` (shape (d_w, num_steps + 1), W(0) = 0) is the one record;
-    the read-only ``increments`` (shape (d_w, num_steps)) are derived from it
-    as its exact floating-point differences, so the two views agree bitwise.
+    ``cumulative`` (shape (d_w, num_steps + 1), W(0) = 0), a private copy of
+    the array it is built from, is the one record; the read-only
+    ``increments`` (shape (d_w, num_steps)) are derived from it as its exact
+    floating-point differences, so the two views agree bitwise.
     """
 
     grid: TimeGrid
@@ -103,7 +99,7 @@ class WienerPath:
     increments: np.ndarray = field(init=False)
 
     def __post_init__(self):
-        self.cumulative = np.asarray(self.cumulative, dtype=float)
+        self.cumulative = np.array(self.cumulative, dtype=float)
         if self.cumulative.ndim != 2 or self.cumulative.shape[1] != self.grid.num_nodes:
             raise ValueError("cumulative shape does not match grid")
         if np.any(self.cumulative[:, 0] != 0.0):
@@ -193,4 +189,4 @@ def restrict_path(path: WienerPath, grid: TimeGrid) -> WienerPath:
         )
     if grid == fine:
         return path
-    return WienerPath(grid, path.cumulative[:, ::fine.num_steps // grid.num_steps].copy())
+    return WienerPath(grid, path.cumulative[:, ::fine.num_steps // grid.num_steps])

@@ -64,7 +64,7 @@ def test_c02_mittag_leffler_oracle_and_order():
         errs.append(float(np.max(np.abs(traj.states[0] - exact))))
     pair_orders = [math.log2(errs[i] / errs[i + 1]) for i in range(2)]
     fit = convergence_order(
-        model, 0.8, 1.0, [1 / 50, 1 / 100, 1 / 200],
+        model, SolverConfig(alpha=0.8, grid=make_grid(1.0, 1.0 / 50)), 3,
         reference=lambda t: [mittag_leffler(0.8, -(t**0.8))],
     )
     ok = errs[-1] <= 1e-3 and all(p >= 1.0 for p in pair_orders) and fit.order >= 1.0

@@ -19,7 +19,7 @@ from sfode.picard import cauchy_diagnostic, picard_iterate
 from sfode.solver import BLOCK, DivergenceError, NoiseHistory, SolverConfig, solve
 from sfode.special import mittag_leffler
 from sfode.stochastic import SeedSpec, generate_path, make_grid
-from sfode.systems import LorenzParams, linear_test, lorenz, newton_leipnik
+from sfode.systems import LorenzParams, SystemModel, linear_test, lorenz, newton_leipnik
 
 
 def diffusion_cfg(steps=64, alpha=0.75):
@@ -89,6 +89,48 @@ class TestEnsembleRun:
             ensemble_run(model, diffusion_cfg(), seed, M=2)
         with pytest.raises(ConfigError, match="seed"):
             cauchy_diagnostic(model, 0.93, make_grid(0.1, 0.01), seed, M=100, K=2)
+
+
+class TestNonFiniteRightHandSide:
+    """dy = -y dt + 0.2 dW from y0 = 0, with drift or diffusion (kind) made
+    non-finite wherever y > 0.3."""
+
+    cfg = SolverConfig(alpha=0.75, grid=make_grid(1.0, 1.0 / 64), stochastic=True)
+
+    @staticmethod
+    def model(kind):
+        bad = np.nan if kind == "drift" else np.inf
+        parts = {"drift": lambda t, y: -y, "diffusion": lambda t, y: np.full_like(y, 0.2)}
+        good = parts[kind]
+        parts[kind] = lambda t, y: np.where(y > 0.3, bad, good(t, y))
+        return SystemModel(name=f"nonfinite_{kind}", dim=1, y0=np.array([0.0]), **parts)
+
+    @pytest.mark.parametrize("kind", ["drift", "diffusion"])
+    def test_solve_reports_step_and_time(self, kind):
+        with pytest.raises(DivergenceError) as err:
+            solve(self.model(kind), self.cfg, generate_path(SeedSpec(0, 6), self.cfg.grid))
+        exc = err.value
+        assert str(exc) == f"non-finite {kind} at step {exc.step} (t={exc.time:g})"
+        assert exc.step >= 1 and exc.time == self.cfg.grid.nodes()[exc.step]
+        assert exc.path_index is None
+
+    @pytest.mark.parametrize("kind", ["drift", "diffusion"])
+    def test_ensemble_reports_the_first_failing_path(self, kind):
+        # the lowest-indexed path among those failing earliest, with the
+        # message of its own solve
+        model = self.model(kind)
+        failures = []
+        for i in range(16):
+            try:
+                solve(model, self.cfg, generate_path(SeedSpec(0, i), self.cfg.grid))
+            except DivergenceError as exc:
+                failures.append((exc.step, i, str(exc)))
+        step, first, message = min(failures)
+        assert any(i < first for _, i, _ in failures)  # the earliest is not the lowest
+        with pytest.raises(DivergenceError) as err:
+            ensemble_run(model, self.cfg, 0, M=16)
+        assert str(err.value) == f"path {first}: {message}"
+        assert (err.value.step, err.value.path_index) == (step, first)
 
 
 class TestBatchSize:
@@ -193,12 +235,32 @@ class TestItoIsometry:
         with pytest.raises(ValueError):
             ito_isometry_check(0.75, grid, M=10)
 
+    @pytest.mark.parametrize("seed", [-1, 2**64])
+    def test_master_seed_outside_64_bits_rejected(self, seed):
+        with pytest.raises(ConfigError, match="seed"):
+            ito_isometry_check(0.75, make_grid(1.0, 0.25), M=1000, master_seed=seed)
+
+    def test_path_i_is_the_ensemble_path(self):
+        # path i comes from the stream of SeedSpec(master_seed, i, 0)
+        grid, M = make_grid(1.0, 0.25), 1000
+        v = (1.0 - grid.nodes()[:-1]) ** -0.25
+        mc = sum((generate_path(SeedSpec(3, i), grid).increments[0] @ v) ** 2
+                 for i in range(M)) / M
+        exact = 2.0  # T**(2 alpha - 1) / (2 alpha - 1) at alpha = 0.75, T = 1
+        err = ito_isometry_check(0.75, grid, M=M, master_seed=3)
+        assert err == pytest.approx(abs(mc - exact) / exact, rel=1e-12)
+
+
+def chain_cfg(alpha, steps, stochastic=False):
+    """The coarsest level of a convergence chain on [0, 1]."""
+    return SolverConfig(alpha=alpha, grid=make_grid(1.0, 1.0 / steps), stochastic=stochastic)
+
 
 class TestConvergenceOrder:
     def test_deterministic_rate_with_reference(self):
         model = linear_test(lam=1.0)
         report = convergence_order(
-            model, 0.8, 1.0, [1 / 50, 1 / 100, 1 / 200],
+            model, chain_cfg(0.8, 50), 3,
             reference=lambda t: [mittag_leffler(0.8, -(t**0.8))],
         )
         assert not report.degenerate
@@ -207,24 +269,22 @@ class TestConvergenceOrder:
     def test_classical_rate_is_second_order(self):
         model = linear_test(lam=1.0)
         report = convergence_order(
-            model, 1.0, 1.0, [1 / 50, 1 / 100, 1 / 200],
+            model, chain_cfg(1.0, 50), 3,
             reference=lambda t: [math.exp(-t)],
         )
         assert report.order >= 1.7
 
     def test_self_reference_deterministic(self):
         model = linear_test(lam=1.0)
-        report = convergence_order(model, 0.8, 1.0, [1 / 32, 1 / 64, 1 / 128, 1 / 256])
+        report = convergence_order(model, chain_cfg(0.8, 32), 4)
         assert not report.degenerate
         assert np.all(np.diff(report.errors) < 0)
         assert report.order >= 1.0
 
     def test_stochastic_self_reference_runs(self):
         model = linear_test(lam=1.0, sigma0=0.5, y0=1.0)
-        report = convergence_order(
-            model, 0.8, 1.0, [1 / 32, 1 / 64, 1 / 128, 1 / 256],
-            master_seed=5, stochastic=True,
-        )
+        report = convergence_order(model, chain_cfg(0.8, 32, stochastic=True), 4,
+                                   master_seed=5)
         # no claimed rate for the noisy scheme; just a sane, finite fit
         assert not report.degenerate
         assert np.isfinite(report.order)
@@ -233,19 +293,36 @@ class TestConvergenceOrder:
 
     def test_zero_system_degenerate(self):
         model = linear_test(lam=0.0, sigma0=0.0, y0=1.0)
-        report = convergence_order(model, 0.8, 1.0, [1 / 32, 1 / 64, 1 / 128])
+        report = convergence_order(model, chain_cfg(0.8, 32), 3)
         assert report.degenerate
         assert math.isnan(report.order)
 
     def test_needs_three_dyadic_levels(self):
         model = linear_test(lam=1.0)
-        with pytest.raises(ValueError):
-            convergence_order(model, 0.8, 1.0, [1 / 32, 1 / 64])
-        with pytest.raises(ValueError):
-            convergence_order(model, 0.8, 1.0, [1 / 32, 1 / 48, 1 / 64])
-        with pytest.raises(ValueError):
-            convergence_order(model, 0.8, 1.0, [1 / 32, 1 / 64, 1 / 128],
-                              stochastic=True)
+        for levels, shown in ((2, 2), (0, 0), (-3, 0)):
+            with pytest.raises(ConfigError, match=f"at least 3 grid levels; got {shown}$"):
+                convergence_order(model, chain_cfg(0.8, 32), levels)
+        with pytest.raises(ValueError, match="needs a master_seed"):
+            convergence_order(model, chain_cfg(0.8, 32, stochastic=True), 3)
+
+    def test_levels_keep_the_run_settings(self):
+        # level i runs cfg on h / 2**i, with cfg's noise history and weights
+        model = newton_leipnik()
+        cfg = SolverConfig(alpha=0.93, grid=make_grid(1.0, 0.125), stochastic=True,
+                           noise_history=NoiseHistory.LAST_INCREMENT)
+        report = convergence_order(model, cfg, 3, master_seed=5)
+        np.testing.assert_array_equal(report.h, [0.125, 0.0625])
+        fine_grid = make_grid(1.0, 0.03125)
+        fine = solve(model, dataclasses.replace(cfg, grid=fine_grid),
+                     generate_path(SeedSpec(5), fine_grid, 3)).states
+        coarse = solve(model, cfg, stochastic.restrict_path(
+            generate_path(SeedSpec(5), fine_grid, 3), cfg.grid)).states
+        assert report.errors[0] == np.max(np.abs(coarse - fine[:, ::4]))
+
+    def test_finest_grid_checked_first(self):
+        model = linear_test(lam=1.0)
+        with pytest.raises(ConfigError, match="got T/h = 5368709120.0"):
+            convergence_order(model, SolverConfig(alpha=0.8, grid=make_grid(1.0, 0.1)), 30)
 
 
 class TestBoundedCheck:

@@ -264,6 +264,27 @@ class TestConvergeCommand:
         ])
         assert code == 4
 
+    @pytest.mark.parametrize("flag, value, args", [
+        ("noise_history", "last_increment",
+         ["--system", "newton_leipnik", "--alpha", 0.93, "--h", 0.02, "--T", 1.0,
+          "--levels", 4, "--seed", 5]),
+        ("weight_mode", "literal",
+         ["--system", "linear_test", "--lam", 1.0, "--alpha", 0.8, "--h", 0.03125,
+          "--T", 0.125, "--mu", 0.0, "--levels", 3]),
+    ])
+    def test_run_settings_reach_every_level(self, tmp_path, flag, value, args):
+        reports = {}
+        for extra in ([], [f"--{flag.replace('_', '-')}", value]):
+            out = tmp_path / f"conv{len(extra)}.json"
+            assert run(["converge", *args, *extra, "-o", out]) == 0
+            reports[len(extra)] = strict_json(out.read_text())
+        default, changed = reports[0], reports[2]
+        assert changed["config"][flag] == value
+        assert default["config"][flag] != value
+        assert [l["h"] for l in changed["levels"]] == [l["h"] for l in default["levels"]]
+        assert all(a["error"] != b["error"]
+                   for a, b in zip(changed["levels"], default["levels"]))
+
     def test_too_few_levels_is_config_error(self, tmp_path):
         code = run([
             "converge", "--system", "linear_test", "--alpha", 0.8,

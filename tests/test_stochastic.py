@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from sfode import stochastic
+from sfode import checks, stochastic
 from sfode.solver import SolverConfig, solve
 from sfode.stochastic import (
     SeedSpec,
@@ -29,6 +29,14 @@ class TestMakeGrid:
         grid = make_grid(50.0, 0.005)
         assert grid.num_nodes == 10001
         assert grid.num_steps == 10000
+
+    def test_grid_derives_its_step_count(self):
+        grid = TimeGrid(1.0, 0.25)
+        assert grid.num_steps == 4 and grid == make_grid(1.0, 0.25)
+        with pytest.raises(TypeError):
+            TimeGrid(1.0, 0.25, 4)
+        with pytest.raises(checks.ConfigError, match="T/h must be an integer"):
+            TimeGrid(1.0, 0.3)
 
     def test_rejects_non_commensurate(self):
         with pytest.raises(ValueError):
@@ -114,6 +122,15 @@ class TestWienerPath:
             path.cumulative[0, 1] = 0.0
         with pytest.raises(ValueError):
             path.increments[0, 0] = 0.0
+
+    def test_keeps_a_private_copy(self):
+        grid = make_grid(1.0, 0.25)
+        cumulative = np.array([[0.0, 1.0, 3.0, 2.0, 2.5]])
+        path = WienerPath(grid, cumulative)
+        assert cumulative.flags.writeable
+        cumulative[0, 1] = 7.0
+        np.testing.assert_array_equal(path.cumulative, [[0.0, 1.0, 3.0, 2.0, 2.5]])
+        np.testing.assert_array_equal(path.increments, [[1.0, 2.0, -1.0, 0.5]])
 
     def test_validation(self):
         grid = make_grid(1.0, 0.25)
