@@ -1,10 +1,12 @@
 """Ensemble statistics, noise-integral checks, and convergence measurement.
 
 The Monte Carlo machinery here uses counter-based seeds (path i of a run is
-SeedSpec(master_seed, i, 0)), solves paths in batches whose per-path results
-equal single-path solves bit for bit, and runs every reduction in path-index
-order, so every statistic is bit-reproducible and independent of the batch
-size.
+SeedSpec(master_seed, i, 0)).  :func:`path_rows` is the one many-path
+driver: it runs paths in batches whose per-path results equal single-path
+runs bit for bit and hands them on one path at a time, in path-index order.
+Every reduction, the ensemble statistics, the Picard diagnostic and the
+noise-integral check alike, adds those rows in that order, so every
+statistic is bit-reproducible and independent of the batch size.
 """
 
 import math
@@ -48,6 +50,25 @@ class EnsembleStats:
     num_paths: int
 
 
+def path_rows(master_seed: int, M: int, grid: TimeGrid, channels: int, run):
+    """Yield run's rows of paths 0..M-1 of master_seed, one path at a time,
+    in path-index order.
+
+    run(dW) is called once per batch of :func:`increment_batches`, dW shaped
+    (B, channels, num_steps), and returns one row per path of the batch.  A
+    DivergenceError of run, its path_index an index into the batch, is
+    raised as "path {index}: <message>" with the same step and time and the
+    run-wide index.
+    """
+    for start, dW in increment_batches(master_seed, M, grid, channels):
+        try:
+            rows = run(dW)
+        except DivergenceError as exc:
+            index = start + exc.path_index
+            raise DivergenceError(f"path {index}: {exc}", exc.step, exc.time, index) from None
+        yield from rows
+
+
 def accumulate_stats(grid: TimeGrid, states_seq) -> EnsembleStats:
     """Reduce an ordered sequence of state arrays to ensemble statistics.
 
@@ -85,25 +106,17 @@ def ensemble_run(model: SystemModel, cfg: SolverConfig, master_seed: int, M: int
                  workers: int = 1) -> EnsembleStats:
     """Solve M independent paths and reduce them to EnsembleStats.
 
-    Paths run in the batches of :func:`increment_batches`, each reduced in
-    path-index order as soon as it is solved, so memory is bounded by one
-    batch and the results are the same for any batch size.  ``workers``
+    The paths are solved by :func:`solve_batch` through :func:`path_rows`
+    and reduced in path-index order as they come, so memory is bounded by
+    one batch and the results are the same for any batch size.  ``workers``
     (>= 0) is accepted for compatibility and has no effect.
     """
     problems = [] if M >= 1 else [f"M must be >= 1, got {M}"]
     if workers < 0:
         problems.append(f"workers must be >= 0, got {workers}")
     checks.require(problems)
-
-    def states():
-        for start, dW in increment_batches(master_seed, M, cfg.grid, model.noise_dim):
-            try:
-                batch = solve_batch(model, cfg, dW)
-            except DivergenceError as exc:
-                raise exc.in_batch(start) from None
-            yield from batch
-
-    return accumulate_stats(cfg.grid, states())
+    return accumulate_stats(cfg.grid, path_rows(master_seed, M, cfg.grid, model.noise_dim,
+                                                lambda dW: solve_batch(model, cfg, dW)))
 
 
 def ito_isometry_check(alpha: float, grid: TimeGrid, M: int,
@@ -111,10 +124,12 @@ def ito_isometry_check(alpha: float, grid: TimeGrid, M: int,
     """Empirical check of E|int v dW|**2 = int E|v|**2 ds for the scheme's
     kernel v(s) = (T - s)**(alpha - 1).
 
-    Left-point Monte Carlo estimate over paths 0..M-1 of master_seed, drawn
-    in the batches of :func:`increment_batches` (path i from the stream of
-    SeedSpec(master_seed, i, 0)), against the closed form
-    T**(2*alpha-1) / (2*alpha-1); returns the relative error.
+    Left-point Monte Carlo estimate over paths 0..M-1 of master_seed (path i
+    from the stream of SeedSpec(master_seed, i, 0)), against the closed form
+    T**(2*alpha-1) / (2*alpha-1); returns the relative error.  The squares
+    come from :func:`path_rows` as a stacked product, which rounds each path
+    as it would alone, and are added in path-index order, so the value does
+    not depend on the batch size.
     """
     checks.require(checks.alpha_rule(alpha, "noise integrals"))
     if M < 1000:
@@ -122,8 +137,7 @@ def ito_isometry_check(alpha: float, grid: TimeGrid, M: int,
     T = grid.T
     t = grid.nodes()[:-1]
     v = (T - t)**(alpha - 1.0)
-    mc = sum(float(np.sum((dW[:, 0] @ v)**2))
-             for _, dW in increment_batches(master_seed, M, grid, 1)) / M
+    mc = float(sum(path_rows(master_seed, M, grid, 1, lambda dW: (dW @ v)[:, 0]**2))) / M
     exact = T**(2.0 * alpha - 1.0) / (2.0 * alpha - 1.0)
     return abs(mc - exact) / exact
 

@@ -161,25 +161,26 @@ def _build_model(cfg: RunConfig):
     return linear_test(lam=cfg.lam, sigma0=cfg.sigma0)
 
 
-def _solver_config(cfg: RunConfig) -> SolverConfig:
-    return SolverConfig(
-        alpha=cfg.alpha,
-        grid=make_grid(cfg.T, cfg.h),
-        stochastic=cfg.stochastic(),
-        noise_history=NoiseHistory(cfg.noise_history),
-        weight_mode=WeightMode(cfg.weight_mode),
-    )
+def _setup(args):
+    """The run of a command: (cfg, model, scfg, meta), its RunConfig, model,
+    SolverConfig and the metadata that its output files embed."""
+    cfg = _build_config(args)
+    model = _build_model(cfg)
+    scfg = SolverConfig(alpha=cfg.alpha, grid=make_grid(cfg.T, cfg.h),
+                        stochastic=cfg.stochastic(), noise_history=cfg.noise_history,
+                        weight_mode=cfg.weight_mode)
+    meta = {"version": __version__, "system": cfg.system, **dict(sorted(model.params.items())),
+            "alpha": cfg.alpha, "h": cfg.h, "T": cfg.T, "seed": cfg.seed, "paths": cfg.paths,
+            "stochastic": scfg.stochastic, "noise_history": cfg.noise_history,
+            "weight_mode": cfg.weight_mode}
+    return cfg, model, scfg, meta
 
 
-def _metadata(cfg: RunConfig, model) -> dict:
-    meta = {"version": __version__, "system": cfg.system}
-    meta.update({k: v for k, v in sorted(model.params.items())})
-    meta.update(
-        alpha=cfg.alpha, h=cfg.h, T=cfg.T, seed=cfg.seed, paths=cfg.paths,
-        stochastic=cfg.stochastic(), noise_history=cfg.noise_history,
-        weight_mode=cfg.weight_mode,
-    )
-    return meta
+def _summary(meta: dict, **fields) -> dict:
+    """A JSON summary: the version, the run's config (meta without the
+    version), then fields."""
+    config = {k: v for k, v in meta.items() if k != "version"}
+    return {"version": meta["version"], "config": config, **fields}
 
 
 def _write(path, writer) -> None:
@@ -240,14 +241,11 @@ def _write_json(path, summary: dict) -> None:
 
 
 def cmd_simulate(args) -> int:
-    cfg = _build_config(args)
-    model = _build_model(cfg)
-    scfg = _solver_config(cfg)
+    cfg, model, scfg, meta = _setup(args)
     path = None
     if scfg.stochastic:
         path = generate_path(SeedSpec(cfg.seed, 0, 0), scfg.grid, model.noise_dim)
     traj = solve(model, scfg, path)
-    meta = _metadata(cfg, model)
     check = bounded_attractor_check(traj, float("inf"))
     meta["num_steps"] = scfg.grid.num_steps
     meta["max_abs_state"] = format(check.max_abs, ".17g")
@@ -256,24 +254,16 @@ def cmd_simulate(args) -> int:
 
 
 def cmd_ensemble(args) -> int:
-    cfg = _build_config(args)
-    model = _build_model(cfg)
-    scfg = _solver_config(cfg)
+    cfg, model, scfg, meta = _setup(args)
     stats = ensemble_run(model, scfg, cfg.seed, cfg.paths, workers=cfg.workers)
-    meta = _metadata(cfg, model)
 
     if args.format == "json":
-        summary = {
-            "version": __version__,
-            "config": {k: meta[k] for k in meta if k != "version"},
-            "num_paths": stats.num_paths,
-            "terminal": {
-                "t": scfg.grid.T,
-                "mean": stats.mean[:, -1].tolist(),
-                "variance": stats.variance[:, -1].tolist(),
-                "l2sq": float(stats.l2sq[-1]),
-            },
-        }
+        summary = _summary(meta, num_paths=stats.num_paths, terminal={
+            "t": scfg.grid.T,
+            "mean": stats.mean[:, -1].tolist(),
+            "variance": stats.variance[:, -1].tolist(),
+            "l2sq": float(stats.l2sq[-1]),
+        })
         if cfg.system == "linear_test" and cfg.lam == 0.0 and cfg.sigma0 != 0.0:
             expected = (
                 cfg.sigma0 * cfg.sigma0 * cfg.T ** (2 * cfg.alpha - 1)
@@ -295,14 +285,11 @@ def cmd_ensemble(args) -> int:
 
 
 def cmd_picard(args) -> int:
-    cfg = _build_config(args)
-    model = _build_model(cfg)
-    grid = make_grid(cfg.T, cfg.h)
+    cfg, model, scfg, meta = _setup(args)
     report = cauchy_diagnostic(
-        model, cfg.alpha, grid, cfg.seed, cfg.paths, args.iterations,
+        model, cfg.alpha, scfg.grid, cfg.seed, cfg.paths, args.iterations,
         sup_mode=args.sup,
     )
-    meta = _metadata(cfg, model)
     meta["iterations"] = args.iterations
     meta["converged"] = report.converged
     meta["max_terminal_l2"] = format(report.max_terminal_l2, ".17g")
@@ -311,20 +298,14 @@ def cmd_picard(args) -> int:
 
 
 def cmd_converge(args) -> int:
-    cfg = _build_config(args)
-    model = _build_model(cfg)
-    report = convergence_order(model, _solver_config(cfg), args.levels, master_seed=cfg.seed)
-    meta = _metadata(cfg, model)
-    summary = {
-        "version": __version__,
-        "config": {k: meta[k] for k in meta if k != "version"},
-        "levels": [
-            {"h": float(h), "error": float(e)}
-            for h, e in zip(report.h, report.errors)
-        ],
-        "order": None if report.degenerate else report.order,
-        "degenerate": report.degenerate,
-    }
+    cfg, model, scfg, meta = _setup(args)
+    report = convergence_order(model, scfg, args.levels, master_seed=cfg.seed)
+    summary = _summary(
+        meta,
+        levels=[{"h": float(h), "error": float(e)} for h, e in zip(report.h, report.errors)],
+        order=None if report.degenerate else report.order,
+        degenerate=report.degenerate,
+    )
     _write_json(args.output, summary)
     return 4 if report.degenerate else 0
 
@@ -336,10 +317,9 @@ def cmd_weights(args) -> int:
     if not 0 <= args.step < checks.MAX_STEPS:
         problems.append(f"step index must be in [0, {checks.MAX_STEPS}); got {args.step}")
     checks.require(problems)
-    mode = WeightMode(args.mode)
     meta = {"version": __version__, "n": args.step, "alpha": args.alpha,
-            "h": args.h, "mode": mode.value}
-    columns = [range(args.step + 2), corrector_weights(args.step, args.alpha, mode),
+            "h": args.h, "mode": args.mode}
+    columns = [range(args.step + 2), corrector_weights(args.step, args.alpha, args.mode),
                predictor_weights(args.step, args.alpha, args.h)]
     _write(args.output, lambda s: write_table(s, meta, ["j", "a_j", "b_j"], columns))
     return 0

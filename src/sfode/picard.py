@@ -12,7 +12,8 @@ integrand, which absorbs the (t-s)**(a-1) singularity); the noise integral
 uses left-point evaluation because the Ito integral mandates non-anticipating
 integrands.  The mean-square gaps between successive iterates should shrink
 toward zero; :func:`cauchy_diagnostic` measures exactly that over a Monte
-Carlo ensemble of paths, swept in batches.
+Carlo ensemble of paths, swept in batches through
+:func:`sfode.analysis.path_rows`.
 """
 
 import math
@@ -21,8 +22,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import checks
+from .analysis import path_rows
 from .solver import BLOWUP, DivergenceError, Trajectory
-from .stochastic import TimeGrid, WienerPath, increment_batches
+from .stochastic import TimeGrid, WienerPath
 from .systems import SystemModel
 from .table import write_table
 
@@ -156,11 +158,13 @@ def cauchy_diagnostic(model: SystemModel, alpha: float, grid: TimeGrid,
                       sup_mode: bool = False) -> CauchyReport:
     """Monte Carlo contraction check of the Picard sweeps over M paths.
 
-    Path i uses the stream SeedSpec(master_seed, i, 0), and paths are swept in
-    the batches of :func:`increment_batches` and summed in index order, so the
-    report is deterministic given the master seed, whatever the batch size.
-    By default gaps are measured at the terminal node (the cheap proxy);
-    sup_mode maximizes them over the grid.
+    Path i uses the stream SeedSpec(master_seed, i, 0).  Paths are swept in
+    batches through :func:`sfode.analysis.path_rows`, which hands on one row
+    per path, its K gaps and then its K + 1 terminal values |y_k(T)|**2, and
+    the rows are added in path-index order, so the report is deterministic
+    given the master seed, whatever the batch size.  By default gaps are
+    measured at the terminal node (the cheap proxy); sup_mode maximizes them
+    over the grid.
     """
     problems = checks.alpha_rule(alpha, "Picard sweeps")
     if M < 100:
@@ -168,33 +172,27 @@ def cauchy_diagnostic(model: SystemModel, alpha: float, grid: TimeGrid,
     if K < 2:
         problems.append(f"the Picard diagnostic needs iterations >= 2; got {K}")
     checks.require(problems)
-    gap_sum = np.zeros(K)
-    l2_sum = np.zeros(K + 1)
-    for start, dW in increment_batches(master_seed, M, grid, model.noise_dim):
+
+    def rows(dW):
         gaps, l2, prev = [], [], None
-        try:
-            for states in _iterates(model, alpha, grid, dW, K):
-                l2.append(np.sum(states[..., -1]**2, axis=-1))
-                if prev is not None:
-                    sq = (states - prev)**2
-                    gaps.append(np.max(np.sum(sq, axis=-2), axis=-1) if sup_mode
-                                else np.sum(sq[..., -1], axis=-1))
-                prev = states
-        except DivergenceError as exc:
-            raise exc.in_batch(start) from None
-        # one row per path, added in path-index order
-        for path_gaps, path_l2 in zip(np.stack(gaps, axis=-1), np.stack(l2, axis=-1)):
-            gap_sum += path_gaps
-            l2_sum += path_l2
-    gaps = gap_sum / M
-    distances = gaps[1:]  # d_1..d_{K-1}
+        for states in _iterates(model, alpha, grid, dW, K):
+            l2.append(np.sum(states[..., -1]**2, axis=-1))
+            if prev is not None:
+                sq = (states - prev)**2
+                gaps.append(np.max(np.sum(sq, axis=-2), axis=-1) if sup_mode
+                            else np.sum(sq[..., -1], axis=-1))
+            prev = states
+        return np.stack(gaps + l2, axis=-1)
+
+    means = sum(path_rows(master_seed, M, grid, model.noise_dim, rows), np.zeros(2 * K + 1)) / M
+    distances = means[1:K]  # d_1..d_{K-1}
     converged = bool(distances[-1] < 0.01 * distances[0]) if distances[0] > 0 else True
     return CauchyReport(
         distances=distances,
         converged=converged,
         num_paths=M,
         sup_mode=sup_mode,
-        max_terminal_l2=float(np.max(l2_sum / M)),
+        max_terminal_l2=float(np.max(means[K:])),
     )
 
 

@@ -81,11 +81,6 @@ class DivergenceError(RuntimeError):
         self.time = time
         self.path_index = path_index
 
-    def in_batch(self, start: int) -> "DivergenceError":
-        """This error with path_index, an index into the batch, offset by start."""
-        index = start + self.path_index
-        return DivergenceError(f"path {index}: {self}", self.step, self.time, index)
-
 
 @dataclass(frozen=True)
 class SolverConfig:

@@ -5,7 +5,7 @@ import math
 import numpy as np
 import pytest
 
-from sfode import stochastic
+from sfode import analysis, stochastic
 from sfode.analysis import (
     accumulate_stats,
     bounded_attractor_check,
@@ -81,6 +81,14 @@ class TestEnsembleRun:
     def test_requires_at_least_one_path(self):
         with pytest.raises(ValueError):
             ensemble_run(newton_leipnik(), diffusion_cfg(), 0, M=0)
+
+    def test_negative_worker_count_rejected(self):
+        with pytest.raises(ConfigError, match="workers must be >= 0, got -1"):
+            ensemble_run(newton_leipnik(), diffusion_cfg(), 0, M=2, workers=-1)
+
+    def test_reduction_needs_a_trajectory(self):
+        with pytest.raises(ValueError, match="at least one trajectory"):
+            accumulate_stats(make_grid(1.0, 0.25), [])
 
     @pytest.mark.parametrize("seed", [-1, 2**64])
     def test_master_seed_outside_64_bits_rejected(self, seed):
@@ -189,6 +197,24 @@ class TestBatchSize:
         report = cauchy_diagnostic(spied, 0.93, grid, 5, M=self.M_PICARD, K=3)
         assert max(seen) == size
         np.testing.assert_array_equal(report.distances, (gap_sum / self.M_PICARD)[1:])
+
+    def test_ito_isometry_check(self, monkeypatch):
+        grid, M = make_grid(1.0, 1.0 / 64), 1000
+        seen = []
+
+        def batches(*args):
+            for start, dW in stochastic.increment_batches(*args):
+                seen.append(len(dW))
+                yield start, dW
+
+        monkeypatch.setattr(analysis, "increment_batches", batches)
+        values = []
+        for size in (1, 3, M):
+            monkeypatch.setattr(stochastic, "BATCH_BYTES", size * 8 * grid.num_nodes)
+            seen.clear()
+            values.append(ito_isometry_check(0.75, grid, M=M, master_seed=11))
+            assert max(seen) == size
+        assert values[0] == values[1] == values[2]
 
     def test_drift_that_ignores_the_path_axis_is_rejected(self):
         model = newton_leipnik()

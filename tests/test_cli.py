@@ -144,6 +144,12 @@ class TestConfigHandling:
         cfg.write_text("alpha = fast\n")
         assert run(["simulate", "--config", cfg]) == 2
 
+    def test_line_without_equals_rejected(self, tmp_path, capsys):
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text("alpha 0.9\n")
+        assert run(["simulate", "--config", cfg]) == 2
+        assert f"{cfg}:1: expected key=value, got 'alpha 0.9'" in capsys.readouterr().err
+
     def test_all_violations_enumerated(self, tmp_path, capsys):
         code = run([
             "simulate", "--system", "lorenz", "--alpha", 7.0,
@@ -166,6 +172,11 @@ class TestEnsembleCommand:
         _, data = read_csv(out)
         assert data[0] == "t,mean_1,mean_2,mean_3,var_1,var_2,var_3,l2sq"
         assert len(data) == 1 + 11
+
+    def test_negative_worker_count_is_config_error(self, tmp_path, capsys):
+        assert run(["ensemble", "--workers", -1, "-o", tmp_path / "o.csv"]) == 2
+        assert "workers must be >= 0; got -1" in capsys.readouterr().err
+        assert not (tmp_path / "o.csv").exists()
 
     def test_worker_count_does_not_change_bytes(self, tmp_path):
         outs = []

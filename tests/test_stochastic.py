@@ -78,6 +78,10 @@ class TestGeneratePath:
         path = generate_path(SeedSpec(11), make_grid(1.0, 0.25), num_channels=2)
         np.testing.assert_array_equal(path.cumulative[:, 0], 0.0)
 
+    def test_needs_a_channel(self):
+        with pytest.raises(ValueError, match="num_channels must be >= 1, got 0"):
+            generate_path(SeedSpec(11), make_grid(1.0, 0.25), num_channels=0)
+
     def test_reproducible_bitwise(self):
         grid = make_grid(2.0, 0.125)
         a = generate_path(SeedSpec(42, 3, 1), grid, num_channels=3)

@@ -103,6 +103,12 @@ class TestSystemModel:
             SystemModel(name="empty", dim=dim, drift=lambda t, y: y,
                         diffusion=lambda t, y: y, y0=[])
 
+    @pytest.mark.parametrize("y0", [[1.0], [1.0, 2.0, 3.0], [[1.0, 2.0]]])
+    def test_initial_state_of_wrong_shape_rejected(self, y0):
+        with pytest.raises(ValueError, match=r"y0 must have shape \(2,\)"):
+            SystemModel(name="plane", dim=2, drift=lambda t, y: y,
+                        diffusion=lambda t, y: y, y0=y0)
+
 
 class TestMatrixForm:
     @pytest.mark.parametrize("factory", [newton_leipnik, lorenz])
