@@ -107,7 +107,8 @@ def _iterates(model: SystemModel, alpha: float, grid: TimeGrid, dW: np.ndarray |
     t = grid.nodes()
     kernels = _kernels(grid, alpha)
     for k in range(1, K + 1):
-        states = _sweep(model, kernels, t, states, dW)
+        with np.errstate(over="ignore", invalid="ignore"):  # a non-finite sweep fails below
+            states = _sweep(model, kernels, t, states, dW)
         ok = (np.abs(states) <= BLOWUP).all(axis=(-2, -1))  # False for non-finite too
         if not ok.all():
             raise DivergenceError(f"Picard iterate {k} exceeded blow-up bound", step=k,

@@ -30,6 +30,12 @@ and the older nodes arrive through an FFT far field (the square tiling of
 Hairer, Lubich & Schlichte, SIAM J. Sci. Stat. Comput. 6, 1985), so an
 N-step run costs O(N log^2 N) in its sums instead of O(N^2).  A run of at
 most BLOCK steps is all near field.
+
+The admissibility checks (finite right-hand sides, states within BLOWUP)
+also run per block: :func:`solve_batch` takes each block unchecked and
+checks its records once at the block's end.  A block that fails that check,
+or raises, is replayed exactly from its first step with a check at every
+step, so the error is the one a per-step check raises.
 """
 
 import enum
@@ -155,7 +161,17 @@ class _Stepper:
     weight a0[n] of node 0 depends on n, not on the lag, so node 0 leaves
     the corrector FFT and a0[n] * g_0 is added on its own.  Steps must be
     taken in order.
+
+    With :attr:`checked` (the default) every right-hand side is checked to
+    be finite and every state to lie within BLOWUP as it is made.  Without
+    it, :meth:`advance` takes its steps unchecked and :meth:`admissible`
+    checks a finished block at once.  A block [s, e) can be replayed from
+    step s: it writes only the records and states of nodes s+1..e, and the
+    far-field slots of its steps were all filled at step s, which
+    :meth:`_far_field` does not repeat.
     """
+
+    checked = True
 
     def __init__(self, model: SystemModel, cfg: SolverConfig, dW: np.ndarray | None):
         grid = cfg.grid
@@ -181,6 +197,7 @@ class _Stepper:
             # node j caches sigma_j * dW_j (per_step) or sigma_j (last_increment)
             self.per_step = cfg.noise_history is NoiseHistory.PER_STEP
         self.hist = np.empty(batch + (blocks, model.dim, steps + 1))
+        self.hist[..., 1:, :, steps] = 0.0  # node N has no noise record
         if steps > BLOCK:
             # near-field weights past the first block as (predictor, corrector)
             # rows: node 0 and its a[0] are far field there
@@ -188,12 +205,15 @@ class _Stepper:
             self.ring = _ring_size(steps)
             # (predictor, corrector) far-field sums; step n reads slot n % ring
             self.far = np.zeros(self.hist.shape[:-1] + (self.ring, 2))
+            self.filled = 0  # end of the last square added
 
     def _rhs(self, kind: str, n: int, y: np.ndarray) -> np.ndarray:
         out = self.evaluate(kind, self.t[n], y)
-        ok = np.isfinite(out)
-        if not ok.all():
-            raise _diverged(f"non-finite {kind} at step {n} (t={self.t[n]:g})", n, self.t[n], ok)
+        if self.checked:
+            ok = np.isfinite(out)
+            if not ok.all():
+                raise _diverged(f"non-finite {kind} at step {n} (t={self.t[n]:g})",
+                                n, self.t[n], ok)
         return out
 
     def push(self, n: int, y: np.ndarray) -> None:
@@ -220,7 +240,9 @@ class _Stepper:
 
     def _far_field(self, end: int) -> None:
         """Free the slots of the block before end and add the square whose
-        source block ends at node end - 1."""
+        source block ends at node end - 1; once per end."""
+        if end == self.filled:
+            return
         ring, steps = self.ring, self.num_steps
         far = self.far.reshape(-1, ring, 2)
         far[:, (end - BLOCK) % ring:][:, :BLOCK] = 0.0
@@ -234,6 +256,7 @@ class _Stepper:
                 first = dst % ring
                 self._tile(hist[:, src:src + M], far[:, first:first + count],
                            dst - src - M + 1, a0[dst:dst + count] if src == 0 else None)
+        self.filled = end
 
     def _tile(self, x: np.ndarray, out: np.ndarray, lag: int, a0: np.ndarray | None) -> None:
         """Add to out, (rows, count, 2), the sums over the M source nodes of
@@ -277,6 +300,34 @@ class _Stepper:
             y = y + self.corr_noise * noise
         return y
 
+    def advance(self, states: np.ndarray, start: int, stop: int) -> None:
+        """Take steps start..stop-1, writing states[..., n+1] and the records
+        of node n+1."""
+        for n in range(start, stop):
+            y_next = self.correct(n, self.predict(n))
+            if self.checked:
+                ok = np.abs(y_next) <= BLOWUP  # False for non-finite values too
+                if not ok.all():
+                    raise _diverged(
+                        f"state exceeded blow-up bound {BLOWUP:g} at step {n + 1} "
+                        f"(t={self.t[n + 1]:g})",
+                        n + 1, self.t[n + 1], ok,
+                    )
+            states[..., n + 1] = y_next
+            self.push(n + 1, y_next)
+
+    def admissible(self, states: np.ndarray, start: int, stop: int) -> bool:
+        """Whether the records and states of nodes start+1..stop are finite
+        and the states within BLOWUP.
+
+        Reductions only, so the check allocates no block-sized array: a sum
+        is non-finite if any record is (else it can only overflow, which
+        costs a needless replay), and a NaN state fails both bounds.
+        """
+        block = states[..., start + 1:stop + 1]
+        return bool(np.isfinite(self.hist[..., start + 1:stop + 1].sum())
+                    and -BLOWUP <= block.min() and block.max() <= BLOWUP)
+
 
 def _square(end: int) -> int:
     """Nodes L of the square whose source block ends at node end - 1: the
@@ -306,6 +357,12 @@ def solve_batch(model: SystemModel, cfg: SolverConfig, dW: np.ndarray | None) ->
     path i in dW[i] (batch () is one path), so np.stack of the paths'
     increments builds it.  A stochastic cfg requires dW; a deterministic one
     uses only its batch shape, and None means one path.
+
+    Each block of BLOCK steps runs unchecked and is then checked once.  A
+    block that fails the check, or raises, is replayed step by step with
+    checks, so the error raised is the one a check at every step raises.
+    The model runs with overflow and invalid-value warnings suppressed: a
+    non-finite value it returns is a divergence.
     """
     grid = cfg.grid
     if dW is None:
@@ -317,18 +374,19 @@ def solve_batch(model: SystemModel, cfg: SolverConfig, dW: np.ndarray | None) ->
     stepper = _Stepper(model, cfg, dW)
     states = np.empty(stepper.y0.shape + (grid.num_nodes,))
     states[..., 0] = stepper.y0
-    stepper.push(0, stepper.y0)
-    for n in range(grid.num_steps):
-        y_next = stepper.correct(n, stepper.predict(n))
-        ok = np.abs(y_next) <= BLOWUP  # False for non-finite values too
-        if not ok.all():
-            raise _diverged(
-                f"state exceeded blow-up bound {BLOWUP:g} at step {n + 1} "
-                f"(t={stepper.t[n + 1]:g})",
-                n + 1, stepper.t[n + 1], ok,
-            )
-        states[..., n + 1] = y_next
-        stepper.push(n + 1, y_next)
+    with np.errstate(over="ignore", invalid="ignore"):
+        stepper.push(0, stepper.y0)
+        for start in range(0, grid.num_steps, BLOCK):
+            stop = min(start + BLOCK, grid.num_steps)
+            stepper.checked = False
+            try:
+                stepper.advance(states, start, stop)
+                ok = stepper.admissible(states, start, stop)
+            except Exception:  # the replay raises it again if it is real
+                ok = False
+            if not ok:
+                stepper.checked = True
+                stepper.advance(states, start, stop)
     return states
 
 
@@ -338,9 +396,10 @@ def solve(model: SystemModel, cfg: SolverConfig,
 
     Deterministic given (model, cfg, path).  In deterministic mode
     (cfg.stochastic False) a supplied path is ignored, so the output cannot
-    depend on it.  Raises :class:`DivergenceError` the moment any state
-    component exceeds BLOWUP or turns non-finite, rather than emitting
-    NaN rows.
+    depend on it.  Raises :class:`DivergenceError` when a state component
+    exceeds BLOWUP or turns non-finite, rather than emitting NaN rows: the
+    error, with its step, time and message, is the one a check at every
+    step would raise.
     """
     grid = cfg.grid
     dW = None

@@ -42,6 +42,13 @@ class SystemModel:
     return that same shape; the solvers, which hold paths first, reach them
     through :meth:`evaluate`.  Instances are immutable and their callables
     pure, so a model can be shared freely across solves.
+
+    Inside the solvers a model runs with numpy's overflow and invalid-value
+    warnings suppressed; a non-finite result is reported as a divergence
+    instead.  The stepper checks a block of steps at its end, so within a
+    block a model may be evaluated on states past a divergence before that
+    block is replayed step by step.  That is one more reason its callables
+    must be pure: a side effect would see those extra calls.
     """
 
     name: str

@@ -6,6 +6,7 @@ import subprocess
 import sys
 import tempfile
 import threading
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -103,6 +104,18 @@ class TestSimulateCommand:
         ])
         assert code == 3
         assert "divergence" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("system", ["lorenz", "newton_leipnik"])
+    def test_overflowing_drift_is_a_clean_divergence(self, system, tmp_path, capsys):
+        # the predicted state overflows the drift's products: exit 3 with the
+        # finite check's message, and no numpy warning on the way
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            code = run(["simulate", "--system", system, "--h", 1, "--T", 2, "--alpha", 1,
+                        "--seed", 0, "--mu=-1e300", "-o", tmp_path / "x.csv"])
+        assert code == 3
+        assert capsys.readouterr().err == "sfode: divergence: non-finite drift at step 1 (t=1)\n"
+        assert caught == []
 
     def test_rerun_is_byte_identical(self, tmp_path):
         a, b = tmp_path / "a.csv", tmp_path / "b.csv"

@@ -1,11 +1,12 @@
 import io
 import math
+import warnings
 
 import numpy as np
 import pytest
 
 from sfode.picard import _iterates, cauchy_diagnostic, picard_iterate, write_distance_csv
-from sfode.solver import SolverConfig, solve
+from sfode.solver import DivergenceError, SolverConfig, solve
 from sfode.special import gamma, mittag_leffler
 from sfode.stochastic import SeedSpec, generate_path, increment_batches, make_grid
 from sfode.systems import LorenzParams, SystemModel, linear_test, lorenz, newton_leipnik
@@ -204,6 +205,21 @@ class TestPicardIterate:
             path = generate_path(SeedSpec(0), grid, num_channels=channels)
             with pytest.raises(ValueError, match="channels"):
                 picard_iterate(model, 0.9, grid, path, K=2)
+
+
+    def test_overflowing_sweep_is_a_divergence(self):
+        # the first sweep's sums overflow to inf without a numpy warning
+        huge = SystemModel(name="huge", dim=1, y0=np.array([0.0]),
+                           drift=lambda t, y: np.full(y.shape, 1e308),
+                           diffusion=lambda t, y: np.full(y.shape, 1e308))
+        grid = make_grid(1.0, 0.01)
+        with warnings.catch_warnings(record=True) as caught, \
+                pytest.raises(DivergenceError) as err:
+            warnings.simplefilter("always")
+            picard_iterate(huge, 0.9, grid, generate_path(SeedSpec(3), grid), K=2)
+        assert str(err.value) == "Picard iterate 1 exceeded blow-up bound"
+        assert err.value.step == 1
+        assert caught == []
 
 
 class TestCauchyDiagnostic:

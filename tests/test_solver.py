@@ -1,3 +1,4 @@
+import dataclasses
 import io
 import math
 
@@ -451,6 +452,131 @@ class TestStochastic:
         cfg = SolverConfig(alpha=1.0, grid=make_grid(5.0, 0.05))
         with pytest.raises(DivergenceError, match="blow-up bound 1e"):
             solve(model, cfg)
+
+
+class TestDivergenceSites:
+    """solve_batch checks each block once and replays a failing block step
+    by step; it must fail exactly as a check at every step does, wherever in
+    a block the divergence falls."""
+
+    STEPS = 2 * BLOCK + 88  # blocks [0, 256), [256, 512), [512, 600)
+    cfg = SolverConfig(alpha=0.8, grid=make_grid(STEPS / 256, 1 / 256), stochastic=True)
+
+    @staticmethod
+    def per_step(model, cfg, dW):
+        """The loop with a check at every step, on a checking _Stepper."""
+        stepper = _Stepper(model, cfg, dW)
+        states = np.empty(stepper.y0.shape + (cfg.grid.num_nodes,))
+        states[..., 0] = stepper.y0
+        stepper.push(0, stepper.y0)
+        for n in range(cfg.grid.num_steps):
+            y_next = stepper.correct(n, stepper.predict(n))
+            ok = np.abs(y_next) <= solver.BLOWUP
+            if not ok.all():
+                raise solver._diverged(
+                    f"state exceeded blow-up bound {solver.BLOWUP:g} at step {n + 1} "
+                    f"(t={stepper.t[n + 1]:g})", n + 1, stepper.t[n + 1], ok)
+            states[..., n + 1] = y_next
+            stepper.push(n + 1, y_next)
+        return states
+
+    @staticmethod
+    def failure(run, *args):
+        """(type, message, step, time, path_index) of the error run raises."""
+        with pytest.raises(Exception) as err:
+            run(*args)
+        exc = err.value
+        return (type(exc), str(exc), getattr(exc, "step", None), getattr(exc, "time", None),
+                getattr(exc, "path_index", None))
+
+    def assert_same_failure(self, model, cfg, dW):
+        expected = self.failure(self.per_step, model, cfg, dW)
+        assert self.failure(solve_batch, model, cfg, dW) == expected
+        return expected
+
+    def dW(self, paths=None):
+        shape = () if paths is None else (paths,)
+        return np.stack([generate_path(SeedSpec(21, i), self.cfg.grid).increments
+                         for i in range(paths or 1)]).reshape(shape + (1, self.STEPS))
+
+    def model_failing_from(self, kind, step, bad=np.nan):
+        """dy = -y dt + 0.2 dW, with kind turning bad from t_step on."""
+        t_bad = self.cfg.grid.nodes()[step]
+        parts = {"drift": lambda t, y: -y, "diffusion": lambda t, y: np.full(y.shape, 0.2)}
+        good = parts[kind]
+        parts[kind] = lambda t, y: np.full(y.shape, bad) if t >= t_bad else good(t, y)
+        return SystemModel(name=f"{kind}_from_{step}", dim=1, y0=np.array([0.1]), **parts)
+
+    @pytest.mark.parametrize("step", [1, BLOCK - 1, BLOCK, BLOCK + 1, 2 * BLOCK, STEPS])
+    def test_non_finite_drift(self, step):
+        got = self.assert_same_failure(self.model_failing_from("drift", step), self.cfg,
+                                       self.dW())
+        assert got[1:4] == (f"non-finite drift at step {step} (t={got[3]:g})", step,
+                            self.cfg.grid.nodes()[step])
+
+    @pytest.mark.parametrize("step", [BLOCK + 1, STEPS])
+    def test_non_finite_diffusion(self, step):
+        got = self.assert_same_failure(
+            self.model_failing_from("diffusion", step, np.inf), self.cfg, self.dW())
+        assert got[1] == f"non-finite diffusion at step {step} (t={got[3]:g})"
+
+    def test_blowup_mid_block(self):
+        model = linear_test(lam=-3.0, y0=1.0)  # grows like exp(3t): past 1e6 near t = 4.6
+        cfg = SolverConfig(alpha=1.0, grid=make_grid(6.0, 0.01))
+        got = self.assert_same_failure(model, cfg, None)
+        assert got[1].startswith("state exceeded blow-up bound 1e+06")
+        assert BLOCK + 1 < got[2] < 2 * BLOCK and got[4] is None  # inside the second block
+
+    def test_batch_names_the_lowest_path_of_the_earliest_step(self):
+        # paths 3 and 1 fail together in the second block, path 0 later
+        t = self.cfg.grid.nodes()
+
+        def drift(t_n, y):  # y is (1, 5): path i in column i
+            out = -y
+            if t_n >= t[BLOCK + 40]:
+                out[:, [1, 3]] = np.nan
+            if t_n >= t[BLOCK + 90]:
+                out[:, 0] = np.nan
+            return out
+
+        model = SystemModel(name="batch", dim=1, y0=np.array([0.1]), drift=drift,
+                            diffusion=lambda t_n, y: np.full(y.shape, 0.2))
+        got = self.assert_same_failure(model, self.cfg, self.dW(5))
+        assert (got[2], got[4]) == (BLOCK + 40, 1)
+
+    def test_exception_from_the_model_propagates(self):
+        t_bad = self.cfg.grid.nodes()[BLOCK + 7]
+
+        def drift(t, y):
+            if t >= t_bad:
+                raise ZeroDivisionError(f"no drift at t={t}")
+            return -y
+
+        model = SystemModel(name="raises", dim=1, y0=np.array([0.1]), drift=drift,
+                            diffusion=lambda t, y: np.full(y.shape, 0.2))
+        got = self.assert_same_failure(model, self.cfg, self.dW())
+        assert got == (ZeroDivisionError, f"no drift at t={t_bad}", None, None, None)
+
+    def test_replayed_block_is_exact(self):
+        # a drift that raises once, in block 3 of 5: the block is replayed,
+        # which must not add its far-field square a second time
+        model = newton_leipnik()
+        cfg = SolverConfig(alpha=0.93, grid=make_grid(5.0, 1 / 256), stochastic=True)
+        assert cfg.grid.num_steps == 5 * BLOCK
+        t_once = cfg.grid.nodes()[2 * BLOCK + 100]
+        fired = []
+
+        def drift(t, y):
+            if t == t_once and not fired:
+                fired.append(t)
+                raise ZeroDivisionError("once")
+            return model.drift(t, y)
+
+        once = dataclasses.replace(model, drift=drift)
+        dW = generate_path(SeedSpec(4), cfg.grid, 3).increments
+        states = solve_batch(once, cfg, dW)
+        assert fired
+        np.testing.assert_array_equal(states, solve_batch(model, cfg, dW))
 
 
 class TestTrajectoryExport:
