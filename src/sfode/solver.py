@@ -145,6 +145,17 @@ class _Stepper:
     interior a by lag, a0 by step.  The stepper keeps contiguous reversed
     copies b_rev and a_rev of their first K = min(num_steps, BLOCK) lags.
 
+    The scheme's coefficients, 1/G(a) and 1/(G(a) h) in the predictor and
+    h**a/G(a+2) and h**(a-1)/G(a+2) in the corrector, are stored as
+    (blocks, d) rows, block i's coefficient repeated along d, so that one
+    ufunc scales the drift and noise sums of a step together.  The scaled
+    rows go to one preallocated batch + (blocks, d) scratch, and :meth:`push`
+    writes its records into the history column itself, so a stochastic step
+    makes about a dozen small ufunc calls.  Each element still takes the
+    operations of the scheme above in their order: the corrector adds f or
+    sigma dW_n to its sum before the coefficient, and in last_increment mode
+    dW_n multiplies the noise sums before theirs.
+
     A history sum over nodes 0..n splits at s = n - n % BLOCK.  The near
     field, nodes s..n, is a stacked product that numpy evaluates as one
     d-row product per path and block, so each path rounds exactly as it
@@ -152,11 +163,12 @@ class _Stepper:
     full-memory ones, step n takes hist[..., :n+1] @ b_rev[K-1-n:] and
     hist[..., :n+1] @ (a0[n], a_rev[K-n:]).  Past it, one
     hist[..., s:n+1] @ W takes both, with b_rev and a_rev as the two columns
-    of W.  The far field, nodes j < s, is read from a ring of
-    per-step accumulators filled by square tiling: once the source block
-    [e - L, e) of L = BLOCK * 2**k nodes is recorded, with e / L odd, one FFT
-    convolution of size 2L (tiles of TILE nodes for larger L) adds its part
-    of the sums of steps e..e+L-1, with the full lag kernels b and a.  Each
+    of W.  The far field, nodes j < s, is read from a ring of per-step
+    accumulators, one contiguous batch + (blocks, d, 2) slot per step,
+    filled by square tiling: once the source block [e - L, e) of
+    L = BLOCK * 2**k nodes is recorded, with e / L odd, one FFT convolution
+    of size 2L (tiles of TILE nodes for larger L) adds its part of the sums
+    of steps e..e+L-1, with the full lag kernels b and a.  Each
     node before s lies in exactly one square of step n.  The corrector
     weight a0[n] of node 0 depends on n, not on the lag, so node 0 leaves
     the corrector FFT and a0[n] * g_0 is added on its own.  Steps must be
@@ -184,27 +196,36 @@ class _Stepper:
         # lags K-1..0; slicing at BLOCK - 1 stops at the table's end
         self.b_rev = table.b[BLOCK - 1::-1].copy()
         self.a_rev = table.a[BLOCK - 1::-1].copy()
-        self.inv_gamma_a = 1.0 / math.gamma(cfg.alpha)
-        self.corr_drift = self.h**cfg.alpha / math.gamma(cfg.alpha + 2.0)
         self.evaluate = model.evaluate
         self.dW = dW if cfg.stochastic else None
-        blocks = 1
+        # (predictor, corrector) coefficients of each history block
+        coefs = [(1.0 / math.gamma(cfg.alpha), self.h**cfg.alpha / math.gamma(cfg.alpha + 2.0))]
+        self.scale_noise_sums = False  # whether dW_n multiplies the noise history sums
         if self.dW is not None:
-            blocks = 2
-            self.pred_noise = self.inv_gamma_a / self.h
             # alpha > 1/2 here keeps h**(alpha - 1) finite for every float h
-            self.corr_noise = self.h ** (cfg.alpha - 1.0) / math.gamma(cfg.alpha + 2.0)
+            coefs.append((coefs[0][0] / self.h,
+                          self.h ** (cfg.alpha - 1.0) / math.gamma(cfg.alpha + 2.0)))
             # node j caches sigma_j * dW_j (per_step) or sigma_j (last_increment)
             self.per_step = cfg.noise_history is NoiseHistory.PER_STEP
-        self.hist = np.empty(batch + (blocks, model.dim, steps + 1))
+            self.scale_noise_sums = not self.per_step
+        blocks, dim = len(coefs), model.dim
+        # (blocks, d) coefficient rows: each block's coefficient repeated along d
+        self.pred_coef, self.corr_coef = np.repeat(np.array(coefs).T[..., None], dim, axis=-1)
+        # scratch for one step's scaled rows
+        self.rows = np.empty(batch + (blocks, dim))
+        self.drift_row = self.rows[..., 0, :]
+        if self.dW is not None:
+            self.noise_row = self.rows[..., 1, :]
+        self.hist = np.empty(batch + (blocks, dim, steps + 1))
         self.hist[..., 1:, :, steps] = 0.0  # node N has no noise record
         if steps > BLOCK:
             # near-field weights past the first block as (predictor, corrector)
             # rows: node 0 and its a[0] are far field there
             self.near_w = np.stack([self.b_rev, self.a_rev], axis=1)
             self.ring = _ring_size(steps)
-            # (predictor, corrector) far-field sums; step n reads slot n % ring
-            self.far = np.zeros(self.hist.shape[:-1] + (self.ring, 2))
+            # (predictor, corrector) far-field sums; step n reads slot n % ring,
+            # shaped like its near-field sums
+            self.far = np.zeros((self.ring,) + self.hist.shape[:-1] + (2,))
             self.filled = 0  # end of the last square added
 
     def _rhs(self, kind: str, n: int, y: np.ndarray) -> np.ndarray:
@@ -222,7 +243,10 @@ class _Stepper:
         hist[..., 0, :, n] = self._rhs("drift", n, y)
         if self.dW is not None and n < self.num_steps:
             sigma = self._rhs("diffusion", n, y)
-            hist[..., 1, :, n] = sigma * self.dW[..., n] if self.per_step else sigma
+            if self.per_step:
+                np.multiply(sigma, self.dW[..., n], hist[..., 1, :, n])
+            else:
+                hist[..., 1, :, n] = sigma
 
     def sums(self, n: int):
         """Predictor and corrector history sums of step n over nodes 0..n,
@@ -235,7 +259,7 @@ class _Stepper:
         if s == n:
             self._far_field(n)
         sums = self.hist[..., s:n + 1] @ self.near_w[BLOCK - 1 - n + s:]
-        sums += self.far[..., n % self.ring, :]
+        sums += self.far[n % self.ring]
         return sums[..., 0], sums[..., 1]
 
     def _far_field(self, end: int) -> None:
@@ -244,8 +268,9 @@ class _Stepper:
         if end == self.filled:
             return
         ring, steps = self.ring, self.num_steps
-        far = self.far.reshape(-1, ring, 2)
-        far[:, (end - BLOCK) % ring:][:, :BLOCK] = 0.0
+        free = (end - BLOCK) % ring
+        self.far[free:free + BLOCK] = 0.0
+        far = self.far.reshape(ring, -1, 2).transpose(1, 0, 2)  # (rows, ring, 2)
         hist = self.hist.reshape(-1, steps + 1)
         a0 = self.table.a0
         L = _square(end)
@@ -278,34 +303,39 @@ class _Stepper:
                 out[part, :, 1] += g0 * a0
             out[part, :, 1] += np.fft.irfft(x_hat * corr_hat, size)[:, M - 1:M - 1 + count]
 
-    def _noise(self, n: int, noise_sum: np.ndarray) -> np.ndarray:
-        """The noise history sum, times dW_n in last_increment mode."""
-        return noise_sum if self.per_step else noise_sum * self.dW[..., n]
-
     def predict(self, n: int) -> np.ndarray:
-        sums, self.corr_sums = self.sums(n)
-        yp = self.y0 + self.inv_gamma_a * sums[..., 0, :]
+        pred, self.corr_sums = self.sums(n)
+        if self.scale_noise_sums:
+            dW_n = self.dW[..., n]
+            pred[..., 1, :] *= dW_n
+            self.corr_sums[..., 1, :] *= dW_n
+        np.multiply(pred, self.pred_coef, self.rows)
+        yp = self.y0 + self.drift_row
         if self.dW is not None:
-            yp = yp + self.pred_noise * self._noise(n, sums[..., 1, :])
+            yp += self.noise_row
         return yp
 
     def correct(self, n: int, predicted: np.ndarray) -> np.ndarray:
         """Step n -> n+1 from the corrector sums of the last :meth:`predict`."""
-        sums = self.corr_sums
-        f_new = self._rhs("drift", n + 1, predicted)
-        y = self.y0 + self.corr_drift * (f_new + sums[..., 0, :])
+        rows = self.rows
+        self.drift_row[...] = self._rhs("drift", n + 1, predicted)
         if self.dW is not None:
-            sigma_new = self._rhs("diffusion", n + 1, predicted)
-            noise = sigma_new * self.dW[..., n] + self._noise(n, sums[..., 1, :])
-            y = y + self.corr_noise * noise
+            np.multiply(self._rhs("diffusion", n + 1, predicted), self.dW[..., n],
+                        self.noise_row)
+        rows += self.corr_sums
+        rows *= self.corr_coef
+        y = self.y0 + self.drift_row
+        if self.dW is not None:
+            y += self.noise_row
         return y
 
     def advance(self, states: np.ndarray, start: int, stop: int) -> None:
         """Take steps start..stop-1, writing states[..., n+1] and the records
         of node n+1."""
+        predict, correct, push, checked = self.predict, self.correct, self.push, self.checked
         for n in range(start, stop):
-            y_next = self.correct(n, self.predict(n))
-            if self.checked:
+            y_next = correct(n, predict(n))
+            if checked:
                 ok = np.abs(y_next) <= BLOWUP  # False for non-finite values too
                 if not ok.all():
                     raise _diverged(
@@ -314,7 +344,7 @@ class _Stepper:
                         n + 1, self.t[n + 1], ok,
                     )
             states[..., n + 1] = y_next
-            self.push(n + 1, y_next)
+            push(n + 1, y_next)
 
     def admissible(self, states: np.ndarray, start: int, stop: int) -> bool:
         """Whether the records and states of nodes start+1..stop are finite

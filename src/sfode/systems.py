@@ -33,6 +33,13 @@ __all__ = [
 DEFAULT_MU = 0.1
 
 
+def _rows(y):
+    """The components of a state: Python floats for one path (d,), which
+    round like numpy's float64 at a fraction of the cost per operation, or
+    row arrays for a batch (d, B)."""
+    return y.tolist() if y.ndim == 1 else y
+
+
 @dataclass(frozen=True)
 class SystemModel:
     """A d-dimensional system dy_i = f_i(t, y) dt + sigma_i(t, y) dW_i.
@@ -42,6 +49,13 @@ class SystemModel:
     return that same shape; the solvers, which hold paths first, reach them
     through :meth:`evaluate`.  Instances are immutable and their callables
     pure, so a model can be shared freely across solves.
+
+    A long single path evaluates each callable twice per step, so their
+    per-call cost counts.  The built-in drifts unpack one path to Python
+    floats (``y.tolist()``), which round like numpy's float64 and about
+    halve the cost of a call, and a batch to row arrays.  The solver writes
+    what a model returns into preallocated rows and scales them by the
+    scheme's coefficients there (see :class:`sfode.solver._Stepper`).
 
     Inside the solvers a model runs with numpy's overflow and invalid-value
     warnings suppressed; a non-finite result is reported as a divergence
@@ -127,7 +141,7 @@ def newton_leipnik(params: NewtonLeipnikParams | None = None,
     start = np.asarray(_NL_Y0 if y0 is None else y0, dtype=float)
 
     def drift(t, y):
-        x1, x2, x3 = y
+        x1, x2, x3 = _rows(y)
         return np.array([
             -beta * x1 + x2 + 10.0 * x2 * x3,
             -x1 - 0.4 * x2 + 5.0 * x1 * x3,
@@ -154,7 +168,7 @@ def lorenz(params: LorenzParams | None = None, y0=None) -> SystemModel:
     start = np.asarray(_LORENZ_Y0 if y0 is None else y0, dtype=float)
 
     def drift(t, y):
-        x1, x2, x3 = y
+        x1, x2, x3 = _rows(y)
         return np.array([
             a * (x2 - x1),
             c * x1 - x2 - x1 * x3,

@@ -82,6 +82,13 @@ def reference_pece(model, cfg, dW) -> np.ndarray:
 RUN_KINDS = [(False, NoiseHistory.PER_STEP)] + [(True, mode) for mode in NoiseHistory]
 
 
+def noise_cases(*steps):
+    """(noise_history, step) cases of both modes; per_step ones keep the bare step as id."""
+    return [pytest.param(mode, step, id=f"{step}" if mode is NoiseHistory.PER_STEP
+                         else f"{mode.value}-{step}")
+            for mode in NoiseHistory for step in steps]
+
+
 def primed_stepper(states, path, model, cfg, n) -> _Stepper:
     """A stepper whose caches hold the node values states[:, 0..n]."""
     stepper = _Stepper(model, cfg, None if path is None else path.increments)
@@ -507,17 +514,20 @@ class TestDivergenceSites:
         parts[kind] = lambda t, y: np.full(y.shape, bad) if t >= t_bad else good(t, y)
         return SystemModel(name=f"{kind}_from_{step}", dim=1, y0=np.array([0.1]), **parts)
 
-    @pytest.mark.parametrize("step", [1, BLOCK - 1, BLOCK, BLOCK + 1, 2 * BLOCK, STEPS])
-    def test_non_finite_drift(self, step):
-        got = self.assert_same_failure(self.model_failing_from("drift", step), self.cfg,
+    @pytest.mark.parametrize("noise_history,step",
+                             noise_cases(1, BLOCK - 1, BLOCK, BLOCK + 1, 2 * BLOCK, STEPS))
+    def test_non_finite_drift(self, noise_history, step):
+        cfg = dataclasses.replace(self.cfg, noise_history=noise_history)
+        got = self.assert_same_failure(self.model_failing_from("drift", step), cfg,
                                        self.dW())
         assert got[1:4] == (f"non-finite drift at step {step} (t={got[3]:g})", step,
                             self.cfg.grid.nodes()[step])
 
-    @pytest.mark.parametrize("step", [BLOCK + 1, STEPS])
-    def test_non_finite_diffusion(self, step):
+    @pytest.mark.parametrize("noise_history,step", noise_cases(BLOCK + 1, STEPS))
+    def test_non_finite_diffusion(self, noise_history, step):
+        cfg = dataclasses.replace(self.cfg, noise_history=noise_history)
         got = self.assert_same_failure(
-            self.model_failing_from("diffusion", step, np.inf), self.cfg, self.dW())
+            self.model_failing_from("diffusion", step, np.inf), cfg, self.dW())
         assert got[1] == f"non-finite diffusion at step {step} (t={got[3]:g})"
 
     def test_blowup_mid_block(self):
@@ -557,11 +567,13 @@ class TestDivergenceSites:
         got = self.assert_same_failure(model, self.cfg, self.dW())
         assert got == (ZeroDivisionError, f"no drift at t={t_bad}", None, None, None)
 
-    def test_replayed_block_is_exact(self):
+    @pytest.mark.parametrize("noise_history", list(NoiseHistory), ids=lambda mode: mode.value)
+    def test_replayed_block_is_exact(self, noise_history):
         # a drift that raises once, in block 3 of 5: the block is replayed,
         # which must not add its far-field square a second time
         model = newton_leipnik()
-        cfg = SolverConfig(alpha=0.93, grid=make_grid(5.0, 1 / 256), stochastic=True)
+        cfg = SolverConfig(alpha=0.93, grid=make_grid(5.0, 1 / 256), stochastic=True,
+                           noise_history=noise_history)
         assert cfg.grid.num_steps == 5 * BLOCK
         t_once = cfg.grid.nodes()[2 * BLOCK + 100]
         fired = []
@@ -577,6 +589,48 @@ class TestDivergenceSites:
         states = solve_batch(once, cfg, dW)
         assert fired
         np.testing.assert_array_equal(states, solve_batch(model, cfg, dW))
+
+
+class TestRightHandSideCalls:
+    """A clean run evaluates the drift at node 0 and twice per step (the
+    corrector and the node record) and the diffusion twice per step: 2N+1
+    and 2N calls, the counts the benchmark reports for long_nl."""
+
+    STEPS = 2 * BLOCK + 88
+
+    @staticmethod
+    def counted(model):
+        calls = {"drift": 0, "diffusion": 0}
+
+        def wrap(kind):
+            fn = getattr(model, kind)
+
+            def call(t, y):
+                calls[kind] += 1
+                return fn(t, y)
+
+            return call
+
+        return dataclasses.replace(model, drift=wrap("drift"), diffusion=wrap("diffusion")), calls
+
+    @pytest.mark.parametrize("paths", [None, 3])
+    @pytest.mark.parametrize("noise_history", list(NoiseHistory), ids=lambda mode: mode.value)
+    def test_stochastic(self, noise_history, paths):
+        model, calls = self.counted(newton_leipnik())
+        cfg = SolverConfig(alpha=0.93, grid=make_grid(self.STEPS / 256, 1 / 256),
+                           stochastic=True, noise_history=noise_history)
+        dW = np.stack([generate_path(SeedSpec(9, i), cfg.grid, 3).increments
+                       for i in range(paths or 1)])
+        solve_batch(model, cfg, dW if paths else dW[0])
+        assert calls == {"drift": 2 * self.STEPS + 1, "diffusion": 2 * self.STEPS}
+
+    @pytest.mark.parametrize("paths", [None, 3])
+    def test_deterministic(self, paths):
+        model, calls = self.counted(newton_leipnik())
+        cfg = SolverConfig(alpha=0.93, grid=make_grid(self.STEPS / 256, 1 / 256))
+        dW = None if paths is None else np.zeros((paths, 3, self.STEPS))
+        solve_batch(model, cfg, dW)
+        assert calls == {"drift": 2 * self.STEPS + 1, "diffusion": 0}
 
 
 class TestTrajectoryExport:

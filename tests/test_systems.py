@@ -1,4 +1,5 @@
 import dataclasses
+import itertools
 
 import numpy as np
 import pytest
@@ -86,6 +87,28 @@ class TestDiffusionStructure:
             np.testing.assert_array_equal(batch, getattr(model, kind)(0.5, ys.T).T)
             for b in range(4):
                 np.testing.assert_array_equal(batch[b], model.evaluate(kind, 0.5, ys[b]))
+
+    @pytest.mark.parametrize("factory", [newton_leipnik, lorenz])
+    def test_one_path_drift_is_its_batch_column_bit_for_bit(self, factory):
+        # one path runs on Python floats, a batch on row arrays: every column
+        # must round the same, signed zeros, infinities and overflow included
+        drift = factory().drift
+        rng = np.random.default_rng(12)
+        magnitude = 10.0 ** rng.uniform(-5.0, 200.0, size=(3, 500))
+        random = np.where(rng.random((3, 500)) < 0.5, -magnitude, magnitude)
+        special = [np.inf, -np.inf, np.nan, 1e308, -0.0, 1.5]
+        edges = np.array(list(itertools.product(special, repeat=3))).T
+        states = np.concatenate([random, edges], axis=1)
+        with np.errstate(all="ignore"):
+            batch = drift(0.0, states)
+            for i in range(states.shape[1]):
+                one, column = drift(0.0, states[:, i].copy()), batch[:, i]
+                assert one.shape == (3,) and one.dtype == np.float64
+                nan = np.isnan(column)
+                np.testing.assert_array_equal(np.isnan(one), nan)
+                np.testing.assert_array_equal(one[~nan].view(np.uint64),
+                                              column[~nan].view(np.uint64))
+        assert np.isnan(batch).any() and np.isinf(batch).any()
 
     def test_result_of_wrong_shape_rejected(self):
         model = newton_leipnik()
