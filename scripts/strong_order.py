@@ -3,7 +3,8 @@
 
 Each case runs convergence_order on five dyadic grids of [0, 1], h = 1/32 down
 to 1/512.  One fine Wiener path is drawn and restricted to each coarser grid by
-summing increments, so the measured errors reflect discretization alone.  No
+sub-sampling its W at the coarse nodes (not by summing its increments, which
+rounds differently), so the measured errors reflect discretization alone.  No
 theoretical rate is claimed for the noisy scheme; this script just records
 what the implementation achieves on two representative problems.
 

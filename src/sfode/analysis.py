@@ -161,8 +161,10 @@ def convergence_order(model: SystemModel, cfg: SolverConfig, levels: int,
     reference and errors are measured for the coarser grids at their
     (nested) nodes.  A stochastic cfg needs ``master_seed``: one fine path,
     path 0 of that seed, is drawn and restricted to each coarse grid by
-    summing increments, so the measurement sees discretization error, not
-    noise resampling.
+    sub-sampling its W at the coarse nodes (:func:`restrict_path`), so the
+    measurement sees discretization error, not noise resampling.  A coarse
+    increment is then a difference of two fine W values, which equals the
+    sum of the fine increments it spans only up to rounding.
     """
     if levels < 3:
         raise checks.ConfigError(f"need at least 3 grid levels; got {max(levels, 0)}")

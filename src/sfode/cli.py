@@ -51,8 +51,6 @@ __all__ = ["ConfigError", "RunConfig", "main"]
 _SYSTEMS = ("newton_leipnik", "lorenz", "linear_test")
 
 _MODEL_KEYS = ("mu", "beta", "rho", "a", "b", "c", "lam", "sigma0")
-_FLOAT_KEYS = ("alpha", "h", "T") + _MODEL_KEYS
-_INT_KEYS = ("seed", "paths", "workers")
 
 
 @dataclass
@@ -128,16 +126,12 @@ def parse_config_file(path: str) -> dict:
     return values
 
 
-def _coerce(key: str, value):
-    if isinstance(value, str):
-        try:
-            if key in _FLOAT_KEYS:
-                return float(value)
-            if key in _INT_KEYS:
-                return int(value)
-        except ValueError:
-            raise ConfigError(f"could not parse {key}={value!r}") from None
-    return value
+def _coerce(key: str, value: str):
+    """A config-file value as the type of the key's default."""
+    try:
+        return type(getattr(RunConfig, key))(value)
+    except ValueError:
+        raise ConfigError(f"could not parse {key}={value!r}") from None
 
 
 def _build_config(args) -> RunConfig:
@@ -148,7 +142,7 @@ def _build_config(args) -> RunConfig:
     for f in fields(RunConfig):
         flag = getattr(args, f.name, None)
         if flag is not None:
-            setattr(cfg, f.name, _coerce(f.name, flag))
+            setattr(cfg, f.name, flag)
     _validate(cfg)
     return cfg
 
@@ -327,15 +321,11 @@ def cmd_weights(args) -> int:
 
 def _add_run_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument("--config", help="flat key=value config file")
-    p.add_argument("--system", choices=_SYSTEMS)
-    for key in _FLOAT_KEYS:
-        p.add_argument(f"--{key}", type=float)
-    for key in _INT_KEYS:
-        p.add_argument(f"--{key}", type=int)
-    p.add_argument("--noise-history", dest="noise_history",
-                   choices=[m.value for m in NoiseHistory])
-    p.add_argument("--weight-mode", dest="weight_mode",
-                   choices=[m.value for m in WeightMode])
+    choices = {"system": _SYSTEMS, "noise_history": [m.value for m in NoiseHistory],
+               "weight_mode": [m.value for m in WeightMode]}
+    for f in fields(RunConfig):  # one typed flag per run key
+        p.add_argument(f"--{f.name.replace('_', '-')}", type=type(f.default),
+                       choices=choices.get(f.name))
     p.add_argument("--output", "-o", help="output file (default: stdout)")
 
 

@@ -31,11 +31,12 @@ Hairer, Lubich & Schlichte, SIAM J. Sci. Stat. Comput. 6, 1985), so an
 N-step run costs O(N log^2 N) in its sums instead of O(N^2).  A run of at
 most BLOCK steps is all near field.
 
-The admissibility checks (finite right-hand sides, states within BLOWUP)
-also run per block: :func:`solve_batch` takes each block unchecked and
-checks its records once at the block's end.  A block that fails that check,
-or raises, is replayed exactly from its first step with a check at every
-step, so the error is the one a per-step check raises.
+The far field and the admissibility checks (finite right-hand sides,
+states within BLOWUP) both run per block, in the one block loop of
+:func:`solve_batch`: it adds a block's far field, takes the block
+unchecked and checks its records once at the block's end.  A block that
+fails that check, or raises, is replayed exactly from its first step with
+a check at every step, so the error is the one a per-step check raises.
 """
 
 import enum
@@ -132,14 +133,15 @@ def _diverged(message: str, step: int, time: float, ok: np.ndarray) -> Divergenc
 
 
 class _Stepper:
-    """Stepping kernel for one path or a batch, with incremental history caches.
+    """Stepping kernel for one path or a batch, with its history caches.
 
     Every array holds the path axes first: states are batch + (d,), batch the
     leading shape of dW, shaped batch + (noise_dim, num_steps) (None: one
     path).  The history is one buffer batch + (blocks, d, S): block 0 caches
     f at each node, block 1 (stochastic runs only) the noise record.
     :meth:`push` records node n; :meth:`predict` and :meth:`correct` then
-    take step n -> n+1 from the records of nodes 0..n.
+    take step n -> n+1 from the records of nodes 0..n, :meth:`predict`
+    handing its corrector sums to :meth:`correct`.
 
     The weights come from a :class:`~sfode.weights.WeightTable`: b and the
     interior a by lag, a0 by step.  The stepper keeps contiguous reversed
@@ -165,49 +167,46 @@ class _Stepper:
     hist[..., s:n+1] @ W takes both, with b_rev and a_rev as the two columns
     of W.  The far field, nodes j < s, is read from a ring of per-step
     accumulators, one contiguous batch + (blocks, d, 2) slot per step,
-    filled by square tiling: once the source block [e - L, e) of
-    L = BLOCK * 2**k nodes is recorded, with e / L odd, one FFT convolution
-    of size 2L (tiles of TILE nodes for larger L) adds its part of the sums
-    of steps e..e+L-1, with the full lag kernels b and a.  Each
-    node before s lies in exactly one square of step n.  The corrector
-    weight a0[n] of node 0 depends on n, not on the lag, so node 0 leaves
-    the corrector FFT and a0[n] * g_0 is added on its own.  Steps must be
-    taken in order.
+    filled by square tiling in :meth:`_far_field`, which the caller runs
+    once at each block start e > 0, when nodes 0..e-1 are recorded: the
+    source block [e - L, e) of L = BLOCK * 2**k nodes, with e / L odd,
+    adds its part of the sums of steps e..e+L-1 by one FFT convolution of
+    size 2L (tiles of TILE nodes for larger L), with the full lag kernels
+    b and a.  Each node before s lies in exactly one square of step n.  The
+    corrector weight a0[n] of node 0 depends on n, not on the lag, so node
+    0 leaves the corrector FFT and a0[n] * g_0 is added on its own.  Steps
+    must be taken in order.
 
     With :attr:`checked` (the default) every right-hand side is checked to
     be finite and every state to lie within BLOWUP as it is made.  Without
     it, :meth:`advance` takes its steps unchecked and :meth:`admissible`
-    checks a finished block at once.  A block [s, e) can be replayed from
-    step s: it writes only the records and states of nodes s+1..e, and the
-    far-field slots of its steps were all filled at step s, which
-    :meth:`_far_field` does not repeat.
+    checks a finished block at once.  Stepping only reads the far field and
+    writes the records and states of the nodes it makes, so a block [s, e)
+    taken again from step s gives the same bits.
     """
 
     checked = True
 
     def __init__(self, model: SystemModel, cfg: SolverConfig, dW: np.ndarray | None):
-        grid = cfg.grid
+        grid, h = cfg.grid, cfg.grid.h
         self.t = grid.nodes()
-        self.h = grid.h
         self.num_steps = steps = grid.num_steps
         batch = () if dW is None else dW.shape[:-2]
         self.y0 = np.broadcast_to(model.y0, batch + model.y0.shape)
-        self.table = table = WeightTable(steps, cfg.alpha, grid.h, cfg.weight_mode)
+        self.table = table = WeightTable(steps, cfg.alpha, h, cfg.weight_mode)
         # lags K-1..0; slicing at BLOCK - 1 stops at the table's end
         self.b_rev = table.b[BLOCK - 1::-1].copy()
         self.a_rev = table.a[BLOCK - 1::-1].copy()
         self.evaluate = model.evaluate
         self.dW = dW if cfg.stochastic else None
         # (predictor, corrector) coefficients of each history block
-        coefs = [(1.0 / math.gamma(cfg.alpha), self.h**cfg.alpha / math.gamma(cfg.alpha + 2.0))]
-        self.scale_noise_sums = False  # whether dW_n multiplies the noise history sums
+        coefs = [(1.0 / math.gamma(cfg.alpha), h**cfg.alpha / math.gamma(cfg.alpha + 2.0))]
+        # last_increment: node j caches sigma_j, and dW_n scales the noise sums
+        self.scale_noise_sums = (self.dW is not None
+                                 and cfg.noise_history is NoiseHistory.LAST_INCREMENT)
         if self.dW is not None:
             # alpha > 1/2 here keeps h**(alpha - 1) finite for every float h
-            coefs.append((coefs[0][0] / self.h,
-                          self.h ** (cfg.alpha - 1.0) / math.gamma(cfg.alpha + 2.0)))
-            # node j caches sigma_j * dW_j (per_step) or sigma_j (last_increment)
-            self.per_step = cfg.noise_history is NoiseHistory.PER_STEP
-            self.scale_noise_sums = not self.per_step
+            coefs.append((coefs[0][0] / h, h ** (cfg.alpha - 1.0) / math.gamma(cfg.alpha + 2.0)))
         blocks, dim = len(coefs), model.dim
         # (blocks, d) coefficient rows: each block's coefficient repeated along d
         self.pred_coef, self.corr_coef = np.repeat(np.array(coefs).T[..., None], dim, axis=-1)
@@ -226,7 +225,6 @@ class _Stepper:
             # (predictor, corrector) far-field sums; step n reads slot n % ring,
             # shaped like its near-field sums
             self.far = np.zeros((self.ring,) + self.hist.shape[:-1] + (2,))
-            self.filled = 0  # end of the last square added
 
     def _rhs(self, kind: str, n: int, y: np.ndarray) -> np.ndarray:
         out = self.evaluate(kind, self.t[n], y)
@@ -243,7 +241,7 @@ class _Stepper:
         hist[..., 0, :, n] = self._rhs("drift", n, y)
         if self.dW is not None and n < self.num_steps:
             sigma = self._rhs("diffusion", n, y)
-            if self.per_step:
+            if not self.scale_noise_sums:
                 np.multiply(sigma, self.dW[..., n], hist[..., 1, :, n])
             else:
                 hist[..., 1, :, n] = sigma
@@ -256,17 +254,14 @@ class _Stepper:
             hist, K = self.hist[..., :n + 1], len(self.b_rev)
             return (hist @ self.b_rev[K - 1 - n:],
                     hist @ np.concatenate((self.table.a0[n:n + 1], self.a_rev[K - n:])))
-        if s == n:
-            self._far_field(n)
         sums = self.hist[..., s:n + 1] @ self.near_w[BLOCK - 1 - n + s:]
         sums += self.far[n % self.ring]
         return sums[..., 0], sums[..., 1]
 
     def _far_field(self, end: int) -> None:
         """Free the slots of the block before end and add the square whose
-        source block ends at node end - 1; once per end."""
-        if end == self.filled:
-            return
+        source block ends at node end - 1.  Once per block start end > 0,
+        before that block's first step."""
         ring, steps = self.ring, self.num_steps
         free = (end - BLOCK) % ring
         self.far[free:free + BLOCK] = 0.0
@@ -281,7 +276,6 @@ class _Stepper:
                 first = dst % ring
                 self._tile(hist[:, src:src + M], far[:, first:first + count],
                            dst - src - M + 1, a0[dst:dst + count] if src == 0 else None)
-        self.filled = end
 
     def _tile(self, x: np.ndarray, out: np.ndarray, lag: int, a0: np.ndarray | None) -> None:
         """Add to out, (rows, count, 2), the sums over the M source nodes of
@@ -303,26 +297,27 @@ class _Stepper:
                 out[part, :, 1] += g0 * a0
             out[part, :, 1] += np.fft.irfft(x_hat * corr_hat, size)[:, M - 1:M - 1 + count]
 
-    def predict(self, n: int) -> np.ndarray:
-        pred, self.corr_sums = self.sums(n)
+    def predict(self, n: int):
+        """The predicted state of step n and the corrector sums it leaves."""
+        pred, corr = self.sums(n)
         if self.scale_noise_sums:
             dW_n = self.dW[..., n]
             pred[..., 1, :] *= dW_n
-            self.corr_sums[..., 1, :] *= dW_n
+            corr[..., 1, :] *= dW_n
         np.multiply(pred, self.pred_coef, self.rows)
         yp = self.y0 + self.drift_row
         if self.dW is not None:
             yp += self.noise_row
-        return yp
+        return yp, corr
 
-    def correct(self, n: int, predicted: np.ndarray) -> np.ndarray:
-        """Step n -> n+1 from the corrector sums of the last :meth:`predict`."""
+    def correct(self, n: int, predicted: np.ndarray, corr: np.ndarray) -> np.ndarray:
+        """Step n -> n+1 from :meth:`predict`'s state and corrector sums."""
         rows = self.rows
         self.drift_row[...] = self._rhs("drift", n + 1, predicted)
         if self.dW is not None:
             np.multiply(self._rhs("diffusion", n + 1, predicted), self.dW[..., n],
                         self.noise_row)
-        rows += self.corr_sums
+        rows += corr
         rows *= self.corr_coef
         y = self.y0 + self.drift_row
         if self.dW is not None:
@@ -334,7 +329,7 @@ class _Stepper:
         of node n+1."""
         predict, correct, push, checked = self.predict, self.correct, self.push, self.checked
         for n in range(start, stop):
-            y_next = correct(n, predict(n))
+            y_next = correct(n, *predict(n))
             if checked:
                 ok = np.abs(y_next) <= BLOWUP  # False for non-finite values too
                 if not ok.all():
@@ -388,9 +383,11 @@ def solve_batch(model: SystemModel, cfg: SolverConfig, dW: np.ndarray | None) ->
     increments builds it.  A stochastic cfg requires dW; a deterministic one
     uses only its batch shape, and None means one path.
 
-    Each block of BLOCK steps runs unchecked and is then checked once.  A
-    block that fails the check, or raises, is replayed step by step with
-    checks, so the error raised is the one a check at every step raises.
+    Each block of BLOCK steps is one pass of this loop: its far field is
+    added once (a square of the recorded nodes before it), then it runs
+    unchecked and is checked once.  A block that fails the check, or
+    raises, is replayed step by step with checks from the same far field,
+    so the error raised is the one a check at every step raises.
     The model runs with overflow and invalid-value warnings suppressed: a
     non-finite value it returns is a divergence.
     """
@@ -408,6 +405,8 @@ def solve_batch(model: SystemModel, cfg: SolverConfig, dW: np.ndarray | None) ->
         stepper.push(0, stepper.y0)
         for start in range(0, grid.num_steps, BLOCK):
             stop = min(start + BLOCK, grid.num_steps)
+            if start:
+                stepper._far_field(start)
             stepper.checked = False
             try:
                 stepper.advance(states, start, stop)

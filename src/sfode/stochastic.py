@@ -178,8 +178,9 @@ def restrict_path(path: WienerPath, grid: TimeGrid) -> WienerPath:
     path's; the coarse path carries grid itself, so restrictions nest
     exactly.  The coarse cumulative values are taken directly from the fine
     ones (every factor-th node, factor = path steps / grid steps), so the
-    coarse path's endpoint W(T) equals the fine endpoint bitwise and each
-    coarse increment is the exact sum of the fine increments it spans.
+    coarse path's endpoint W(T) equals the fine endpoint bitwise.  A coarse
+    increment is a difference of two fine W values: the sum of the fine
+    increments it spans, up to rounding.
     """
     fine = path.grid
     if grid.T != fine.T or fine.num_steps % grid.num_steps != 0:

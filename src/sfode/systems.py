@@ -138,6 +138,7 @@ def newton_leipnik(params: NewtonLeipnikParams | None = None,
     """Newton-Leipnik rigid-body system with diagonal noise mu * y."""
     p = params or NewtonLeipnikParams()
     beta, rho, mu = p.beta, p.rho, p.mu
+    mu_0d = np.asarray(mu, dtype=float)  # multiplies an array faster than a Python float
     start = np.asarray(_NL_Y0 if y0 is None else y0, dtype=float)
 
     def drift(t, y):
@@ -149,7 +150,7 @@ def newton_leipnik(params: NewtonLeipnikParams | None = None,
         ])
 
     def diffusion(t, y):
-        return mu * y
+        return mu_0d * y
 
     return SystemModel(
         name="newton_leipnik",
@@ -165,6 +166,7 @@ def lorenz(params: LorenzParams | None = None, y0=None) -> SystemModel:
     """Lorenz convection system with diagonal noise mu * y**2."""
     p = params or LorenzParams()
     a, b, c, mu = p.a, p.b, p.c, p.mu
+    mu_0d = np.asarray(mu, dtype=float)  # multiplies an array faster than a Python float
     start = np.asarray(_LORENZ_Y0 if y0 is None else y0, dtype=float)
 
     def drift(t, y):
@@ -176,7 +178,7 @@ def lorenz(params: LorenzParams | None = None, y0=None) -> SystemModel:
         ])
 
     def diffusion(t, y):
-        return mu * y * y
+        return mu_0d * y * y
 
     return SystemModel(
         name="lorenz",

@@ -243,7 +243,7 @@ class TestPredictCorrect:
         model = constant_diffusion_model(sigma0, y0=1.0)
         cfg = SolverConfig(alpha=alpha, grid=grid, stochastic=True)
         path = generate_path(SeedSpec(4), grid)
-        yp = primed_stepper(np.array([[1.0]]), path, model, cfg, 0).predict(0)
+        yp, _ = primed_stepper(np.array([[1.0]]), path, model, cfg, 0).predict(0)
         expected = 1.0 + (h**alpha / alpha) * sigma0 * path.increments[0, 0] / (gamma(alpha) * h)
         assert yp[0] == pytest.approx(expected, rel=1e-14)
 
@@ -254,7 +254,7 @@ class TestPredictCorrect:
         cfg = SolverConfig(alpha=1.0, grid=grid)
         traj = solve(model, cfg)
         n = 5
-        yp = primed_stepper(traj.states, None, model, cfg, n).predict(n)
+        yp, _ = primed_stepper(traj.states, None, model, cfg, n).predict(n)
         history_sum = 1.0 + h * sum(-lam * traj.states[0, j] for j in range(n + 1))
         assert yp[0] == pytest.approx(history_sum, rel=1e-13)
 
@@ -267,7 +267,7 @@ class TestPredictCorrect:
         traj = solve(model, cfg, path)
         for n in (0, 3, grid.num_steps - 1):
             stepper = primed_stepper(traj.states, path, model, cfg, n)
-            yc = stepper.correct(n, stepper.predict(n))
+            yc = stepper.correct(n, *stepper.predict(n))
             np.testing.assert_array_equal(yc, traj.states[:, n + 1])
 
     def test_zero_system_correction_stays_at_start(self):
@@ -275,8 +275,8 @@ class TestPredictCorrect:
         grid = make_grid(1.0, 0.25)
         cfg = SolverConfig(alpha=0.8, grid=grid)
         stepper = primed_stepper(np.full((1, 1), 2.0), None, model, cfg, 0)
-        yp = stepper.predict(0)
-        yc = stepper.correct(0, yp)
+        yp, corr = stepper.predict(0)
+        yc = stepper.correct(0, yp, corr)
         assert yp[0] == 2.0 and yc[0] == 2.0
 
 
@@ -400,6 +400,8 @@ class TestFarField:
         worst = 0.0
         for n in range(self.STEPS):
             stepper.hist[..., n] = g[..., n]
+            if n and not n % BLOCK:  # a block start, as in solve_batch
+                stepper._far_field(n)
             sums = stepper.sums(n)
             weights = (predictor_weights(n, alpha, h),
                        corrector_weights(n, alpha, weight_mode)[:n + 1])
@@ -477,7 +479,9 @@ class TestDivergenceSites:
         states[..., 0] = stepper.y0
         stepper.push(0, stepper.y0)
         for n in range(cfg.grid.num_steps):
-            y_next = stepper.correct(n, stepper.predict(n))
+            if n and not n % BLOCK:  # a block start, as in solve_batch
+                stepper._far_field(n)
+            y_next = stepper.correct(n, *stepper.predict(n))
             ok = np.abs(y_next) <= solver.BLOWUP
             if not ok.all():
                 raise solver._diverged(
@@ -567,15 +571,18 @@ class TestDivergenceSites:
         got = self.assert_same_failure(model, self.cfg, self.dW())
         assert got == (ZeroDivisionError, f"no drift at t={t_bad}", None, None, None)
 
-    @pytest.mark.parametrize("noise_history", list(NoiseHistory), ids=lambda mode: mode.value)
-    def test_replayed_block_is_exact(self, noise_history):
-        # a drift that raises once, in block 3 of 5: the block is replayed,
-        # which must not add its far-field square a second time
+    @pytest.mark.parametrize("noise_history,step", noise_cases(
+        BLOCK, BLOCK + 1, 2 * BLOCK, 2 * BLOCK + 100, 5 * BLOCK - 1))
+    def test_replayed_block_is_exact(self, noise_history, step):
+        # a drift that raises once, at its first call at t_step, in a run of
+        # 5 blocks: the block of that call is replayed, and must not add its
+        # far-field square a second time (at BLOCK + 1 the raise is in the
+        # first step of a block, right after its far field was added)
         model = newton_leipnik()
         cfg = SolverConfig(alpha=0.93, grid=make_grid(5.0, 1 / 256), stochastic=True,
                            noise_history=noise_history)
         assert cfg.grid.num_steps == 5 * BLOCK
-        t_once = cfg.grid.nodes()[2 * BLOCK + 100]
+        t_once = cfg.grid.nodes()[step]
         fired = []
 
         def drift(t, y):
