@@ -4,8 +4,9 @@
 Usage: python scripts/identity.py --against REF [--expect-change NAME ...]
 
 Extracts REF (``git archive``) into a temporary directory and runs one fixed
-list of ``sfode`` invocations there and in the working tree: ``python -m
-sfode.cli`` with PYTHONPATH set to that tree's ``src``, the tree as working
+list of ``sfode`` invocations there and in the working tree: ``python -W
+error::RuntimeWarning -m sfode.cli`` (a numpy warning is an error, as in
+pytest) with PYTHONPATH set to that tree's ``src``, the tree as working
 directory, one BLAS thread, and the output on stdout.  It prints one row per
 run, with the output sha256, the exit code and whether stderr matches, and
 marks each difference.  It exits 1 if any run differs, unless that run is
@@ -98,7 +99,7 @@ def run(tree: Path, argv: list, tmp: str) -> tuple:
     """(output sha256, stderr, exit code) of one run in tree."""
     env = dict(os.environ, PYTHONPATH=str(tree / "src"), OPENBLAS_NUM_THREADS="1",
                OMP_NUM_THREADS="1", MKL_NUM_THREADS="1")
-    proc = subprocess.run([sys.executable, "-m", "sfode.cli",
+    proc = subprocess.run([sys.executable, "-W", "error::RuntimeWarning", "-m", "sfode.cli",
                            *(a.format(tmp=tmp) for a in argv)],
                           cwd=tree, env=env, capture_output=True, timeout=600)
     return hashlib.sha256(proc.stdout).hexdigest(), proc.stderr, proc.returncode

@@ -29,6 +29,7 @@ __all__ = [
     "ensemble_run",
     "ito_isometry_check",
     "convergence_order",
+    "levels_rule",
     "bounded_attractor_check",
     "write_stats_csv",
 ]
@@ -150,26 +151,33 @@ class ConvergenceReport:
     degenerate: bool     # all errors vanished; no rate can be fitted
 
 
+def levels_rule(levels: int, grid: TimeGrid | None) -> list:
+    """At least 3 levels, and a finest grid, of step grid.h / 2**(levels - 1),
+    that passes the grid rule; a None grid (one that fails its own rule)
+    skips the latter."""
+    if levels < 3:
+        return [f"need at least 3 grid levels; got {max(levels, 0)}"]
+    return [] if grid is None else checks.grid_rule(grid.T, math.ldexp(grid.h, 1 - levels))
+
+
 def convergence_order(model: SystemModel, cfg: SolverConfig, levels: int,
                       master_seed: int | None = None, reference=None) -> ConvergenceReport:
     """Empirical convergence rate of cfg's run over ``levels`` dyadic grids.
 
     Level i runs cfg on the grid of cfg.grid.T with step cfg.grid.h / 2**i;
-    levels must be at least 3, and the finest grid is checked before any
-    solve.  With a ``reference`` callable (t -> exact state) errors are
-    measured against it on every grid; otherwise the finest run is the
-    reference and errors are measured for the coarser grids at their
-    (nested) nodes.  A stochastic cfg needs ``master_seed``: one fine path,
-    path 0 of that seed, is drawn and restricted to each coarse grid by
-    sub-sampling its W at the coarse nodes (:func:`restrict_path`), so the
-    measurement sees discretization error, not noise resampling.  A coarse
+    :func:`levels_rule` is checked before any solve.  With a ``reference``
+    callable (t -> exact state) errors are measured against it on every
+    grid; otherwise the finest run is the reference and errors are measured
+    for the coarser grids at their (nested) nodes.  A stochastic cfg needs
+    ``master_seed``: one fine path, path 0 of that seed, is drawn and
+    restricted to each coarse grid by sub-sampling its W at the coarse nodes
+    (:func:`restrict_path`), so the measurement sees discretization error,
+    not noise resampling.  A coarse
     increment is then a difference of two fine W values, which equals the
     sum of the fine increments it spans only up to rounding.
     """
-    if levels < 3:
-        raise checks.ConfigError(f"need at least 3 grid levels; got {max(levels, 0)}")
+    checks.require(levels_rule(levels, cfg.grid))
     T, h = cfg.grid.T, cfg.grid.h
-    checks.require(checks.grid_rule(T, math.ldexp(h, 1 - levels)))
     if cfg.stochastic and master_seed is None:
         raise ValueError("stochastic convergence measurement needs a master_seed")
 

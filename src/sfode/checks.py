@@ -10,6 +10,7 @@ every violation of a run into one report; :func:`require` raises them as a
 """
 
 import math
+import sys
 
 __all__ = [
     "ConfigError",
@@ -42,9 +43,12 @@ def require(problems: list) -> None:
 
 
 def alpha_rule(alpha: float, over_half: str | None = None) -> list:
-    """alpha in (0, 1]; alpha > 1/2 as well when over_half names who needs it."""
+    """alpha in (0, 1] and not subnormal; alpha > 1/2 as well when over_half
+    names who needs it."""
     if not 0.0 < alpha <= 1.0:
         return [f"alpha must be in (0, 1]; got {alpha!r}"]
+    if alpha < sys.float_info.min:
+        return [f"alpha must be at least {sys.float_info.min!r} (not subnormal); got {alpha!r}"]
     if over_half and not alpha > 0.5:
         return [f"{over_half} require alpha > 1/2; got alpha={alpha!r}"]
     return []

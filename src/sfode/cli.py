@@ -22,10 +22,11 @@ from .analysis import (
     bounded_attractor_check,
     convergence_order,
     ensemble_run,
+    levels_rule,
     write_stats_csv,
 )
 from .checks import ConfigError
-from .picard import cauchy_diagnostic, write_distance_csv
+from .picard import cauchy_diagnostic, diagnostic_rule, write_distance_csv
 from .solver import (
     DivergenceError,
     NoiseHistory,
@@ -79,13 +80,15 @@ class RunConfig:
         return self.mu != 0.0
 
 
-def _validate(cfg: RunConfig) -> None:
-    """Check every constraint and report all violations at once."""
+def _validate(cfg: RunConfig, rule=None) -> None:
+    """Check the run keys and the command's own rule(cfg, grid), grid None
+    when T and h fail the grid rule, and report each distinct violation once."""
     problems = checks.choice_rule("system", cfg.system, _SYSTEMS)
     problems += checks.alpha_rule(
         cfg.alpha, "stochastic runs (nonzero noise)" if cfg.stochastic() else None
     )
-    problems += checks.grid_rule(cfg.T, cfg.h)
+    grid_problems = checks.grid_rule(cfg.T, cfg.h)
+    problems += grid_problems
     problems += checks.finite_rule(**{k: getattr(cfg, k) for k in _MODEL_KEYS})
     if cfg.system == "newton_leipnik":
         problems += checks.positive_rule(beta=cfg.beta)
@@ -96,7 +99,9 @@ def _validate(cfg: RunConfig) -> None:
         problems.append(f"workers must be >= 0; got {cfg.workers!r}")
     problems += checks.choice_rule("noise_history", cfg.noise_history, NoiseHistory)
     problems += checks.choice_rule("weight_mode", cfg.weight_mode, WeightMode)
-    checks.require(problems)
+    if rule is not None:
+        problems += rule(cfg, None if grid_problems else make_grid(cfg.T, cfg.h))
+    checks.require(list(dict.fromkeys(problems)))
 
 
 def parse_config_file(path: str) -> dict:
@@ -143,7 +148,6 @@ def _build_config(args) -> RunConfig:
         flag = getattr(args, f.name, None)
         if flag is not None:
             setattr(cfg, f.name, flag)
-    _validate(cfg)
     return cfg
 
 
@@ -155,10 +159,12 @@ def _build_model(cfg: RunConfig):
     return linear_test(lam=cfg.lam, sigma0=cfg.sigma0)
 
 
-def _setup(args):
+def _setup(args, rule=None):
     """The run of a command: (cfg, model, scfg, meta), its RunConfig, model,
-    SolverConfig and the metadata that its output files embed."""
+    SolverConfig and the metadata that its output files embed, once the run
+    keys and the command's rule pass :func:`_validate`."""
     cfg = _build_config(args)
+    _validate(cfg, rule)
     model = _build_model(cfg)
     scfg = SolverConfig(alpha=cfg.alpha, grid=make_grid(cfg.T, cfg.h),
                         stochastic=cfg.stochastic(), noise_history=cfg.noise_history,
@@ -279,7 +285,8 @@ def cmd_ensemble(args) -> int:
 
 
 def cmd_picard(args) -> int:
-    cfg, model, scfg, meta = _setup(args)
+    cfg, model, scfg, meta = _setup(args, lambda cfg, grid: diagnostic_rule(
+        cfg.alpha, cfg.paths, args.iterations, grid))
     report = cauchy_diagnostic(
         model, cfg.alpha, scfg.grid, cfg.seed, cfg.paths, args.iterations,
         sup_mode=args.sup,
@@ -292,7 +299,7 @@ def cmd_picard(args) -> int:
 
 
 def cmd_converge(args) -> int:
-    cfg, model, scfg, meta = _setup(args)
+    cfg, model, scfg, meta = _setup(args, lambda cfg, grid: levels_rule(args.levels, grid))
     report = convergence_order(model, scfg, args.levels, master_seed=cfg.seed)
     summary = _summary(
         meta,

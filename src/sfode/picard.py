@@ -33,6 +33,7 @@ __all__ = [
     "CauchyReport",
     "picard_iterate",
     "cauchy_diagnostic",
+    "diagnostic_rule",
     "write_distance_csv",
 ]
 
@@ -45,27 +46,32 @@ class PicardSequence:
     iterates: list  # list[Trajectory], length K + 1
 
     def terminal_gaps(self) -> np.ndarray:
-        """Squared terminal gaps |y_{k+1}(T) - y_k(T)|**2, k = 0..K-1."""
-        ends = [it.terminal() for it in self.iterates]
-        return np.array([
-            float(np.sum((ends[k + 1] - ends[k])**2)) for k in range(len(ends) - 1)
-        ])
+        """Squared terminal gaps |y_{k+1}(T) - y_k(T)|**2, k = 0..K-1, by :func:`_gaps`."""
+        states = np.stack([it.states for it in self.iterates])
+        return _gaps(states[:-1], states[1:], sup_mode=False)
 
 
-def _kernels(grid: TimeGrid, alpha: float) -> tuple:
-    """The drift weights and the noise kernel of every sweep on one (grid, alpha)
-    pair, as two reversed contiguous arrays indexed nodes - 1 - (n - j).
+def _gaps(prev: np.ndarray, states: np.ndarray, sup_mode: bool) -> np.ndarray:
+    """|y_{k+1} - y_k|**2 per path of iterates prev = y_k and states = y_{k+1},
+    shaped batch + (d, nodes): at T, or maximized over the grid in sup_mode."""
+    if sup_mode:
+        return np.max(np.sum((states - prev)**2, axis=-2), axis=-1)
+    return np.sum((states[..., -1] - prev[..., -1])**2, axis=-1)
 
-    On the uniform grid t_n - t_j = (n-j)h, so the weights of node n are the
+
+def _kernels(t: np.ndarray, alpha: float) -> tuple:
+    """The drift weights and the noise kernel of every sweep on the node times t,
+    as two reversed contiguous arrays indexed nodes - 1 - (n - j).
+
+    On the uniform grid t_n - t_j = t_{n-j}, so the weights of node n are the
     last n entries of each: the fractional powers cost O(N) in total, not
     O(N) per node, and each weight vector is a contiguous view, which keeps
     the history sums on BLAS.
     """
     inv_gamma = 1.0 / math.gamma(alpha)
-    m = np.arange(grid.num_nodes) * grid.h
-    p = m**alpha
+    p = t**alpha
     drift_w = (p[1:] - p[:-1]) * (inv_gamma / alpha)  # index n-j-1
-    noise_k = m[1:]**(alpha - 1.0) * inv_gamma        # index n-j-1
+    noise_k = t[1:]**(alpha - 1.0) * inv_gamma        # index n-j-1
     return np.ascontiguousarray(drift_w[::-1]), np.ascontiguousarray(noise_k[::-1])
 
 
@@ -73,19 +79,17 @@ def _sweep(model: SystemModel, kernels: tuple, t: np.ndarray,
            states: np.ndarray, dW: np.ndarray | None) -> np.ndarray:
     """One Picard sweep of iterates shaped batch + (d, nodes); dW is batch + (d, nodes - 1).
 
-    f and sigma are evaluated once per node of the incoming iterates instead
-    of once per (node, history) pair, which drops a sweep from O(N^2) to O(N)
-    right-hand-side evaluations.
+    One pass over the left nodes 0..N-1, the only nodes the sums read,
+    records f and sigma dW once per node instead of once per (node, history)
+    pair: N calls of each callable (no sigma without noise), not O(N^2).
     """
     nodes = states.shape[-1]
     drift_w, noise_k = kernels
-    f_vals = np.empty_like(states)
-    for j in range(nodes):
+    f_vals = np.empty(states.shape[:-1] + (nodes - 1,))
+    noise = None if dW is None else np.empty_like(f_vals)
+    for j in range(nodes - 1):
         f_vals[..., j] = model.evaluate("drift", t[j], states[..., j])
-    noise = None
-    if dW is not None:
-        noise = np.empty(states.shape[:-1] + (nodes - 1,))
-        for j in range(nodes - 1):
+        if noise is not None:
             noise[..., j] = model.evaluate("diffusion", t[j], states[..., j]) * dW[..., j]
     out = np.empty_like(states)
     out[..., 0] = model.y0
@@ -105,7 +109,7 @@ def _iterates(model: SystemModel, alpha: float, grid: TimeGrid, dW: np.ndarray |
     states = np.tile(model.y0[:, None], batch + (1, grid.num_nodes))
     yield states
     t = grid.nodes()
-    kernels = _kernels(grid, alpha)
+    kernels = _kernels(t, alpha)
     for k in range(1, K + 1):
         with np.errstate(over="ignore", invalid="ignore"):  # a non-finite sweep fails below
             states = _sweep(model, kernels, t, states, dW)
@@ -154,34 +158,44 @@ class CauchyReport:
         return float(self.distances[-1] / self.distances[0]) if self.distances[0] > 0 else 0.0
 
 
-def cauchy_diagnostic(model: SystemModel, alpha: float, grid: TimeGrid,
-                      master_seed: int, M: int, K: int,
-                      sup_mode: bool = False) -> CauchyReport:
-    """Monte Carlo contraction check of the Picard sweeps over M paths.
-
-    Path i uses the stream SeedSpec(master_seed, i, 0).  Paths are swept in
-    batches through :func:`sfode.analysis.path_rows`, which hands on one row
-    per path, its K gaps and then its K + 1 terminal values |y_k(T)|**2, and
-    the rows are added in path-index order, so the report is deterministic
-    given the master seed, whatever the batch size.  By default gaps are
-    measured at the terminal node (the cheap proxy); sup_mode maximizes them
-    over the grid.
+def diagnostic_rule(alpha: float, M: int, K: int, grid: TimeGrid | None) -> list:
+    """The domain of :func:`cauchy_diagnostic`: alpha > 1/2, M >= 100 paths and
+    2 <= K <= N sweeps on a grid of N steps.  Node n of a sweep reads only
+    nodes before it, so sweep N is the discrete fixed point and every later
+    gap is exactly 0.  A None grid (one that fails its own rule) skips K <= N.
     """
     problems = checks.alpha_rule(alpha, "Picard sweeps")
     if M < 100:
         problems.append(f"the Picard diagnostic needs paths >= 100; got {M}")
     if K < 2:
         problems.append(f"the Picard diagnostic needs iterations >= 2; got {K}")
-    checks.require(problems)
+    elif grid is not None and K > grid.num_steps:
+        problems.append(f"the Picard diagnostic needs iterations <= T/h = {grid.num_steps}; "
+                        f"got {K}")
+    return problems
+
+
+def cauchy_diagnostic(model: SystemModel, alpha: float, grid: TimeGrid,
+                      master_seed: int, M: int, K: int,
+                      sup_mode: bool = False) -> CauchyReport:
+    """Monte Carlo contraction check of K Picard sweeps over M paths (:func:`diagnostic_rule`).
+
+    Path i uses the stream SeedSpec(master_seed, i, 0).  Paths are swept in
+    batches through :func:`sfode.analysis.path_rows`, which hands on one row
+    per path, its K gaps (:func:`_gaps`) and its K + 1 terminal |y_k(T)|**2,
+    and the rows are added in path-index order, so the report is
+    deterministic given the master seed, whatever the batch size.  By default
+    gaps are measured at the terminal node (the cheap proxy); sup_mode
+    maximizes them over the grid.
+    """
+    checks.require(diagnostic_rule(alpha, M, K, grid))
 
     def rows(dW):
         gaps, l2, prev = [], [], None
         for states in _iterates(model, alpha, grid, dW, K):
             l2.append(np.sum(states[..., -1]**2, axis=-1))
             if prev is not None:
-                sq = (states - prev)**2
-                gaps.append(np.max(np.sum(sq, axis=-2), axis=-1) if sup_mode
-                            else np.sum(sq[..., -1], axis=-1))
+                gaps.append(_gaps(prev, states, sup_mode))
             prev = states
         return np.stack(gaps + l2, axis=-1)
 

@@ -343,6 +343,40 @@ def test_bad_input_is_config_error(args, tmp_path, capsys):
     assert "Traceback" not in err
 
 
+@pytest.mark.parametrize("alpha", [5e-324, 1e-310])
+@pytest.mark.parametrize("command", [
+    ["simulate", "--system", "linear_test", "--mu", 0, "--h", 0.5, "--T", 1],
+    ["weights", "-n", 3, "--h", 2],
+])
+def test_subnormal_alpha_is_config_error(command, alpha, tmp_path, capsys):
+    # Gamma(alpha) overflows and the weights turn non-finite below the
+    # smallest normal float
+    assert run(command + ["--alpha", alpha, "-o", tmp_path / "out"]) == 2
+    assert capsys.readouterr().err == (
+        "sfode: configuration error:\n"
+        f"alpha must be at least 2.2250738585072014e-308 (not subnormal); got {alpha!r}\n")
+
+
+@pytest.mark.parametrize("args, messages", [
+    (["picard", "--paths", 5, "--alpha", 1.5, "-K", 1],
+     ["alpha must be in (0, 1]; got 1.5", "the Picard diagnostic needs paths >= 100; got 5",
+      "the Picard diagnostic needs iterations >= 2; got 1"]),
+    (["converge", "--levels", 2, "--alpha", 1.5],
+     ["alpha must be in (0, 1]; got 1.5", "need at least 3 grid levels; got 2"]),
+    (["picard", "--system", "linear_test", "--alpha", 0.8, "--h", 0.25, "--T", 1,
+      "--paths", 100, "-K", 1000000000],
+     ["the Picard diagnostic needs iterations <= T/h = 4; got 1000000000"]),
+    (["picard", "--system", "linear_test", "--alpha", 0.8, "--h", 0.25, "--T", 1,
+      "--paths", 100, "-K", 5],
+     ["the Picard diagnostic needs iterations <= T/h = 4; got 5"]),
+])
+def test_command_rules_listed_with_run_keys(args, messages, tmp_path, capsys):
+    # every violated constraint once, the command's own rules included
+    assert run(args + ["-o", tmp_path / "out"]) == 2
+    assert capsys.readouterr().err == "sfode: configuration error:\n" + "\n".join(messages) + "\n"
+    assert not (tmp_path / "out").exists()
+
+
 class TestOutputFile:
     ARGS = ["simulate", "--system", "linear_test", "--alpha", 0.8, "--h", 0.25, "--T", 1.0]
 

@@ -1,3 +1,4 @@
+import dataclasses
 import io
 import math
 import warnings
@@ -5,6 +6,7 @@ import warnings
 import numpy as np
 import pytest
 
+from sfode.checks import ConfigError
 from sfode.picard import _iterates, cauchy_diagnostic, picard_iterate, write_distance_csv
 from sfode.solver import DivergenceError, SolverConfig, solve
 from sfode.special import gamma, mittag_leffler
@@ -248,6 +250,39 @@ class TestCauchyDiagnostic:
         with pytest.raises(ValueError):
             cauchy_diagnostic(linear_test(), 0.8, make_grid(0.5, 0.05), 0, M=10, K=4)
 
+    def test_iterations_at_most_the_grid_steps(self):
+        # node n of a sweep reads only nodes before it, so iterate N is the
+        # discrete fixed point on a grid of N steps and every later gap is 0
+        model = newton_leipnik()
+        grid = make_grid(0.2, 0.025)  # N = 8
+        path = generate_path(SeedSpec(2), grid, num_channels=3)
+        gaps = picard_iterate(model, 0.93, grid, path, K=11).terminal_gaps()
+        assert gaps[7] > 0
+        np.testing.assert_array_equal(gaps[8:], 0.0)
+        assert len(cauchy_diagnostic(model, 0.93, grid, 0, M=100, K=8).distances) == 7
+        with pytest.raises(ConfigError, match="^the Picard diagnostic needs iterations "
+                                              "<= T/h = 8; got 9$"):
+            cauchy_diagnostic(model, 0.93, grid, 0, M=100, K=9)
+
+    @pytest.mark.parametrize("sup_mode", [False, True])
+    def test_batched_gaps_equal_per_path_gaps(self, sup_mode):
+        # cauchy_diagnostic's rows and terminal_gaps share one gap rule: the
+        # mean of the per-path gaps, added in path order, is its report bit for bit
+        model = newton_leipnik()
+        grid = make_grid(0.25, 1.0 / 40)
+        M, K = 100, 4
+        total = np.zeros(K)
+        for i in range(M):
+            seq = picard_iterate(model, 0.93, grid,
+                                 generate_path(SeedSpec(3, i, 0), grid, num_channels=3), K)
+            if sup_mode:
+                total += [np.max(np.sum((b.states - a.states)**2, axis=0))
+                          for a, b in zip(seq.iterates, seq.iterates[1:])]
+            else:
+                total += seq.terminal_gaps()
+        report = cauchy_diagnostic(model, 0.93, grid, 3, M=M, K=K, sup_mode=sup_mode)
+        np.testing.assert_array_equal(report.distances, (total / M)[1:])
+
     def test_sup_mode_dominates_terminal_mode(self):
         model = newton_leipnik()
         grid = make_grid(0.25, 1.0 / 40)
@@ -265,3 +300,44 @@ def test_write_distance_csv():
     assert lines[0] == "# note=demo"
     assert lines[1] == "k,d_k"
     assert len(lines) == 2 + len(report.distances)
+
+
+class TestRightHandSideCalls:
+    """A sweep records f and sigma dW at the N left nodes, the only nodes its
+    sums read: K sweeps make K*N calls of each callable, and none of the
+    diffusion without noise."""
+
+    K = 3
+    STEPS = 40
+
+    @staticmethod
+    def counted(model):
+        calls = {"drift": 0, "diffusion": 0}
+
+        def wrap(kind):
+            fn = getattr(model, kind)
+
+            def call(t, y):
+                calls[kind] += 1
+                return fn(t, y)
+
+            return call
+
+        return dataclasses.replace(model, drift=wrap("drift"), diffusion=wrap("diffusion")), calls
+
+    @pytest.mark.parametrize("stochastic", [False, True])
+    def test_picard_iterate(self, stochastic):
+        model, calls = self.counted(newton_leipnik())
+        grid = make_grid(self.STEPS / 80, 1 / 80)
+        path = generate_path(SeedSpec(4), grid, num_channels=3) if stochastic else None
+        picard_iterate(model, 0.93, grid, path, self.K)
+        kn = self.K * self.STEPS
+        assert calls == {"drift": kn, "diffusion": kn if stochastic else 0}
+
+    def test_cauchy_diagnostic_one_batch(self):
+        model, calls = self.counted(newton_leipnik())
+        grid = make_grid(self.STEPS / 80, 1 / 80)
+        assert len(next(increment_batches(0, 100, grid, 3))[1]) == 100  # one batch
+        cauchy_diagnostic(model, 0.93, grid, 0, M=100, K=self.K)
+        kn = self.K * self.STEPS
+        assert calls == {"drift": kn, "diffusion": kn}
