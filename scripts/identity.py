@@ -81,6 +81,12 @@ RUNS = {
                           "--T", "1", "--mu", "0.01", "--paths", "100", "--iterations", "4",
                           "--sup"],
     "picard_T5": [*NL_PICARD, "--T", "5", "--paths", "100"],
+    # the master seed as one and as two 32-bit words of the stream keys
+    "ensemble_seed0": ["ensemble", "--system", "newton_leipnik", "--alpha", "0.93",
+                       "--h", "0.02", "--T", "0.5", "--mu", "0.1", "--paths", "8",
+                       "--seed", "0"],
+    "picard_seed_max": [*NL_PICARD, "--T", "0.5", "--paths", "100",
+                        "--seed", "18446744073709551615"],
     # input edges: exit 2, and a variance law out of float range (exit 0)
     "negative_workers": ["ensemble", "--workers", "-1"],
     "two_levels": ["converge", "--levels", "2"],

@@ -79,18 +79,25 @@ def _sweep(model: SystemModel, kernels: tuple, t: np.ndarray,
            states: np.ndarray, dW: np.ndarray | None) -> np.ndarray:
     """One Picard sweep of iterates shaped batch + (d, nodes); dW is batch + (d, nodes - 1).
 
-    One pass over the left nodes 0..N-1, the only nodes the sums read,
-    records f and sigma dW once per node instead of once per (node, history)
-    pair: N calls of each callable (no sigma without noise), not O(N^2).
+    The sums read only the left nodes 0..N-1, so one call of each callable
+    (no sigma without noise) records f and sigma at all of them for every
+    path: :meth:`SystemModel.evaluate` gets the stack of the B*N left-node
+    states, paths first, row b*N + j holding path b at node j, and the array
+    of their node times t_j.  The callables are elementwise in the columns
+    they see, so each record rounds as a call at that node alone would.
     """
     nodes = states.shape[-1]
+    batch, d = states.shape[:-2], states.shape[-2]
     drift_w, noise_k = kernels
-    f_vals = np.empty(states.shape[:-1] + (nodes - 1,))
-    noise = None if dW is None else np.empty_like(f_vals)
-    for j in range(nodes - 1):
-        f_vals[..., j] = model.evaluate("drift", t[j], states[..., j])
-        if noise is not None:
-            noise[..., j] = model.evaluate("diffusion", t[j], states[..., j]) * dW[..., j]
+    y = states[..., :-1].swapaxes(-1, -2).reshape(-1, d)
+    t_left = np.tile(t[:-1], math.prod(batch))
+
+    def record(kind):
+        return model.evaluate(kind, t_left, y).reshape(batch + (nodes - 1, d)).swapaxes(-1, -2)
+
+    # C order keeps each record row contiguous for the BLAS node sums
+    f_vals = np.ascontiguousarray(record("drift"))
+    noise = None if dW is None else np.multiply(record("diffusion"), dW, order="C")
     out = np.empty_like(states)
     out[..., 0] = model.y0
     for n in range(1, nodes):

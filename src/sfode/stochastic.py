@@ -1,13 +1,16 @@
 """Equidistant time grids and reproducible Wiener paths.
 
 Noise streams are counter-based: the generator for a given (master seed,
-path index, channel index) triple is a Philox engine keyed through
-``numpy.random.SeedSequence`` with the triple as entropy + spawn key, so an
-ensemble produces the same paths whatever the order or batch size in which
-its members run.  :func:`_stream` is the one place a stream is keyed, and
-paths are drawn in batches: one path is the batch of one.  Gaussians come
-from numpy's ziggurat sampler on that stream, which is deterministic for a
-fixed numpy build.
+path index, channel index) triple is a Philox engine keyed as
+``numpy.random.SeedSequence(master_seed, spawn_key=(path, channel))``
+would key it, so an ensemble produces the same paths whatever the order or
+batch size in which its members run.  The key is derived here, by a
+Python-int copy of SeedSequence's hash (:func:`_prefix` once per draw,
+:func:`_key` per stream), and one Philox engine is re-keyed through its
+public ``state`` for each stream, so a stream costs no SeedSequence,
+Philox or Generator object of its own.  Paths are drawn in batches: one
+path is the batch of one.  Gaussians come from numpy's ziggurat sampler on
+that stream, which is deterministic for a fixed numpy build.
 """
 
 import math
@@ -113,25 +116,94 @@ class WienerPath:
         return self.cumulative.shape[0]
 
 
-def _stream(master_seed: int, path: int, channel: int):
-    """The numpy Philox Generator keyed by (master_seed, path, channel)."""
-    seq = np.random.SeedSequence(entropy=master_seed, spawn_key=(path, channel))
-    return np.random.Generator(np.random.Philox(seq))
+# The constants of numpy's SeedSequence hash (numpy/random/bit_generator.pyx).
+_MASK32 = 0xFFFFFFFF
+_INIT_A, _MULT_A = 0x43B0D7E5, 0x931E8875  # hashes the entropy into the pool
+_INIT_B, _MULT_B = 0x8B51F9DD, 0x58F38DED  # hashes the pool into the state
+_MIX_L, _MIX_R = 0xCA01F9DD, 0x4973F715    # mixes a hashed word into a pool word
+_POOL = 4                                  # pool words
+
+
+def _words(n: int) -> list:
+    """The uint32 words of n >= 0, least significant first; [0] for 0."""
+    words = [n & _MASK32]
+    n >>= 32
+    while n:
+        words.append(n & _MASK32)
+        n >>= 32
+    return words
+
+
+def _absorb(pool: list, h: int, words: list) -> int:
+    """Mix each of words into every pool word in place, as SeedSequence mixes
+    the entropy past its pool size; returns the advanced hash constant."""
+    for w in words:
+        for d in range(_POOL):
+            v = w ^ h
+            h = h * _MULT_A & _MASK32
+            v = v * h & _MASK32
+            v = (_MIX_L * pool[d] - _MIX_R * (v ^ v >> 16)) & _MASK32
+            pool[d] = v ^ v >> 16
+    return h
+
+
+def _prefix(master_seed: int) -> tuple:
+    """The SeedSequence pool and hash constant after the run entropy
+    master_seed, zero-padded to the pool size as numpy pads it when a spawn
+    key follows: the part of every stream key that :func:`_key` shares."""
+    words = _words(master_seed)
+    pool, h = [], _INIT_A
+    for w in (words + [0] * _POOL)[:_POOL]:  # hash the first words into the pool
+        v = w ^ h
+        h = h * _MULT_A & _MASK32
+        v = v * h & _MASK32
+        pool.append(v ^ v >> 16)
+    for s in range(_POOL):  # mix every pool word into every other
+        for d in range(_POOL):
+            if s != d:
+                v = pool[s] ^ h
+                h = h * _MULT_A & _MASK32
+                v = v * h & _MASK32
+                v = (_MIX_L * pool[d] - _MIX_R * (v ^ v >> 16)) & _MASK32
+                pool[d] = v ^ v >> 16
+    h = _absorb(pool, h, words[_POOL:])
+    return tuple(pool), h
+
+
+def _key(prefix: tuple, path: int, channel: int) -> tuple:
+    """The Philox key (two uint64 as Python ints) of stream (path, channel)
+    after prefix = _prefix(master_seed): bit for bit
+    SeedSequence(master_seed, spawn_key=(path, channel)).generate_state(2, np.uint64)."""
+    pool = list(prefix[0])
+    _absorb(pool, prefix[1], _words(path) + _words(channel))
+    state, h = [], _INIT_B
+    for v in pool:
+        v ^= h
+        h = h * _MULT_B & _MASK32
+        v = v * h & _MASK32
+        state.append(v ^ v >> 16)
+    return state[0] | state[1] << 32, state[2] | state[3] << 32
 
 
 def _wiener(master_seed: int, paths: range, channel: int, grid: TimeGrid,
             num_channels: int) -> np.ndarray:
     """W at the nodes, (len(paths), num_channels, num_nodes), with W(0) = 0.
 
-    Channel c of path i draws its N(0, 1) Gaussians from
-    _stream(master_seed, i, channel + c), scales them by sqrt(h) and sums
-    them along the steps into nodes 1..N.
+    Channel c of path i draws its N(0, 1) Gaussians from the Philox stream
+    keyed by _key(_prefix(master_seed), i, channel + c), from counter 0 with
+    an empty buffer, as a fresh Philox(SeedSequence) starts; it scales them
+    by sqrt(h) and sums them along the steps into nodes 1..N.
     """
     sqrt_h = math.sqrt(grid.h)
     draws = np.empty((len(paths), num_channels, grid.num_steps))
+    prefix = _prefix(master_seed)
+    bitgen = np.random.Philox(0)
+    rng = np.random.Generator(bitgen)
+    state = bitgen.state  # a fresh engine's: counter 0, empty buffer
     for b, i in enumerate(paths):
         for c in range(num_channels):
-            rng = _stream(master_seed, i, channel + c)
+            state["state"]["key"] = _key(prefix, i, channel + c)
+            bitgen.state = state
             draws[b, c] = rng.standard_normal(grid.num_steps) * sqrt_h
     W = np.zeros(draws.shape[:-1] + (grid.num_nodes,))
     np.cumsum(draws, axis=-1, out=W[..., 1:])

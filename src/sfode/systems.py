@@ -47,8 +47,13 @@ class SystemModel:
     ``drift(t, y)`` and ``diffusion(t, y)`` (the diagonal noise intensities)
     take a state of shape (d,), one path, or (d, B), B paths as columns, and
     return that same shape; the solvers, which hold paths first, reach them
-    through :meth:`evaluate`.  Instances are immutable and their callables
-    pure, so a model can be shared freely across solves.
+    through :meth:`evaluate`.  The time t is a float, shared by every column
+    (the stepper), or an array of shape (B,), one time per column, which
+    the callable broadcasts like a row (a Picard sweep, whose columns are
+    the states of every path at every node).  So t must enter through
+    elementwise numpy code: ``math.sin(t)`` or ``if t > ...`` fail on an
+    array.  The built-in models ignore t.  Instances are immutable and
+    their callables pure, so a model can be shared freely across solves.
 
     A long single path evaluates each callable twice per step, so their
     per-call cost counts.  The built-in drifts unpack one path to Python
@@ -86,13 +91,14 @@ class SystemModel:
         """Number of Wiener channels: one per component."""
         return self.dim
 
-    def evaluate(self, kind: str, t: float, y: np.ndarray) -> np.ndarray:
+    def evaluate(self, kind: str, t: float | np.ndarray, y: np.ndarray) -> np.ndarray:
         """drift or diffusion (kind) at (t, y) for states y shaped batch + (d,).
 
         The one conversion between the solvers' paths-first states and the
-        model's convention: the callable sees y.T, (d, B) for B paths, and
+        model's convention: the callable sees y.T, (d, B) for B states, and
         must return that shape (else ValueError); the result comes back as
-        out.T, shaped like y.
+        out.T, shaped like y.  t is a float or, for states y of shape (B, d),
+        an array of the B times, passed on as it is.
         """
         state = y.T
         out = np.asarray(getattr(self, kind)(t, state), dtype=float)

@@ -187,15 +187,25 @@ class TestBatchSize:
 
     @pytest.mark.parametrize("size", [1, 3, M_PICARD])
     def test_cauchy_diagnostic(self, monkeypatch, size):
-        model = newton_leipnik()
+        self.check_cauchy_diagnostic(monkeypatch, newton_leipnik(), size)
+
+    @pytest.mark.parametrize("drift", [lambda t, y: np.full_like(y, t),  # a ramp
+                                       lambda t, y: np.sin(t) * y], ids=["ramp", "sin"])
+    def test_cauchy_diagnostic_time_dependent(self, monkeypatch, drift):
+        # a batched sweep passes each column its own node time
+        model = SystemModel(name="timed", dim=2, drift=drift,
+                            diffusion=lambda t, y: 0.5 * (1.0 + t) * y, y0=[0.5, -0.2])
+        self.check_cauchy_diagnostic(monkeypatch, model, size=3)
+
+    def check_cauchy_diagnostic(self, monkeypatch, model, size):
         grid = make_grid(0.1, 0.01)
         gap_sum = np.zeros(3)
         for i in range(self.M_PICARD):  # per-path runs, reduced in index order
-            path = generate_path(SeedSpec(5, i, 0), grid, 3)
+            path = generate_path(SeedSpec(5, i, 0), grid, model.noise_dim)
             gap_sum += picard_iterate(model, 0.93, grid, path, K=3).terminal_gaps()
         spied, seen = self.spy(model, monkeypatch, size, grid)
         report = cauchy_diagnostic(spied, 0.93, grid, 5, M=self.M_PICARD, K=3)
-        assert max(seen) == size
+        assert max(seen) == size * grid.num_steps  # a sweep sees every left node at once
         np.testing.assert_array_equal(report.distances, (gap_sum / self.M_PICARD)[1:])
 
     def test_ito_isometry_check(self, monkeypatch):

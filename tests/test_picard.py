@@ -303,22 +303,23 @@ def test_write_distance_csv():
 
 
 class TestRightHandSideCalls:
-    """A sweep records f and sigma dW at the N left nodes, the only nodes its
-    sums read: K sweeps make K*N calls of each callable, and none of the
-    diffusion without noise."""
+    """A sweep records f and sigma dW at the N left nodes of every path, the
+    only nodes its sums read, in one call of each callable: K sweeps of a
+    batch of B paths make K calls of each, each on B*N columns, and none of
+    the diffusion without noise."""
 
     K = 3
     STEPS = 40
 
     @staticmethod
     def counted(model):
-        calls = {"drift": 0, "diffusion": 0}
+        calls = {"drift": [], "diffusion": []}  # the column count of each call
 
         def wrap(kind):
             fn = getattr(model, kind)
 
             def call(t, y):
-                calls[kind] += 1
+                calls[kind].append(y.shape[1])
                 return fn(t, y)
 
             return call
@@ -331,13 +332,13 @@ class TestRightHandSideCalls:
         grid = make_grid(self.STEPS / 80, 1 / 80)
         path = generate_path(SeedSpec(4), grid, num_channels=3) if stochastic else None
         picard_iterate(model, 0.93, grid, path, self.K)
-        kn = self.K * self.STEPS
-        assert calls == {"drift": kn, "diffusion": kn if stochastic else 0}
+        sweeps = [self.STEPS] * self.K
+        assert calls == {"drift": sweeps, "diffusion": sweeps if stochastic else []}
 
     def test_cauchy_diagnostic_one_batch(self):
         model, calls = self.counted(newton_leipnik())
         grid = make_grid(self.STEPS / 80, 1 / 80)
         assert len(next(increment_batches(0, 100, grid, 3))[1]) == 100  # one batch
         cauchy_diagnostic(model, 0.93, grid, 0, M=100, K=self.K)
-        kn = self.K * self.STEPS
-        assert calls == {"drift": kn, "diffusion": kn}
+        sweeps = [100 * self.STEPS] * self.K
+        assert calls == {"drift": sweeps, "diffusion": sweeps}

@@ -168,7 +168,18 @@ class TestDrawContract:
             np.testing.assert_array_equal(
                 row, generate_path(SeedSpec(23, i), grid, channels).increments)
 
-    @pytest.mark.parametrize("s,i,c", [(0, 0, 0), (7, 3, 2), (2**64 - 1, 5, 1)])
+    @pytest.mark.parametrize("s", [0, 1, 2**32 - 1, 2**32, 2**63, 2**64 - 1])
+    def test_key_equals_seed_sequence(self, s):
+        # master seeds and spawn-key entries of one, two and three 32-bit words
+        prefix = stochastic._prefix(s)
+        for i in (0, 1, 2**32 - 1, 2**32, 2**64 + 3):
+            for c in (0, 2, 2**32 + 1):
+                seq = np.random.SeedSequence(s, spawn_key=(i, c))
+                assert stochastic._key(prefix, i, c) == tuple(
+                    int(k) for k in seq.generate_state(2, np.uint64)), (i, c)
+
+    @pytest.mark.parametrize("s,i,c", [(0, 0, 0), (7, 3, 2), (2**64 - 1, 5, 1),
+                                       (2**64 - 1, 2**32, 2**32 + 1)])
     def test_stream_keying(self, s, i, c):
         grid = make_grid(1.0, 0.125)
         seq = np.random.SeedSequence(s, spawn_key=(i, c))
