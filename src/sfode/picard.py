@@ -6,24 +6,27 @@ function y_0(t) = y0, each sweep maps the previous iterate through
     y_{k+1}(t) = y0 + (1/G(a)) int_0^t (t-s)**(a-1) f(s, y_k(s)) ds
                      + (1/G(a)) int_0^t (t-s)**(a-1) sigma(s, y_k(s)) dW(s)
 
-discretized node by node.  The drift integral uses product-rectangle
+discretized on the grid nodes.  The drift integral uses product-rectangle
 quadrature (the kernel integrated exactly against a piecewise-constant
 integrand, which absorbs the (t-s)**(a-1) singularity); the noise integral
 uses left-point evaluation because the Ito integral mandates non-anticipating
-integrands.  The mean-square gaps between successive iterates should shrink
-toward zero; :func:`cauchy_diagnostic` measures exactly that over a Monte
-Carlo ensemble of paths, swept in batches through
-:func:`sfode.analysis.path_rows`.
+integrands.  On the uniform grid both are causal lag-kernel sums over the
+left nodes, which a sweep takes for all nodes at once: one stacked product
+with a lag matrix up to BLOCK nodes, tiled FFT convolutions past it.  The
+mean-square gaps between successive iterates should shrink toward zero;
+:func:`cauchy_diagnostic` measures exactly that over a Monte Carlo ensemble
+of paths, swept in batches through :func:`sfode.analysis.path_rows`.
 """
 
 import math
 from dataclasses import dataclass
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
 from . import checks
 from .analysis import path_rows
-from .solver import BLOWUP, DivergenceError, Trajectory
+from .solver import BLOCK, BLOWUP, TILE, DivergenceError, Trajectory, _fft_lag_sums
 from .stochastic import TimeGrid, WienerPath
 from .systems import SystemModel
 from .table import write_table
@@ -60,19 +63,80 @@ def _gaps(prev: np.ndarray, states: np.ndarray, sup_mode: bool) -> np.ndarray:
 
 
 def _kernels(t: np.ndarray, alpha: float) -> tuple:
-    """The drift weights and the noise kernel of every sweep on the node times t,
-    as two reversed contiguous arrays indexed nodes - 1 - (n - j).
+    """The drift weights and the noise kernel of every sweep on the node
+    times t, each prepared for :func:`_lag_sums` over the N = len(t) - 1
+    left nodes.
 
-    On the uniform grid t_n - t_j = t_{n-j}, so the weights of node n are the
-    last n entries of each: the fractional powers cost O(N) in total, not
-    O(N) per node, and each weight vector is a contiguous view, which keeps
-    the history sums on BLAS.
+    On the uniform grid t_n - t_j = t_{n-j}, so node n weights node j < n by
+    the lag n - 1 - j alone: the fractional powers cost O(N) in total.  Up to
+    BLOCK nodes each kernel is an (N, N) lag matrix, entry (j, p) the weight
+    at lag p - j and 0 below the diagonal.  Past BLOCK it is the rfft of
+    each tile diagonal of :func:`_lag_sums`.  Both are built once per call
+    of :func:`_iterates`, not once per sweep.
     """
     inv_gamma = 1.0 / math.gamma(alpha)
     p = t**alpha
     drift_w = (p[1:] - p[:-1]) * (inv_gamma / alpha)  # index n-j-1
     noise_k = t[1:]**(alpha - 1.0) * inv_gamma        # index n-j-1
-    return np.ascontiguousarray(drift_w[::-1]), np.ascontiguousarray(noise_k[::-1])
+    nodes = len(drift_w)
+    M = nodes if nodes <= BLOCK else _tile_width(nodes)
+    tiles = -(-nodes // M)
+    prepared = []
+    for k in (drift_w, noise_k):
+        # lag l sits at padded[M - 1 + l]; negative and past-the-end lags are 0
+        padded = np.zeros((tiles + 1) * M - 1)
+        padded[M - 1:M - 1 + nodes] = k
+        if nodes <= BLOCK:  # row j is padded[N - 1 - j:][:N]
+            prepared.append(sliding_window_view(padded, nodes)[::-1].copy())
+        else:  # the lags of tile diagonal q, (q - 1) M + 1 .. (q + 1) M - 1
+            prepared.append(np.fft.rfft(sliding_window_view(padded, 2 * M - 1)[::M], 2 * M))
+    return tuple(prepared)
+
+
+def _tile_width(nodes: int) -> int:
+    """The FFT tile width M of :func:`_lag_sums` past BLOCK nodes: TILE, or
+    below it the least 2**a 3**b 5**c >= nodes, so that one tile holds every
+    node and its FFT size 2M has only small prime factors (numpy's FFT of
+    size 2 * 257 takes about ten times as long as one of size 2 * 270)."""
+    width = min(nodes, TILE)
+    while True:
+        rest = width
+        for p in (2, 3, 5):
+            while rest % p == 0:
+                rest //= p
+        if rest == 1:
+            return width
+        width += 1
+
+
+def _lag_sums(x: np.ndarray, kernel: np.ndarray, out: np.ndarray) -> np.ndarray:
+    """Write to out, shaped like x = batch + (d, N), the causal lag sums
+
+        out[..., p] = sum_{j <= p} x[..., j] * k[p - j]
+
+    of one kernel k of :func:`_kernels`, and return out.  The axes of out
+    before its last must merge into one without a copy, as those of x or of
+    the nodes 1.. of a C-contiguous array do.
+
+    Up to BLOCK nodes that is one stacked product x @ kernel, which numpy
+    evaluates as one d-row product per path; the lag matrix's zeros add
+    exact zeros, so out reads only the nodes j <= p.  Past BLOCK the N nodes
+    are cut into tiles of :func:`_tile_width`, and each source tile adds its
+    sums to each target tile at or after it by
+    :func:`sfode.solver._fft_lag_sums`, which transforms every row on its
+    own.  Either way a path rounds the same in any batch.
+    """
+    nodes = x.shape[-1]
+    if nodes <= BLOCK:
+        return np.matmul(x, kernel, out=out)
+    M = kernel.shape[-1] - 1
+    rows, sums = x.reshape(-1, nodes), out.reshape(-1, nodes)
+    sums[...] = 0.0
+    for src in range(0, nodes, M):
+        for dst in range(src, nodes, M):
+            _fft_lag_sums(rows[:, src:src + M], [kernel[(dst - src) // M]],
+                          [sums[:, dst:dst + M]])
+    return out
 
 
 def _sweep(model: SystemModel, kernels: tuple, t: np.ndarray,
@@ -85,26 +149,27 @@ def _sweep(model: SystemModel, kernels: tuple, t: np.ndarray,
     states, paths first, row b*N + j holding path b at node j, and the array
     of their node times t_j.  The callables are elementwise in the columns
     they see, so each record rounds as a call at that node alone would.
+    Node n + 1 is then y0 plus the drift and noise lag sums (:func:`_lag_sums`)
+    at n, one call each for the whole batch.
     """
     nodes = states.shape[-1]
     batch, d = states.shape[:-2], states.shape[-2]
-    drift_w, noise_k = kernels
+    drift_k, noise_k = kernels
     y = states[..., :-1].swapaxes(-1, -2).reshape(-1, d)
     t_left = np.tile(t[:-1], math.prod(batch))
 
     def record(kind):
         return model.evaluate(kind, t_left, y).reshape(batch + (nodes - 1, d)).swapaxes(-1, -2)
 
-    # C order keeps each record row contiguous for the BLAS node sums
+    # C order keeps each record row contiguous for the BLAS products and FFTs
     f_vals = np.ascontiguousarray(record("drift"))
     noise = None if dW is None else np.multiply(record("diffusion"), dW, order="C")
-    out = np.empty_like(states)
+    out = np.empty(states.shape)
     out[..., 0] = model.y0
-    for n in range(1, nodes):
-        val = model.y0 + f_vals[..., :n] @ drift_w[nodes - 1 - n:]
-        if noise is not None:
-            val = val + noise[..., :n] @ noise_k[nodes - 1 - n:]
-        out[..., n] = val
+    sums = _lag_sums(f_vals, drift_k, out[..., 1:])
+    if noise is not None:
+        sums += _lag_sums(noise, noise_k, f_vals)  # the drift records are spent
+    sums += model.y0[:, None]
     return out
 
 
@@ -168,8 +233,10 @@ class CauchyReport:
 def diagnostic_rule(alpha: float, M: int, K: int, grid: TimeGrid | None) -> list:
     """The domain of :func:`cauchy_diagnostic`: alpha > 1/2, M >= 100 paths and
     2 <= K <= N sweeps on a grid of N steps.  Node n of a sweep reads only
-    nodes before it, so sweep N is the discrete fixed point and every later
-    gap is exactly 0.  A None grid (one that fails its own rule) skips K <= N.
+    nodes before it, so sweep N is the discrete fixed point.  Up to BLOCK
+    (256) steps every later gap is exactly 0; past BLOCK the FFT sums read
+    every node at rounding level, and later gaps stay at rounding level.
+    A None grid (one that fails its own rule) skips K <= N.
     """
     problems = checks.alpha_rule(alpha, "Picard sweeps")
     if M < 100:

@@ -171,11 +171,11 @@ class _Stepper:
     once at each block start e > 0, when nodes 0..e-1 are recorded: the
     source block [e - L, e) of L = BLOCK * 2**k nodes, with e / L odd,
     adds its part of the sums of steps e..e+L-1 by one FFT convolution of
-    size 2L (tiles of TILE nodes for larger L), with the full lag kernels
-    b and a.  Each node before s lies in exactly one square of step n.  The
-    corrector weight a0[n] of node 0 depends on n, not on the lag, so node
-    0 leaves the corrector FFT and a0[n] * g_0 is added on its own.  Steps
-    must be taken in order.
+    size 2L (tiles of TILE nodes for larger L; :func:`_fft_lag_sums`),
+    with the full lag kernels b and a.  Each node before s lies in exactly
+    one square of step n.  The corrector weight a0[n] of node 0 depends on
+    n, not on the lag, so node 0 leaves the corrector FFT and a0[n] * g_0 is
+    added on its own.  Steps must be taken in order.
 
     With :attr:`checked` (the default) every right-hand side is checked to
     be finite and every state to lie within BLOWUP as it is made.  Without
@@ -267,35 +267,21 @@ class _Stepper:
         self.far[free:free + BLOCK] = 0.0
         far = self.far.reshape(ring, -1, 2).transpose(1, 0, 2)  # (rows, ring, 2)
         hist = self.hist.reshape(-1, steps + 1)
-        a0 = self.table.a0
+        b, a, a0 = self.table.b, self.table.a, self.table.a0
         L = _square(end)
         M, stop = min(L, TILE), min(end + L, steps)
         for src in range(end - L, end, M):
             for dst in range(end, stop, M):
                 count = min(M, stop - dst)
                 first = dst % ring
-                self._tile(hist[:, src:src + M], far[:, first:first + count],
-                           dst - src - M + 1, a0[dst:dst + count] if src == 0 else None)
-
-    def _tile(self, x: np.ndarray, out: np.ndarray, lag: int, a0: np.ndarray | None) -> None:
-        """Add to out, (rows, count, 2), the sums over the M source nodes of
-        x, (rows, M), at count <= M target steps, which take the kernels at
-        lags lag..lag+2M-2; a0 is given when x starts at node 0."""
-        M, count = x.shape[1], out.shape[1]
-        size = 2 * M
-        pred, corr = self.table.b, self.table.a
-        cut = slice(lag, lag + size - 1)
-        pred_hat, corr_hat = np.fft.rfft(pred[cut], size), np.fft.rfft(corr[cut], size)
-        rows = max(1, FFT_BYTES // (48 * M))  # x_hat, a product, an irfft: 16M bytes each
-        for r in range(0, len(x), rows):
-            part = slice(r, r + rows)
-            x_hat = np.fft.rfft(x[part], size)
-            out[part, :, 0] += np.fft.irfft(x_hat * pred_hat, size)[:, M - 1:M - 1 + count]
-            if a0 is not None:  # the corrector weights node 0 by a0[n], not by lag
-                g0 = x[part, :1]
-                x_hat -= g0
-                out[part, :, 1] += g0 * a0
-            out[part, :, 1] += np.fft.irfft(x_hat * corr_hat, size)[:, M - 1:M - 1 + count]
+                # steps dst.. see the nodes src.. at lags dst - src - M + 1 ..
+                # dst - src + M - 1; the corrector weights node 0 by a0[n], not by lag
+                lags = slice(dst - src - M + 1, dst - src + M)
+                out = far[:, first:first + count]
+                _fft_lag_sums(hist[:, src:src + M],
+                              [np.fft.rfft(b[lags], 2 * M), np.fft.rfft(a[lags], 2 * M)],
+                              [out[..., 0], out[..., 1]],
+                              a0[dst:dst + count] if src == 0 else None)
 
     def predict(self, n: int):
         """The predicted state of step n and the corrector sums it leaves."""
@@ -352,6 +338,37 @@ class _Stepper:
         block = states[..., start + 1:stop + 1]
         return bool(np.isfinite(self.hist[..., start + 1:stop + 1].sum())
                     and -BLOWUP <= block.min() and block.max() <= BLOWUP)
+
+
+def _fft_lag_sums(x: np.ndarray, kernel_hats: list, outs: list,
+                  w0: np.ndarray | None = None) -> None:
+    """Add to each out of outs, (rows, count) with count <= M, the lag sums
+    of the at most M source nodes of x, (rows, m):
+
+        out[:, c] += sum_j x[:, j] * k[M - 1 + c - j],
+
+    where k holds 2M - 1 lags and its paired kernel_hat is
+    np.fft.rfft(k, 2M).  The convolution of size 2M wraps nothing into the
+    columns it reads.  Each row is transformed on its own, so a row rounds
+    the same in any batch, and the rows go in chunks whose temporaries stay
+    near FFT_BYTES.  Given w0, (count,), the last sum weights x's first
+    column by w0[c] in place of its lag weight.
+
+    This is the one FFT convolution of the package: the stepper's far field
+    and the Picard sums past BLOCK nodes both call it.
+    """
+    size = 2 * (kernel_hats[0].shape[-1] - 1)
+    M, count = size // 2, outs[0].shape[1]
+    rows = max(1, FFT_BYTES // (48 * M))  # x_hat, a product, an irfft: 16M bytes each
+    for r in range(0, len(x), rows):
+        part = slice(r, r + rows)
+        x_hat = np.fft.rfft(x[part], size)
+        for i, (k_hat, out) in enumerate(zip(kernel_hats, outs)):
+            if w0 is not None and i == len(outs) - 1:
+                g0 = x[part, :1]
+                x_hat -= g0
+                out[part] += g0 * w0
+            out[part] += np.fft.irfft(x_hat * k_hat, size)[:, M - 1:M - 1 + count]
 
 
 def _square(end: int) -> int:

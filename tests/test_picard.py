@@ -7,11 +7,13 @@ import numpy as np
 import pytest
 
 from sfode.checks import ConfigError
-from sfode.picard import _iterates, cauchy_diagnostic, picard_iterate, write_distance_csv
-from sfode.solver import DivergenceError, SolverConfig, solve
+from sfode.picard import (_iterates, _kernels, _lag_sums, cauchy_diagnostic, picard_iterate,
+                          write_distance_csv)
+from sfode.solver import BLOCK, TILE, DivergenceError, SolverConfig, solve
 from sfode.special import gamma, mittag_leffler
 from sfode.stochastic import SeedSpec, generate_path, increment_batches, make_grid
-from sfode.systems import LorenzParams, SystemModel, linear_test, lorenz, newton_leipnik
+from sfode.systems import (LorenzParams, NewtonLeipnikParams, SystemModel, linear_test, lorenz,
+                           newton_leipnik)
 
 
 def constant_drift_model(value: float) -> SystemModel:
@@ -143,6 +145,63 @@ class TestG2:
         assert abs(np.var(vals) - expected) / expected <= 0.10
 
 
+def loop_lag_sums(x, k):
+    """The per-node loop the lag sums replaced: node p of x's sums is one
+    product of x's nodes 0..p with the contiguous reversed kernel."""
+    nodes = x.shape[-1]
+    k_rev = np.ascontiguousarray(k[::-1])
+    out = np.empty_like(x)
+    for p in range(nodes):
+        out[..., p] = x[..., :p + 1] @ k_rev[nodes - 1 - p:]
+    return out
+
+
+class TestLagSums:
+    """The causal lag sums of a sweep, out[..., p] = sum_{j<=p} x[..., j] k[p-j]:
+    one stacked product up to BLOCK nodes, tiled FFTs past it."""
+
+    @staticmethod
+    def lag_kernels(t, alpha):
+        """The drift weights and noise kernel of a sweep by lag, from t**alpha."""
+        inv_gamma = 1.0 / math.gamma(alpha)
+        p = t**alpha
+        return (p[1:] - p[:-1]) * (inv_gamma / alpha), t[1:]**(alpha - 1.0) * inv_gamma
+
+    @pytest.mark.parametrize("nodes,paths", [(100, 3), (BLOCK, 3), (BLOCK + 1, 3), (300, 3),
+                                             (2000, 3), (TILE + 904, 1)])
+    def test_match_the_per_node_loop(self, nodes, paths):
+        # the error is bounded by eps * |x|_1 * max|k| per row, which bounds
+        # sum_j |x_j| |k_{p-j}| at every node p; measured worst 1.35 of that
+        # (gemm 1.35, FFT 0.73), rows scaled over e**-5 .. e**5
+        rng = np.random.default_rng(nodes)
+        x = rng.standard_normal((paths, 3, nodes)) * np.exp(rng.uniform(-5, 5, (paths, 3, 1)))
+        t = np.arange(nodes + 1) * 0.005
+        for kernel, k in zip(_kernels(t, 0.93), self.lag_kernels(t, 0.93)):
+            got = _lag_sums(x, kernel, np.empty_like(x))
+            scale = np.abs(x).sum(axis=-1, keepdims=True) * np.max(np.abs(k))
+            assert np.all(np.abs(got - loop_lag_sums(x, k)) <= 4 * np.finfo(float).eps * scale)
+
+    @pytest.mark.parametrize("nodes", [100, 300])
+    @pytest.mark.parametrize("stochastic", [True, False])
+    def test_batch_equals_paths_alone(self, nodes, stochastic):
+        # the gemm is one d-row product per path and the FFT transforms each
+        # row alone, so a batch rounds as its paths do alone.  One flattened
+        # (B*d, N) @ (N, N) gemm fails this at N = 100: with numpy 2.4 and
+        # OpenBLAS its rows rounded differently from 40 paths on (not at 33
+        # or fewer), so the batch has 64.  Deterministic: no noise, so every
+        # path of the batch is the dW=None sweep
+        model = newton_leipnik(NewtonLeipnikParams(mu=0.1 if stochastic else 0.0))
+        grid = make_grid(nodes * 0.005, 0.005)
+        paths = 64
+        dW = np.stack([generate_path(SeedSpec(3, i, 0), grid, 3).increments
+                       for i in range(paths)])
+        batch = list(_iterates(model, 0.93, grid, dW, K=4))
+        for i in range(paths):
+            alone = _iterates(model, 0.93, grid, dW[i] if stochastic else None, K=4)
+            for k, states in enumerate(alone):
+                np.testing.assert_array_equal(batch[k][i], states)
+
+
 class TestPicardIterate:
     def test_zero_system_fixed_point(self):
         model = linear_test(lam=0.0, sigma0=0.0, y0=2.0)
@@ -263,6 +322,19 @@ class TestCauchyDiagnostic:
         with pytest.raises(ConfigError, match="^the Picard diagnostic needs iterations "
                                               "<= T/h = 8; got 9$"):
             cauchy_diagnostic(model, 0.93, grid, 0, M=100, K=9)
+
+    def test_gaps_past_the_grid_steps_stay_at_rounding_level(self):
+        # past BLOCK nodes the sums are FFTs, so every node reads every node
+        # at rounding level and the gaps past sweep N are no longer exactly
+        # 0; they stay within a few ulps of the states (measured: at most
+        # 1.2 eps * max|y|, max|y| = 0.61)
+        model = newton_leipnik()
+        grid = make_grid(1.5, 0.005)  # N = 300
+        path = generate_path(SeedSpec(2), grid, num_channels=3)
+        seq = picard_iterate(model, 0.93, grid, path, K=303)
+        states = np.stack([it.states for it in seq.iterates])
+        sup_gaps = np.max(np.abs(np.diff(states, axis=0)), axis=(-2, -1))
+        assert np.all(sup_gaps[300:] <= 8 * np.finfo(float).eps * np.max(np.abs(states)))
 
     @pytest.mark.parametrize("sup_mode", [False, True])
     def test_batched_gaps_equal_per_path_gaps(self, sup_mode):
