@@ -10,6 +10,7 @@ every violation of a run into one report; :func:`require` raises them as a
 """
 
 import math
+import operator
 import sys
 
 __all__ = [
@@ -88,7 +89,11 @@ def grid_rule(T: float, h: float) -> list:
 
 
 def seed_rule(seed: int) -> list:
-    """seed is a 64-bit unsigned integer."""
-    if 0 <= seed < 2**64:
-        return []
+    """seed is a 64-bit unsigned integer: a Python or numpy integer (what
+    operator.index accepts) in [0, 2**64).  A float is not a seed, even 1.0."""
+    try:
+        if 0 <= operator.index(seed) < 2**64:
+            return []
+    except TypeError:
+        pass
     return [f"seed must be a 64-bit unsigned integer; got {seed!r}"]

@@ -4,16 +4,19 @@ Noise streams are counter-based: the generator for a given (master seed,
 path index, channel index) triple is a Philox engine keyed as
 ``numpy.random.SeedSequence(master_seed, spawn_key=(path, channel))``
 would key it, so an ensemble produces the same paths whatever the order or
-batch size in which its members run.  The key is derived here, by a
-Python-int copy of SeedSequence's hash (:func:`_prefix` once per draw,
-:func:`_key` per stream), and one Philox engine is re-keyed through its
-public ``state`` for each stream, so a stream costs no SeedSequence,
-Philox or Generator object of its own.  Paths are drawn in batches: one
-path is the batch of one.  Gaussians come from numpy's ziggurat sampler on
-that stream, which is deterministic for a fixed numpy build.
+batch size in which its members run.  The keys are derived here, by a
+copy of SeedSequence's hash: :func:`_prefix` hashes the master seed once per
+draw, and :func:`_keys` hashes the spawn keys of every stream of the batch
+together, in uint32 arrays.  One Philox engine is then re-keyed through its
+public ``state`` for each stream and draws straight into the batch array,
+so a stream costs no SeedSequence, Philox, Generator or array of its own.
+Paths are drawn in batches: one path is the batch of one.  Gaussians come
+from numpy's ziggurat sampler on that stream, which is deterministic for a
+fixed numpy build.
 """
 
 import math
+import operator
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -74,7 +77,8 @@ class SeedSpec:
 
     Distinct (master_seed, path_index, channel_index) triples key distinct
     counter-based streams.  For multi-channel paths, ``channel_index`` is the
-    index of the first channel.
+    index of the first channel.  Each field takes what operator.index
+    accepts, Python or numpy integers, and is stored as a Python int.
     """
 
     master_seed: int
@@ -83,8 +87,16 @@ class SeedSpec:
 
     def __post_init__(self):
         checks.require(checks.seed_rule(self.master_seed))
-        if self.path_index < 0 or self.channel_index < 0:
+        try:
+            path, channel = operator.index(self.path_index), operator.index(self.channel_index)
+        except TypeError:
+            raise ValueError("path_index and channel_index must be integers; got "
+                             f"{self.path_index!r} and {self.channel_index!r}") from None
+        if path < 0 or channel < 0:
             raise ValueError("path_index and channel_index must be >= 0")
+        object.__setattr__(self, "master_seed", operator.index(self.master_seed))
+        object.__setattr__(self, "path_index", path)
+        object.__setattr__(self, "channel_index", channel)
 
 
 @dataclass
@@ -124,6 +136,19 @@ _MIX_L, _MIX_R = 0xCA01F9DD, 0x4973F715    # mixes a hashed word into a pool wor
 _POOL = 4                                  # pool words
 
 
+def _powers(h: int, mult: int, count: int) -> list:
+    """h, h * mult, ..., h * mult**count (mod 2**32): the hash constant
+    before and after each of count hashes."""
+    hs = [h]
+    for _ in range(count):
+        hs.append(hs[-1] * mult & _MASK32)
+    return hs
+
+
+# The hash constants of the four state words of generate_state(2, np.uint64).
+_STATE_H = np.array(_powers(_INIT_B, _MULT_B, _POOL), np.uint32).reshape(-1, 1, 1)
+
+
 def _words(n: int) -> list:
     """The uint32 words of n >= 0, least significant first; [0] for 0."""
     words = [n & _MASK32]
@@ -134,26 +159,13 @@ def _words(n: int) -> list:
     return words
 
 
-def _absorb(pool: list, h: int, words: list) -> int:
-    """Mix each of words into every pool word in place, as SeedSequence mixes
-    the entropy past its pool size; returns the advanced hash constant."""
-    for w in words:
-        for d in range(_POOL):
-            v = w ^ h
-            h = h * _MULT_A & _MASK32
-            v = v * h & _MASK32
-            v = (_MIX_L * pool[d] - _MIX_R * (v ^ v >> 16)) & _MASK32
-            pool[d] = v ^ v >> 16
-    return h
-
-
-def _prefix(master_seed: int) -> tuple:
-    """The SeedSequence pool and hash constant after the run entropy
-    master_seed, zero-padded to the pool size as numpy pads it when a spawn
-    key follows: the part of every stream key that :func:`_key` shares."""
-    words = _words(master_seed)
+def _prefix(master_seed: int, num_words: int) -> tuple:
+    """The SeedSequence pool after the run entropy master_seed < 2**64 (at
+    most two words, zero-padded to the pool size as numpy pads it when a
+    spawn key follows), and the hash constants of the num_words words that
+    follow, as :func:`_powers` gives them: two uint32 (n, 1, 1) columns."""
     pool, h = [], _INIT_A
-    for w in (words + [0] * _POOL)[:_POOL]:  # hash the first words into the pool
+    for w in (_words(master_seed) + [0] * _POOL)[:_POOL]:  # hash the words into the pool
         v = w ^ h
         h = h * _MULT_A & _MASK32
         v = v * h & _MASK32
@@ -166,23 +178,54 @@ def _prefix(master_seed: int) -> tuple:
                 v = v * h & _MASK32
                 v = (_MIX_L * pool[d] - _MIX_R * (v ^ v >> 16)) & _MASK32
                 pool[d] = v ^ v >> 16
-    h = _absorb(pool, h, words[_POOL:])
-    return tuple(pool), h
+    table = np.array(pool + _powers(h, _MULT_A, _POOL * num_words), np.uint32).reshape(-1, 1, 1)
+    return table[:_POOL], table[_POOL:]
 
 
-def _key(prefix: tuple, path: int, channel: int) -> tuple:
-    """The Philox key (two uint64 as Python ints) of stream (path, channel)
-    after prefix = _prefix(master_seed): bit for bit
-    SeedSequence(master_seed, spawn_key=(path, channel)).generate_state(2, np.uint64)."""
-    pool = list(prefix[0])
-    _absorb(pool, prefix[1], _words(path) + _words(channel))
-    state, h = [], _INIT_B
-    for v in pool:
-        v ^= h
-        h = h * _MULT_B & _MASK32
-        v = v * h & _MASK32
-        state.append(v ^ v >> 16)
-    return state[0] | state[1] << 32, state[2] | state[3] << 32
+def _columns(indices: range) -> list:
+    """Split indices (step 1) at the multiples of 2**32 into pieces of equal
+    word count: (offset, words) per piece, where words[j] is word j of the
+    indices from indices[offset] on: word 0 a uint32 array that counts up,
+    and each higher word an int, the same for the whole piece."""
+    pieces, lo = [], indices.start
+    while lo < indices.stop:
+        hi = min(indices.stop, (lo | _MASK32) + 1)
+        low, *high = _words(lo)
+        pieces.append((lo - indices.start, [np.arange(low, low + hi - lo, dtype=np.uint32), *high]))
+        lo = hi
+    return pieces
+
+
+def _keys(master_seed: int, paths: range, channels: range) -> np.ndarray:
+    """The Philox keys of the streams (paths x channels), path by path, as a
+    (streams, 2) uint64 array: row b * len(channels) + c is bit for bit
+    SeedSequence(master_seed, spawn_key=(paths[b], channels[c])).generate_state(2, np.uint64).
+
+    A hash constant depends only on how many words were hashed before it,
+    and each pool word absorbs each spawn-key word on its own.  So the keys
+    of each rectangle of streams whose indices have equal word counts are
+    hashed at once, in uint32 arrays that wrap as the hash's words do.
+    """
+    keys = np.empty((len(paths), len(channels), _POOL), "<u4")  # the 4 state words
+    rows, cols = _columns(paths), _columns(channels)
+    pool0, hs = _prefix(master_seed, len(rows[-1][1]) + len(cols[-1][1]))
+    for r, path_words in rows:
+        for c, channel_words in cols:
+            pool = pool0
+            for k, w in enumerate([path_words[0][:, None], *path_words[1:], *channel_words]):
+                h = hs[_POOL * k:_POOL * (k + 1) + 1]  # word k is hashed once per pool word
+                v = w ^ h[:-1]
+                v *= h[1:]
+                v ^= v >> 16
+                v *= _MIX_R
+                pool = _MIX_L * pool - v
+                pool ^= pool >> 16
+            pool ^= _STATE_H[:-1]  # the pool hashed into the state
+            pool *= _STATE_H[1:]
+            pool ^= pool >> 16
+            keys[r:r + pool.shape[1], c:c + pool.shape[2]] = pool.transpose(1, 2, 0)
+    # read little-endian, state words 0, 1 make key word 0 and words 2, 3 key word 1
+    return keys.view("<u8").reshape(-1, 2)
 
 
 def _wiener(master_seed: int, paths: range, channel: int, grid: TimeGrid,
@@ -190,23 +233,25 @@ def _wiener(master_seed: int, paths: range, channel: int, grid: TimeGrid,
     """W at the nodes, (len(paths), num_channels, num_nodes), with W(0) = 0.
 
     Channel c of path i draws its N(0, 1) Gaussians from the Philox stream
-    keyed by _key(_prefix(master_seed), i, channel + c), from counter 0 with
-    an empty buffer, as a fresh Philox(SeedSequence) starts; it scales them
-    by sqrt(h) and sums them along the steps into nodes 1..N.
+    keyed by SeedSequence(master_seed, spawn_key=(i, channel + c)), from
+    counter 0 with an empty buffer, as a fresh Philox(SeedSequence) starts.
+    :func:`_keys` hashes the keys of the whole batch at once; then one engine
+    is re-keyed per stream and draws straight into that stream's nodes
+    1..N.  The batch is scaled by sqrt(h) once and summed along the steps.
     """
-    sqrt_h = math.sqrt(grid.h)
-    draws = np.empty((len(paths), num_channels, grid.num_steps))
-    prefix = _prefix(master_seed)
+    keys = _keys(master_seed, paths, range(channel, channel + num_channels))
+    W = np.empty((len(paths), num_channels, grid.num_nodes))  # after the hash's scratch is freed
+    W[..., 0] = 0.0
     bitgen = np.random.Philox(0)
     rng = np.random.Generator(bitgen)
     state = bitgen.state  # a fresh engine's: counter 0, empty buffer
-    for b, i in enumerate(paths):
-        for c in range(num_channels):
-            state["state"]["key"] = _key(prefix, i, channel + c)
-            bitgen.state = state
-            draws[b, c] = rng.standard_normal(grid.num_steps) * sqrt_h
-    W = np.zeros(draws.shape[:-1] + (grid.num_nodes,))
-    np.cumsum(draws, axis=-1, out=W[..., 1:])
+    for out, key in zip(W.reshape(-1, grid.num_nodes)[:, 1:], keys):  # stream by stream
+        state["state"]["key"] = key
+        bitgen.state = state
+        rng.standard_normal(out=out)
+    steps = W[..., 1:]
+    steps *= math.sqrt(grid.h)
+    np.add.accumulate(steps, axis=-1, out=steps)
     return W
 
 
@@ -233,10 +278,11 @@ def increment_batches(master_seed: int, M: int, grid: TimeGrid, num_channels: in
     path start + b, bit for bit those of
     generate_path(SeedSpec(master_seed, start + b, 0), grid, num_channels).
     B >= 1 is the most paths whose (B, num_channels, num_nodes) floats fit
-    BATCH_BYTES.  master_seed must be a 64-bit unsigned integer (else
-    ConfigError).
+    BATCH_BYTES.  master_seed must be a 64-bit unsigned integer, a Python or
+    numpy integer (else ConfigError).
     """
     checks.require(checks.seed_rule(master_seed))
+    master_seed = operator.index(master_seed)
     size = max(1, BATCH_BYTES // (8 * num_channels * grid.num_nodes))
     for start in range(0, M, size):
         paths = range(start, min(M, start + size))

@@ -72,6 +72,36 @@ class TestSeedSpec:
         with pytest.raises(ValueError):
             SeedSpec(1, channel_index=-2)
 
+    @pytest.mark.parametrize("seed", [1.0, 2.5, "1", None, np.float64(3.0)])
+    def test_seed_must_be_an_integer(self, seed):
+        assert checks.seed_rule(seed) == [
+            f"seed must be a 64-bit unsigned integer; got {seed!r}"]
+        with pytest.raises(checks.ConfigError, match="64-bit unsigned integer"):
+            SeedSpec(seed)
+        with pytest.raises(checks.ConfigError, match="64-bit unsigned integer"):
+            next(increment_batches(seed, 2, make_grid(1.0, 0.5), 1))
+
+    @pytest.mark.parametrize("index", [2.5, 1.0, "0", np.float64(1.0)])
+    def test_stream_indices_must_be_integers(self, index):
+        with pytest.raises(ValueError, match="must be integers"):
+            SeedSpec(1, index)
+        with pytest.raises(ValueError, match="must be integers"):
+            SeedSpec(1, 0, index)
+
+    def test_numpy_integers_are_python_ints(self):
+        # 2**64 - 1 as np.uint64 would wrap on + 1; the stored int does not
+        grid = make_grid(1.0, 0.25)
+        top = 2**64 - 1
+        spec = SeedSpec(np.uint64(top), np.uint64(top), np.int64(3))
+        assert spec == SeedSpec(top, top, 3)
+        assert all(type(v) is int for v in (spec.master_seed, spec.path_index, spec.channel_index))
+        assert checks.seed_rule(np.uint64(top)) == [] and checks.seed_rule(np.int64(-1)) != []
+        np.testing.assert_array_equal(generate_path(spec, grid, 2).cumulative,
+                                      generate_path(SeedSpec(top, top, 3), grid, 2).cumulative)
+        (_, dW), = increment_batches(np.uint64(top), 2, grid, 1)
+        (_, ref), = increment_batches(top, 2, grid, 1)
+        np.testing.assert_array_equal(dW, ref)
+
 
 class TestGeneratePath:
     def test_starts_at_zero(self):
@@ -170,23 +200,47 @@ class TestDrawContract:
 
     @pytest.mark.parametrize("s", [0, 1, 2**32 - 1, 2**32, 2**63, 2**64 - 1])
     def test_key_equals_seed_sequence(self, s):
-        # master seeds and spawn-key entries of one, two and three 32-bit words
-        prefix = stochastic._prefix(s)
-        for i in (0, 1, 2**32 - 1, 2**32, 2**64 + 3):
-            for c in (0, 2, 2**32 + 1):
-                seq = np.random.SeedSequence(s, spawn_key=(i, c))
-                assert stochastic._key(prefix, i, c) == tuple(
-                    int(k) for k in seq.generate_state(2, np.uint64)), (i, c)
+        # master seeds of one and two 32-bit words; the path indices 0, 1,
+        # 2**32 - 1, 2**32, 2**64 + 3 and the channel indices 0, 2, 2**32 + 1
+        # lie in ranges of one, two and three words that each batch hashes
+        # at once, the later ranges across a word boundary
+        for paths in (range(0, 2), range(2**32 - 1, 2**32 + 1), range(2**64 - 1, 2**64 + 4)):
+            for channels in (range(0, 3), range(2**32 - 1, 2**32 + 2)):
+                keys = stochastic._keys(s, paths, channels)
+                streams = [(i, c) for i in paths for c in channels]
+                assert len(keys) == len(streams)
+                for (i, c), key in zip(streams, keys):
+                    seq = np.random.SeedSequence(s, spawn_key=(i, c))
+                    np.testing.assert_array_equal(key, seq.generate_state(2, np.uint64), str((i, c)))
+
+    @staticmethod
+    def reference(s, i, c, grid):
+        """W of stream (s, i, c) from a fresh numpy Philox(SeedSequence)."""
+        seq = np.random.SeedSequence(s, spawn_key=(i, c))
+        draws = np.random.Generator(np.random.Philox(seq)).standard_normal(grid.num_steps)
+        return np.concatenate([[0.0], np.cumsum(draws * math.sqrt(grid.h))])
 
     @pytest.mark.parametrize("s,i,c", [(0, 0, 0), (7, 3, 2), (2**64 - 1, 5, 1),
                                        (2**64 - 1, 2**32, 2**32 + 1)])
     def test_stream_keying(self, s, i, c):
         grid = make_grid(1.0, 0.125)
-        seq = np.random.SeedSequence(s, spawn_key=(i, c))
-        draws = np.random.Generator(np.random.Philox(seq)).standard_normal(grid.num_steps)
-        W = np.concatenate([[0.0], np.cumsum(draws * math.sqrt(grid.h))])
         np.testing.assert_array_equal(
-            generate_path(SeedSpec(s, i, c), grid, 1).increments[0], np.diff(W))
+            generate_path(SeedSpec(s, i, c), grid, 1).increments[0],
+            np.diff(self.reference(s, i, c, grid)))
+
+    @pytest.mark.parametrize("s", [0, 2**64 - 1])
+    @pytest.mark.parametrize("c0", [0, 2**32 - 1])
+    def test_batch_across_a_word_boundary(self, s, c0):
+        # paths 2**32 - 2 .. 2**32 + 1 have one and two words, and from
+        # c0 = 2**32 - 1 so do the two channels: one draw, four rectangles
+        grid = make_grid(1.0, 0.125)
+        paths = range(2**32 - 2, 2**32 + 2)
+        W = stochastic._wiener(s, paths, c0, grid, 2)
+        assert W.shape == (4, 2, grid.num_nodes)
+        for i, row in zip(paths, W):
+            np.testing.assert_array_equal(row, generate_path(SeedSpec(s, i, c0), grid, 2).cumulative)
+            for c in range(2):
+                np.testing.assert_array_equal(row[c], self.reference(s, i, c0 + c, grid))
 
 
 class TestPathStatistics:
