@@ -4,10 +4,8 @@ equation systems (Caputo-type memory, order alpha in (0, 1])."""
 __version__ = "0.1.0"
 
 from .analysis import (
-    BoundedCheck,
     ConvergenceReport,
     EnsembleStats,
-    bounded_attractor_check,
     convergence_order,
     ensemble_run,
     ito_isometry_check,
@@ -45,7 +43,6 @@ from .weights import WeightMode, corrector_weights, predictor_weights
 
 __all__ = [
     "__version__",
-    "BoundedCheck",
     "CauchyReport",
     "ConfigError",
     "ConvergenceError",
@@ -63,7 +60,6 @@ __all__ = [
     "Trajectory",
     "WeightMode",
     "WienerPath",
-    "bounded_attractor_check",
     "cauchy_diagnostic",
     "convergence_order",
     "corrector_weights",

@@ -10,12 +10,13 @@ statistic is bit-reproducible and independent of the batch size.
 """
 
 import math
+import operator
 from dataclasses import dataclass, replace
 
 import numpy as np
 
 from . import checks
-from .solver import DivergenceError, SolverConfig, Trajectory, solve, solve_batch
+from .solver import DivergenceError, SolverConfig, solve, solve_batch
 from .stochastic import SeedSpec, TimeGrid, generate_path, make_grid, restrict_path
 from .stochastic import increment_batches
 from .systems import SystemModel
@@ -24,13 +25,11 @@ from .table import write_table
 __all__ = [
     "EnsembleStats",
     "ConvergenceReport",
-    "BoundedCheck",
     "accumulate_stats",
     "ensemble_run",
     "ito_isometry_check",
     "convergence_order",
     "levels_rule",
-    "bounded_attractor_check",
     "write_stats_csv",
 ]
 
@@ -112,6 +111,7 @@ def ensemble_run(model: SystemModel, cfg: SolverConfig, master_seed: int, M: int
     one batch and the results are the same for any batch size.  ``workers``
     (>= 0) is accepted for compatibility and has no effect.
     """
+    checks.require(checks.integer_rule(M=M, workers=workers))
     problems = [] if M >= 1 else [f"M must be >= 1, got {M}"]
     if workers < 0:
         problems.append(f"workers must be >= 0, got {workers}")
@@ -132,9 +132,8 @@ def ito_isometry_check(alpha: float, grid: TimeGrid, M: int,
     as it would alone, and are added in path-index order, so the value does
     not depend on the batch size.
     """
-    checks.require(checks.alpha_rule(alpha, "noise integrals"))
-    if M < 1000:
-        raise ValueError(f"ito_isometry_check needs M >= 1000, got {M}")
+    checks.require(checks.alpha_rule(alpha, "noise integrals") + checks.integer_rule(M=M))
+    checks.require([] if M >= 1000 else [f"ito_isometry_check needs M >= 1000, got {M}"])
     T = grid.T
     t = grid.nodes()[:-1]
     v = (T - t)**(alpha - 1.0)
@@ -157,7 +156,9 @@ def levels_rule(levels: int, grid: TimeGrid | None) -> list:
     skips the latter."""
     if levels < 3:
         return [f"need at least 3 grid levels; got {max(levels, 0)}"]
-    return [] if grid is None else checks.grid_rule(grid.T, math.ldexp(grid.h, 1 - levels))
+    if grid is None:
+        return []
+    return checks.grid_rule(grid.T, math.ldexp(grid.h, 1 - operator.index(levels)))
 
 
 def convergence_order(model: SystemModel, cfg: SolverConfig, levels: int,
@@ -176,6 +177,7 @@ def convergence_order(model: SystemModel, cfg: SolverConfig, levels: int,
     increment is then a difference of two fine W values, which equals the
     sum of the fine increments it spans only up to rounding.
     """
+    checks.require(checks.integer_rule(levels=levels))
     checks.require(levels_rule(levels, cfg.grid))
     T, h = cfg.grid.T, cfg.grid.h
     if cfg.stochastic and master_seed is None:
@@ -202,23 +204,6 @@ def convergence_order(model: SystemModel, cfg: SolverConfig, levels: int,
     degenerate = bool(np.all(errors < 1e-300))
     order = float("nan") if degenerate else float(np.polyfit(np.log(h), np.log(errors), 1)[0])
     return ConvergenceReport(h=h, errors=errors, order=order, degenerate=degenerate)
-
-
-@dataclass
-class BoundedCheck:
-    passed: bool
-    max_abs: float
-    radius: float
-
-
-def bounded_attractor_check(traj: Trajectory, radius: float) -> BoundedCheck:
-    """Did the trajectory stay inside the sup-norm ball of the given radius?
-
-    A cheap qualitative stand-in for eyeballing phase portraits: chaotic but
-    bounded dynamics must pass, escapes must fail.
-    """
-    max_abs = float(np.max(np.abs(traj.states)))
-    return BoundedCheck(passed=bool(max_abs <= radius), max_abs=max_abs, radius=radius)
 
 
 def write_stats_csv(stats: EnsembleStats, stream, metadata: dict | None = None) -> None:

@@ -19,6 +19,7 @@ __all__ = [
     "choice_rule",
     "finite_rule",
     "grid_rule",
+    "integer_rule",
     "positive_rule",
     "require",
     "seed_rule",
@@ -67,6 +68,18 @@ def finite_rule(**values) -> list:
     """Every named value is a finite number."""
     return [f"{name} must be finite; got {value!r}"
             for name, value in values.items() if not math.isfinite(value)]
+
+
+def integer_rule(**values) -> list:
+    """Every named value is an integer, a count: a Python or numpy integer
+    (what operator.index accepts).  A float is not a count, even 2.0."""
+    problems = []
+    for name, value in values.items():
+        try:
+            operator.index(value)
+        except TypeError:
+            problems.append(f"{name} must be an integer; got {value!r}")
+    return problems
 
 
 def positive_rule(**values) -> list:

@@ -26,7 +26,7 @@ from numpy.lib.stride_tricks import sliding_window_view
 
 from . import checks
 from .analysis import path_rows
-from .solver import BLOCK, BLOWUP, TILE, DivergenceError, Trajectory, _fft_lag_sums
+from .solver import BLOCK, BLOWUP, TILE, DivergenceError, _fft_lag_sums
 from .stochastic import TimeGrid, WienerPath
 from .systems import SystemModel
 from .table import write_table
@@ -43,15 +43,15 @@ __all__ = [
 
 @dataclass
 class PicardSequence:
-    """Iterates y_0..y_K on one shared grid and one shared Wiener path."""
+    """Iterates y_0..y_K on one shared grid and one shared Wiener path:
+    states[k], shaped (d, nodes), is iterate k."""
 
     grid: TimeGrid
-    iterates: list  # list[Trajectory], length K + 1
+    states: np.ndarray  # (K + 1, d, nodes)
 
     def terminal_gaps(self) -> np.ndarray:
         """Squared terminal gaps |y_{k+1}(T) - y_k(T)|**2, k = 0..K-1, by :func:`_gaps`."""
-        states = np.stack([it.states for it in self.iterates])
-        return _gaps(states[:-1], states[1:], sup_mode=False)
+        return _gaps(self.states[:-1], self.states[1:], sup_mode=False)
 
 
 def _gaps(prev: np.ndarray, states: np.ndarray, sup_mode: bool) -> np.ndarray:
@@ -198,6 +198,7 @@ def picard_iterate(model: SystemModel, alpha: float, grid: TimeGrid,
 
     A None path switches the noise convolution off (deterministic check).
     """
+    checks.require(checks.integer_rule(K=K))
     problems = checks.alpha_rule(alpha, "Picard sweeps")
     if K < 1:
         problems.append(f"K must be >= 1; got {K}")
@@ -210,9 +211,7 @@ def picard_iterate(model: SystemModel, alpha: float, grid: TimeGrid,
                 f"path has {path.num_channels} channels, model needs {model.noise_dim}"
             )
     dW = None if path is None else path.increments
-    iterates = [Trajectory(grid=grid, states=states)
-                for states in _iterates(model, alpha, grid, dW, K)]
-    return PicardSequence(grid=grid, iterates=iterates)
+    return PicardSequence(grid=grid, states=np.stack(list(_iterates(model, alpha, grid, dW, K))))
 
 
 @dataclass
@@ -221,8 +220,6 @@ class CauchyReport:
 
     distances: np.ndarray   # d_1..d_{K-1}
     converged: bool         # d_{K-1} < 0.01 * d_1
-    num_paths: int
-    sup_mode: bool
     max_terminal_l2: float  # max_k E|y_k(T)|**2, boundedness diagnostic
 
     @property
@@ -262,6 +259,7 @@ def cauchy_diagnostic(model: SystemModel, alpha: float, grid: TimeGrid,
     gaps are measured at the terminal node (the cheap proxy); sup_mode
     maximizes them over the grid.
     """
+    checks.require(checks.integer_rule(paths=M, iterations=K))
     checks.require(diagnostic_rule(alpha, M, K, grid))
 
     def rows(dW):
@@ -279,8 +277,6 @@ def cauchy_diagnostic(model: SystemModel, alpha: float, grid: TimeGrid,
     return CauchyReport(
         distances=distances,
         converged=converged,
-        num_paths=M,
-        sup_mode=sup_mode,
         max_terminal_l2=float(np.max(means[K:])),
     )
 

@@ -122,9 +122,6 @@ class Trajectory:
     def dim(self) -> int:
         return self.states.shape[0]
 
-    def terminal(self) -> np.ndarray:
-        return self.states[:, -1]
-
 
 def _diverged(message: str, step: int, time: float, ok: np.ndarray) -> DivergenceError:
     """DivergenceError at a step; ok marks the admissible entries of a batch + (d,) array."""

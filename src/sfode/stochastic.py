@@ -4,12 +4,13 @@ Noise streams are counter-based: the generator for a given (master seed,
 path index, channel index) triple is a Philox engine keyed as
 ``numpy.random.SeedSequence(master_seed, spawn_key=(path, channel))``
 would key it, so an ensemble produces the same paths whatever the order or
-batch size in which its members run.  The keys are derived here, by a
-copy of SeedSequence's hash: :func:`_prefix` hashes the master seed once per
-draw, and :func:`_keys` hashes the spawn keys of every stream of the batch
-together, in uint32 arrays.  One Philox engine is then re-keyed through its
-public ``state`` for each stream and draws straight into the batch array,
-so a stream costs no SeedSequence, Philox, Generator or array of its own.
+batch size in which its members run.  The keys are derived here:
+:func:`_prefix` takes the pool of the master seed from numpy's SeedSequence
+once per draw, and :func:`_keys` hashes the spawn keys of every stream of
+the batch into it together, in uint32 arrays, by a copy of SeedSequence's
+hash.  One Philox engine is then re-keyed through its public ``state`` for
+each stream and draws straight into the batch array, so a stream costs no
+SeedSequence, Philox, Generator or array of its own.
 Paths are drawn in batches: one path is the batch of one.  Gaussians come
 from numpy's ziggurat sampler on that stream, which is deterministic for a
 fixed numpy build.
@@ -160,26 +161,14 @@ def _words(n: int) -> list:
 
 
 def _prefix(master_seed: int, num_words: int) -> tuple:
-    """The SeedSequence pool after the run entropy master_seed < 2**64 (at
-    most two words, zero-padded to the pool size as numpy pads it when a
-    spawn key follows), and the hash constants of the num_words words that
-    follow, as :func:`_powers` gives them: two uint32 (n, 1, 1) columns."""
-    pool, h = [], _INIT_A
-    for w in (_words(master_seed) + [0] * _POOL)[:_POOL]:  # hash the words into the pool
-        v = w ^ h
-        h = h * _MULT_A & _MASK32
-        v = v * h & _MASK32
-        pool.append(v ^ v >> 16)
-    for s in range(_POOL):  # mix every pool word into every other
-        for d in range(_POOL):
-            if s != d:
-                v = pool[s] ^ h
-                h = h * _MULT_A & _MASK32
-                v = v * h & _MASK32
-                v = (_MIX_L * pool[d] - _MIX_R * (v ^ v >> 16)) & _MASK32
-                pool[d] = v ^ v >> 16
-    table = np.array(pool + _powers(h, _MULT_A, _POOL * num_words), np.uint32).reshape(-1, 1, 1)
-    return table[:_POOL], table[_POOL:]
+    """The SeedSequence pool after the run entropy master_seed, which numpy
+    pads with zero words whether or not a spawn key follows, and the hash
+    constants of the num_words spawn-key words that follow, as :func:`_powers`
+    gives them: two uint32 (n, 1, 1) columns.  The pool took 4 + 12 hashes:
+    one per pool word and one per ordered pair of pool words."""
+    pool = np.random.SeedSequence(master_seed).pool
+    hs = _powers(_INIT_A * pow(_MULT_A, _POOL * _POOL, 2**32) & _MASK32, _MULT_A, _POOL * num_words)
+    return pool.reshape(-1, 1, 1), np.array(hs, np.uint32).reshape(-1, 1, 1)
 
 
 def _columns(indices: range) -> list:
@@ -264,8 +253,8 @@ def generate_path(seed: SeedSpec, grid: TimeGrid, num_channels: int = 1) -> Wien
     SeedSpec.  With channel_index 0 its increments are bit for bit those
     that :func:`increment_batches` yields for path path_index.
     """
-    if num_channels < 1:
-        raise ValueError(f"num_channels must be >= 1, got {num_channels}")
+    checks.require(checks.integer_rule(num_channels=num_channels))
+    checks.require([] if num_channels >= 1 else [f"num_channels must be >= 1, got {num_channels}"])
     paths = range(seed.path_index, seed.path_index + 1)
     return WienerPath(grid, _wiener(seed.master_seed, paths, seed.channel_index, grid,
                                     num_channels)[0])

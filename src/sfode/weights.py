@@ -63,7 +63,6 @@ class WeightTable:
             raise ValueError(f"num_steps must be >= 1, got {num_steps}")
         checks.require(checks.alpha_rule(alpha) + checks.finite_rule(h=h)
                        + checks.positive_rule(h=h))
-        self.num_steps = num_steps
         self.alpha = float(alpha)
         self.h = float(h)
         self.mode = WeightMode(mode)
@@ -85,10 +84,12 @@ class WeightTable:
 def corrector_weights(n: int, alpha: float,
                       mode: WeightMode = WeightMode.STANDARD) -> np.ndarray:
     """Corrector weights a[0..n+1] for a single step, built fresh in O(n)."""
+    checks.require(checks.integer_rule(n=n))
     table = WeightTable(n + 1, alpha, 1.0, mode)
     return np.concatenate((table.a0[n:], table.a[:n][::-1], [1.0]))
 
 
 def predictor_weights(n: int, alpha: float, h: float) -> np.ndarray:
     """Predictor weights b[0..n] for a single step, built fresh in O(n)."""
+    checks.require(checks.integer_rule(n=n))
     return WeightTable(n + 1, alpha, h).b[::-1].copy()

@@ -8,7 +8,6 @@ import numpy as np
 import pytest
 
 from sfode.analysis import (
-    bounded_attractor_check,
     convergence_order,
     ensemble_run,
     ito_isometry_check,

@@ -8,7 +8,6 @@ import pytest
 from sfode import analysis, stochastic
 from sfode.analysis import (
     accumulate_stats,
-    bounded_attractor_check,
     convergence_order,
     ensemble_run,
     ito_isometry_check,
@@ -20,6 +19,7 @@ from sfode.solver import BLOCK, DivergenceError, NoiseHistory, SolverConfig, sol
 from sfode.special import mittag_leffler
 from sfode.stochastic import SeedSpec, generate_path, make_grid
 from sfode.systems import LorenzParams, SystemModel, linear_test, lorenz, newton_leipnik
+from sfode.weights import corrector_weights, predictor_weights
 
 
 def diffusion_cfg(steps=64, alpha=0.75):
@@ -361,17 +361,35 @@ class TestConvergenceOrder:
             convergence_order(model, SolverConfig(alpha=0.8, grid=make_grid(1.0, 0.1)), 30)
 
 
-class TestBoundedCheck:
-    def test_constant_system_passes(self):
-        model = linear_test(lam=0.0, sigma0=0.0, y0=1.5)
-        traj = solve(model, SolverConfig(alpha=0.8, grid=make_grid(1.0, 0.25)))
-        check = bounded_attractor_check(traj, radius=2.0)
-        assert check.passed and check.max_abs == 1.5
+COUNT_CALLS = {  # entry point: (call of one count, a valid count)
+    "ensemble_run": (lambda n: ensemble_run(linear_test(), chain_cfg(0.8, 4), 1, n), 3),
+    "cauchy_diagnostic paths": (lambda n: cauchy_diagnostic(
+        newton_leipnik(), 0.93, make_grid(0.25, 0.025), 0, M=n, K=3), 100),
+    "cauchy_diagnostic iterations": (lambda n: cauchy_diagnostic(
+        newton_leipnik(), 0.93, make_grid(0.25, 0.025), 0, M=100, K=n), 3),
+    "generate_path": (lambda n: generate_path(SeedSpec(1), make_grid(1.0, 0.25), n), 2),
+    "ito_isometry_check": (lambda n: ito_isometry_check(0.9, make_grid(1.0, 0.25), n), 1000),
+    "picard_iterate": (lambda n: picard_iterate(linear_test(), 0.8, make_grid(1.0, 0.25),
+                                                None, K=n), 2),
+    "convergence_order": (lambda n: convergence_order(linear_test(), chain_cfg(0.8, 4), n), 3),
+    "corrector_weights": (lambda n: corrector_weights(n, 0.8), 2),
+    "predictor_weights": (lambda n: predictor_weights(n, 0.8, 0.1), 2),
+}
 
-    def test_small_radius_fails(self):
-        model = linear_test(lam=0.0, sigma0=0.0, y0=1.5)
-        traj = solve(model, SolverConfig(alpha=0.8, grid=make_grid(1.0, 0.25)))
-        assert not bounded_attractor_check(traj, radius=1.0).passed
+
+@pytest.mark.parametrize("count", [2.0, 2.5, "3"])
+@pytest.mark.parametrize("entry", COUNT_CALLS)
+def test_non_integer_count_is_a_config_error(entry, count):
+    # a count is what operator.index accepts; anything else fails up front,
+    # not with a TypeError from deep inside the run
+    with pytest.raises(ConfigError, match=f"must be an integer; got {count!r}$"):
+        COUNT_CALLS[entry][0](count)
+
+
+@pytest.mark.parametrize("entry", COUNT_CALLS)
+def test_numpy_integer_count_is_a_count(entry):
+    call, count = COUNT_CALLS[entry]
+    call(np.int64(count))
 
 
 def test_write_stats_csv():

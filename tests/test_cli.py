@@ -135,6 +135,22 @@ class TestSimulateCommand:
             assert line in comments
 
 
+    @pytest.mark.parametrize("args, extreme", [
+        pytest.param(["--system", "linear_test", "--lam", 0, "--mu", 0, "--h", 0.25], 1.0,
+                     id="constant"),  # every state is 1.0
+        # the Newton-Leipnik run of seed 0: its largest magnitude is y2(T) < 0
+        pytest.param(["--system", "newton_leipnik", "--seed", 0], -0.24574611049478812,
+                     id="negative"),
+    ])
+    def test_max_abs_state_is_the_written_rows_max(self, args, extreme, tmp_path):
+        out = tmp_path / "traj.csv"
+        assert run(["simulate", *args, "-o", out]) == 0
+        comments, data = read_csv(out)
+        states = [float(cell) for row in data[1:] for cell in row.split(",")[1:]]
+        assert extreme in states and max(map(abs, states)) == abs(extreme)
+        assert f"# max_abs_state={abs(extreme):.17g}" in comments
+
+
 class TestConfigHandling:
     def test_config_file_with_flag_override(self, tmp_path):
         cfg = tmp_path / "run.cfg"

@@ -71,7 +71,7 @@ def g2_reference(states, grid, model, alpha, path, n):
 
 def first_sweep(model, alpha, grid, path=None) -> np.ndarray:
     """Iterate 1, the sweep applied to the constant initial state."""
-    return picard_iterate(model, alpha, grid, path, K=1).iterates[1].states
+    return picard_iterate(model, alpha, grid, path, K=1).states[1]
 
 
 class TestG1:
@@ -207,10 +207,20 @@ class TestPicardIterate:
         model = linear_test(lam=0.0, sigma0=0.0, y0=2.0)
         grid = make_grid(1.0, 0.125)
         seq = picard_iterate(model, 0.8, grid, None, K=3)
-        assert len(seq.iterates) == 4
-        for it in seq.iterates:
-            np.testing.assert_array_equal(it.states, 2.0)
+        assert seq.states.shape == (4, 1, 9)
+        np.testing.assert_array_equal(seq.states, 2.0)
         np.testing.assert_array_equal(seq.terminal_gaps(), 0.0)
+
+    @pytest.mark.parametrize("stochastic", [False, True])
+    def test_states_are_the_iterates(self, stochastic):
+        model = newton_leipnik()
+        grid = make_grid(0.25, 1.0 / 40)
+        path = generate_path(SeedSpec(5), grid, num_channels=3) if stochastic else None
+        states = picard_iterate(model, 0.93, grid, path, K=3).states
+        iterates = list(_iterates(model, 0.93, grid, None if path is None else path.increments, 3))
+        assert states.shape == (4, 3, grid.num_nodes)
+        for k, iterate in enumerate(iterates):
+            np.testing.assert_array_equal(states[k], iterate)
 
     def test_sweep_matches_node_operators(self):
         # the vectorized sweep must agree with the per-node quadratures
@@ -218,21 +228,21 @@ class TestPicardIterate:
         grid = make_grid(0.25, 1.0 / 40)
         path = generate_path(SeedSpec(5), grid, num_channels=3)
         seq = picard_iterate(model, 0.93, grid, path, K=2)
-        prev, curr = seq.iterates[1], seq.iterates[2]
+        prev, curr = seq.states[1], seq.states[2]
         for n in (0, 1, 7, grid.num_steps):
             expected = (
                 model.y0
-                + g1_reference(prev.states, grid, model, 0.93, n)
-                + g2_reference(prev.states, grid, model, 0.93, path, n)
+                + g1_reference(prev, grid, model, 0.93, n)
+                + g2_reference(prev, grid, model, 0.93, path, n)
             )
-            np.testing.assert_allclose(curr.states[:, n], expected, atol=1e-12)
+            np.testing.assert_allclose(curr[:, n], expected, atol=1e-12)
 
     def test_linear_problem_approaches_oracle(self):
         model = linear_test(lam=1.0)
         grid = make_grid(1.0, 1.0 / 128)
         exact = np.array([mittag_leffler(0.8, -(t**0.8)) for t in grid.nodes()])
         seq = picard_iterate(model, 0.8, grid, None, K=8)
-        errs = [np.max(np.abs(it.states[0] - exact)) for it in seq.iterates]
+        errs = [np.max(np.abs(states[0] - exact)) for states in seq.states]
         assert all(errs[k + 1] < errs[k] for k in range(5))
         assert errs[-1] <= 0.05
 
@@ -243,8 +253,8 @@ class TestPicardIterate:
         grid = make_grid(1.0, 1.0 / 256)
         seq = picard_iterate(model, 0.8, grid, None, K=10)
         stepper = solve(model, SolverConfig(alpha=0.8, grid=grid))
-        picard_T = seq.iterates[-1].terminal()[0]
-        solver_T = stepper.terminal()[0]
+        picard_T = seq.states[-1, 0, -1]
+        solver_T = stepper.states[0, -1]
         assert abs(picard_T - solver_T) / abs(solver_T) <= 0.05
 
     def test_validation(self):
@@ -331,8 +341,7 @@ class TestCauchyDiagnostic:
         model = newton_leipnik()
         grid = make_grid(1.5, 0.005)  # N = 300
         path = generate_path(SeedSpec(2), grid, num_channels=3)
-        seq = picard_iterate(model, 0.93, grid, path, K=303)
-        states = np.stack([it.states for it in seq.iterates])
+        states = picard_iterate(model, 0.93, grid, path, K=303).states
         sup_gaps = np.max(np.abs(np.diff(states, axis=0)), axis=(-2, -1))
         assert np.all(sup_gaps[300:] <= 8 * np.finfo(float).eps * np.max(np.abs(states)))
 
@@ -348,8 +357,8 @@ class TestCauchyDiagnostic:
             seq = picard_iterate(model, 0.93, grid,
                                  generate_path(SeedSpec(3, i, 0), grid, num_channels=3), K)
             if sup_mode:
-                total += [np.max(np.sum((b.states - a.states)**2, axis=0))
-                          for a, b in zip(seq.iterates, seq.iterates[1:])]
+                total += [np.max(np.sum((b - a)**2, axis=0))
+                          for a, b in zip(seq.states, seq.states[1:])]
             else:
                 total += seq.terminal_gaps()
         report = cauchy_diagnostic(model, 0.93, grid, 3, M=M, K=K, sup_mode=sup_mode)
