@@ -89,6 +89,8 @@ RUNS = {
                         "--seed", "18446744073709551615"],
     # input edges: exit 2, and a variance law out of float range (exit 0)
     "negative_workers": ["ensemble", "--workers", "-1"],
+    "counts_and_alpha": ["ensemble", "--paths", "0", "--workers", "-1", "--alpha", "1.5"],
+    "weights_bad_mode": ["weights", "-n", "2", "--alpha", "0.5", "--mode", "bogus"],
     "two_levels": ["converge", "--levels", "2"],
     "config_line_without_equals": ["simulate", "--config", "{tmp}/bad.cfg"],
     "bad_alpha": ["simulate", "--alpha", "1.5"],

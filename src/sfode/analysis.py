@@ -111,11 +111,7 @@ def ensemble_run(model: SystemModel, cfg: SolverConfig, master_seed: int, M: int
     one batch and the results are the same for any batch size.  ``workers``
     (>= 0) is accepted for compatibility and has no effect.
     """
-    checks.require(checks.integer_rule(M=M, workers=workers))
-    problems = [] if M >= 1 else [f"M must be >= 1, got {M}"]
-    if workers < 0:
-        problems.append(f"workers must be >= 0, got {workers}")
-    checks.require(problems)
+    checks.require(checks.integer_rule(1, M=M) + checks.integer_rule(0, workers=workers))
     return accumulate_stats(cfg.grid, path_rows(master_seed, M, cfg.grid, model.noise_dim,
                                                 lambda dW: solve_batch(model, cfg, dW)))
 
@@ -132,8 +128,7 @@ def ito_isometry_check(alpha: float, grid: TimeGrid, M: int,
     as it would alone, and are added in path-index order, so the value does
     not depend on the batch size.
     """
-    checks.require(checks.alpha_rule(alpha, "noise integrals") + checks.integer_rule(M=M))
-    checks.require([] if M >= 1000 else [f"ito_isometry_check needs M >= 1000, got {M}"])
+    checks.require(checks.alpha_rule(alpha, "noise integrals") + checks.integer_rule(1000, M=M))
     T = grid.T
     t = grid.nodes()[:-1]
     v = (T - t)**(alpha - 1.0)

@@ -70,15 +70,19 @@ def finite_rule(**values) -> list:
             for name, value in values.items() if not math.isfinite(value)]
 
 
-def integer_rule(**values) -> list:
+def integer_rule(least: int | None = None, **values) -> list:
     """Every named value is an integer, a count: a Python or numpy integer
-    (what operator.index accepts).  A float is not a count, even 2.0."""
+    (what operator.index accepts), and at least least when that is given.
+    A float is not a count, even 2.0."""
     problems = []
     for name, value in values.items():
         try:
-            operator.index(value)
+            n = operator.index(value)
         except TypeError:
             problems.append(f"{name} must be an integer; got {value!r}")
+            continue
+        if least is not None and n < least:
+            problems.append(f"{name} must be >= {least}; got {n}")
     return problems
 
 

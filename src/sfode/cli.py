@@ -39,7 +39,7 @@ from .systems import (
     newton_leipnik,
 )
 from .table import write_table
-from .weights import WeightMode, corrector_weights, predictor_weights
+from .weights import WeightMode, corrector_weights, predictor_weights, table_rule
 
 __all__ = ["ConfigError", "RunConfig", "main"]
 
@@ -87,10 +87,8 @@ def _validate(cfg: RunConfig, rule=None) -> None:
     if cfg.system == "newton_leipnik":
         problems += checks.positive_rule(beta=cfg.beta)
     problems += checks.seed_rule(cfg.seed)
-    if cfg.paths < 1:
-        problems.append(f"paths must be >= 1; got {cfg.paths!r}")
-    if cfg.workers < 0:
-        problems.append(f"workers must be >= 0; got {cfg.workers!r}")
+    problems += checks.integer_rule(1, paths=cfg.paths)
+    problems += checks.integer_rule(0, workers=cfg.workers)
     problems += checks.choice_rule("noise_history", cfg.noise_history, NoiseHistory)
     problems += checks.choice_rule("weight_mode", cfg.weight_mode, WeightMode)
     if rule is not None:
@@ -305,9 +303,7 @@ def cmd_converge(args) -> int:
 
 
 def cmd_weights(args) -> int:
-    problems = (checks.alpha_rule(args.alpha) + checks.finite_rule(h=args.h)
-                + checks.positive_rule(h=args.h)
-                + checks.choice_rule("mode", args.mode, WeightMode))
+    problems = table_rule(args.alpha, args.h, args.mode)
     if not 0 <= args.step < checks.MAX_STEPS:
         problems.append(f"step index must be in [0, {checks.MAX_STEPS}); got {args.step}")
     checks.require(problems)

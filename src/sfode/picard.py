@@ -198,11 +198,7 @@ def picard_iterate(model: SystemModel, alpha: float, grid: TimeGrid,
 
     A None path switches the noise convolution off (deterministic check).
     """
-    checks.require(checks.integer_rule(K=K))
-    problems = checks.alpha_rule(alpha, "Picard sweeps")
-    if K < 1:
-        problems.append(f"K must be >= 1; got {K}")
-    checks.require(problems)
+    checks.require(checks.alpha_rule(alpha, "Picard sweeps") + checks.integer_rule(1, K=K))
     if path is not None:
         if path.grid != grid:
             raise ValueError("path grid does not match iteration grid")

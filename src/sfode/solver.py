@@ -104,9 +104,10 @@ class SolverConfig:
     weight_mode: WeightMode = WeightMode.STANDARD
 
     def __post_init__(self):
-        checks.require(checks.alpha_rule(
-            self.alpha, "stochastic runs (nonzero noise)" if self.stochastic else None
-        ))
+        over_half = "stochastic runs (nonzero noise)" if self.stochastic else None
+        checks.require(checks.alpha_rule(self.alpha, over_half)
+                       + checks.choice_rule("noise_history", self.noise_history, NoiseHistory)
+                       + checks.choice_rule("weight_mode", self.weight_mode, WeightMode))
         object.__setattr__(self, "noise_history", NoiseHistory(self.noise_history))
         object.__setattr__(self, "weight_mode", WeightMode(self.weight_mode))
 

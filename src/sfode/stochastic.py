@@ -87,17 +87,10 @@ class SeedSpec:
     channel_index: int = 0
 
     def __post_init__(self):
-        checks.require(checks.seed_rule(self.master_seed))
-        try:
-            path, channel = operator.index(self.path_index), operator.index(self.channel_index)
-        except TypeError:
-            raise ValueError("path_index and channel_index must be integers; got "
-                             f"{self.path_index!r} and {self.channel_index!r}") from None
-        if path < 0 or channel < 0:
-            raise ValueError("path_index and channel_index must be >= 0")
-        object.__setattr__(self, "master_seed", operator.index(self.master_seed))
-        object.__setattr__(self, "path_index", path)
-        object.__setattr__(self, "channel_index", channel)
+        checks.require(checks.seed_rule(self.master_seed) + checks.integer_rule(
+            0, path_index=self.path_index, channel_index=self.channel_index))
+        for name in ("master_seed", "path_index", "channel_index"):
+            object.__setattr__(self, name, operator.index(getattr(self, name)))
 
 
 @dataclass
@@ -253,8 +246,7 @@ def generate_path(seed: SeedSpec, grid: TimeGrid, num_channels: int = 1) -> Wien
     SeedSpec.  With channel_index 0 its increments are bit for bit those
     that :func:`increment_batches` yields for path path_index.
     """
-    checks.require(checks.integer_rule(num_channels=num_channels))
-    checks.require([] if num_channels >= 1 else [f"num_channels must be >= 1, got {num_channels}"])
+    checks.require(checks.integer_rule(1, num_channels=num_channels))
     paths = range(seed.path_index, seed.path_index + 1)
     return WienerPath(grid, _wiener(seed.master_seed, paths, seed.channel_index, grid,
                                     num_channels)[0])
@@ -267,10 +259,11 @@ def increment_batches(master_seed: int, M: int, grid: TimeGrid, num_channels: in
     path start + b, bit for bit those of
     generate_path(SeedSpec(master_seed, start + b, 0), grid, num_channels).
     B >= 1 is the most paths whose (B, num_channels, num_nodes) floats fit
-    BATCH_BYTES.  master_seed must be a 64-bit unsigned integer, a Python or
-    numpy integer (else ConfigError).
+    BATCH_BYTES.  master_seed must be a 64-bit unsigned integer, M >= 0 and
+    num_channels >= 1, each a Python or numpy integer (else ConfigError).
     """
-    checks.require(checks.seed_rule(master_seed))
+    checks.require(checks.seed_rule(master_seed) + checks.integer_rule(0, M=M)
+                   + checks.integer_rule(1, num_channels=num_channels))
     master_seed = operator.index(master_seed)
     size = max(1, BATCH_BYTES // (8 * num_channels * grid.num_nodes))
     for start in range(0, M, size):

@@ -78,8 +78,7 @@ class SystemModel:
     params: dict = field(default_factory=dict)
 
     def __post_init__(self):
-        if self.dim < 1:
-            raise ValueError(f"dim must be >= 1, got {self.dim}")
+        checks.require(checks.integer_rule(1, dim=self.dim))
         y0 = np.array(self.y0, dtype=float)  # private copy, frozen below
         if y0.shape != (self.dim,):
             raise ValueError(f"y0 must have shape ({self.dim},), got {y0.shape}")

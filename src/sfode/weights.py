@@ -32,12 +32,19 @@ import numpy as np
 
 from . import checks
 
-__all__ = ["WeightMode", "WeightTable", "corrector_weights", "predictor_weights"]
+__all__ = ["WeightMode", "WeightTable", "corrector_weights", "predictor_weights", "table_rule"]
 
 
 class WeightMode(str, enum.Enum):
     STANDARD = "standard"
     LITERAL = "literal"
+
+
+def table_rule(alpha: float, h: float, mode) -> list:
+    """The domain of a weight table: alpha in (0, 1], a finite h > 0 and a
+    mode of :class:`WeightMode`."""
+    return (checks.alpha_rule(alpha) + checks.finite_rule(h=h) + checks.positive_rule(h=h)
+            + checks.choice_rule("mode", mode, WeightMode))
 
 
 class WeightTable:
@@ -59,10 +66,7 @@ class WeightTable:
 
     def __init__(self, num_steps: int, alpha: float, h: float,
                  mode: WeightMode = WeightMode.STANDARD):
-        if num_steps < 1:
-            raise ValueError(f"num_steps must be >= 1, got {num_steps}")
-        checks.require(checks.alpha_rule(alpha) + checks.finite_rule(h=h)
-                       + checks.positive_rule(h=h))
+        checks.require(checks.integer_rule(1, num_steps=num_steps) + table_rule(alpha, h, mode))
         self.alpha = float(alpha)
         self.h = float(h)
         self.mode = WeightMode(mode)
@@ -84,12 +88,12 @@ class WeightTable:
 def corrector_weights(n: int, alpha: float,
                       mode: WeightMode = WeightMode.STANDARD) -> np.ndarray:
     """Corrector weights a[0..n+1] for a single step, built fresh in O(n)."""
-    checks.require(checks.integer_rule(n=n))
+    checks.require(checks.integer_rule(0, n=n))
     table = WeightTable(n + 1, alpha, 1.0, mode)
     return np.concatenate((table.a0[n:], table.a[:n][::-1], [1.0]))
 
 
 def predictor_weights(n: int, alpha: float, h: float) -> np.ndarray:
     """Predictor weights b[0..n] for a single step, built fresh in O(n)."""
-    checks.require(checks.integer_rule(n=n))
+    checks.require(checks.integer_rule(0, n=n))
     return WeightTable(n + 1, alpha, h).b[::-1].copy()

@@ -1,6 +1,7 @@
 import dataclasses
 import io
 import math
+import re
 
 import numpy as np
 import pytest
@@ -17,7 +18,7 @@ from sfode.checks import ConfigError
 from sfode.picard import cauchy_diagnostic, picard_iterate
 from sfode.solver import BLOCK, DivergenceError, NoiseHistory, SolverConfig, solve
 from sfode.special import mittag_leffler
-from sfode.stochastic import SeedSpec, generate_path, make_grid
+from sfode.stochastic import SeedSpec, generate_path, increment_batches, make_grid
 from sfode.systems import LorenzParams, SystemModel, linear_test, lorenz, newton_leipnik
 from sfode.weights import corrector_weights, predictor_weights
 
@@ -83,7 +84,7 @@ class TestEnsembleRun:
             ensemble_run(newton_leipnik(), diffusion_cfg(), 0, M=0)
 
     def test_negative_worker_count_rejected(self):
-        with pytest.raises(ConfigError, match="workers must be >= 0, got -1"):
+        with pytest.raises(ConfigError, match="workers must be >= 0; got -1"):
             ensemble_run(newton_leipnik(), diffusion_cfg(), 0, M=2, workers=-1)
 
     def test_reduction_needs_a_trajectory(self):
@@ -374,6 +375,22 @@ COUNT_CALLS = {  # entry point: (call of one count, a valid count)
     "convergence_order": (lambda n: convergence_order(linear_test(), chain_cfg(0.8, 4), n), 3),
     "corrector_weights": (lambda n: corrector_weights(n, 0.8), 2),
     "predictor_weights": (lambda n: predictor_weights(n, 0.8, 0.1), 2),
+    "increment_batches paths": (lambda n: list(increment_batches(0, n, make_grid(1.0, 0.5), 1)),
+                                2),
+    "increment_batches channels": (lambda n: list(increment_batches(
+        0, 2, make_grid(1.0, 0.5), n)), 2),
+}
+
+# entry point of COUNT_CALLS: (a count below its least, the one message of that)
+BELOW_LEAST = {
+    "ensemble_run": (0, "M must be >= 1; got 0"),
+    "generate_path": (0, "num_channels must be >= 1; got 0"),
+    "ito_isometry_check": (999, "M must be >= 1000; got 999"),
+    "picard_iterate": (0, "K must be >= 1; got 0"),
+    "corrector_weights": (-1, "n must be >= 0; got -1"),
+    "predictor_weights": (-1, "n must be >= 0; got -1"),
+    "increment_batches paths": (-1, "M must be >= 0; got -1"),
+    "increment_batches channels": (0, "num_channels must be >= 1; got 0"),
 }
 
 
@@ -383,6 +400,14 @@ def test_non_integer_count_is_a_config_error(entry, count):
     # a count is what operator.index accepts; anything else fails up front,
     # not with a TypeError from deep inside the run
     with pytest.raises(ConfigError, match=f"must be an integer; got {count!r}$"):
+        COUNT_CALLS[entry][0](count)
+
+
+@pytest.mark.parametrize("entry", BELOW_LEAST)
+def test_count_below_its_least_is_a_config_error(entry):
+    # one wording for every count bound, the command line's included
+    count, message = BELOW_LEAST[entry]
+    with pytest.raises(ConfigError, match=f"^{re.escape(message)}$"):
         COUNT_CALLS[entry][0](count)
 
 

@@ -379,6 +379,10 @@ def test_subnormal_alpha_is_config_error(command, alpha, tmp_path, capsys):
       "the Picard diagnostic needs iterations >= 2; got 1"]),
     (["converge", "--levels", 2, "--alpha", 1.5],
      ["alpha must be in (0, 1]; got 1.5", "need at least 3 grid levels; got 2"]),
+    (["ensemble", "--paths", 0, "--workers", -1, "--alpha", 1.5, "--T", 1e9, "--h", 1],
+     ["alpha must be in (0, 1]; got 1.5",
+      "T/h must be at most 4194304 steps; got T/h = 1000000000.0",
+      "paths must be >= 1; got 0", "workers must be >= 0; got -1"]),
     (["picard", "--system", "linear_test", "--alpha", 0.8, "--h", 0.25, "--T", 1,
       "--paths", 100, "-K", 1000000000],
      ["the Picard diagnostic needs iterations <= T/h = 4; got 1000000000"]),
@@ -391,6 +395,18 @@ def test_command_rules_listed_with_run_keys(args, messages, tmp_path, capsys):
     assert run(args + ["-o", tmp_path / "out"]) == 2
     assert capsys.readouterr().err == "sfode: configuration error:\n" + "\n".join(messages) + "\n"
     assert not (tmp_path / "out").exists()
+
+
+def test_modes_listed_after_the_run_keys(tmp_path, capsys):
+    # a config file can name a mode that the flags' choices would refuse
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text("noise_history = bogus\nT = 1e9\nh = 1\npaths = 0\n")
+    assert run(["simulate", "--config", cfg, "-o", tmp_path / "out"]) == 2
+    assert capsys.readouterr().err == (
+        "sfode: configuration error:\n"
+        "T/h must be at most 4194304 steps; got T/h = 1000000000.0\n"
+        "paths must be >= 1; got 0\n"
+        "noise_history must be one of per_step, last_increment; got 'bogus'\n")
 
 
 class TestOutputFile:

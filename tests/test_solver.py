@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from sfode import solver
+from sfode.checks import ConfigError
 from sfode.solver import (
     BLOCK,
     DivergenceError,
@@ -110,6 +111,17 @@ class TestConfig:
         with pytest.raises(ValueError):
             SolverConfig(alpha=0.3, grid=grid, stochastic=True)
         SolverConfig(alpha=0.3, grid=grid)  # deterministic is fine
+
+    @pytest.mark.parametrize("key, choices", [("noise_history", "per_step, last_increment"),
+                                              ("weight_mode", "standard, literal")])
+    def test_unknown_mode_is_a_config_error(self, key, choices):
+        # the command line's message, not the enum module's ValueError
+        with pytest.raises(ConfigError, match=f"^{key} must be one of {choices}; got 'bogus'$"):
+            SolverConfig(0.8, make_grid(1.0, 0.5), **{key: "bogus"})
+        cfg = SolverConfig(0.8, make_grid(1.0, 0.5), noise_history="last_increment",
+                           weight_mode=WeightMode.LITERAL)
+        assert (cfg.noise_history, cfg.weight_mode) == (NoiseHistory.LAST_INCREMENT,
+                                                        WeightMode.LITERAL)
 
     def test_path_presence(self):
         grid = make_grid(1.0, 0.25)

@@ -83,9 +83,9 @@ class TestSeedSpec:
 
     @pytest.mark.parametrize("index", [2.5, 1.0, "0", np.float64(1.0)])
     def test_stream_indices_must_be_integers(self, index):
-        with pytest.raises(ValueError, match="must be integers"):
+        with pytest.raises(ValueError, match="must be an integer"):
             SeedSpec(1, index)
-        with pytest.raises(ValueError, match="must be integers"):
+        with pytest.raises(ValueError, match="must be an integer"):
             SeedSpec(1, 0, index)
 
     def test_numpy_integers_are_python_ints(self):
@@ -109,7 +109,7 @@ class TestGeneratePath:
         np.testing.assert_array_equal(path.cumulative[:, 0], 0.0)
 
     def test_needs_a_channel(self):
-        with pytest.raises(ValueError, match="num_channels must be >= 1, got 0"):
+        with pytest.raises(ValueError, match="num_channels must be >= 1; got 0"):
             generate_path(SeedSpec(11), make_grid(1.0, 0.25), num_channels=0)
 
     def test_reproducible_bitwise(self):

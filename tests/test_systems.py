@@ -4,6 +4,7 @@ import itertools
 import numpy as np
 import pytest
 
+from sfode.checks import ConfigError
 from sfode.systems import (
     LorenzParams,
     NewtonLeipnikParams,
@@ -125,6 +126,12 @@ class TestSystemModel:
         with pytest.raises(ValueError, match="dim must be >= 1"):
             SystemModel(name="empty", dim=dim, drift=lambda t, y: y,
                         diffusion=lambda t, y: y, y0=[])
+
+    def test_dim_must_be_an_integer(self):
+        # y0's shape (2,) equals (2.0,), so no later check would catch it
+        with pytest.raises(ConfigError, match=r"^dim must be an integer; got 2\.0$"):
+            SystemModel(name="plane", dim=2.0, drift=lambda t, y: y,
+                        diffusion=lambda t, y: y, y0=[1.0, 2.0])
 
     @pytest.mark.parametrize("y0", [[1.0], [1.0, 2.0, 3.0], [[1.0, 2.0]]])
     def test_initial_state_of_wrong_shape_rejected(self, y0):

@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from sfode.checks import ConfigError
 from sfode.weights import WeightMode, WeightTable, corrector_weights, predictor_weights
 
 alphas = st.floats(min_value=0.05, max_value=1.0)
@@ -98,6 +99,19 @@ class TestWeightTable:
             corrector_weights(-1, 0.5)
         with pytest.raises(ValueError):
             predictor_weights(-1, 0.5, 0.1)
+
+    def test_counts_are_config_errors_that_name_the_callers_count(self):
+        with pytest.raises(ConfigError, match=r"^n must be >= 0; got -1$"):
+            corrector_weights(-1, 0.5)
+        with pytest.raises(ConfigError, match=r"^num_steps must be an integer; got 2\.0$"):
+            WeightTable(2.0, 0.8, 0.1)
+
+    def test_unknown_mode_is_a_config_error(self):
+        message = r"^mode must be one of standard, literal; got 'bogus'$"
+        with pytest.raises(ConfigError, match=message):
+            WeightTable(3, 0.8, 0.1, "bogus")
+        with pytest.raises(ConfigError, match=message):
+            corrector_weights(2, 0.5, "bogus")
 
     def test_parameter_validation(self):
         with pytest.raises(ValueError):
