@@ -175,8 +175,8 @@ def convergence_order(model: SystemModel, cfg: SolverConfig, levels: int,
     checks.require(checks.integer_rule(levels=levels))
     checks.require(levels_rule(levels, cfg.grid))
     T, h = cfg.grid.T, cfg.grid.h
-    if cfg.stochastic and master_seed is None:
-        raise ValueError("stochastic convergence measurement needs a master_seed")
+    checks.require(["stochastic convergence measurement needs a master_seed"]
+                   if cfg.stochastic and master_seed is None else [])
 
     grids = [make_grid(T, math.ldexp(h, -i)) for i in range(levels)]
     fine_path = None

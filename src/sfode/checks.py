@@ -13,6 +13,8 @@ import math
 import operator
 import sys
 
+import numpy as np
+
 __all__ = [
     "ConfigError",
     "alpha_rule",
@@ -70,15 +72,22 @@ def finite_rule(**values) -> list:
             for name, value in values.items() if not math.isfinite(value)]
 
 
+def _index(value) -> int | None:
+    """value as an int if operator.index accepts it and it is no bool, else None."""
+    try:
+        return None if isinstance(value, (bool, np.bool_)) else operator.index(value)
+    except TypeError:
+        return None
+
+
 def integer_rule(least: int | None = None, **values) -> list:
-    """Every named value is an integer, a count: a Python or numpy integer
-    (what operator.index accepts), and at least least when that is given.
-    A float is not a count, even 2.0."""
+    """Every named value is an integer, a count: a Python or numpy integer,
+    and at least least when that is given.  A float is not a count, even
+    2.0, and neither is a bool."""
     problems = []
     for name, value in values.items():
-        try:
-            n = operator.index(value)
-        except TypeError:
+        n = _index(value)
+        if n is None:
             problems.append(f"{name} must be an integer; got {value!r}")
             continue
         if least is not None and n < least:
@@ -106,11 +115,9 @@ def grid_rule(T: float, h: float) -> list:
 
 
 def seed_rule(seed: int) -> list:
-    """seed is a 64-bit unsigned integer: a Python or numpy integer (what
-    operator.index accepts) in [0, 2**64).  A float is not a seed, even 1.0."""
-    try:
-        if 0 <= operator.index(seed) < 2**64:
-            return []
-    except TypeError:
-        pass
+    """seed is a 64-bit unsigned integer: a Python or numpy integer in
+    [0, 2**64).  A float is not a seed, even 1.0, and neither is a bool."""
+    n = _index(seed)
+    if n is not None and 0 <= n < 2**64:
+        return []
     return [f"seed must be a 64-bit unsigned integer; got {seed!r}"]

@@ -11,8 +11,9 @@ quadrature (the kernel integrated exactly against a piecewise-constant
 integrand, which absorbs the (t-s)**(a-1) singularity); the noise integral
 uses left-point evaluation because the Ito integral mandates non-anticipating
 integrands.  On the uniform grid both are causal lag-kernel sums over the
-left nodes, which a sweep takes for all nodes at once: one stacked product
-with a lag matrix up to BLOCK nodes, tiled FFT convolutions past it.  The
+left nodes, which a sweep takes for all nodes at once on the stepper's own
+schedule (:func:`sfode.solver._lag_sums`): a triangular lag-matrix product
+per direct block of BLOCK nodes, plus the squares of the older nodes.  The
 mean-square gaps between successive iterates should shrink toward zero;
 :func:`cauchy_diagnostic` measures exactly that over a Monte Carlo ensemble
 of paths, swept in batches through :func:`sfode.analysis.path_rows`.
@@ -22,11 +23,10 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from numpy.lib.stride_tricks import sliding_window_view
 
 from . import checks
 from .analysis import path_rows
-from .solver import BLOCK, BLOWUP, TILE, DivergenceError, _fft_lag_sums
+from .solver import BLOWUP, DivergenceError, _LagKernel, _lag_sums
 from .stochastic import TimeGrid, WienerPath
 from .systems import SystemModel
 from .table import write_table
@@ -64,79 +64,19 @@ def _gaps(prev: np.ndarray, states: np.ndarray, sup_mode: bool) -> np.ndarray:
 
 def _kernels(t: np.ndarray, alpha: float) -> tuple:
     """The drift weights and the noise kernel of every sweep on the node
-    times t, each prepared for :func:`_lag_sums` over the N = len(t) - 1
-    left nodes.
+    times t, by lag, each in a :class:`~sfode.solver._LagKernel` for
+    :func:`_lag_sums` over the N = len(t) - 1 left nodes.
 
     On the uniform grid t_n - t_j = t_{n-j}, so node n weights node j < n by
-    the lag n - 1 - j alone: the fractional powers cost O(N) in total.  Up to
-    BLOCK nodes each kernel is an (N, N) lag matrix, entry (j, p) the weight
-    at lag p - j and 0 below the diagonal.  Past BLOCK it is the rfft of
-    each tile diagonal of :func:`_lag_sums`.  Both are built once per call
-    of :func:`_iterates`, not once per sweep.
+    the lag n - 1 - j alone: the fractional powers cost O(N) in total.  A
+    kernel builds its lag matrices and transforms at first use, so once per
+    call of :func:`_iterates`, not once per sweep.
     """
     inv_gamma = 1.0 / math.gamma(alpha)
     p = t**alpha
     drift_w = (p[1:] - p[:-1]) * (inv_gamma / alpha)  # index n-j-1
     noise_k = t[1:]**(alpha - 1.0) * inv_gamma        # index n-j-1
-    nodes = len(drift_w)
-    M = nodes if nodes <= BLOCK else _tile_width(nodes)
-    tiles = -(-nodes // M)
-    prepared = []
-    for k in (drift_w, noise_k):
-        # lag l sits at padded[M - 1 + l]; negative and past-the-end lags are 0
-        padded = np.zeros((tiles + 1) * M - 1)
-        padded[M - 1:M - 1 + nodes] = k
-        if nodes <= BLOCK:  # row j is padded[N - 1 - j:][:N]
-            prepared.append(sliding_window_view(padded, nodes)[::-1].copy())
-        else:  # the lags of tile diagonal q, (q - 1) M + 1 .. (q + 1) M - 1
-            prepared.append(np.fft.rfft(sliding_window_view(padded, 2 * M - 1)[::M], 2 * M))
-    return tuple(prepared)
-
-
-def _tile_width(nodes: int) -> int:
-    """The FFT tile width M of :func:`_lag_sums` past BLOCK nodes: TILE, or
-    below it the least 2**a 3**b 5**c >= nodes, so that one tile holds every
-    node and its FFT size 2M has only small prime factors (numpy's FFT of
-    size 2 * 257 takes about ten times as long as one of size 2 * 270)."""
-    width = min(nodes, TILE)
-    while True:
-        rest = width
-        for p in (2, 3, 5):
-            while rest % p == 0:
-                rest //= p
-        if rest == 1:
-            return width
-        width += 1
-
-
-def _lag_sums(x: np.ndarray, kernel: np.ndarray, out: np.ndarray) -> np.ndarray:
-    """Write to out, shaped like x = batch + (d, N), the causal lag sums
-
-        out[..., p] = sum_{j <= p} x[..., j] * k[p - j]
-
-    of one kernel k of :func:`_kernels`, and return out.  The axes of out
-    before its last must merge into one without a copy, as those of x or of
-    the nodes 1.. of a C-contiguous array do.
-
-    Up to BLOCK nodes that is one stacked product x @ kernel, which numpy
-    evaluates as one d-row product per path; the lag matrix's zeros add
-    exact zeros, so out reads only the nodes j <= p.  Past BLOCK the N nodes
-    are cut into tiles of :func:`_tile_width`, and each source tile adds its
-    sums to each target tile at or after it by
-    :func:`sfode.solver._fft_lag_sums`, which transforms every row on its
-    own.  Either way a path rounds the same in any batch.
-    """
-    nodes = x.shape[-1]
-    if nodes <= BLOCK:
-        return np.matmul(x, kernel, out=out)
-    M = kernel.shape[-1] - 1
-    rows, sums = x.reshape(-1, nodes), out.reshape(-1, nodes)
-    sums[...] = 0.0
-    for src in range(0, nodes, M):
-        for dst in range(src, nodes, M):
-            _fft_lag_sums(rows[:, src:src + M], [kernel[(dst - src) // M]],
-                          [sums[:, dst:dst + M]])
-    return out
+    return _LagKernel(drift_w), _LagKernel(noise_k)
 
 
 def _sweep(model: SystemModel, kernels: tuple, t: np.ndarray,
@@ -200,12 +140,10 @@ def picard_iterate(model: SystemModel, alpha: float, grid: TimeGrid,
     """
     checks.require(checks.alpha_rule(alpha, "Picard sweeps") + checks.integer_rule(1, K=K))
     if path is not None:
-        if path.grid != grid:
-            raise ValueError("path grid does not match iteration grid")
-        if path.num_channels != model.noise_dim:
-            raise ValueError(
-                f"path has {path.num_channels} channels, model needs {model.noise_dim}"
-            )
+        checks.require(([] if path.grid == grid else ["path grid does not match iteration grid"])
+                       + ([] if path.num_channels == model.noise_dim else
+                          [f"path has {path.num_channels} channels, model needs "
+                           f"{model.noise_dim}"]))
     dW = None if path is None else path.increments
     return PicardSequence(grid=grid, states=np.stack(list(_iterates(model, alpha, grid, dW, K))))
 
@@ -226,10 +164,9 @@ class CauchyReport:
 def diagnostic_rule(alpha: float, M: int, K: int, grid: TimeGrid | None) -> list:
     """The domain of :func:`cauchy_diagnostic`: alpha > 1/2, M >= 100 paths and
     2 <= K <= N sweeps on a grid of N steps.  Node n of a sweep reads only
-    nodes before it, so sweep N is the discrete fixed point.  Up to BLOCK
-    (256) steps every later gap is exactly 0; past BLOCK the FFT sums read
-    every node at rounding level, and later gaps stay at rounding level.
-    A None grid (one that fails its own rule) skips K <= N.
+    nodes before it, exactly at every N (:func:`_lag_sums`), so sweep N is
+    the discrete fixed point and every later gap is exactly 0.  A None grid
+    (one that fails its own rule) skips K <= N.
     """
     problems = checks.alpha_rule(alpha, "Picard sweeps")
     if M < 100:

@@ -24,12 +24,12 @@ history term j:
 The corrector's own sigma(t_{n+1}, y_p) dW_n term is the current step's
 increment in both modes.  Exactly one correction is applied per step.
 
-The history sums keep the full memory.  Each splits at the start of the
-current block of BLOCK steps: the nodes of that block are summed directly,
-and the older nodes arrive through an FFT far field (the square tiling of
-Hairer, Lubich & Schlichte, SIAM J. Sci. Stat. Comput. 6, 1985), so an
-N-step run costs O(N log^2 N) in its sums instead of O(N^2).  A run of at
-most BLOCK steps is all near field.
+The history sums keep the full memory, on one causal lag-sum schedule that
+the Picard sweeps of :mod:`sfode.picard` share: a step sums the nodes of its
+own direct block of BLOCK nodes directly, and the older nodes arrive through
+the squares of Hairer, Lubich & Schlichte (SIAM J. Sci. Stat. Comput. 6,
+1985; :func:`_add_square`), so an N-step run costs O(N log^2 N) in its sums
+instead of O(N^2).
 
 The far field and the admissibility checks (finite right-hand sides,
 states within BLOWUP) both run per block, in the one block loop of
@@ -64,8 +64,14 @@ __all__ = [
 #: A state component beyond this magnitude is a divergence.
 BLOWUP = 1e6
 
-#: Steps per history block: the near field of a step is its own block.
-BLOCK = 256
+#: Nodes per direct block of the lag-sum schedule.  A step sums the nodes of
+#: its own block directly, and the block is also the unit that solve_batch
+#: checks once and replays on a failure.
+BLOCK = 64
+#: Squares of at most this many source nodes are one stacked lag-matrix
+#: product per path; larger ones are FFT convolutions.  The product is the
+#: faster up to 256 nodes on one 3-D path and on 200 scalar or 3-D ones.
+LAG_MATRIX_MAX = 256
 #: Squares of at most TILE source nodes are transformed whole; larger ones
 #: are cut into TILE x TILE tiles, which bounds the FFT size (and numpy's
 #: cached FFT plans) at 2 * TILE.
@@ -106,6 +112,8 @@ class SolverConfig:
     def __post_init__(self):
         over_half = "stochastic runs (nonzero noise)" if self.stochastic else None
         checks.require(checks.alpha_rule(self.alpha, over_half)
+                       + ([] if isinstance(self.grid, TimeGrid)
+                          else [f"grid must be a TimeGrid; got {self.grid!r}"])
                        + checks.choice_rule("noise_history", self.noise_history, NoiseHistory)
                        + checks.choice_rule("weight_mode", self.weight_mode, WeightMode))
         object.__setattr__(self, "noise_history", NoiseHistory(self.noise_history))
@@ -142,8 +150,8 @@ class _Stepper:
     handing its corrector sums to :meth:`correct`.
 
     The weights come from a :class:`~sfode.weights.WeightTable`: b and the
-    interior a by lag, a0 by step.  The stepper keeps contiguous reversed
-    copies b_rev and a_rev of their first K = min(num_steps, BLOCK) lags.
+    interior a by lag, side by side in one :class:`_LagKernel`, and a0 by
+    step.
 
     The scheme's coefficients, 1/G(a) and 1/(G(a) h) in the predictor and
     h**a/G(a+2) and h**(a-1)/G(a+2) in the corrector, are stored as
@@ -156,24 +164,20 @@ class _Stepper:
     sigma dW_n to its sum before the coefficient, and in last_increment mode
     dW_n multiplies the noise sums before theirs.
 
-    A history sum over nodes 0..n splits at s = n - n % BLOCK.  The near
-    field, nodes s..n, is a stacked product that numpy evaluates as one
-    d-row product per path and block, so each path rounds exactly as it
-    would alone.  In the first block, where s = 0 and the sums are the plain
-    full-memory ones, step n takes hist[..., :n+1] @ b_rev[K-1-n:] and
-    hist[..., :n+1] @ (a0[n], a_rev[K-n:]).  Past it, one
-    hist[..., s:n+1] @ W takes both, with b_rev and a_rev as the two columns
-    of W.  The far field, nodes j < s, is read from a ring of per-step
-    accumulators, one contiguous batch + (blocks, d, 2) slot per step,
-    filled by square tiling in :meth:`_far_field`, which the caller runs
-    once at each block start e > 0, when nodes 0..e-1 are recorded: the
-    source block [e - L, e) of L = BLOCK * 2**k nodes, with e / L odd,
-    adds its part of the sums of steps e..e+L-1 by one FFT convolution of
-    size 2L (tiles of TILE nodes for larger L; :func:`_fft_lag_sums`),
-    with the full lag kernels b and a.  Each node before s lies in exactly
-    one square of step n.  The corrector weight a0[n] of node 0 depends on
-    n, not on the lag, so node 0 leaves the corrector FFT and a0[n] * g_0 is
-    added on its own.  Steps must be taken in order.
+    A history sum over nodes 0..n follows the schedule of the module
+    docstring.  Its direct part, nodes s..n with s = n - n % BLOCK, is a
+    stacked product that numpy evaluates as one d-row product per path and
+    block, so each path rounds exactly as it would alone.  Past block 0 one
+    hist[..., s:n+1] @ W takes both sums (W: the reversed lags of b and a),
+    and the older nodes come from a ring of per-step accumulators, one
+    contiguous (ring, 2) run per history row, which :meth:`_far_field`
+    fills at each block start.  In block 0 the two sums are two one-column
+    products with the rows of :attr:`first`, the weight vectors of the
+    plain full-memory loop (one two-column product rounds differently), so
+    a run of at most BLOCK steps rounds as that loop.  Node 0's corrector
+    weight a0[n] is the first entry of those rows, and past block 0 the
+    square from node 0 adds (a0[n] - a[n]) g_0 to the lag weight it took.
+    Steps must be taken in order.
 
     With :attr:`checked` (the default) every right-hand side is checked to
     be finite and every state to lie within BLOWUP as it is made.  Without
@@ -192,9 +196,12 @@ class _Stepper:
         batch = () if dW is None else dW.shape[:-2]
         self.y0 = np.broadcast_to(model.y0, batch + model.y0.shape)
         self.table = table = WeightTable(steps, cfg.alpha, h, cfg.weight_mode)
-        # lags K-1..0; slicing at BLOCK - 1 stops at the table's end
-        self.b_rev = table.b[BLOCK - 1::-1].copy()
-        self.a_rev = table.a[BLOCK - 1::-1].copy()
+        self.kernel = kernel = _LagKernel(table.b, table.a)
+        # block 0's weight vectors: first[0, n, :n+1] = (b[n], .., b[0]) and
+        # first[1, n, :n+1] = (a0[n], a[n-1], .., a[0]); C order keeps each contiguous
+        size = min(steps, BLOCK)
+        self.first = kernel.matrix(0, size).reshape(size, size, 2).transpose(2, 1, 0).copy()
+        self.first[1, :, 0] = table.a0[:size]
         self.evaluate = model.evaluate
         self.dW = dW if cfg.stochastic else None
         # (predictor, corrector) coefficients of each history block
@@ -215,14 +222,15 @@ class _Stepper:
             self.noise_row = self.rows[..., 1, :]
         self.hist = np.empty(batch + (blocks, dim, steps + 1))
         self.hist[..., 1:, :, steps] = 0.0  # node N has no noise record
+        # one row per block and component: past block 0 a path's rows take one product call
+        self.hist_rows = self.hist.reshape(batch + (blocks * dim, steps + 1))
         if steps > BLOCK:
-            # near-field weights past the first block as (predictor, corrector)
-            # rows: node 0 and its a[0] are far field there
-            self.near_w = np.stack([self.b_rev, self.a_rev], axis=1)
+            # direct weights past block 0 as (predictor, corrector) rows, lags
+            # BLOCK-1..0: nodes s..n take the last n - s + 1
+            self.near_w = np.ascontiguousarray(kernel.k[BLOCK - 1::-1])
             self.ring = _ring_size(steps)
-            # (predictor, corrector) far-field sums; step n reads slot n % ring,
-            # shaped like its near-field sums
-            self.far = np.zeros((self.ring,) + self.hist.shape[:-1] + (2,))
+            # (predictor, corrector) far-field sums; step n reads slot n % ring
+            self.far = np.zeros(self.hist_rows.shape[:-1] + (self.ring, 2))
 
     def _rhs(self, kind: str, n: int, y: np.ndarray) -> np.ndarray:
         out = self.evaluate(kind, self.t[n], y)
@@ -247,39 +255,27 @@ class _Stepper:
     def sums(self, n: int):
         """Predictor and corrector history sums of step n over nodes 0..n,
         each shaped batch + (blocks, d).  Call once per step, in order."""
-        s = n - n % BLOCK
-        if not s:
-            hist, K = self.hist[..., :n + 1], len(self.b_rev)
-            return (hist @ self.b_rev[K - 1 - n:],
-                    hist @ np.concatenate((self.table.a0[n:n + 1], self.a_rev[K - n:])))
-        sums = self.hist[..., s:n + 1] @ self.near_w[BLOCK - 1 - n + s:]
-        sums += self.far[n % self.ring]
+        if n < BLOCK:
+            hist = self.hist[..., :n + 1]
+            return hist @ self.first[0, n, :n + 1], hist @ self.first[1, n, :n + 1]
+        r = n % BLOCK
+        sums = self.hist_rows[..., n - r:n + 1] @ self.near_w[BLOCK - 1 - r:]
+        sums += self.far[..., n % self.ring, :]
+        sums = sums.reshape(self.rows.shape + (2,))
         return sums[..., 0], sums[..., 1]
 
     def _far_field(self, end: int) -> None:
         """Free the slots of the block before end and add the square whose
         source block ends at node end - 1.  Once per block start end > 0,
         before that block's first step."""
-        ring, steps = self.ring, self.num_steps
-        free = (end - BLOCK) % ring
-        self.far[free:free + BLOCK] = 0.0
-        far = self.far.reshape(ring, -1, 2).transpose(1, 0, 2)  # (rows, ring, 2)
-        hist = self.hist.reshape(-1, steps + 1)
-        b, a, a0 = self.table.b, self.table.a, self.table.a0
-        L = _square(end)
-        M, stop = min(L, TILE), min(end + L, steps)
-        for src in range(end - L, end, M):
-            for dst in range(end, stop, M):
-                count = min(M, stop - dst)
-                first = dst % ring
-                # steps dst.. see the nodes src.. at lags dst - src - M + 1 ..
-                # dst - src + M - 1; the corrector weights node 0 by a0[n], not by lag
-                lags = slice(dst - src - M + 1, dst - src + M)
-                out = far[:, first:first + count]
-                _fft_lag_sums(hist[:, src:src + M],
-                              [np.fft.rfft(b[lags], 2 * M), np.fft.rfft(a[lags], 2 * M)],
-                              [out[..., 0], out[..., 1]],
-                              a0[dst:dst + count] if src == 0 else None)
+        free = (end - BLOCK) % self.ring
+        self.far[..., free:free + BLOCK, :] = 0.0
+        L, first = _square(end), end % self.ring
+        count = min(L, self.num_steps - end)
+        out = self.far[..., first:first + count, :]
+        _add_square(self.hist_rows[..., end - L:end], self.kernel, out)
+        if end == L:  # node 0 weighs a0[n] in the corrector, not a[n]
+            out[..., 1] += self.hist_rows[..., :1] * (self.table.a0 - self.table.a)[end:end + count]
 
     def predict(self, n: int):
         """The predicted state of step n and the corrector sums it leaves."""
@@ -338,35 +334,96 @@ class _Stepper:
                     and -BLOWUP <= block.min() and block.max() <= BLOWUP)
 
 
-def _fft_lag_sums(x: np.ndarray, kernel_hats: list, outs: list,
-                  w0: np.ndarray | None = None) -> None:
-    """Add to each out of outs, (rows, count) with count <= M, the lag sums
-    of the at most M source nodes of x, (rows, m):
+class _LagKernel:
+    """Lag vectors of causal lag sums over one source, side by side: k[l, i]
+    is the weight of lag l in sum i.  Their lag matrices and the transforms
+    of whole squares are built at first use and kept: every square of L
+    nodes reads the same lags 1..2L-1."""
 
-        out[:, c] += sum_j x[:, j] * k[M - 1 + c - j],
+    def __init__(self, *lags: np.ndarray):
+        self.k = np.stack(lags, axis=-1)
+        self._built = {}
 
-    where k holds 2M - 1 lags and its paired kernel_hat is
-    np.fft.rfft(k, 2M).  The convolution of size 2M wraps nothing into the
-    columns it reads.  Each row is transformed on its own, so a row rounds
-    the same in any batch, and the rows go in chunks whose temporaries stay
-    near FFT_BYTES.  Given w0, (count,), the last sum weights x's first
-    column by w0[c] in place of its lag weight.
+    def _lags(self, lo: int, count: int) -> np.ndarray:
+        """Lags lo..lo+count-1, (count, m), with 0 at negative lags and past the end."""
+        out = np.zeros((count, self.k.shape[1]))
+        a, b = max(lo, 0), min(lo + count, len(self.k))
+        out[a - lo:max(b - lo, 0)] = self.k[a:max(a, b)]
+        return out
 
-    This is the one FFT convolution of the package: the stepper's far field
-    and the Picard sums past BLOCK nodes both call it.
+    def matrix(self, lag0: int, size: int) -> np.ndarray:
+        """The (size, size * m) lag matrix, entry (j, c * m + i) = k[lag0 + c - j, i]."""
+        key = ("matrix", lag0, size)
+        if key not in self._built:
+            lags = self._lags(lag0 - size + 1, 2 * size - 1)
+            index = np.arange(size - 1, 2 * size - 1) - np.arange(size)[:, None]
+            self._built[key] = lags[index].reshape(size, -1)
+        return self._built[key]
+
+    def spectra(self, lo: int, M: int) -> list:
+        """np.fft.rfft(k[lo:lo + 2M - 1, i], 2M) for each i, kept only for a
+        square's own lags (lo = 1), as other tile diagonals are many."""
+        key = ("fft", lo, M)
+        if key in self._built:
+            return self._built[key]
+        hats = [np.fft.rfft(lags, 2 * M) for lags in self._lags(lo, 2 * M - 1).T]
+        if lo == 1:
+            self._built[key] = hats
+        return hats
+
+
+def _add_square(x: np.ndarray, kernel: _LagKernel, out: np.ndarray) -> None:
+    """Add to out, batch + (r, count, m), the lag sums of the L source nodes
+    of x, batch + (r, L), at the count <= L targets that follow them:
+
+        out[..., c, i] += sum_j x[..., j] * k[L + c - j, i],
+
+    at the lags 1..2L-1 of kernel's m vectors: the one square of the
+    stepper's far field and of the Picard sums (:func:`_lag_sums`).  Up to
+    LAG_MATRIX_MAX nodes that is one stacked product with the (L, L m) lag
+    matrix, which numpy evaluates per leading index of x.  Past it, it is
+    one FFT convolution of size 2M, M = min(L, TILE), per tile of M source
+    and M target nodes, one tile diagonal (one kernel transform) at a time;
+    it wraps nothing into the columns it reads, and transforms each row on
+    its own, in chunks of rows whose temporaries stay near FFT_BYTES.
+    Either way a path rounds the same in any batch.  The axes of x and of
+    out[..., i] before the node axis must merge without a copy.
     """
-    size = 2 * (kernel_hats[0].shape[-1] - 1)
-    M, count = size // 2, outs[0].shape[1]
-    rows = max(1, FFT_BYTES // (48 * M))  # x_hat, a product, an irfft: 16M bytes each
-    for r in range(0, len(x), rows):
-        part = slice(r, r + rows)
-        x_hat = np.fft.rfft(x[part], size)
-        for i, (k_hat, out) in enumerate(zip(kernel_hats, outs)):
-            if w0 is not None and i == len(outs) - 1:
-                g0 = x[part, :1]
-                x_hat -= g0
-                out[part] += g0 * w0
-            out[part] += np.fft.irfft(x_hat * k_hat, size)[:, M - 1:M - 1 + count]
+    L, (count, m) = x.shape[-1], out.shape[-2:]
+    if L <= LAG_MATRIX_MAX:
+        out += (x @ kernel.matrix(L, L)[:, :count * m]).reshape(out.shape)
+        return
+    rows = x.reshape(-1, L)
+    outs = [out[..., i].reshape(-1, count) for i in range(m)]
+    M = min(L, TILE)
+    chunk = max(1, FFT_BYTES // (48 * M))  # x_hat, a product, an irfft: 16M bytes each
+    for shift in range(M - L, count, M):  # a target tile's start minus its source tile's
+        hats = kernel.spectra(L + shift - M + 1, M)
+        for src in range(max(0, -shift), min(L, count - shift), M):
+            for r in range(0, len(rows), chunk):
+                x_hat = np.fft.rfft(rows[r:r + chunk, src:src + M], 2 * M)
+                for k_hat, o in zip(hats, outs):
+                    part = o[r:r + chunk, src + shift:src + shift + M]
+                    part += np.fft.irfft(x_hat * k_hat, 2 * M)[:, M - 1:M - 1 + part.shape[1]]
+
+
+def _lag_sums(x: np.ndarray, kernel: _LagKernel, out: np.ndarray) -> np.ndarray:
+    """Write to out, shaped like x = batch + (r, N), the causal lag sums
+    out[..., p] = sum_{j <= p} x[..., j] * k[p - j] of kernel's one lag
+    vector k at every node p at once, and return out: the stepper's schedule
+    taken offline, one stacked product with the triangular lag matrix per
+    direct block and one square per block start (:func:`_add_square`).  The
+    triangle's zeros add exact zeros and a square's sources all precede its
+    targets, so out[..., p] reads exactly the nodes j <= p.
+    """
+    nodes = x.shape[-1]
+    for s in range(0, nodes, BLOCK):
+        size = min(BLOCK, nodes - s)
+        np.matmul(x[..., s:s + size], kernel.matrix(0, size), out=out[..., s:s + size])
+    for e in range(BLOCK, nodes, BLOCK):
+        L = _square(e)
+        _add_square(x[..., e - L:e], kernel, out[..., e:e + L, None])
+    return out
 
 
 def _square(end: int) -> int:
@@ -377,12 +434,10 @@ def _square(end: int) -> int:
 
 
 def _ring_size(steps: int) -> int:
-    """Far-field slots for a run: the least BLOCK * 2**k that covers the
-    steps any square has written to and no step has yet read."""
-    ahead = reach = 0
-    for end in range(BLOCK, steps, BLOCK):
-        reach = max(reach, min(end + _square(end), steps))
-        ahead = max(ahead, reach - end)
+    """Far-field slots for a run: the least BLOCK * 2**k that holds the
+    targets of any one square, the most steps that are written to and not
+    yet read at a block start."""
+    ahead = max(min(_square(e), steps - e) for e in range(BLOCK, steps, BLOCK))
     ring = BLOCK
     while ring < ahead:
         ring *= 2
@@ -406,13 +461,14 @@ def solve_batch(model: SystemModel, cfg: SolverConfig, dW: np.ndarray | None) ->
     The model runs with overflow and invalid-value warnings suppressed: a
     non-finite value it returns is a divergence.
     """
-    grid = cfg.grid
+    grid, needs = cfg.grid, (model.noise_dim, cfg.grid.num_steps)
     if dW is None:
-        if cfg.stochastic:
-            raise ValueError("stochastic solve requires Wiener increments (a WienerPath or dW)")
-    elif dW.shape[-2:] != (model.noise_dim, grid.num_steps):
-        raise ValueError(f"dW is shaped {dW.shape}, needs batch + (noise_dim, num_steps) = "
-                         f"batch + {(model.noise_dim, grid.num_steps)}")
+        checks.require(["stochastic solve requires Wiener increments (a WienerPath or dW)"]
+                       if cfg.stochastic else [])
+    elif not isinstance(dW, np.ndarray) or dW.shape[-2:] != needs:
+        shape = dW.shape if isinstance(dW, np.ndarray) else type(dW).__name__
+        checks.require([f"dW is shaped {shape}, needs a numpy array shaped "
+                        f"batch + (noise_dim, num_steps) = batch + {needs}"])
     stepper = _Stepper(model, cfg, dW)
     states = np.empty(stepper.y0.shape + (grid.num_nodes,))
     states[..., 0] = stepper.y0
@@ -448,8 +504,7 @@ def solve(model: SystemModel, cfg: SolverConfig,
     grid = cfg.grid
     dW = None
     if cfg.stochastic and path is not None:
-        if path.grid != grid:
-            raise ValueError("path grid does not match solver grid")
+        checks.require([] if path.grid == grid else ["path grid does not match solver grid"])
         dW = path.increments
     return Trajectory(grid=grid, states=solve_batch(model, cfg, dW))
 

@@ -16,7 +16,7 @@ from sfode.analysis import (
 )
 from sfode.checks import ConfigError
 from sfode.picard import cauchy_diagnostic, picard_iterate
-from sfode.solver import BLOCK, DivergenceError, NoiseHistory, SolverConfig, solve
+from sfode.solver import BLOCK, DivergenceError, NoiseHistory, SolverConfig, solve, solve_batch
 from sfode.special import mittag_leffler
 from sfode.stochastic import SeedSpec, generate_path, increment_batches, make_grid
 from sfode.systems import LorenzParams, SystemModel, linear_test, lorenz, newton_leipnik
@@ -394,13 +394,51 @@ BELOW_LEAST = {
 }
 
 
-@pytest.mark.parametrize("count", [2.0, 2.5, "3"])
+@pytest.mark.parametrize("count", [2.0, 2.5, "3", True])
 @pytest.mark.parametrize("entry", COUNT_CALLS)
 def test_non_integer_count_is_a_config_error(entry, count):
-    # a count is what operator.index accepts; anything else fails up front,
-    # not with a TypeError from deep inside the run
+    # a count is what operator.index accepts, bools aside (True would be 1);
+    # anything else fails up front, not with a TypeError from deep inside the run
     with pytest.raises(ConfigError, match=f"must be an integer; got {count!r}$"):
         COUNT_CALLS[entry][0](count)
+
+
+GRID = make_grid(1.0, 0.25)
+STOCHASTIC = SolverConfig(0.8, GRID, stochastic=True)
+# library input that used to escape as a plain ValueError or an AttributeError
+BAD_INPUTS = {
+    "convergence_order without a seed": (
+        lambda: convergence_order(linear_test(sigma0=1.0), STOCHASTIC, 3),
+        "stochastic convergence measurement needs a master_seed"),
+    "solve on another grid": (
+        lambda: solve(linear_test(), STOCHASTIC, generate_path(SeedSpec(1), make_grid(1.0, 0.5))),
+        "path grid does not match solver grid"),
+    "solve on too many channels": (
+        lambda: solve(linear_test(), STOCHASTIC, generate_path(SeedSpec(1), GRID, 2)),
+        "dW is shaped (2, 4), needs"),
+    "picard_iterate on another grid": (
+        lambda: picard_iterate(linear_test(), 0.8, GRID,
+                               generate_path(SeedSpec(1), make_grid(1.0, 0.5)), 2),
+        "path grid does not match iteration grid"),
+    "picard_iterate on too many channels": (
+        lambda: picard_iterate(linear_test(), 0.8, GRID, generate_path(SeedSpec(1), GRID, 2), 2),
+        "path has 2 channels, model needs 1"),
+    "solve_batch on a list": (
+        lambda: solve_batch(linear_test(), STOCHASTIC, [[0.0] * 4]),
+        "dW is shaped list, needs"),
+    "solve_batch on a mis-shaped dW": (
+        lambda: solve_batch(linear_test(), STOCHASTIC, np.zeros((3, 1, 5))),
+        "dW is shaped (3, 1, 5), needs"),
+    "SolverConfig without a grid": (lambda: SolverConfig(0.8, None),
+                                    "grid must be a TimeGrid; got None"),
+}
+
+
+@pytest.mark.parametrize("entry", BAD_INPUTS)
+def test_bad_library_input_is_a_config_error(entry):
+    call, message = BAD_INPUTS[entry]
+    with pytest.raises(ConfigError, match=f"^{re.escape(message)}"):
+        call()
 
 
 @pytest.mark.parametrize("entry", BELOW_LEAST)

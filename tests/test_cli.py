@@ -139,7 +139,7 @@ class TestSimulateCommand:
         pytest.param(["--system", "linear_test", "--lam", 0, "--mu", 0, "--h", 0.25], 1.0,
                      id="constant"),  # every state is 1.0
         # the Newton-Leipnik run of seed 0: its largest magnitude is y2(T) < 0
-        pytest.param(["--system", "newton_leipnik", "--seed", 0], -0.24574611049478812,
+        pytest.param(["--system", "newton_leipnik", "--seed", 0], -0.24574611049478806,
                      id="negative"),
     ])
     def test_max_abs_state_is_the_written_rows_max(self, args, extreme, tmp_path):

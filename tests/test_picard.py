@@ -9,7 +9,7 @@ import pytest
 from sfode.checks import ConfigError
 from sfode.picard import (_iterates, _kernels, _lag_sums, cauchy_diagnostic, picard_iterate,
                           write_distance_csv)
-from sfode.solver import BLOCK, TILE, DivergenceError, SolverConfig, solve
+from sfode.solver import BLOCK, LAG_MATRIX_MAX, TILE, DivergenceError, SolverConfig, solve
 from sfode.special import gamma, mittag_leffler
 from sfode.stochastic import SeedSpec, generate_path, increment_batches, make_grid
 from sfode.systems import (LorenzParams, NewtonLeipnikParams, SystemModel, linear_test, lorenz,
@@ -158,7 +158,8 @@ def loop_lag_sums(x, k):
 
 class TestLagSums:
     """The causal lag sums of a sweep, out[..., p] = sum_{j<=p} x[..., j] k[p-j]:
-    one stacked product up to BLOCK nodes, tiled FFTs past it."""
+    triangular products per direct block of BLOCK nodes plus squares,
+    lag-matrix products up to LAG_MATRIX_MAX nodes and FFTs past it."""
 
     @staticmethod
     def lag_kernels(t, alpha):
@@ -167,8 +168,9 @@ class TestLagSums:
         p = t**alpha
         return (p[1:] - p[:-1]) * (inv_gamma / alpha), t[1:]**(alpha - 1.0) * inv_gamma
 
-    @pytest.mark.parametrize("nodes,paths", [(100, 3), (BLOCK, 3), (BLOCK + 1, 3), (300, 3),
-                                             (2000, 3), (TILE + 904, 1)])
+    @pytest.mark.parametrize("nodes,paths", [(nodes, 3) for nodes in sorted({
+        100, BLOCK - 1, BLOCK, BLOCK + 1, 2 * BLOCK + 1, 4 * BLOCK, 4 * BLOCK + 1, 4 * BLOCK + 3,
+        2 * LAG_MATRIX_MAX + 1, 300, 2000})] + [(TILE + 904, 1)])
     def test_match_the_per_node_loop(self, nodes, paths):
         # the error is bounded by eps * |x|_1 * max|k| per row, which bounds
         # sum_j |x_j| |k_{p-j}| at every node p; measured worst 1.35 of that
@@ -334,16 +336,16 @@ class TestCauchyDiagnostic:
             cauchy_diagnostic(model, 0.93, grid, 0, M=100, K=9)
 
     def test_gaps_past_the_grid_steps_stay_at_rounding_level(self):
-        # past BLOCK nodes the sums are FFTs, so every node reads every node
-        # at rounding level and the gaps past sweep N are no longer exactly
-        # 0; they stay within a few ulps of the states (measured: at most
-        # 1.2 eps * max|y|, max|y| = 0.61)
+        # past BLOCK nodes the sums take squares (lag-matrix products, FFTs
+        # past LAG_MATRIX_MAX nodes), but a square's sources all precede its
+        # targets, so node n still reads only the nodes before it and the
+        # gaps past sweep N stay exactly 0, as at any N
         model = newton_leipnik()
         grid = make_grid(1.5, 0.005)  # N = 300
         path = generate_path(SeedSpec(2), grid, num_channels=3)
         states = picard_iterate(model, 0.93, grid, path, K=303).states
         sup_gaps = np.max(np.abs(np.diff(states, axis=0)), axis=(-2, -1))
-        assert np.all(sup_gaps[300:] <= 8 * np.finfo(float).eps * np.max(np.abs(states)))
+        np.testing.assert_array_equal(sup_gaps[300:], 0.0)
 
     @pytest.mark.parametrize("sup_mode", [False, True])
     def test_batched_gaps_equal_per_path_gaps(self, sup_mode):

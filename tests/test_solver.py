@@ -332,11 +332,13 @@ class TestReferenceOracle:
         expected = reference_pece(model, cfg, paths[-1].increments if stochastic else None)
         assert np.max(np.abs(single - expected)) <= 1e-12 * np.max(np.abs(expected))
 
-    @pytest.mark.parametrize("steps", [BLOCK - 1, BLOCK, BLOCK + 1])
+    @pytest.mark.parametrize("steps", [BLOCK - 1, BLOCK, BLOCK + 1,
+                                       4 * BLOCK - 1, 4 * BLOCK, 4 * BLOCK + 1])
     @pytest.mark.parametrize("stochastic,noise_history", RUN_KINDS)
     def test_runs_around_one_block(self, stochastic, noise_history, steps):
         # the first BLOCK steps are plain full-memory sums; the step past
-        # them is the first with a far field
+        # them is the first with a far field, and from step 4 * BLOCK on the
+        # square of four blocks feeds it
         model = newton_leipnik()
         cfg = SolverConfig(alpha=0.83, grid=make_grid(steps / 256, 1 / 256),
                            stochastic=stochastic, noise_history=noise_history)
@@ -428,8 +430,10 @@ class TestFarField:
 
     def test_tiled_squares_match_direct(self, monkeypatch):
         # squares larger than TILE are cut into tiles; a run this short has
-        # none at the default TILE, so shrink it
+        # none at the default TILE, so shrink it, and take every square past
+        # BLOCK nodes by FFT, which a run this short does not either
         monkeypatch.setattr(solver, "TILE", BLOCK)
+        monkeypatch.setattr(solver, "LAG_MATRIX_MAX", BLOCK)
         self.test_sums_match_direct("random", True, NoiseHistory.PER_STEP, WeightMode.STANDARD)
 
 
@@ -480,7 +484,7 @@ class TestDivergenceSites:
     by step; it must fail exactly as a check at every step does, wherever in
     a block the divergence falls."""
 
-    STEPS = 2 * BLOCK + 88  # blocks [0, 256), [256, 512), [512, 600)
+    STEPS = 9 * BLOCK + 24  # nine whole blocks and a part of one
     cfg = SolverConfig(alpha=0.8, grid=make_grid(STEPS / 256, 1 / 256), stochastic=True)
 
     @staticmethod
@@ -531,7 +535,8 @@ class TestDivergenceSites:
         return SystemModel(name=f"{kind}_from_{step}", dim=1, y0=np.array([0.1]), **parts)
 
     @pytest.mark.parametrize("noise_history,step",
-                             noise_cases(1, BLOCK - 1, BLOCK, BLOCK + 1, 2 * BLOCK, STEPS))
+                             noise_cases(1, BLOCK - 1, BLOCK, BLOCK + 1, 4 * BLOCK - 1,
+                                         4 * BLOCK, 4 * BLOCK + 1, 8 * BLOCK, STEPS))
     def test_non_finite_drift(self, noise_history, step):
         cfg = dataclasses.replace(self.cfg, noise_history=noise_history)
         got = self.assert_same_failure(self.model_failing_from("drift", step), cfg,
@@ -539,7 +544,7 @@ class TestDivergenceSites:
         assert got[1:4] == (f"non-finite drift at step {step} (t={got[3]:g})", step,
                             self.cfg.grid.nodes()[step])
 
-    @pytest.mark.parametrize("noise_history,step", noise_cases(BLOCK + 1, STEPS))
+    @pytest.mark.parametrize("noise_history,step", noise_cases(BLOCK + 1, 4 * BLOCK + 1, STEPS))
     def test_non_finite_diffusion(self, noise_history, step):
         cfg = dataclasses.replace(self.cfg, noise_history=noise_history)
         got = self.assert_same_failure(
@@ -548,7 +553,7 @@ class TestDivergenceSites:
 
     def test_blowup_mid_block(self):
         model = linear_test(lam=-3.0, y0=1.0)  # grows like exp(3t): past 1e6 near t = 4.6
-        cfg = SolverConfig(alpha=1.0, grid=make_grid(6.0, 0.01))
+        cfg = SolverConfig(alpha=1.0, grid=make_grid(6.0, 3.0 / BLOCK))  # 2 * BLOCK steps
         got = self.assert_same_failure(model, cfg, None)
         assert got[1].startswith("state exceeded blow-up bound 1e+06")
         assert BLOCK + 1 < got[2] < 2 * BLOCK and got[4] is None  # inside the second block
@@ -561,7 +566,7 @@ class TestDivergenceSites:
             out = -y
             if t_n >= t[BLOCK + 40]:
                 out[:, [1, 3]] = np.nan
-            if t_n >= t[BLOCK + 90]:
+            if t_n >= t[BLOCK + 60]:
                 out[:, 0] = np.nan
             return out
 
@@ -584,16 +589,16 @@ class TestDivergenceSites:
         assert got == (ZeroDivisionError, f"no drift at t={t_bad}", None, None, None)
 
     @pytest.mark.parametrize("noise_history,step", noise_cases(
-        BLOCK, BLOCK + 1, 2 * BLOCK, 2 * BLOCK + 100, 5 * BLOCK - 1))
+        4 * BLOCK, 4 * BLOCK + 1, 8 * BLOCK, 8 * BLOCK + 100, 20 * BLOCK - 1))
     def test_replayed_block_is_exact(self, noise_history, step):
         # a drift that raises once, at its first call at t_step, in a run of
-        # 5 blocks: the block of that call is replayed, and must not add its
-        # far-field square a second time (at BLOCK + 1 the raise is in the
+        # 20 blocks: the block of that call is replayed, and must not add its
+        # far-field square a second time (at 4 * BLOCK + 1 the raise is in the
         # first step of a block, right after its far field was added)
         model = newton_leipnik()
-        cfg = SolverConfig(alpha=0.93, grid=make_grid(5.0, 1 / 256), stochastic=True,
-                           noise_history=noise_history)
-        assert cfg.grid.num_steps == 5 * BLOCK
+        cfg = SolverConfig(alpha=0.93, grid=make_grid(20 * BLOCK / 256, 1 / 256),
+                           stochastic=True, noise_history=noise_history)
+        assert cfg.grid.num_steps == 20 * BLOCK
         t_once = cfg.grid.nodes()[step]
         fired = []
 

@@ -72,7 +72,7 @@ class TestSeedSpec:
         with pytest.raises(ValueError):
             SeedSpec(1, channel_index=-2)
 
-    @pytest.mark.parametrize("seed", [1.0, 2.5, "1", None, np.float64(3.0)])
+    @pytest.mark.parametrize("seed", [1.0, 2.5, "1", None, np.float64(3.0), True])
     def test_seed_must_be_an_integer(self, seed):
         assert checks.seed_rule(seed) == [
             f"seed must be a 64-bit unsigned integer; got {seed!r}"]
