@@ -10,6 +10,7 @@ every violation of a run into one report; :func:`require` raises them as a
 """
 
 import math
+import numbers
 import operator
 import sys
 
@@ -23,6 +24,7 @@ __all__ = [
     "grid_rule",
     "integer_rule",
     "positive_rule",
+    "real_rule",
     "require",
     "seed_rule",
 ]
@@ -46,9 +48,19 @@ def require(problems: list) -> None:
         raise ConfigError("\n".join(problems))
 
 
+def real_rule(**values) -> list:
+    """Every named value is a real number: a Python or numpy int or float,
+    not a string or None.  The rules that compare a value check this first,
+    so a value that is no number is a message, not a TypeError."""
+    return [f"{name} must be a real number; got {value!r}"
+            for name, value in values.items() if not isinstance(value, numbers.Real)]
+
+
 def alpha_rule(alpha: float, over_half: str | None = None) -> list:
-    """alpha in (0, 1] and not subnormal; alpha > 1/2 as well when over_half
-    names who needs it."""
+    """alpha a real number in (0, 1] and not subnormal; alpha > 1/2 as well
+    when over_half names who needs it."""
+    if problems := real_rule(alpha=alpha):
+        return problems
     if not 0.0 < alpha <= 1.0:
         return [f"alpha must be in (0, 1]; got {alpha!r}"]
     if alpha < sys.float_info.min:
@@ -67,9 +79,10 @@ def choice_rule(name: str, value, choices) -> list:
 
 
 def finite_rule(**values) -> list:
-    """Every named value is a finite number."""
-    return [f"{name} must be finite; got {value!r}"
-            for name, value in values.items() if not math.isfinite(value)]
+    """Every named value is a finite real number."""
+    return real_rule(**values) + [f"{name} must be finite; got {value!r}"
+                                  for name, value in values.items()
+                                  if isinstance(value, numbers.Real) and not math.isfinite(value)]
 
 
 def _index(value) -> int | None:
@@ -96,9 +109,10 @@ def integer_rule(least: int | None = None, **values) -> list:
 
 
 def positive_rule(**values) -> list:
-    """No named value is <= 0 (NaN is left to :func:`finite_rule`)."""
+    """No named value is <= 0 (NaN and values that are no real number are
+    left to :func:`finite_rule`)."""
     return [f"{name} must be > 0; got {value!r}"
-            for name, value in values.items() if value <= 0]
+            for name, value in values.items() if isinstance(value, numbers.Real) and value <= 0]
 
 
 def grid_rule(T: float, h: float) -> list:

@@ -72,10 +72,6 @@ BLOCK = 64
 #: product per path; larger ones are FFT convolutions.  The product is the
 #: faster up to 256 nodes on one 3-D path and on 200 scalar or 3-D ones.
 LAG_MATRIX_MAX = 256
-#: Squares of at most TILE source nodes are transformed whole; larger ones
-#: are cut into TILE x TILE tiles, which bounds the FFT size (and numpy's
-#: cached FFT plans) at 2 * TILE.
-TILE = 4096
 #: Rows per FFT call are capped so that one call's temporaries stay near this.
 FFT_BYTES = 1 << 18
 
@@ -337,8 +333,8 @@ class _Stepper:
 class _LagKernel:
     """Lag vectors of causal lag sums over one source, side by side: k[l, i]
     is the weight of lag l in sum i.  Their lag matrices and the transforms
-    of whole squares are built at first use and kept: every square of L
-    nodes reads the same lags 1..2L-1."""
+    of squares are built at first use and kept: every square of L nodes
+    reads the same lags 1..2L-1."""
 
     def __init__(self, *lags: np.ndarray):
         self.k = np.stack(lags, axis=-1)
@@ -360,16 +356,13 @@ class _LagKernel:
             self._built[key] = lags[index].reshape(size, -1)
         return self._built[key]
 
-    def spectra(self, lo: int, M: int) -> list:
-        """np.fft.rfft(k[lo:lo + 2M - 1, i], 2M) for each i, kept only for a
-        square's own lags (lo = 1), as other tile diagonals are many."""
-        key = ("fft", lo, M)
-        if key in self._built:
-            return self._built[key]
-        hats = [np.fft.rfft(lags, 2 * M) for lags in self._lags(lo, 2 * M - 1).T]
-        if lo == 1:
-            self._built[key] = hats
-        return hats
+    def spectra(self, L: int) -> list:
+        """np.fft.rfft(k[1:2L, i], 2L) for each i: the transforms of the lags
+        1..2L-1 of a square of L nodes."""
+        key = ("fft", L)
+        if key not in self._built:
+            self._built[key] = [np.fft.rfft(lags, 2 * L) for lags in self._lags(1, 2 * L - 1).T]
+        return self._built[key]
 
 
 def _add_square(x: np.ndarray, kernel: _LagKernel, out: np.ndarray) -> None:
@@ -382,10 +375,10 @@ def _add_square(x: np.ndarray, kernel: _LagKernel, out: np.ndarray) -> None:
     stepper's far field and of the Picard sums (:func:`_lag_sums`).  Up to
     LAG_MATRIX_MAX nodes that is one stacked product with the (L, L m) lag
     matrix, which numpy evaluates per leading index of x.  Past it, it is
-    one FFT convolution of size 2M, M = min(L, TILE), per tile of M source
-    and M target nodes, one tile diagonal (one kernel transform) at a time;
-    it wraps nothing into the columns it reads, and transforms each row on
-    its own, in chunks of rows whose temporaries stay near FFT_BYTES.
+    one FFT convolution of size 2L with the kernel's kept transforms
+    (:meth:`_LagKernel.spectra`); it wraps nothing into the columns it
+    reads, and transforms each row on its own, in chunks of rows whose
+    temporaries stay near FFT_BYTES.
     Either way a path rounds the same in any batch.  The axes of x and of
     out[..., i] before the node axis must merge without a copy.
     """
@@ -395,16 +388,12 @@ def _add_square(x: np.ndarray, kernel: _LagKernel, out: np.ndarray) -> None:
         return
     rows = x.reshape(-1, L)
     outs = [out[..., i].reshape(-1, count) for i in range(m)]
-    M = min(L, TILE)
-    chunk = max(1, FFT_BYTES // (48 * M))  # x_hat, a product, an irfft: 16M bytes each
-    for shift in range(M - L, count, M):  # a target tile's start minus its source tile's
-        hats = kernel.spectra(L + shift - M + 1, M)
-        for src in range(max(0, -shift), min(L, count - shift), M):
-            for r in range(0, len(rows), chunk):
-                x_hat = np.fft.rfft(rows[r:r + chunk, src:src + M], 2 * M)
-                for k_hat, o in zip(hats, outs):
-                    part = o[r:r + chunk, src + shift:src + shift + M]
-                    part += np.fft.irfft(x_hat * k_hat, 2 * M)[:, M - 1:M - 1 + part.shape[1]]
+    hats = kernel.spectra(L)
+    chunk = max(1, FFT_BYTES // (48 * L))  # x_hat, a product, an irfft: 16L bytes each
+    for r in range(0, len(rows), chunk):
+        x_hat = np.fft.rfft(rows[r:r + chunk], 2 * L)
+        for k_hat, o in zip(hats, outs):
+            o[r:r + chunk] += np.fft.irfft(x_hat * k_hat, 2 * L)[:, L - 1:L - 1 + count]
 
 
 def _lag_sums(x: np.ndarray, kernel: _LagKernel, out: np.ndarray) -> np.ndarray:

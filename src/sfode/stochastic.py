@@ -69,6 +69,7 @@ def make_grid(T: float, h: float) -> TimeGrid:
     Non-commensurate (T, h) pairs are rejected rather than silently rounded,
     so a run always covers exactly the horizon it was asked for.
     """
+    checks.require(checks.real_rule(T=T, h=h))
     return TimeGrid(float(T), float(h))
 
 
@@ -283,11 +284,9 @@ def restrict_path(path: WienerPath, grid: TimeGrid) -> WienerPath:
     increments it spans, up to rounding.
     """
     fine = path.grid
-    if grid.T != fine.T or fine.num_steps % grid.num_steps != 0:
-        raise ValueError(
-            f"cannot restrict a path of {fine.num_steps} steps on T={fine.T} "
-            f"to a grid of {grid.num_steps} steps on T={grid.T}"
-        )
+    checks.require([] if grid.T == fine.T and fine.num_steps % grid.num_steps == 0 else
+                   [f"cannot restrict a path of {fine.num_steps} steps on T={fine.T} "
+                    f"to a grid of {grid.num_steps} steps on T={grid.T}"])
     if grid == fine:
         return path
     return WienerPath(grid, path.cumulative[:, ::fine.num_steps // grid.num_steps])

@@ -16,10 +16,12 @@ from sfode.analysis import (
 )
 from sfode.checks import ConfigError
 from sfode.picard import cauchy_diagnostic, picard_iterate
-from sfode.solver import BLOCK, DivergenceError, NoiseHistory, SolverConfig, solve, solve_batch
+from sfode.solver import (BLOCK, LAG_MATRIX_MAX, DivergenceError, NoiseHistory, SolverConfig,
+                          solve, solve_batch)
 from sfode.special import mittag_leffler
 from sfode.stochastic import SeedSpec, generate_path, increment_batches, make_grid
-from sfode.systems import LorenzParams, SystemModel, linear_test, lorenz, newton_leipnik
+from sfode.systems import (LorenzParams, NewtonLeipnikParams, SystemModel, linear_test, lorenz,
+                           newton_leipnik)
 from sfode.weights import corrector_weights, predictor_weights
 
 
@@ -169,7 +171,8 @@ class TestBatchSize:
     @pytest.mark.parametrize("mode", list(NoiseHistory))
     @pytest.mark.parametrize("size", [1, 3, M_ENSEMBLE])
     def test_ensemble_run_past_one_block(self, monkeypatch, size, mode):
-        self.check_ensemble_run(monkeypatch, size, mode, steps=BLOCK + 64)  # FFT far field
+        # the square from node 2 * LAG_MATRIX_MAX on is the run's first FFT square
+        self.check_ensemble_run(monkeypatch, size, mode, steps=2 * LAG_MATRIX_MAX + BLOCK)
 
     def check_ensemble_run(self, monkeypatch, size, mode, steps):
         model = newton_leipnik()
@@ -431,6 +434,17 @@ BAD_INPUTS = {
         "dW is shaped (3, 1, 5), needs"),
     "SolverConfig without a grid": (lambda: SolverConfig(0.8, None),
                                     "grid must be a TimeGrid; got None"),
+    "make_grid without a horizon": (lambda: make_grid(None, 0.25),
+                                    "T must be a real number; got None"),
+    "SolverConfig with a string alpha": (lambda: SolverConfig("0.8", GRID),
+                                         "alpha must be a real number; got '0.8'"),
+    "linear_test with a string lam": (lambda: linear_test(lam="a"),
+                                      "lam must be a real number; got 'a'"),
+    "NewtonLeipnikParams with a string mu": (lambda: NewtonLeipnikParams(mu="a"),
+                                             "mu must be a real number; got 'a'"),
+    "restrict_path to a grid that does not nest": (
+        lambda: stochastic.restrict_path(generate_path(SeedSpec(1), GRID), make_grid(1.0, 1 / 3)),
+        "cannot restrict a path of 4 steps on T=1.0 to a grid of 3 steps on T=1.0"),
 }
 
 

@@ -9,7 +9,7 @@ import pytest
 from sfode.checks import ConfigError
 from sfode.picard import (_iterates, _kernels, _lag_sums, cauchy_diagnostic, picard_iterate,
                           write_distance_csv)
-from sfode.solver import BLOCK, LAG_MATRIX_MAX, TILE, DivergenceError, SolverConfig, solve
+from sfode.solver import BLOCK, LAG_MATRIX_MAX, DivergenceError, SolverConfig, solve
 from sfode.special import gamma, mittag_leffler
 from sfode.stochastic import SeedSpec, generate_path, increment_batches, make_grid
 from sfode.systems import (LorenzParams, NewtonLeipnikParams, SystemModel, linear_test, lorenz,
@@ -170,7 +170,7 @@ class TestLagSums:
 
     @pytest.mark.parametrize("nodes,paths", [(nodes, 3) for nodes in sorted({
         100, BLOCK - 1, BLOCK, BLOCK + 1, 2 * BLOCK + 1, 4 * BLOCK, 4 * BLOCK + 1, 4 * BLOCK + 3,
-        2 * LAG_MATRIX_MAX + 1, 300, 2000})] + [(TILE + 904, 1)])
+        2 * LAG_MATRIX_MAX + 1, 300, 2000})] + [(5000, 1)])
     def test_match_the_per_node_loop(self, nodes, paths):
         # the error is bounded by eps * |x|_1 * max|k| per row, which bounds
         # sum_j |x_j| |k_{p-j}| at every node p; measured worst 1.35 of that
@@ -183,7 +183,7 @@ class TestLagSums:
             scale = np.abs(x).sum(axis=-1, keepdims=True) * np.max(np.abs(k))
             assert np.all(np.abs(got - loop_lag_sums(x, k)) <= 4 * np.finfo(float).eps * scale)
 
-    @pytest.mark.parametrize("nodes", [100, 300])
+    @pytest.mark.parametrize("nodes", [100, 300, 600])  # 600: an FFT square
     @pytest.mark.parametrize("stochastic", [True, False])
     def test_batch_equals_paths_alone(self, nodes, stochastic):
         # the gemm is one d-row product per path and the FFT transforms each

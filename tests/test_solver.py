@@ -429,12 +429,28 @@ class TestFarField:
         assert worst <= 1e-12
 
     def test_tiled_squares_match_direct(self, monkeypatch):
-        # squares larger than TILE are cut into tiles; a run this short has
-        # none at the default TILE, so shrink it, and take every square past
-        # BLOCK nodes by FFT, which a run this short does not either
-        monkeypatch.setattr(solver, "TILE", BLOCK)
+        # take every square past BLOCK nodes by FFT, which a run this short
+        # does not at the default LAG_MATRIX_MAX
         monkeypatch.setattr(solver, "LAG_MATRIX_MAX", BLOCK)
         self.test_sums_match_direct("random", True, NoiseHistory.PER_STEP, WeightMode.STANDARD)
+
+    def test_one_transform_per_square(self, monkeypatch):
+        # a deterministic scalar run has one history row, so each FFT square
+        # is one chunk: one rfft of the row and an irfft per lag vector
+        # (predictor, corrector), and each square size adds one rfft per lag
+        # vector for the kernel transforms it keeps.  Its squares reach 8192 nodes
+        calls = {"rfft": 0, "irfft": 0}
+        for name in calls:
+            def counted(*args, _transform=getattr(np.fft, name), _name=name, **kwargs):
+                calls[_name] += 1
+                return _transform(*args, **kwargs)
+            monkeypatch.setattr(np.fft, name, counted)
+        steps = 16384
+        solve(linear_test(), SolverConfig(alpha=0.8, grid=make_grid(steps / 1024, 1 / 1024)))
+        squares = [solver._square(e) for e in range(BLOCK, steps, BLOCK)]
+        fft = [L for L in squares if L > solver.LAG_MATRIX_MAX]
+        assert max(fft) == 8192
+        assert calls == {"rfft": len(fft) + 2 * len(set(fft)), "irfft": 2 * len(fft)}
 
 
 class TestStochastic:
