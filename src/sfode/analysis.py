@@ -91,8 +91,7 @@ def accumulate_stats(grid: TimeGrid, states_seq) -> EnsembleStats:
         mean += delta / count
         m2 += delta * (states - mean)
         l2 += np.sum(states**2, axis=0)
-    if count == 0:
-        raise ValueError("accumulate_stats needs at least one trajectory")
+    checks.require(["accumulate_stats needs at least one trajectory"] if count == 0 else [])
     return EnsembleStats(
         grid=grid,
         mean=mean,

@@ -19,6 +19,7 @@ import numpy as np
 __all__ = [
     "ConfigError",
     "alpha_rule",
+    "array_rule",
     "choice_rule",
     "finite_rule",
     "grid_rule",
@@ -67,6 +68,22 @@ def alpha_rule(alpha: float, over_half: str | None = None) -> list:
         return [f"alpha must be at least {sys.float_info.min!r} (not subnormal); got {alpha!r}"]
     if over_half and not alpha > 0.5:
         return [f"{over_half} require alpha > 1/2; got alpha={alpha!r}"]
+    return []
+
+
+def array_rule(name: str, value, shape: tuple) -> list:
+    """value is an array of finite real numbers shaped shape: a number or a
+    (nested) sequence of them, not a string or None."""
+    try:
+        array = np.asarray(value)
+    except ValueError:  # a ragged nesting
+        array = np.asarray(None)
+    if array.dtype.kind not in "biuf":
+        return [f"{name} must be real numbers; got {value!r}"]
+    if array.shape != shape:
+        return [f"{name} must have shape {shape}, got {array.shape}"]
+    if not np.isfinite(array).all():
+        return [f"{name} must be finite; got {value!r}"]
     return []
 
 

@@ -303,10 +303,7 @@ def cmd_converge(args) -> int:
 
 
 def cmd_weights(args) -> int:
-    problems = table_rule(args.alpha, args.h, args.mode)
-    if not 0 <= args.step < checks.MAX_STEPS:
-        problems.append(f"step index must be in [0, {checks.MAX_STEPS}); got {args.step}")
-    checks.require(problems)
+    checks.require(table_rule(args.alpha, args.h, args.mode, args.step))
     meta = {"version": __version__, "n": args.step, "alpha": args.alpha,
             "h": args.h, "mode": args.mode}
     columns = [range(args.step + 2), corrector_weights(args.step, args.alpha, args.mode),

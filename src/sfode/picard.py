@@ -69,8 +69,8 @@ def _kernels(t: np.ndarray, alpha: float) -> tuple:
 
     On the uniform grid t_n - t_j = t_{n-j}, so node n weights node j < n by
     the lag n - 1 - j alone: the fractional powers cost O(N) in total.  A
-    kernel builds its lag matrices and transforms at first use, so once per
-    call of :func:`_iterates`, not once per sweep.
+    kernel builds its lag matrices at first use, so once per call of
+    :func:`_iterates`, not once per sweep.
     """
     inv_gamma = 1.0 / math.gamma(alpha)
     p = t**alpha

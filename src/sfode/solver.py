@@ -332,9 +332,9 @@ class _Stepper:
 
 class _LagKernel:
     """Lag vectors of causal lag sums over one source, side by side: k[l, i]
-    is the weight of lag l in sum i.  Their lag matrices and the transforms
-    of squares are built at first use and kept: every square of L nodes
-    reads the same lags 1..2L-1."""
+    is the weight of lag l in sum i.  Their lag matrices are built at first
+    use and kept: every square of L <= LAG_MATRIX_MAX nodes reads the same
+    one, as every direct block reads the same triangle."""
 
     def __init__(self, *lags: np.ndarray):
         self.k = np.stack(lags, axis=-1)
@@ -349,19 +349,11 @@ class _LagKernel:
 
     def matrix(self, lag0: int, size: int) -> np.ndarray:
         """The (size, size * m) lag matrix, entry (j, c * m + i) = k[lag0 + c - j, i]."""
-        key = ("matrix", lag0, size)
+        key = (lag0, size)
         if key not in self._built:
             lags = self._lags(lag0 - size + 1, 2 * size - 1)
             index = np.arange(size - 1, 2 * size - 1) - np.arange(size)[:, None]
             self._built[key] = lags[index].reshape(size, -1)
-        return self._built[key]
-
-    def spectra(self, L: int) -> list:
-        """np.fft.rfft(k[1:2L, i], 2L) for each i: the transforms of the lags
-        1..2L-1 of a square of L nodes."""
-        key = ("fft", L)
-        if key not in self._built:
-            self._built[key] = [np.fft.rfft(lags, 2 * L) for lags in self._lags(1, 2 * L - 1).T]
         return self._built[key]
 
 
@@ -375,9 +367,9 @@ def _add_square(x: np.ndarray, kernel: _LagKernel, out: np.ndarray) -> None:
     stepper's far field and of the Picard sums (:func:`_lag_sums`).  Up to
     LAG_MATRIX_MAX nodes that is one stacked product with the (L, L m) lag
     matrix, which numpy evaluates per leading index of x.  Past it, it is
-    one FFT convolution of size 2L with the kernel's kept transforms
-    (:meth:`_LagKernel.spectra`); it wraps nothing into the columns it
-    reads, and transforms each row on its own, in chunks of rows whose
+    one FFT convolution of size 2L with the transforms of the lags, taken
+    for this square and dropped after it; it wraps nothing into the columns
+    it reads, and transforms each row on its own, in chunks of rows whose
     temporaries stay near FFT_BYTES.
     Either way a path rounds the same in any batch.  The axes of x and of
     out[..., i] before the node axis must merge without a copy.
@@ -388,7 +380,7 @@ def _add_square(x: np.ndarray, kernel: _LagKernel, out: np.ndarray) -> None:
         return
     rows = x.reshape(-1, L)
     outs = [out[..., i].reshape(-1, count) for i in range(m)]
-    hats = kernel.spectra(L)
+    hats = np.fft.rfft(kernel._lags(1, 2 * L - 1).T, 2 * L)
     chunk = max(1, FFT_BYTES // (48 * L))  # x_hat, a product, an irfft: 16L bytes each
     for r in range(0, len(rows), chunk):
         x_hat = np.fft.rfft(rows[r:r + chunk], 2 * L)

@@ -35,8 +35,8 @@ def gamma(x: float) -> float:
     alpha, alpha + 2 and similar positive combinations, and the poles at
     non-positive integers would otherwise fail intermittently.
     """
-    if not x > 0:
-        raise ValueError(f"gamma requires x > 0, got x={x!r}")
+    checks.require(checks.real_rule(x=x)
+                   or ([] if x > 0 else [f"gamma requires x > 0, got x={x!r}"]))
     return math.gamma(x)
 
 
@@ -53,11 +53,10 @@ def mittag_leffler(alpha: float, z: float) -> float:
     Only |z| <= ML_MAX_ABS_Z is accepted; large-|z| asymptotics are out of
     scope for this library.
     """
-    checks.require(checks.alpha_rule(alpha))
-    if not abs(z) <= ML_MAX_ABS_Z:
-        raise ValueError(
-            f"mittag_leffler supports |z| <= {ML_MAX_ABS_Z}, got z={z!r}"
-        )
+    z_rule = checks.real_rule(z=z) or (
+        [] if abs(z) <= ML_MAX_ABS_Z
+        else [f"mittag_leffler supports |z| <= {ML_MAX_ABS_Z}, got z={z!r}"])
+    checks.require(checks.alpha_rule(alpha) + z_rule)
     if z == 0.0:
         return 1.0
 

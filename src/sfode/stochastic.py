@@ -110,10 +110,9 @@ class WienerPath:
 
     def __post_init__(self):
         self.cumulative = np.array(self.cumulative, dtype=float)
-        if self.cumulative.ndim != 2 or self.cumulative.shape[1] != self.grid.num_nodes:
-            raise ValueError("cumulative shape does not match grid")
-        if np.any(self.cumulative[:, 0] != 0.0):
-            raise ValueError("W(0) must be 0")
+        shaped = self.cumulative.ndim == 2 and self.cumulative.shape[1] == self.grid.num_nodes
+        checks.require([] if shaped else ["cumulative shape does not match grid"])
+        checks.require(["W(0) must be 0"] if np.any(self.cumulative[:, 0] != 0.0) else [])
         self.cumulative.flags.writeable = False
         self.increments = np.diff(self.cumulative, axis=1)
         self.increments.flags.writeable = False

@@ -78,10 +78,9 @@ class SystemModel:
     params: dict = field(default_factory=dict)
 
     def __post_init__(self):
-        checks.require(checks.integer_rule(1, dim=self.dim))
+        checks.require(checks.integer_rule(1, dim=self.dim)
+                       or checks.array_rule("y0", self.y0, (self.dim,)))
         y0 = np.array(self.y0, dtype=float)  # private copy, frozen below
-        if y0.shape != (self.dim,):
-            raise ValueError(f"y0 must have shape ({self.dim},), got {y0.shape}")
         y0.flags.writeable = False
         object.__setattr__(self, "y0", y0)
 
@@ -144,7 +143,7 @@ def newton_leipnik(params: NewtonLeipnikParams | None = None,
     p = params or NewtonLeipnikParams()
     beta, rho, mu = p.beta, p.rho, p.mu
     mu_0d = np.asarray(mu, dtype=float)  # multiplies an array faster than a Python float
-    start = np.asarray(_NL_Y0 if y0 is None else y0, dtype=float)
+    start = _NL_Y0 if y0 is None else y0
 
     def drift(t, y):
         x1, x2, x3 = _rows(y)
@@ -172,7 +171,7 @@ def lorenz(params: LorenzParams | None = None, y0=None) -> SystemModel:
     p = params or LorenzParams()
     a, b, c, mu = p.a, p.b, p.c, p.mu
     mu_0d = np.asarray(mu, dtype=float)  # multiplies an array faster than a Python float
-    start = np.asarray(_LORENZ_Y0 if y0 is None else y0, dtype=float)
+    start = _LORENZ_Y0 if y0 is None else y0
 
     def drift(t, y):
         x1, x2, x3 = _rows(y)
@@ -216,7 +215,7 @@ def linear_test(lam: float = 1.0, sigma0: float = 0.0, y0: float = 1.0) -> Syste
         dim=1,
         drift=drift,
         diffusion=diffusion,
-        y0=np.array([float(y0)]),
+        y0=[y0],
         params={"lam": float(lam), "sigma0": float(sigma0)},
     )
 
@@ -267,15 +266,15 @@ def matrix_form_check(model: SystemModel, y) -> float:
     is an independent restatement of the right-hand side; for the two
     built-in systems the gap must vanish to rounding (<= 1e-12).
     """
+    checks.require([] if model.name in ("newton_leipnik", "lorenz")
+                   else [f"no matrix decomposition for system {model.name!r}"])
     y = np.asarray(y, dtype=float)
     if model.name == "newton_leipnik":
         A, B, C = newton_leipnik_matrices(model.params)
         matrix_drift = A @ y + y[1] * (B @ y) + y[2] * (C @ y)
-    elif model.name == "lorenz":
+    else:
         A, B = lorenz_matrices(model.params)
         matrix_drift = A @ y + y[0] * (B @ y)
-    else:
-        raise ValueError(f"no matrix decomposition for system {model.name!r}")
     return float(np.max(np.abs(model.drift(0.0, y) - matrix_drift)))
 
 
@@ -287,10 +286,10 @@ def lipschitz_bound(model: SystemModel, delta: float) -> float:
     deterministic and easy to verify by hand).  The bound is a diagnostic
     only; the solver never consumes it.
     """
-    if not delta >= 0:
-        raise ValueError(f"delta must be >= 0, got {delta}")
-    if model.name not in ("newton_leipnik", "lorenz"):
-        raise ValueError(f"no growth bound for system {model.name!r}")
+    checks.require((checks.real_rule(delta=delta)
+                    or ([] if delta >= 0 else [f"delta must be >= 0, got {delta}"]))
+                   + ([] if model.name in ("newton_leipnik", "lorenz")
+                      else [f"no growth bound for system {model.name!r}"]))
     mu = model.params["mu"]
     x0_sq = float(np.sum(np.asarray(model.y0, dtype=float) ** 2))
     if model.name == "newton_leipnik":

@@ -40,11 +40,15 @@ class WeightMode(str, enum.Enum):
     LITERAL = "literal"
 
 
-def table_rule(alpha: float, h: float, mode) -> list:
-    """The domain of a weight table: alpha in (0, 1], a finite h > 0 and a
-    mode of :class:`WeightMode`."""
-    return (checks.alpha_rule(alpha) + checks.finite_rule(h=h) + checks.positive_rule(h=h)
-            + checks.choice_rule("mode", mode, WeightMode))
+def table_rule(alpha: float, h: float, mode, last: int | None = None) -> list:
+    """The domain of a weight table: alpha in (0, 1], a finite h > 0, a mode
+    of :class:`WeightMode` and, unless None, an integer last step index in
+    [0, MAX_STEPS), so no table outgrows the longest grid."""
+    problems = (checks.alpha_rule(alpha) + checks.finite_rule(h=h) + checks.positive_rule(h=h)
+                + checks.choice_rule("mode", mode, WeightMode))
+    if last is not None and not 0 <= last < checks.MAX_STEPS:
+        problems.append(f"step index must be in [0, {checks.MAX_STEPS}); got {last}")
+    return problems
 
 
 class WeightTable:
@@ -66,7 +70,8 @@ class WeightTable:
 
     def __init__(self, num_steps: int, alpha: float, h: float,
                  mode: WeightMode = WeightMode.STANDARD):
-        checks.require(checks.integer_rule(1, num_steps=num_steps) + table_rule(alpha, h, mode))
+        count = checks.integer_rule(1, num_steps=num_steps)
+        checks.require(count + table_rule(alpha, h, mode, None if count else num_steps - 1))
         self.alpha = float(alpha)
         self.h = float(h)
         self.mode = WeightMode(mode)

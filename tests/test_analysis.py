@@ -2,6 +2,7 @@ import dataclasses
 import io
 import math
 import re
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -18,11 +19,11 @@ from sfode.checks import ConfigError
 from sfode.picard import cauchy_diagnostic, picard_iterate
 from sfode.solver import (BLOCK, LAG_MATRIX_MAX, DivergenceError, NoiseHistory, SolverConfig,
                           solve, solve_batch)
-from sfode.special import mittag_leffler
+from sfode.special import gamma, mittag_leffler
 from sfode.stochastic import SeedSpec, generate_path, increment_batches, make_grid
-from sfode.systems import (LorenzParams, NewtonLeipnikParams, SystemModel, linear_test, lorenz,
-                           newton_leipnik)
-from sfode.weights import corrector_weights, predictor_weights
+from sfode.systems import (LorenzParams, NewtonLeipnikParams, SystemModel, lipschitz_bound,
+                           linear_test, lorenz, matrix_form_check, newton_leipnik)
+from sfode.weights import WeightTable, corrector_weights, predictor_weights
 
 
 def diffusion_cfg(steps=64, alpha=0.75):
@@ -241,6 +242,36 @@ class TestBatchSize:
             cauchy_diagnostic(one_path, 0.93, cfg.grid, 1, M=100, K=2)
 
 
+class TestMemoryBound:
+    """Memory is bounded by one batch, not by paths x nodes (README, Memory):
+    with batches of 100 paths, 2000 paths peak (tracemalloc) within 10% of
+    200 paths.  Measured 1.001 (ensemble_run) and 1.003 (cauchy_diagnostic)."""
+
+    RUNS = {  # entry point: (grid, call of a path count)
+        "ensemble_run": (make_grid(1.0, 1 / 32), lambda grid, M: ensemble_run(
+            newton_leipnik(), SolverConfig(0.93, grid, stochastic=True), 3, M)),
+        "cauchy_diagnostic": (make_grid(1.0, 1 / 64), lambda grid, M: cauchy_diagnostic(
+            newton_leipnik(), 0.93, grid, 3, M=M, K=3)),
+    }
+
+    @pytest.mark.parametrize("entry", RUNS)
+    def test_peak_does_not_grow_with_paths(self, monkeypatch, entry):
+        grid, run = self.RUNS[entry]
+        monkeypatch.setattr(stochastic, "BATCH_BYTES", 100 * 8 * 3 * grid.num_nodes)
+        run(grid, 200)  # warm-up: the first run also builds what numpy caches
+        peaks = []
+        for paths in (200, 2000):
+            tracemalloc.start()
+            try:
+                before = tracemalloc.get_traced_memory()[0]
+                tracemalloc.reset_peak()
+                run(grid, paths)
+                peaks.append(tracemalloc.get_traced_memory()[1] - before)
+            finally:
+                tracemalloc.stop()
+        assert peaks[1] <= 1.1 * peaks[0]
+
+
 class TestVarianceLaw:
     def test_terminal_l2_matches_closed_form(self):
         # pure diffusion, sigma = 1: E y(T)^2 = T**(2a-1) / ((2a-1) Gamma(a)^2)
@@ -445,6 +476,45 @@ BAD_INPUTS = {
     "restrict_path to a grid that does not nest": (
         lambda: stochastic.restrict_path(generate_path(SeedSpec(1), GRID), make_grid(1.0, 1 / 3)),
         "cannot restrict a path of 4 steps on T=1.0 to a grid of 3 steps on T=1.0"),
+    "linear_test from NaN": (lambda: linear_test(y0=math.nan), "y0 must be finite; got [nan]"),
+    "newton_leipnik from NaN": (lambda: newton_leipnik(y0=[math.nan, 0.0, 0.0]),
+                                "y0 must be finite; got [nan, 0.0, 0.0]"),
+    "newton_leipnik from a 2-D state": (lambda: newton_leipnik(y0=[1.0, 2.0]),
+                                        "y0 must have shape (3,), got (2,)"),
+    "newton_leipnik from a ragged state": (lambda: newton_leipnik(y0=[1.0, [2.0, 3.0]]),
+                                           "y0 must be real numbers; got [1.0, [2.0, 3.0]]"),
+    "linear_test from a string": (lambda: linear_test(y0="a"),
+                                  "y0 must be real numbers; got ['a']"),
+    "lorenz from None components": (lambda: lorenz(y0=[None] * 3),
+                                    "y0 must be real numbers; got [None, None, None]"),
+    "gamma of a string": (lambda: gamma("a"), "x must be a real number; got 'a'"),
+    "gamma at its pole": (lambda: gamma(0), "gamma requires x > 0, got x=0"),
+    "mittag_leffler of a string": (lambda: mittag_leffler(0.8, "a"),
+                                   "z must be a real number; got 'a'"),
+    "mittag_leffler past its radius": (lambda: mittag_leffler(0.8, 9.0),
+                                       "mittag_leffler supports |z| <= 5.0, got z=9.0"),
+    "lipschitz_bound of a string radius": (lambda: lipschitz_bound(newton_leipnik(), "a"),
+                                           "delta must be a real number; got 'a'"),
+    "lipschitz_bound of a negative radius": (lambda: lipschitz_bound(newton_leipnik(), -1.0),
+                                             "delta must be >= 0, got -1.0"),
+    "lipschitz_bound of the linear test": (lambda: lipschitz_bound(linear_test(), 1.0),
+                                           "no growth bound for system 'linear_test'"),
+    "matrix_form_check of the linear test": (lambda: matrix_form_check(linear_test(), [1.0]),
+                                             "no matrix decomposition for system 'linear_test'"),
+    "WienerPath on another grid": (lambda: stochastic.WienerPath(GRID, np.zeros((1, 4))),
+                                   "cumulative shape does not match grid"),
+    "WienerPath from W(0) != 0": (lambda: stochastic.WienerPath(GRID, np.ones((1, 5))),
+                                  "W(0) must be 0"),
+    "accumulate_stats of no paths": (lambda: accumulate_stats(GRID, []),
+                                     "accumulate_stats needs at least one trajectory"),
+    # 2**62 steps would take exbibytes: the bound must come before any allocation
+    "WeightTable past the longest grid": (lambda: WeightTable(2**62 + 1, 0.8, 0.1),
+                                          f"step index must be in [0, {2**22}); got {2**62}"),
+    "corrector_weights past the longest grid": (lambda: corrector_weights(2**62, 0.5),
+                                                f"step index must be in [0, {2**22}); got {2**62}"),
+    "predictor_weights past the longest grid": (
+        lambda: predictor_weights(2**62, 0.5, 0.1),
+        f"step index must be in [0, {2**22}); got {2**62}"),
 }
 
 

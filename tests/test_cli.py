@@ -359,6 +359,17 @@ def test_bad_input_is_config_error(args, tmp_path, capsys):
     assert "Traceback" not in err
 
 
+@pytest.mark.parametrize("step", [-1, 2**22])
+def test_weights_step_index_is_bounded_by_the_table_rule(step, tmp_path, capsys):
+    # weights.table_rule bounds the library's tables too; its message names
+    # the command line's step index, after the other rules' messages
+    assert run(["weights", "-n", step, "--alpha", 0.5, "--h", "inf",
+                "-o", tmp_path / "out"]) == 2
+    assert capsys.readouterr().err == (
+        "sfode: configuration error:\nh must be finite; got inf\n"
+        f"step index must be in [0, 4194304); got {step}\n")
+
+
 @pytest.mark.parametrize("alpha", [5e-324, 1e-310])
 @pytest.mark.parametrize("command", [
     ["simulate", "--system", "linear_test", "--mu", 0, "--h", 0.5, "--T", 1],

@@ -1,6 +1,7 @@
 import dataclasses
 import io
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -428,7 +429,7 @@ class TestFarField:
                 worst = max(worst, float(np.max(error)))
         assert worst <= 1e-12
 
-    def test_tiled_squares_match_direct(self, monkeypatch):
+    def test_fft_squares_match_direct(self, monkeypatch):
         # take every square past BLOCK nodes by FFT, which a run this short
         # does not at the default LAG_MATRIX_MAX
         monkeypatch.setattr(solver, "LAG_MATRIX_MAX", BLOCK)
@@ -436,9 +437,9 @@ class TestFarField:
 
     def test_one_transform_per_square(self, monkeypatch):
         # a deterministic scalar run has one history row, so each FFT square
-        # is one chunk: one rfft of the row and an irfft per lag vector
-        # (predictor, corrector), and each square size adds one rfft per lag
-        # vector for the kernel transforms it keeps.  Its squares reach 8192 nodes
+        # is one chunk: one rfft of the row, one rfft of the square's lags
+        # (both lag vectors in one call) and an irfft per lag vector
+        # (predictor, corrector).  Its squares reach 8192 nodes
         calls = {"rfft": 0, "irfft": 0}
         for name in calls:
             def counted(*args, _transform=getattr(np.fft, name), _name=name, **kwargs):
@@ -450,7 +451,25 @@ class TestFarField:
         squares = [solver._square(e) for e in range(BLOCK, steps, BLOCK)]
         fft = [L for L in squares if L > solver.LAG_MATRIX_MAX]
         assert max(fft) == 8192
-        assert calls == {"rfft": len(fft) + 2 * len(set(fft)), "irfft": 2 * len(fft)}
+        assert calls == {"rfft": 2 * len(fft), "irfft": 2 * len(fft)}
+
+    def test_far_field_keeps_no_transforms(self):
+        # after the far field of a 2**17-step run the stepper keeps its lag
+        # matrices, 1.3 MiB, and nothing of its FFT squares, whose lags'
+        # transforms for every square size would take 4 MiB more
+        steps = 2**17
+        cfg = SolverConfig(alpha=0.8, grid=make_grid(steps / 1024, 1 / 1024))
+        stepper = _Stepper(linear_test(), cfg, None)
+        stepper.hist[...] = np.random.default_rng(3).standard_normal(stepper.hist.shape)
+        tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            for end in range(BLOCK, steps, BLOCK):
+                stepper._far_field(end)
+            retained = tracemalloc.get_traced_memory()[0] - before
+        finally:
+            tracemalloc.stop()
+        assert retained < 2 * 2**20
 
 
 class TestStochastic:
