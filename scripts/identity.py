@@ -81,6 +81,10 @@ RUNS = {
                           "--T", "1", "--mu", "0.01", "--paths", "100", "--iterations", "4",
                           "--sup"],
     "picard_T5": [*NL_PICARD, "--T", "5", "--paths", "100"],
+    # paths in two batches of increment_batches: 349 and 51 of 3 x 1001 nodes
+    "ensemble_two_batches": ["ensemble", "--system", "newton_leipnik", "--alpha", "0.93",
+                             "--h", "0.005", "--T", "5", "--mu", "0.1", "--paths", "400",
+                             "--seed", "3", "--format", "json"],
     # the master seed as one and as two 32-bit words of the stream keys
     "ensemble_seed0": ["ensemble", "--system", "newton_leipnik", "--alpha", "0.93",
                        "--h", "0.02", "--T", "0.5", "--mu", "0.1", "--paths", "8",

@@ -71,16 +71,16 @@ def alpha_rule(alpha: float, over_half: str | None = None) -> list:
     return []
 
 
-def array_rule(name: str, value, shape: tuple) -> list:
-    """value is an array of finite real numbers shaped shape: a number or a
-    (nested) sequence of them, not a string or None."""
+def array_rule(name: str, value, shape: tuple | None = None) -> list:
+    """value is an array of finite real numbers shaped shape (any shape for
+    None): a number or a (nested) sequence of them, not a string or None."""
     try:
         array = np.asarray(value)
     except ValueError:  # a ragged nesting
         array = np.asarray(None)
     if array.dtype.kind not in "biuf":
         return [f"{name} must be real numbers; got {value!r}"]
-    if array.shape != shape:
+    if shape is not None and array.shape != shape:
         return [f"{name} must have shape {shape}, got {array.shape}"]
     if not np.isfinite(array).all():
         return [f"{name} must be finite; got {value!r}"]
@@ -90,16 +90,24 @@ def array_rule(name: str, value, shape: tuple) -> list:
 def choice_rule(name: str, value, choices) -> list:
     """value is one of choices (strings, or the members of a str enum)."""
     names = [getattr(c, "value", c) for c in choices]
-    if value in names:
+    if isinstance(value, str) and value in names:
         return []
     return [f"{name} must be one of {', '.join(names)}; got {value!r}"]
+
+
+def _finite(value: numbers.Real) -> bool:
+    """value is finite as a float: an int past the float range is not."""
+    try:
+        return math.isfinite(value)
+    except OverflowError:
+        return False
 
 
 def finite_rule(**values) -> list:
     """Every named value is a finite real number."""
     return real_rule(**values) + [f"{name} must be finite; got {value!r}"
                                   for name, value in values.items()
-                                  if isinstance(value, numbers.Real) and not math.isfinite(value)]
+                                  if isinstance(value, numbers.Real) and not _finite(value)]
 
 
 def _index(value) -> int | None:

@@ -33,11 +33,16 @@ def gamma(x: float) -> float:
     1e-10 relative error this library relies on over (0, 30]).  Non-positive
     arguments are rejected outright: the solver only ever evaluates Gamma at
     alpha, alpha + 2 and similar positive combinations, and the poles at
-    non-positive integers would otherwise fail intermittently.
+    non-positive integers would otherwise fail intermittently.  Gamma(x)
+    overflows a float for x past about 171.62 and below about 5.6e-309;
+    those x are rejected too.
     """
     checks.require(checks.real_rule(x=x)
                    or ([] if x > 0 else [f"gamma requires x > 0, got x={x!r}"]))
-    return math.gamma(x)
+    try:
+        return math.gamma(x)
+    except (OverflowError, ValueError):  # ValueError: an x > 0 that rounds to 0.0
+        raise checks.ConfigError(f"gamma(x) overflows a float at x={x!r}") from None
 
 
 def mittag_leffler(alpha: float, z: float) -> float:
@@ -66,8 +71,8 @@ def mittag_leffler(alpha: float, z: float) -> float:
     # concurrent callers cannot race on it
     ctx = mpmath.mp.clone()
     ctx.dps = 40
-    zz = ctx.mpf(z)
-    aa = ctx.mpf(alpha)
+    zz = ctx.mpf(float(z))  # mpmath takes no numpy scalar or Fraction
+    aa = ctx.mpf(float(alpha))
     total = ctx.mpf(1)  # k = 0 term
     prev = ctx.mpf(1)
     floor = ctx.mpf(10) ** -30

@@ -5,12 +5,14 @@ path index, channel index) triple is a Philox engine keyed as
 ``numpy.random.SeedSequence(master_seed, spawn_key=(path, channel))``
 would key it, so an ensemble produces the same paths whatever the order or
 batch size in which its members run.  The keys are derived here:
-:func:`_prefix` takes the pool of the master seed from numpy's SeedSequence
-once per draw, and :func:`_keys` hashes the spawn keys of every stream of
-the batch into it together, in uint32 arrays, by a copy of SeedSequence's
-hash.  One Philox engine is then re-keyed through its public ``state`` for
-each stream and draws straight into the batch array, so a stream costs no
-SeedSequence, Philox, Generator or array of its own.
+:func:`_prefix` takes the pool of the master seed from numpy's SeedSequence,
+and :func:`_keys` hashes the spawn keys of one channel of every path of the
+batch into it together, in uint32 arrays, by a copy of SeedSequence's hash.
+A batch stops at the next multiple of 2**32, so the path indices of a draw
+all have the same number of 32-bit words.  One Philox engine is then
+re-keyed through its public ``state`` for each stream and draws straight
+into the batch array, so a stream costs no SeedSequence, Philox, Generator
+or array of its own.
 Paths are drawn in batches: one path is the batch of one.  Gaussians come
 from numpy's ziggurat sampler on that stream, which is deterministic for a
 fixed numpy build.
@@ -69,7 +71,7 @@ def make_grid(T: float, h: float) -> TimeGrid:
     Non-commensurate (T, h) pairs are rejected rather than silently rounded,
     so a run always covers exactly the horizon it was asked for.
     """
-    checks.require(checks.real_rule(T=T, h=h))
+    checks.require(checks.finite_rule(h=h, T=T))
     return TimeGrid(float(T), float(h))
 
 
@@ -98,10 +100,10 @@ class SeedSpec:
 class WienerPath:
     """Sampled Brownian motion on a grid; immutable after construction.
 
-    ``cumulative`` (shape (d_w, num_steps + 1), W(0) = 0), a private copy of
-    the array it is built from, is the one record; the read-only
-    ``increments`` (shape (d_w, num_steps)) are derived from it as its exact
-    floating-point differences, so the two views agree bitwise.
+    ``cumulative`` (finite real numbers shaped (d_w, num_steps + 1), W(0) =
+    0), a private copy of the array it is built from, is the one record; the
+    read-only ``increments`` (shape (d_w, num_steps)) are derived from it as
+    its exact floating-point differences, so the two views agree bitwise.
     """
 
     grid: TimeGrid
@@ -109,6 +111,9 @@ class WienerPath:
     increments: np.ndarray = field(init=False)
 
     def __post_init__(self):
+        checks.require(([] if isinstance(self.grid, TimeGrid)
+                        else [f"grid must be a TimeGrid; got {self.grid!r}"])
+                       + checks.array_rule("cumulative", self.cumulative))
         self.cumulative = np.array(self.cumulative, dtype=float)
         shaped = self.cumulative.ndim == 2 and self.cumulative.shape[1] == self.grid.num_nodes
         checks.require([] if shaped else ["cumulative shape does not match grid"])
@@ -140,7 +145,7 @@ def _powers(h: int, mult: int, count: int) -> list:
 
 
 # The hash constants of the four state words of generate_state(2, np.uint64).
-_STATE_H = np.array(_powers(_INIT_B, _MULT_B, _POOL), np.uint32).reshape(-1, 1, 1)
+_STATE_H = np.array(_powers(_INIT_B, _MULT_B, _POOL), np.uint32).reshape(-1, 1)
 
 
 def _words(n: int) -> list:
@@ -157,57 +162,42 @@ def _prefix(master_seed: int, num_words: int) -> tuple:
     """The SeedSequence pool after the run entropy master_seed, which numpy
     pads with zero words whether or not a spawn key follows, and the hash
     constants of the num_words spawn-key words that follow, as :func:`_powers`
-    gives them: two uint32 (n, 1, 1) columns.  The pool took 4 + 12 hashes:
+    gives them: two uint32 (n, 1) columns.  The pool took 4 + 12 hashes:
     one per pool word and one per ordered pair of pool words."""
     pool = np.random.SeedSequence(master_seed).pool
     hs = _powers(_INIT_A * pow(_MULT_A, _POOL * _POOL, 2**32) & _MASK32, _MULT_A, _POOL * num_words)
-    return pool.reshape(-1, 1, 1), np.array(hs, np.uint32).reshape(-1, 1, 1)
+    return pool.reshape(-1, 1), np.array(hs, np.uint32).reshape(-1, 1)
 
 
-def _columns(indices: range) -> list:
-    """Split indices (step 1) at the multiples of 2**32 into pieces of equal
-    word count: (offset, words) per piece, where words[j] is word j of the
-    indices from indices[offset] on: word 0 a uint32 array that counts up,
-    and each higher word an int, the same for the whole piece."""
-    pieces, lo = [], indices.start
-    while lo < indices.stop:
-        hi = min(indices.stop, (lo | _MASK32) + 1)
-        low, *high = _words(lo)
-        pieces.append((lo - indices.start, [np.arange(low, low + hi - lo, dtype=np.uint32), *high]))
-        lo = hi
-    return pieces
-
-
-def _keys(master_seed: int, paths: range, channels: range) -> np.ndarray:
-    """The Philox keys of the streams (paths x channels), path by path, as a
-    (streams, 2) uint64 array: row b * len(channels) + c is bit for bit
-    SeedSequence(master_seed, spawn_key=(paths[b], channels[c])).generate_state(2, np.uint64).
+def _keys(master_seed: int, paths: range, channel: int) -> np.ndarray:
+    """The Philox keys of one channel of the paths (step 1), as a
+    (len(paths), 2) uint64 array: row b is bit for bit
+    SeedSequence(master_seed, spawn_key=(paths[b], channel)).generate_state(2, np.uint64).
 
     A hash constant depends only on how many words were hashed before it,
     and each pool word absorbs each spawn-key word on its own.  So the keys
-    of each rectangle of streams whose indices have equal word counts are
-    hashed at once, in uint32 arrays that wrap as the hash's words do.
+    of paths whose indices have one word count are hashed at once, word 0
+    as a uint32 array that counts up and wraps as the hash's words do, and
+    paths must not cross a multiple of 2**32 (else ValueError).
     """
-    keys = np.empty((len(paths), len(channels), _POOL), "<u4")  # the 4 state words
-    rows, cols = _columns(paths), _columns(channels)
-    pool0, hs = _prefix(master_seed, len(rows[-1][1]) + len(cols[-1][1]))
-    for r, path_words in rows:
-        for c, channel_words in cols:
-            pool = pool0
-            for k, w in enumerate([path_words[0][:, None], *path_words[1:], *channel_words]):
-                h = hs[_POOL * k:_POOL * (k + 1) + 1]  # word k is hashed once per pool word
-                v = w ^ h[:-1]
-                v *= h[1:]
-                v ^= v >> 16
-                v *= _MIX_R
-                pool = _MIX_L * pool - v
-                pool ^= pool >> 16
-            pool ^= _STATE_H[:-1]  # the pool hashed into the state
-            pool *= _STATE_H[1:]
-            pool ^= pool >> 16
-            keys[r:r + pool.shape[1], c:c + pool.shape[2]] = pool.transpose(1, 2, 0)
+    if paths and paths.start >> 32 != paths[-1] >> 32:
+        raise ValueError(f"paths {paths} cross a multiple of 2**32")
+    low, *high = _words(paths.start)
+    words = [np.arange(low, low + len(paths), dtype=np.uint32), *high, *_words(channel)]
+    pool, hs = _prefix(master_seed, len(words))
+    for k, w in enumerate(words):
+        h = hs[_POOL * k:_POOL * (k + 1) + 1]  # word k is hashed once per pool word
+        v = w ^ h[:-1]
+        v *= h[1:]
+        v ^= v >> 16
+        v *= _MIX_R
+        pool = _MIX_L * pool - v
+        pool ^= pool >> 16
+    pool ^= _STATE_H[:-1]  # the pool hashed into the state
+    pool *= _STATE_H[1:]
+    pool ^= pool >> 16
     # read little-endian, state words 0, 1 make key word 0 and words 2, 3 key word 1
-    return keys.view("<u8").reshape(-1, 2)
+    return np.ascontiguousarray(pool.T, "<u4").view("<u8")
 
 
 def _wiener(master_seed: int, paths: range, channel: int, grid: TimeGrid,
@@ -217,17 +207,20 @@ def _wiener(master_seed: int, paths: range, channel: int, grid: TimeGrid,
     Channel c of path i draws its N(0, 1) Gaussians from the Philox stream
     keyed by SeedSequence(master_seed, spawn_key=(i, channel + c)), from
     counter 0 with an empty buffer, as a fresh Philox(SeedSequence) starts.
-    :func:`_keys` hashes the keys of the whole batch at once; then one engine
-    is re-keyed per stream and draws straight into that stream's nodes
-    1..N.  The batch is scaled by sqrt(h) once and summed along the steps.
+    :func:`_keys` hashes the keys of the batch channel by channel; then one
+    engine is re-keyed per stream and draws straight into that stream's
+    nodes 1..N.  The batch is scaled by sqrt(h) once and summed along the
+    steps.  paths must not cross a multiple of 2**32.
     """
-    keys = _keys(master_seed, paths, range(channel, channel + num_channels))
+    keys = np.empty((len(paths), num_channels, 2), np.uint64)
+    for c in range(num_channels):
+        keys[:, c] = _keys(master_seed, paths, channel + c)
     W = np.empty((len(paths), num_channels, grid.num_nodes))  # after the hash's scratch is freed
     W[..., 0] = 0.0
     bitgen = np.random.Philox(0)
     rng = np.random.Generator(bitgen)
     state = bitgen.state  # a fresh engine's: counter 0, empty buffer
-    for out, key in zip(W.reshape(-1, grid.num_nodes)[:, 1:], keys):  # stream by stream
+    for out, key in zip(W.reshape(-1, grid.num_nodes)[:, 1:], keys.reshape(-1, 2)):  # by stream
         state["state"]["key"] = key
         bitgen.state = state
         rng.standard_normal(out=out)
@@ -259,16 +252,20 @@ def increment_batches(master_seed: int, M: int, grid: TimeGrid, num_channels: in
     path start + b, bit for bit those of
     generate_path(SeedSpec(master_seed, start + b, 0), grid, num_channels).
     B >= 1 is the most paths whose (B, num_channels, num_nodes) floats fit
-    BATCH_BYTES.  master_seed must be a 64-bit unsigned integer, M >= 0 and
-    num_channels >= 1, each a Python or numpy integer (else ConfigError).
+    BATCH_BYTES, or fewer where a batch stops at M or at a multiple of 2**32
+    (where path indices gain a word).  master_seed must be a 64-bit unsigned
+    integer, M >= 0 and num_channels >= 1, each a Python or numpy integer
+    (else ConfigError).
     """
     checks.require(checks.seed_rule(master_seed) + checks.integer_rule(0, M=M)
                    + checks.integer_rule(1, num_channels=num_channels))
     master_seed = operator.index(master_seed)
     size = max(1, BATCH_BYTES // (8 * num_channels * grid.num_nodes))
-    for start in range(0, M, size):
-        paths = range(start, min(M, start + size))
-        yield start, np.diff(_wiener(master_seed, paths, 0, grid, num_channels), axis=-1)
+    stop = 0
+    while stop < M:
+        start, stop = stop, min(M, stop + size, (stop | _MASK32) + 1)
+        yield start, np.diff(_wiener(master_seed, range(start, stop), 0, grid, num_channels),
+                             axis=-1)
 
 
 def restrict_path(path: WienerPath, grid: TimeGrid) -> WienerPath:

@@ -264,18 +264,21 @@ def matrix_form_check(model: SystemModel, y) -> float:
 
     The bilinear decomposition (A @ y plus state-scaled quadratic couplings)
     is an independent restatement of the right-hand side; for the two
-    built-in systems the gap must vanish to rounding (<= 1e-12).
+    built-in systems the gap must vanish to rounding (<= 1e-12).  A state
+    so large that the drift overflows has an infinite or NaN gap.
     """
-    checks.require([] if model.name in ("newton_leipnik", "lorenz")
-                   else [f"no matrix decomposition for system {model.name!r}"])
+    checks.require(([] if model.name in ("newton_leipnik", "lorenz")
+                    else [f"no matrix decomposition for system {model.name!r}"])
+                   or checks.array_rule("y", y, (model.dim,)))
     y = np.asarray(y, dtype=float)
-    if model.name == "newton_leipnik":
-        A, B, C = newton_leipnik_matrices(model.params)
-        matrix_drift = A @ y + y[1] * (B @ y) + y[2] * (C @ y)
-    else:
-        A, B = lorenz_matrices(model.params)
-        matrix_drift = A @ y + y[0] * (B @ y)
-    return float(np.max(np.abs(model.drift(0.0, y) - matrix_drift)))
+    with np.errstate(over="ignore", invalid="ignore"):
+        if model.name == "newton_leipnik":
+            A, B, C = newton_leipnik_matrices(model.params)
+            matrix_drift = A @ y + y[1] * (B @ y) + y[2] * (C @ y)
+        else:
+            A, B = lorenz_matrices(model.params)
+            matrix_drift = A @ y + y[0] * (B @ y)
+        return float(np.max(np.abs(model.drift(0.0, y) - matrix_drift)))
 
 
 def lipschitz_bound(model: SystemModel, delta: float) -> float:
@@ -286,7 +289,7 @@ def lipschitz_bound(model: SystemModel, delta: float) -> float:
     deterministic and easy to verify by hand).  The bound is a diagnostic
     only; the solver never consumes it.
     """
-    checks.require((checks.real_rule(delta=delta)
+    checks.require((checks.finite_rule(delta=delta)
                     or ([] if delta >= 0 else [f"delta must be >= 0, got {delta}"]))
                    + ([] if model.name in ("newton_leipnik", "lorenz")
                       else [f"no growth bound for system {model.name!r}"]))

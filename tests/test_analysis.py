@@ -3,11 +3,16 @@ import io
 import math
 import re
 import tracemalloc
+from decimal import Decimal
+from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, assume, given, settings
+from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
-from sfode import analysis, stochastic
+from sfode import analysis, checks, stochastic
 from sfode.analysis import (
     accumulate_stats,
     convergence_order,
@@ -507,6 +512,39 @@ BAD_INPUTS = {
                                   "W(0) must be 0"),
     "accumulate_stats of no paths": (lambda: accumulate_stats(GRID, []),
                                      "accumulate_stats needs at least one trajectory"),
+    "gamma past its float range": (lambda: gamma(172.0), "gamma(x) overflows a float at x=172.0"),
+    "gamma below its float range": (lambda: gamma(1e-320),
+                                    "gamma(x) overflows a float at x=1e-320"),
+    "WienerPath without a grid": (lambda: stochastic.WienerPath(None, np.zeros((1, 5))),
+                                  "grid must be a TimeGrid; got None"),
+    "WienerPath from a string": (lambda: stochastic.WienerPath(GRID, "abc"),
+                                 "cumulative must be real numbers; got 'abc'"),
+    "WienerPath from a complex number": (lambda: stochastic.WienerPath(GRID, 1j),
+                                         "cumulative must be real numbers; got 1j"),
+    "WienerPath from a dict": (lambda: stochastic.WienerPath(GRID, {}),
+                               "cumulative must be real numbers; got {}"),
+    "SolverConfig with an array noise_history": (
+        lambda: SolverConfig(0.8, GRID, noise_history=np.array([0.5, 0.6])),
+        "noise_history must be one of per_step, last_increment; got array([0.5, 0.6])"),
+    "SolverConfig with an array weight_mode": (
+        lambda: SolverConfig(0.8, GRID, weight_mode=np.array([0.5, 0.6])),
+        "weight_mode must be one of standard, literal; got array([0.5, 0.6])"),
+    "WeightTable with an array mode": (
+        lambda: WeightTable(4, 0.8, 0.1, np.array(["standard", "literal"])),
+        "mode must be one of standard, literal; got array(['standard', 'literal'], dtype='<U8')"),
+    "matrix_form_check of None": (lambda: matrix_form_check(newton_leipnik(), None),
+                                  "y must be real numbers; got None"),
+    "matrix_form_check of a string": (lambda: matrix_form_check(lorenz(), "abc"),
+                                      "y must be real numbers; got 'abc'"),
+    "matrix_form_check of a 2-D state": (lambda: matrix_form_check(newton_leipnik(), [1.0, 2.0]),
+                                         "y must have shape (3,), got (2,)"),
+    # an int past the float range is no finite number, and no TypeError or OverflowError
+    "make_grid past the float range": (lambda: make_grid(10**400, 0.25),
+                                       f"T must be finite; got {10**400}"),
+    "linear_test with a huge lam": (lambda: linear_test(lam=-10**400),
+                                    f"lam must be finite; got {-10**400}"),
+    "lipschitz_bound of a huge radius": (lambda: lipschitz_bound(lorenz(), 10**400),
+                                         f"delta must be finite; got {10**400}"),
     # 2**62 steps would take exbibytes: the bound must come before any allocation
     "WeightTable past the longest grid": (lambda: WeightTable(2**62 + 1, 0.8, 0.1),
                                           f"step index must be in [0, {2**22}); got {2**62}"),
@@ -537,6 +575,80 @@ def test_count_below_its_least_is_a_config_error(entry):
 def test_numpy_integer_count_is_a_count(entry):
     call, count = COUNT_CALLS[entry]
     call(np.int64(count))
+
+
+# entry point (argument): the call of one value there, every other argument valid
+ODD_ARGUMENTS = {
+    "make_grid(T)": lambda v: make_grid(v, 0.25),
+    "make_grid(h)": lambda v: make_grid(1.0, v),
+    "SolverConfig(alpha)": lambda v: SolverConfig(v, GRID),
+    "SolverConfig(grid)": lambda v: SolverConfig(0.8, v),
+    "SolverConfig(noise_history)": lambda v: SolverConfig(0.8, GRID, noise_history=v),
+    "SolverConfig(weight_mode)": lambda v: SolverConfig(0.8, GRID, weight_mode=v),
+    "SeedSpec(master_seed)": lambda v: SeedSpec(v),
+    "SeedSpec(path_index)": lambda v: SeedSpec(1, v),
+    "SeedSpec(channel_index)": lambda v: SeedSpec(1, 0, v),
+    "WeightTable(num_steps)": lambda v: WeightTable(v, 0.8, 0.1),
+    "WeightTable(alpha)": lambda v: WeightTable(4, v, 0.1),
+    "WeightTable(h)": lambda v: WeightTable(4, 0.8, v),
+    "WeightTable(mode)": lambda v: WeightTable(4, 0.8, 0.1, v),
+    "corrector_weights(n)": lambda v: corrector_weights(v, 0.8),
+    "corrector_weights(alpha)": lambda v: corrector_weights(3, v),
+    "corrector_weights(mode)": lambda v: corrector_weights(3, 0.8, v),
+    "predictor_weights(n)": lambda v: predictor_weights(v, 0.8, 0.1),
+    "predictor_weights(alpha)": lambda v: predictor_weights(3, v, 0.1),
+    "predictor_weights(h)": lambda v: predictor_weights(3, 0.8, v),
+    "linear_test(lam)": lambda v: linear_test(lam=v),
+    "linear_test(sigma0)": lambda v: linear_test(sigma0=v),
+    "linear_test(y0)": lambda v: linear_test(y0=v),
+    "NewtonLeipnikParams(beta)": lambda v: NewtonLeipnikParams(beta=v),
+    "NewtonLeipnikParams(rho)": lambda v: NewtonLeipnikParams(rho=v),
+    "NewtonLeipnikParams(mu)": lambda v: NewtonLeipnikParams(mu=v),
+    "LorenzParams(a)": lambda v: LorenzParams(a=v),
+    "LorenzParams(b)": lambda v: LorenzParams(b=v),
+    "LorenzParams(c)": lambda v: LorenzParams(c=v),
+    "LorenzParams(mu)": lambda v: LorenzParams(mu=v),
+    "newton_leipnik(y0)": lambda v: newton_leipnik(y0=v),
+    "lorenz(y0)": lambda v: lorenz(y0=v),
+    "SystemModel(dim)": lambda v: SystemModel("m", v, None, None, [0.0]),
+    "SystemModel(y0)": lambda v: SystemModel("m", 2, None, None, v),
+    "gamma(x)": gamma,
+    "mittag_leffler(alpha)": lambda v: mittag_leffler(v, -0.5),
+    "mittag_leffler(z)": lambda v: mittag_leffler(0.8, v),
+    "lipschitz_bound(delta)": lambda v: lipschitz_bound(lorenz(), v),
+    "matrix_form_check(y)": lambda v: matrix_form_check(newton_leipnik(), v),
+    "WienerPath(cumulative)": lambda v: stochastic.WienerPath(GRID, v),
+}
+# the counts that size a weight table: a valid one runs, so a huge one is left out
+TABLE_COUNTS = {"WeightTable(num_steps)", "corrector_weights(n)", "predictor_weights(n)"}
+
+NUMPY_SCALARS = st.sampled_from(["float16", "float32", "float64", "int8", "int64", "uint64", "bool",
+                                 "complex128"]).map(np.dtype).flatmap(hnp.from_dtype)
+ODD_VALUES = st.one_of(
+    st.none(), st.booleans(), st.text(max_size=4), st.binary(max_size=4),
+    st.sampled_from([0, 0.0, -1, -2**63, 2**64, 2**70, 10**400, -10**400, math.nan, math.inf,
+                     -math.inf, 5e-324, 1e-310, 1e-320, 1e308, 1e200, 171.0, 172.0]),
+    st.integers(), st.floats(), NUMPY_SCALARS, st.complex_numbers(),
+    st.fractions(), st.decimals(), st.sampled_from([Fraction(1, 10**400), Decimal("0.5")]),
+    hnp.arrays(st.sampled_from([np.float64, np.float16, np.int64, np.complex128]),
+               st.sampled_from([(), (1,), (2,), (3,), (1, 5)])),
+    st.lists(st.one_of(st.floats(), st.integers(), st.none()), max_size=4),
+)
+
+
+@pytest.mark.filterwarnings("ignore:rho=:UserWarning")
+@settings(derandomize=True, deadline=None, max_examples=1500,
+          suppress_health_check=[HealthCheck.too_slow])
+@given(entry=st.sampled_from(sorted(ODD_ARGUMENTS)), value=ODD_VALUES)
+def test_odd_scalar_input_returns_or_is_a_config_error(entry, value):
+    # the library twin of the command-line fuzz: whatever lands in one
+    # argument, the call returns or raises ConfigError, nothing else
+    if entry in TABLE_COUNTS and not checks.integer_rule(n=value):
+        assume(value <= 1000 or value >= checks.MAX_STEPS)
+    try:
+        ODD_ARGUMENTS[entry](value)
+    except ConfigError:
+        pass
 
 
 def test_write_stats_csv():

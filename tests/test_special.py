@@ -1,9 +1,13 @@
 import math
+import re
+from fractions import Fraction
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from sfode.checks import ConfigError
 from sfode.special import ConvergenceError, gamma, mittag_leffler
 
 # Independent high-precision references (mpmath, 30 digits).
@@ -33,6 +37,18 @@ class TestGamma:
     @pytest.mark.parametrize("x", [0.0, -1.0, -0.5, -10.0])
     def test_rejects_nonpositive(self, x):
         with pytest.raises(ValueError):
+            gamma(x)
+
+    @pytest.mark.parametrize("x", [171.6243769563027, 5.56268464626801e-309])
+    def test_finite_at_the_ends_of_its_float_range(self, x):
+        assert math.isfinite(gamma(x))
+
+    @pytest.mark.parametrize("x", [171.62437695630274, 172.0, 1e308, 10**400,
+                                   5.5626846462679e-309, 1e-320, Fraction(1, 10**400)],
+                             ids=lambda x: repr(x)[:24])
+    def test_overflow_is_a_config_error(self, x):
+        message = f"gamma(x) overflows a float at x={x!r}"
+        with pytest.raises(ConfigError, match=f"^{re.escape(message)}$"):
             gamma(x)
 
     @given(st.floats(min_value=0.1, max_value=20.0))
@@ -75,6 +91,13 @@ class TestMittagLeffler:
             if partial >= result:
                 above = True
         assert below and above
+
+    @pytest.mark.parametrize("alpha,z", [(0.8, np.float32(0.3)), (np.float16(0.5), -1.0),
+                                         (Fraction(4, 5), Fraction(-3, 2)), (1, np.int64(-2)),
+                                         (np.float64(0.9), np.uint8(2))])
+    def test_takes_what_real_rule_takes(self, alpha, z):
+        # numpy scalars and fractions are real numbers: evaluated as their float
+        assert mittag_leffler(alpha, z) == mittag_leffler(float(alpha), float(z))
 
     def test_rejects_bad_alpha(self):
         for alpha in (0.0, -0.3, 1.2):

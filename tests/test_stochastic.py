@@ -1,4 +1,5 @@
 import math
+import re
 
 import numpy as np
 import pytest
@@ -175,6 +176,19 @@ class TestWienerPath:
         with pytest.raises(ValueError, match="W\\(0\\)"):
             WienerPath(grid, np.ones((2, 5)))
 
+    @pytest.mark.parametrize("cumulative", ["abc", 1j, {}, None, [[0.0, 1.0, 2.0, 3.0, math.nan]],
+                                            np.zeros((1, 5), complex)])
+    def test_cumulative_holds_finite_real_numbers(self, cumulative):
+        with pytest.raises(checks.ConfigError,
+                           match="^cumulative must be (real numbers|finite); got"):
+            WienerPath(make_grid(1.0, 0.25), cumulative)
+
+    @pytest.mark.parametrize("grid", [None, 1.0, "grid"])
+    def test_grid_is_a_time_grid(self, grid):
+        message = f"grid must be a TimeGrid; got {grid!r}"
+        with pytest.raises(checks.ConfigError, match=f"^{re.escape(message)}$"):
+            WienerPath(grid, np.zeros((1, 5)))
+
 
 class TestDrawContract:
     """A batch draw equals the single-path draws bit for bit, and streams are
@@ -200,18 +214,39 @@ class TestDrawContract:
 
     @pytest.mark.parametrize("s", [0, 1, 2**32 - 1, 2**32, 2**63, 2**64 - 1])
     def test_key_equals_seed_sequence(self, s):
-        # master seeds of one and two 32-bit words; the path indices 0, 1,
-        # 2**32 - 1, 2**32, 2**64 + 3 and the channel indices 0, 2, 2**32 + 1
-        # lie in ranges of one, two and three words that each batch hashes
-        # at once, the later ranges across a word boundary
-        for paths in (range(0, 2), range(2**32 - 1, 2**32 + 1), range(2**64 - 1, 2**64 + 4)):
-            for channels in (range(0, 3), range(2**32 - 1, 2**32 + 2)):
-                keys = stochastic._keys(s, paths, channels)
-                streams = [(i, c) for i in paths for c in channels]
-                assert len(keys) == len(streams)
-                for (i, c), key in zip(streams, keys):
+        # master seeds of one and two 32-bit words; path ranges of one, two
+        # and three words, just below and just above 2**32 and 2**64, each
+        # hashed at once; channel indices of one and two words
+        for paths in (range(0, 2), range(2**32 - 3, 2**32), range(2**32, 2**32 + 3),
+                      range(2**64 - 3, 2**64), range(2**64, 2**64 + 3)):
+            for c in (0, 2, 2**32 - 1, 2**32 + 1):
+                keys = stochastic._keys(s, paths, c)
+                assert keys.shape == (len(paths), 2)
+                for i, key in zip(paths, keys):
                     seq = np.random.SeedSequence(s, spawn_key=(i, c))
-                    np.testing.assert_array_equal(key, seq.generate_state(2, np.uint64), str((i, c)))
+                    np.testing.assert_array_equal(key, seq.generate_state(2, np.uint64),
+                                                  str((i, c)))
+
+    @pytest.mark.parametrize("paths", [range(2**32 - 1, 2**32 + 1), range(2**64 - 2, 2**64 + 2)])
+    def test_keys_refuse_a_range_across_a_word_boundary(self, paths):
+        with pytest.raises(ValueError, match="cross a multiple of 2\\*\\*32"):
+            stochastic._keys(1, paths, 0)
+
+    def test_batches_stop_at_a_word_boundary(self, monkeypatch):
+        # a batch of 3 * 2**30 paths would reach from 3 * 2**30 past 2**32;
+        # the recorder stands in for the draw, so nothing of that size is made
+        grid = make_grid(1.0, 0.5)
+        monkeypatch.setattr(stochastic, "BATCH_BYTES", 3 * 2**30 * 8 * grid.num_nodes)
+        drawn = []
+
+        def record(master_seed, paths, channel, grid, num_channels):
+            drawn.append(paths)
+            return np.zeros((1, num_channels, grid.num_nodes))
+
+        monkeypatch.setattr(stochastic, "_wiener", record)
+        starts = [start for start, _ in increment_batches(5, 2**32 + 2, grid, 1)]
+        assert drawn == [range(0, 3 * 2**30), range(3 * 2**30, 2**32), range(2**32, 2**32 + 2)]
+        assert starts == [paths.start for paths in drawn]
 
     @staticmethod
     def reference(s, i, c, grid):
@@ -232,15 +267,12 @@ class TestDrawContract:
     @pytest.mark.parametrize("c0", [0, 2**32 - 1])
     def test_batch_across_a_word_boundary(self, s, c0):
         # paths 2**32 - 2 .. 2**32 + 1 have one and two words, and from
-        # c0 = 2**32 - 1 so do the two channels: one draw, four rectangles
+        # c0 = 2**32 - 1 so do the two channels of each path
         grid = make_grid(1.0, 0.125)
-        paths = range(2**32 - 2, 2**32 + 2)
-        W = stochastic._wiener(s, paths, c0, grid, 2)
-        assert W.shape == (4, 2, grid.num_nodes)
-        for i, row in zip(paths, W):
-            np.testing.assert_array_equal(row, generate_path(SeedSpec(s, i, c0), grid, 2).cumulative)
+        for i in range(2**32 - 2, 2**32 + 2):
+            W = generate_path(SeedSpec(s, i, c0), grid, 2).cumulative
             for c in range(2):
-                np.testing.assert_array_equal(row[c], self.reference(s, i, c0 + c, grid))
+                np.testing.assert_array_equal(W[c], self.reference(s, i, c0 + c, grid))
 
 
 class TestPathStatistics:
