@@ -77,6 +77,12 @@ RUNS = {
                                "--seed", "1"],
     "linear_blowup_block2": ["simulate", *LINEAR, "--lam", "-3", "--alpha", "1", "--h", "0.01",
                              "--T", "6", "--mu", "0"],
+    # one path in Python floats: deterministic past one block, and a stochastic
+    # divergence at step 113, in block 1, replayed by the numpy kernel
+    "nl_deterministic": ["simulate", "--system", "newton_leipnik", "--alpha", "0.93",
+                         "--h", "0.005", "--T", "5", "--mu", "0"],
+    "lorenz_path_step113": ["simulate", "--system", "lorenz", "--alpha", "0.9", "--h", "0.005",
+                            "--T", "5", "--mu", "2", "--seed", "3"],
     "lorenz_picard_sup": ["picard", "--system", "lorenz", "--alpha", "0.95", "--h", "0.01",
                           "--T", "1", "--mu", "0.01", "--paths", "100", "--iterations", "4",
                           "--sup"],

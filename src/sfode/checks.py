@@ -20,6 +20,7 @@ __all__ = [
     "ConfigError",
     "alpha_rule",
     "array_rule",
+    "channels_rule",
     "choice_rule",
     "finite_rule",
     "grid_rule",
@@ -37,6 +38,10 @@ GRID_REL_TOL = 1e-9
 #: steps of a 3-D stochastic system hold about 0.2 GB of history and as much
 #: again of far-field sums.
 MAX_STEPS = 2**22
+
+#: Most floats one Wiener path may hold, channels times nodes: 2**27 bytes,
+#: which a 3-channel path on a grid of MAX_STEPS steps fits.
+MAX_PATH_FLOATS = 2**24
 
 
 class ConfigError(ValueError):
@@ -130,6 +135,18 @@ def integer_rule(least: int | None = None, **values) -> list:
             continue
         if least is not None and n < least:
             problems.append(f"{name} must be >= {least}; got {n}")
+    return problems
+
+
+def channels_rule(num_channels: int, num_nodes: int) -> list:
+    """num_channels is a count >= 1 of Wiener channels whose path on
+    num_nodes nodes holds at most MAX_PATH_FLOATS floats, so a count too
+    large to draw is a message before anything is allocated."""
+    problems = integer_rule(1, num_channels=num_channels)
+    most = MAX_PATH_FLOATS // num_nodes
+    if not problems and (count := operator.index(num_channels)) > most:
+        problems.append(f"num_channels must be at most {most} on a grid of {num_nodes} "
+                        f"nodes; got {count}")
     return problems
 
 

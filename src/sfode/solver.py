@@ -37,11 +37,15 @@ states within BLOWUP) both run per block, in the one block loop of
 unchecked and checks its records once at the block's end.  A block that
 fails that check, or raises, is replayed exactly from its first step with
 a check at every step, so the error is the one a per-step check raises.
+A batch takes its blocks in numpy; one path takes its unchecked blocks in
+Python floats, which round as numpy's float64, in the same order of
+operations, and its replays in numpy.
 """
 
 import enum
 import math
 from dataclasses import dataclass
+from operator import add, mul
 
 import numpy as np
 
@@ -143,7 +147,10 @@ class _Stepper:
     f at each node, block 1 (stochastic runs only) the noise record.
     :meth:`push` records node n; :meth:`predict` and :meth:`correct` then
     take step n -> n+1 from the records of nodes 0..n, :meth:`predict`
-    handing its corrector sums to :meth:`correct`.
+    handing its corrector sums to :meth:`correct`.  This numpy kernel steps
+    a batch and replays every block that fails its check; the unchecked
+    blocks of one path (batch ()) take the same operations in Python floats
+    (:meth:`advance_path`), which give the kernel's bits.
 
     The weights come from a :class:`~sfode.weights.WeightTable`: b and the
     interior a by lag, side by side in one :class:`_LagKernel`, and a0 by
@@ -177,10 +184,11 @@ class _Stepper:
 
     With :attr:`checked` (the default) every right-hand side is checked to
     be finite and every state to lie within BLOWUP as it is made.  Without
-    it, :meth:`advance` takes its steps unchecked and :meth:`admissible`
-    checks a finished block at once.  Stepping only reads the far field and
-    writes the records and states of the nodes it makes, so a block [s, e)
-    taken again from step s gives the same bits.
+    it, :meth:`advance` takes its steps unchecked, as :meth:`advance_path`
+    always does, and :meth:`admissible` checks a finished block at once.
+    Stepping only reads the far field and writes the records and states of
+    the nodes it makes, so a block [s, e) taken again from step s gives the
+    same bits.
     """
 
     checked = True
@@ -198,7 +206,7 @@ class _Stepper:
         size = min(steps, BLOCK)
         self.first = kernel.matrix(0, size).reshape(size, size, 2).transpose(2, 1, 0).copy()
         self.first[1, :, 0] = table.a0[:size]
-        self.evaluate = model.evaluate
+        self.evaluate, self.call = model.evaluate, model.call
         self.dW = dW if cfg.stochastic else None
         # (predictor, corrector) coefficients of each history block
         coefs = [(1.0 / math.gamma(cfg.alpha), h**cfg.alpha / math.gamma(cfg.alpha + 2.0))]
@@ -208,6 +216,7 @@ class _Stepper:
         if self.dW is not None:
             # alpha > 1/2 here keeps h**(alpha - 1) finite for every float h
             coefs.append((coefs[0][0] / h, h ** (cfg.alpha - 1.0) / math.gamma(cfg.alpha + 2.0)))
+        self.coefs = coefs
         blocks, dim = len(coefs), model.dim
         # (blocks, d) coefficient rows: each block's coefficient repeated along d
         self.pred_coef, self.corr_coef = np.repeat(np.array(coefs).T[..., None], dim, axis=-1)
@@ -316,6 +325,74 @@ class _Stepper:
                     )
             states[..., n + 1] = y_next
             push(n + 1, y_next)
+
+    def advance_path(self, states: np.ndarray, start: int, stop: int) -> None:
+        """:meth:`advance` for one path (batch ()) and unchecked: the steps
+        start..stop-1 of the block that starts at start, in Python floats.
+
+        The history sums stay numpy products, the two of :meth:`sums` in
+        block 0 and past it the one near-field product, read back with
+        .tolist(); a step past block 0 adds its far-field slot from a list
+        of the block's slots.  Those slots, the block's node times and dW
+        columns, y0 and the coefficients are converted once per block.
+        Python floats round as numpy's float64 + and *, and every element
+        takes the kernel's operations in their order, so every state and
+        record is the kernel's bit for bit.  With P, Q (C, D) the drift and
+        noise predictor (corrector) sums and w = dW_n:
+
+            per_step        yp = (y0 + P cp_f) + Q cp_g
+                            y  = (y0 + (f + C) cc_f) + (g w + D) cc_g
+            last_increment  yp = (y0 + P cp_f) + (Q w) cp_g
+                            y  = (y0 + (f + C) cc_f) + (g w + D w) cc_g
+            deterministic   yp = y0 + P cp_f,  y = y0 + (f + C) cc_f
+
+        The model gets the kernel's arguments, a (d,) array and the node
+        time, through :meth:`SystemModel.call`, which :meth:`SystemModel.evaluate`
+        also calls.  The block's states are written at its end.
+        """
+        dim, stochastic, last = self.y0.shape[-1], self.dW is not None, self.scale_noise_sums
+        call, hist_rows, records = self.call, self.hist_rows, self.hist_rows.T
+        y0, comps = self.y0.tolist(), range(dim)
+        (cp_f, cc_f), (cp_g, cc_g) = self.coefs[0], self.coefs[-1]  # (drift, noise) pairs
+        times = list(self.t[start + 1:stop + 1])
+        if stochastic:  # [r]: the increments of step start + r
+            dW = self.dW[:, start:stop + 1].T.tolist()
+        if start:  # [r]: the far-field sums of step start + r, (predictor, corrector) by row
+            near_w, first = self.near_w, start % self.ring
+            far = self.far[:, first:first + stop - start].transpose(1, 0, 2)
+            far = far.reshape(stop - start, -1).tolist()
+        ys = []
+        for r, n in enumerate(range(start, stop)):
+            if start:
+                near = (hist_rows[:, start:n + 1] @ near_w[BLOCK - 1 - r:]).ravel().tolist()
+                sums = list(map(add, near, far[r]))
+                P, C = sums[::2], sums[1::2]
+            else:
+                P, C = (part.ravel().tolist() for part in self.sums(n))
+            if not stochastic:
+                yp = [y0[i] + P[i] * cp_f for i in comps]
+            elif last:
+                w = dW[r]
+                yp = [(y0[i] + P[i] * cp_f) + (P[dim + i] * w[i]) * cp_g for i in comps]
+            else:
+                w = dW[r]
+                yp = [(y0[i] + P[i] * cp_f) + P[dim + i] * cp_g for i in comps]
+            t, state = times[r], np.array(yp)
+            f = call("drift", t, state).tolist()
+            if not stochastic:
+                y = [y0[i] + (f[i] + C[i]) * cc_f for i in comps]
+            else:
+                g = call("diffusion", t, state).tolist()
+                D = [C[dim + i] * w[i] for i in comps] if last else C[dim:]
+                y = [(y0[i] + (f[i] + C[i]) * cc_f) + (g[i] * w[i] + D[i]) * cc_g for i in comps]
+            ys.append(y)
+            state = np.array(y)
+            record = call("drift", t, state).tolist()
+            if stochastic and n + 1 < self.num_steps:
+                g = call("diffusion", t, state).tolist()
+                record += g if last else map(mul, g, dW[r + 1])
+            records[n + 1, :len(record)] = record
+        states[:, start + 1:stop + 1] = np.array(ys).T
 
     def admissible(self, states: np.ndarray, start: int, stop: int) -> bool:
         """Whether the records and states of nodes start+1..stop are finite
@@ -453,6 +530,8 @@ def solve_batch(model: SystemModel, cfg: SolverConfig, dW: np.ndarray | None) ->
     stepper = _Stepper(model, cfg, dW)
     states = np.empty(stepper.y0.shape + (grid.num_nodes,))
     states[..., 0] = stepper.y0
+    # one path takes its unchecked blocks in Python floats, a batch in the numpy kernel
+    unchecked = stepper.advance_path if stepper.y0.ndim == 1 else stepper.advance
     with np.errstate(over="ignore", invalid="ignore"):
         stepper.push(0, stepper.y0)
         for start in range(0, grid.num_steps, BLOCK):
@@ -461,7 +540,7 @@ def solve_batch(model: SystemModel, cfg: SolverConfig, dW: np.ndarray | None) ->
                 stepper._far_field(start)
             stepper.checked = False
             try:
-                stepper.advance(states, start, stop)
+                unchecked(states, start, stop)
                 ok = stepper.admissible(states, start, stop)
             except Exception:  # the replay raises it again if it is real
                 ok = False

@@ -5,9 +5,10 @@ path index, channel index) triple is a Philox engine keyed as
 ``numpy.random.SeedSequence(master_seed, spawn_key=(path, channel))``
 would key it, so an ensemble produces the same paths whatever the order or
 batch size in which its members run.  The keys are derived here:
-:func:`_prefix` takes the pool of the master seed from numpy's SeedSequence,
-and :func:`_keys` hashes the spawn keys of one channel of every path of the
-batch into it together, in uint32 arrays, by a copy of SeedSequence's hash.
+:func:`_pool` takes the pool of the master seed from numpy's SeedSequence
+once per draw, and :func:`_keys` hashes the spawn keys of one channel of
+every path of the batch into it together, in uint32 arrays, by a copy of
+SeedSequence's hash.
 A batch stops at the next multiple of 2**32, so the path indices of a draw
 all have the same number of 32-bit words.  One Philox engine is then
 re-keyed through its public ``state`` for each stream and draws straight
@@ -158,33 +159,36 @@ def _words(n: int) -> list:
     return words
 
 
-def _prefix(master_seed: int, num_words: int) -> tuple:
+# The hash constant of the first spawn-key word: the pool took 4 + 12
+# hashes, one per pool word and one per ordered pair of pool words.
+_INIT_KEY = _INIT_A * pow(_MULT_A, _POOL * _POOL, 2**32) & _MASK32
+
+
+def _pool(master_seed: int) -> np.ndarray:
     """The SeedSequence pool after the run entropy master_seed, which numpy
-    pads with zero words whether or not a spawn key follows, and the hash
-    constants of the num_words spawn-key words that follow, as :func:`_powers`
-    gives them: two uint32 (n, 1) columns.  The pool took 4 + 12 hashes:
-    one per pool word and one per ordered pair of pool words."""
-    pool = np.random.SeedSequence(master_seed).pool
-    hs = _powers(_INIT_A * pow(_MULT_A, _POOL * _POOL, 2**32) & _MASK32, _MULT_A, _POOL * num_words)
-    return pool.reshape(-1, 1), np.array(hs, np.uint32).reshape(-1, 1)
+    pads with zero words whether or not a spawn key follows, as a uint32
+    (4, 1) column."""
+    return np.random.SeedSequence(master_seed).pool.reshape(-1, 1)
 
 
-def _keys(master_seed: int, paths: range, channel: int) -> np.ndarray:
-    """The Philox keys of one channel of the paths (step 1), as a
-    (len(paths), 2) uint64 array: row b is bit for bit
-    SeedSequence(master_seed, spawn_key=(paths[b], channel)).generate_state(2, np.uint64).
+def _keys(pool: np.ndarray, paths: range, channel: int) -> np.ndarray:
+    """The Philox keys of one channel of the paths (step 1) under the
+    :func:`_pool` of a master seed s, as a (len(paths), 2) uint64 array:
+    row b is bit for bit
+    SeedSequence(s, spawn_key=(paths[b], channel)).generate_state(2, np.uint64).
 
     A hash constant depends only on how many words were hashed before it,
     and each pool word absorbs each spawn-key word on its own.  So the keys
     of paths whose indices have one word count are hashed at once, word 0
     as a uint32 array that counts up and wraps as the hash's words do, and
-    paths must not cross a multiple of 2**32 (else ValueError).
+    paths must not cross a multiple of 2**32 (else ValueError).  pool is
+    read, not written, so one pool serves every channel of a draw.
     """
     if paths and paths.start >> 32 != paths[-1] >> 32:
         raise ValueError(f"paths {paths} cross a multiple of 2**32")
     low, *high = _words(paths.start)
     words = [np.arange(low, low + len(paths), dtype=np.uint32), *high, *_words(channel)]
-    pool, hs = _prefix(master_seed, len(words))
+    hs = np.array(_powers(_INIT_KEY, _MULT_A, _POOL * len(words)), np.uint32).reshape(-1, 1)
     for k, w in enumerate(words):
         h = hs[_POOL * k:_POOL * (k + 1) + 1]  # word k is hashed once per pool word
         v = w ^ h[:-1]
@@ -212,9 +216,9 @@ def _wiener(master_seed: int, paths: range, channel: int, grid: TimeGrid,
     nodes 1..N.  The batch is scaled by sqrt(h) once and summed along the
     steps.  paths must not cross a multiple of 2**32.
     """
-    keys = np.empty((len(paths), num_channels, 2), np.uint64)
+    keys, pool = np.empty((len(paths), num_channels, 2), np.uint64), _pool(master_seed)
     for c in range(num_channels):
-        keys[:, c] = _keys(master_seed, paths, channel + c)
+        keys[:, c] = _keys(pool, paths, channel + c)
     W = np.empty((len(paths), num_channels, grid.num_nodes))  # after the hash's scratch is freed
     W[..., 0] = 0.0
     bitgen = np.random.Philox(0)
@@ -237,9 +241,10 @@ def generate_path(seed: SeedSpec, grid: TimeGrid, num_channels: int = 1) -> Wien
     (master_seed, path_index, channel_index + c), so channels are mutually
     independent and the whole path is reproducible bit-for-bit from its
     SeedSpec.  With channel_index 0 its increments are bit for bit those
-    that :func:`increment_batches` yields for path path_index.
+    that :func:`increment_batches` yields for path path_index.  The path may
+    hold at most checks.MAX_PATH_FLOATS floats (else ConfigError).
     """
-    checks.require(checks.integer_rule(1, num_channels=num_channels))
+    checks.require(checks.channels_rule(num_channels, grid.num_nodes))
     paths = range(seed.path_index, seed.path_index + 1)
     return WienerPath(grid, _wiener(seed.master_seed, paths, seed.channel_index, grid,
                                     num_channels)[0])
@@ -254,12 +259,13 @@ def increment_batches(master_seed: int, M: int, grid: TimeGrid, num_channels: in
     B >= 1 is the most paths whose (B, num_channels, num_nodes) floats fit
     BATCH_BYTES, or fewer where a batch stops at M or at a multiple of 2**32
     (where path indices gain a word).  master_seed must be a 64-bit unsigned
-    integer, M >= 0 and num_channels >= 1, each a Python or numpy integer
-    (else ConfigError).
+    integer, M >= 0 and num_channels >= 1, each a Python or numpy integer,
+    and one path may hold at most checks.MAX_PATH_FLOATS floats (else
+    ConfigError).
     """
     checks.require(checks.seed_rule(master_seed) + checks.integer_rule(0, M=M)
-                   + checks.integer_rule(1, num_channels=num_channels))
-    master_seed = operator.index(master_seed)
+                   + checks.channels_rule(num_channels, grid.num_nodes))
+    master_seed, num_channels = operator.index(master_seed), operator.index(num_channels)
     size = max(1, BATCH_BYTES // (8 * num_channels * grid.num_nodes))
     stop = 0
     while stop < M:

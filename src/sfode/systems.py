@@ -58,9 +58,12 @@ class SystemModel:
     A long single path evaluates each callable twice per step, so their
     per-call cost counts.  The built-in drifts unpack one path to Python
     floats (``y.tolist()``), which round like numpy's float64 and about
-    halve the cost of a call, and a batch to row arrays.  The solver writes
-    what a model returns into preallocated rows and scales them by the
-    scheme's coefficients there (see :class:`sfode.solver._Stepper`).
+    halve the cost of a call, and a batch to row arrays.  The solver's
+    one-path loop relies on the same rule: it passes a (d,) array through
+    :meth:`call`, reads the result back as Python floats and scales it by
+    the scheme's coefficients in the numpy kernel's order, and a batch is
+    written into preallocated rows and scaled there (see
+    :class:`sfode.solver._Stepper`).
 
     Inside the solvers a model runs with numpy's overflow and invalid-value
     warnings suppressed; a non-finite result is reported as a divergence
@@ -98,12 +101,23 @@ class SystemModel:
         out.T, shaped like y.  t is a float or, for states y of shape (B, d),
         an array of the B times, passed on as it is.
         """
-        state = y.T
+        return self.call(kind, t, y.T).T
+
+    def call(self, kind: str, t: float | np.ndarray, state: np.ndarray) -> np.ndarray:
+        """drift or diffusion (kind) at (t, state) in the model's convention,
+        state shaped (d,) or (d, ...) with the paths last: what the callable
+        returns as a float array, which must have state's shape (else
+        ValueError).
+
+        The one conversion and shape check of every model call: through
+        :meth:`evaluate` for the paths-first states of a batch, and directly
+        for the (d,) states of the stepper's one-path loop.
+        """
         out = np.asarray(getattr(self, kind)(t, state), dtype=float)
         if out.shape != state.shape:
             raise ValueError(
                 f"{self.name} {kind} returned shape {out.shape} for state {state.shape}")
-        return out.T
+        return out
 
 
 @dataclass(frozen=True)

@@ -553,6 +553,13 @@ BAD_INPUTS = {
     "predictor_weights past the longest grid": (
         lambda: predictor_weights(2**62, 0.5, 0.1),
         f"step index must be in [0, {2**22}); got {2**62}"),
+    # so would 2**40 channels, and 2**64 are past any array's size
+    "generate_path of 2**40 channels": (
+        lambda: generate_path(SeedSpec(1), GRID, 2**40),
+        f"num_channels must be at most {2**24 // 5} on a grid of 5 nodes; got {2**40}"),
+    "increment_batches of 2**64 channels": (
+        lambda: list(increment_batches(1, 2, GRID, 2**64)),
+        f"num_channels must be at most {2**24 // 5} on a grid of 5 nodes; got {2**64}"),
 }
 
 
@@ -618,16 +625,20 @@ ODD_ARGUMENTS = {
     "lipschitz_bound(delta)": lambda v: lipschitz_bound(lorenz(), v),
     "matrix_form_check(y)": lambda v: matrix_form_check(newton_leipnik(), v),
     "WienerPath(cumulative)": lambda v: stochastic.WienerPath(GRID, v),
+    "generate_path(num_channels)": lambda v: generate_path(SeedSpec(1), GRID, v),
+    "increment_batches(num_channels)": lambda v: list(increment_batches(1, 2, GRID, v)),
 }
 # the counts that size a weight table: a valid one runs, so a huge one is left out
 TABLE_COUNTS = {"WeightTable(num_steps)", "corrector_weights(n)", "predictor_weights(n)"}
+# the counts that size a Wiener path: likewise
+CHANNEL_COUNTS = {"generate_path(num_channels)", "increment_batches(num_channels)"}
 
 NUMPY_SCALARS = st.sampled_from(["float16", "float32", "float64", "int8", "int64", "uint64", "bool",
                                  "complex128"]).map(np.dtype).flatmap(hnp.from_dtype)
 ODD_VALUES = st.one_of(
     st.none(), st.booleans(), st.text(max_size=4), st.binary(max_size=4),
-    st.sampled_from([0, 0.0, -1, -2**63, 2**64, 2**70, 10**400, -10**400, math.nan, math.inf,
-                     -math.inf, 5e-324, 1e-310, 1e-320, 1e308, 1e200, 171.0, 172.0]),
+    st.sampled_from([0, 0.0, -1, -2**63, 2**40, 2**64, 2**70, 10**400, -10**400, math.nan,
+                     math.inf, -math.inf, 5e-324, 1e-310, 1e-320, 1e308, 1e200, 171.0, 172.0]),
     st.integers(), st.floats(), NUMPY_SCALARS, st.complex_numbers(),
     st.fractions(), st.decimals(), st.sampled_from([Fraction(1, 10**400), Decimal("0.5")]),
     hnp.arrays(st.sampled_from([np.float64, np.float16, np.int64, np.complex128]),
@@ -645,6 +656,8 @@ def test_odd_scalar_input_returns_or_is_a_config_error(entry, value):
     # argument, the call returns or raises ConfigError, nothing else
     if entry in TABLE_COUNTS and not checks.integer_rule(n=value):
         assume(value <= 1000 or value >= checks.MAX_STEPS)
+    if entry in CHANNEL_COUNTS and not checks.integer_rule(n=value):
+        assume(value <= 1000 or value > checks.MAX_PATH_FLOATS // GRID.num_nodes)
     try:
         ODD_ARGUMENTS[entry](value)
     except ConfigError:

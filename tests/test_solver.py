@@ -1,6 +1,7 @@
 import dataclasses
 import io
 import math
+import re
 import tracemalloc
 
 import numpy as np
@@ -10,6 +11,7 @@ from sfode import solver
 from sfode.checks import ConfigError
 from sfode.solver import (
     BLOCK,
+    LAG_MATRIX_MAX,
     DivergenceError,
     NoiseHistory,
     SolverConfig,
@@ -367,6 +369,81 @@ class TestBatchAxes:
         for i, path in enumerate(paths):
             np.testing.assert_array_equal(states[np.unravel_index(i, shape)],
                                           solve(model, cfg, path).states)
+
+    STEPS = 2 * LAG_MATRIX_MAX + BLOCK + 37  # past the first FFT square's first target
+    MODELS = {
+        "linear_test": lambda: linear_test(lam=0.8, sigma0=0.3, y0=0.5),
+        "lorenz": lambda: lorenz(LorenzParams(mu=0.01)),
+        "newton_leipnik": newton_leipnik,
+    }
+
+    @staticmethod
+    def outcome(run):
+        """The states run() returns, or the message, step and time of the
+        DivergenceError it raises (a batch also names the path)."""
+        try:
+            return run()
+        except DivergenceError as err:
+            return str(err), err.step, err.time
+
+    def assert_loop_matches_kernel(self, model, cfg, path):
+        # solve takes one path's unchecked blocks in Python floats, and a
+        # batch of one path runs the numpy kernel
+        single = self.outcome(lambda: solve(model, cfg, path).states)
+        row = self.outcome(lambda: solve_batch(model, cfg, path.increments[None])[0])
+        if isinstance(row, tuple):
+            assert single == row
+        else:
+            np.testing.assert_array_equal(single, row)
+
+    @pytest.mark.parametrize("system", sorted(MODELS))
+    @pytest.mark.parametrize("weight_mode", list(WeightMode))
+    @pytest.mark.parametrize("stochastic,noise_history", RUN_KINDS)
+    def test_one_path_loop_matches_the_batch_kernel(self, stochastic, noise_history,
+                                                    weight_mode, system):
+        # literal weights diverge within the run: then the loop's blocks
+        # before the replayed one fix the error's step
+        model = self.MODELS[system]()
+        cfg = SolverConfig(alpha=0.9, grid=make_grid(self.STEPS / 256, 1 / 256),
+                           stochastic=stochastic, noise_history=noise_history,
+                           weight_mode=weight_mode)
+        self.assert_loop_matches_kernel(model, cfg, generate_path(SeedSpec(13), cfg.grid,
+                                                                  model.dim))
+
+    @pytest.mark.parametrize("stochastic,noise_history", RUN_KINDS)
+    def test_drift_returning_a_list(self, stochastic, noise_history):
+        model = newton_leipnik()
+        listed = dataclasses.replace(model, drift=lambda t, y: list(model.drift(t, y)))
+        cfg = SolverConfig(alpha=0.9, grid=make_grid(self.STEPS / 256, 1 / 256),
+                           stochastic=stochastic, noise_history=noise_history)
+        path = generate_path(SeedSpec(13), cfg.grid, 3)
+        self.assert_loop_matches_kernel(listed, cfg, path)
+        np.testing.assert_array_equal(solve(listed, cfg, path).states,
+                                      solve(model, cfg, path).states)
+
+    @pytest.mark.parametrize("kind", ["drift", "diffusion"])
+    def test_result_of_the_wrong_length_is_a_value_error(self, kind):
+        # the loop reads model results component by component: a short
+        # result, here from a step of the second block on, must fail the
+        # model's shape check, not shorten the state
+        model = newton_leipnik()
+        cfg = SolverConfig(alpha=0.9, grid=make_grid(BLOCK * 3 / 256, 1 / 256),
+                           stochastic=True)
+        t_short, full = cfg.grid.nodes()[BLOCK + 5], getattr(model, kind)
+        short = dataclasses.replace(
+            model, **{kind: lambda t, y: full(t, y)[:2] if t >= t_short else full(t, y)})
+        path = generate_path(SeedSpec(13), cfg.grid, 3)
+        message = re.escape(f"{kind} returned shape (2,) for state (3,)")
+        with pytest.raises(ValueError, match=message):
+            solve(short, cfg, path)
+        # and the loop raises it itself, before the replay
+        stepper = _Stepper(short, cfg, path.increments)
+        states = np.empty((3, cfg.grid.num_nodes))
+        stepper.push(0, stepper.y0)
+        stepper.advance_path(states, 0, BLOCK)
+        stepper._far_field(BLOCK)
+        with pytest.raises(ValueError, match=message):
+            stepper.advance_path(states, BLOCK, 2 * BLOCK)
 
 
 class TestFarField:

@@ -113,6 +113,14 @@ class TestGeneratePath:
         with pytest.raises(ValueError, match="num_channels must be >= 1; got 0"):
             generate_path(SeedSpec(11), make_grid(1.0, 0.25), num_channels=0)
 
+    def test_channel_bound_holds_three_channels_on_the_longest_grid(self):
+        # the bound is on the floats of one path: the 3-D systems' paths fit
+        # on any grid, and a count past it fails before anything is drawn
+        nodes = checks.MAX_STEPS + 1
+        assert checks.channels_rule(3, nodes) == []
+        assert checks.channels_rule(4, nodes) == [
+            f"num_channels must be at most 3 on a grid of {nodes} nodes; got 4"]
+
     def test_reproducible_bitwise(self):
         grid = make_grid(2.0, 0.125)
         a = generate_path(SeedSpec(42, 3, 1), grid, num_channels=3)
@@ -220,7 +228,7 @@ class TestDrawContract:
         for paths in (range(0, 2), range(2**32 - 3, 2**32), range(2**32, 2**32 + 3),
                       range(2**64 - 3, 2**64), range(2**64, 2**64 + 3)):
             for c in (0, 2, 2**32 - 1, 2**32 + 1):
-                keys = stochastic._keys(s, paths, c)
+                keys = stochastic._keys(stochastic._pool(s), paths, c)
                 assert keys.shape == (len(paths), 2)
                 for i, key in zip(paths, keys):
                     seq = np.random.SeedSequence(s, spawn_key=(i, c))
@@ -230,7 +238,7 @@ class TestDrawContract:
     @pytest.mark.parametrize("paths", [range(2**32 - 1, 2**32 + 1), range(2**64 - 2, 2**64 + 2)])
     def test_keys_refuse_a_range_across_a_word_boundary(self, paths):
         with pytest.raises(ValueError, match="cross a multiple of 2\\*\\*32"):
-            stochastic._keys(1, paths, 0)
+            stochastic._keys(stochastic._pool(1), paths, 0)
 
     def test_batches_stop_at_a_word_boundary(self, monkeypatch):
         # a batch of 3 * 2**30 paths would reach from 3 * 2**30 past 2**32;
