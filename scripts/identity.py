@@ -39,6 +39,13 @@ RUNS = {
     "fig3_literal": ["simulate", "--config", "configs/fig3.cfg", "--weight-mode", "literal"],
     "fig1_last_increment": ["simulate", "--config", "configs/fig1.cfg",
                             "--noise-history", "last_increment"],
+    # last_increment runs that finish: one path of 1000 steps, past an FFT
+    # square, and a batch of 8 paths
+    "fig1_last_increment_T5": ["simulate", "--config", "configs/fig1.cfg",
+                               "--noise-history", "last_increment", "--T", "5"],
+    "ensemble_last_increment": ["ensemble", "--system", "newton_leipnik", "--alpha", "0.93",
+                                "--h", "0.005", "--T", "2", "--mu", "0.1", "--paths", "8",
+                                "--seed", "1", "--noise-history", "last_increment"],
     # the benchmark workloads at seed 1
     "ensemble_scalar": ["ensemble", *LINEAR, "--lam", "0", "--sigma0", "1.0", "--alpha", "0.75",
                         "--h", "0.00390625", "--T", "1.0", "--paths", "200", "--format", "json",
@@ -77,8 +84,8 @@ RUNS = {
                                "--seed", "1"],
     "linear_blowup_block2": ["simulate", *LINEAR, "--lam", "-3", "--alpha", "1", "--h", "0.01",
                              "--T", "6", "--mu", "0"],
-    # one path in Python floats: deterministic past one block, and a stochastic
-    # divergence at step 113, in block 1, replayed by the numpy kernel
+    # one path: deterministic past one block, and a stochastic divergence at
+    # step 113, in block 1, found by the block check and replayed with checks
     "nl_deterministic": ["simulate", "--system", "newton_leipnik", "--alpha", "0.93",
                          "--h", "0.005", "--T", "5", "--mu", "0"],
     "lorenz_path_step113": ["simulate", "--system", "lorenz", "--alpha", "0.9", "--h", "0.005",

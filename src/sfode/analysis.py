@@ -76,6 +76,7 @@ def accumulate_stats(grid: TimeGrid, states_seq) -> EnsembleStats:
     the second-moment accumulator is non-negative term by term, so variance
     can never round below zero.
     """
+    checks.require(checks.type_rule("grid", grid, TimeGrid))
     mean = None
     m2 = None
     l2 = None
@@ -110,7 +111,9 @@ def ensemble_run(model: SystemModel, cfg: SolverConfig, master_seed: int, M: int
     one batch and the results are the same for any batch size.  ``workers``
     (>= 0) is accepted for compatibility and has no effect.
     """
-    checks.require(checks.integer_rule(1, M=M) + checks.integer_rule(0, workers=workers))
+    checks.require(checks.type_rule("model", model, SystemModel)
+                   + checks.type_rule("cfg", cfg, SolverConfig)
+                   + checks.integer_rule(1, M=M) + checks.integer_rule(0, workers=workers))
     return accumulate_stats(cfg.grid, path_rows(master_seed, M, cfg.grid, model.noise_dim,
                                                 lambda dW: solve_batch(model, cfg, dW)))
 
@@ -127,7 +130,8 @@ def ito_isometry_check(alpha: float, grid: TimeGrid, M: int,
     as it would alone, and are added in path-index order, so the value does
     not depend on the batch size.
     """
-    checks.require(checks.alpha_rule(alpha, "noise integrals") + checks.integer_rule(1000, M=M))
+    checks.require(checks.alpha_rule(alpha, "noise integrals") + checks.integer_rule(1000, M=M)
+                   + checks.type_rule("grid", grid, TimeGrid))
     T = grid.T
     t = grid.nodes()[:-1]
     v = (T - t)**(alpha - 1.0)
@@ -171,7 +175,9 @@ def convergence_order(model: SystemModel, cfg: SolverConfig, levels: int,
     increment is then a difference of two fine W values, which equals the
     sum of the fine increments it spans only up to rounding.
     """
-    checks.require(checks.integer_rule(levels=levels))
+    checks.require(checks.type_rule("model", model, SystemModel)
+                   + checks.type_rule("cfg", cfg, SolverConfig)
+                   + checks.integer_rule(levels=levels))
     checks.require(levels_rule(levels, cfg.grid))
     T, h = cfg.grid.T, cfg.grid.h
     checks.require(["stochastic convergence measurement needs a master_seed"]
@@ -202,6 +208,7 @@ def convergence_order(model: SystemModel, cfg: SolverConfig, levels: int,
 
 def write_stats_csv(stats: EnsembleStats, stream, metadata: dict | None = None) -> None:
     """Rows t, mean_1..d, var_1..d, l2sq in the shared table format."""
+    checks.require(checks.type_rule("stats", stats, EnsembleStats))
     d = stats.mean.shape[0]
     header = (["t"] + [f"mean_{i + 1}" for i in range(d)]
               + [f"var_{i + 1}" for i in range(d)] + ["l2sq"])

@@ -29,6 +29,7 @@ __all__ = [
     "real_rule",
     "require",
     "seed_rule",
+    "type_rule",
 ]
 
 #: Largest |T/h - round(T/h)| still taken as a whole number of steps.
@@ -52,6 +53,15 @@ def require(problems: list) -> None:
     """Raise ConfigError listing every message in problems, if any."""
     if problems:
         raise ConfigError("\n".join(problems))
+
+
+def type_rule(name: str, value, cls: type) -> list:
+    """value is an instance of cls, so that a wrong type is a message, not
+    an AttributeError from deep inside the call."""
+    if isinstance(value, cls):
+        return []
+    article = "an" if cls.__name__[0] in "AEIOU" else "a"
+    return [f"{name} must be {article} {cls.__name__}; got {value!r}"]
 
 
 def real_rule(**values) -> list:

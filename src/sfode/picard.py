@@ -85,21 +85,21 @@ def _sweep(model: SystemModel, kernels: tuple, t: np.ndarray,
 
     The sums read only the left nodes 0..N-1, so one call of each callable
     (no sigma without noise) records f and sigma at all of them for every
-    path: :meth:`SystemModel.evaluate` gets the stack of the B*N left-node
-    states, paths first, row b*N + j holding path b at node j, and the array
-    of their node times t_j.  The callables are elementwise in the columns
-    they see, so each record rounds as a call at that node alone would.
-    Node n + 1 is then y0 plus the drift and noise lag sums (:func:`_lag_sums`)
-    at n, one call each for the whole batch.
+    path: :meth:`SystemModel.call` gets the (d, B*N) left-node states,
+    column b*N + j holding path b at node j, and the array of their node
+    times t_j.  The callables are elementwise in the columns they see, so
+    each record rounds as a call at that node alone would.  Node n + 1 is
+    then y0 plus the drift and noise lag sums (:func:`_lag_sums`) at n, one
+    call each for the whole batch.
     """
     nodes = states.shape[-1]
     batch, d = states.shape[:-2], states.shape[-2]
     drift_k, noise_k = kernels
-    y = states[..., :-1].swapaxes(-1, -2).reshape(-1, d)
+    y = np.moveaxis(states[..., :-1], -2, 0).reshape(d, -1)
     t_left = np.tile(t[:-1], math.prod(batch))
 
     def record(kind):
-        return model.evaluate(kind, t_left, y).reshape(batch + (nodes - 1, d)).swapaxes(-1, -2)
+        return np.moveaxis(model.call(kind, t_left, y).reshape((d,) + batch + (nodes - 1,)), 0, -2)
 
     # C order keeps each record row contiguous for the BLAS products and FFTs
     f_vals = np.ascontiguousarray(record("drift"))
@@ -138,7 +138,10 @@ def picard_iterate(model: SystemModel, alpha: float, grid: TimeGrid,
 
     A None path switches the noise convolution off (deterministic check).
     """
-    checks.require(checks.alpha_rule(alpha, "Picard sweeps") + checks.integer_rule(1, K=K))
+    checks.require(checks.type_rule("model", model, SystemModel)
+                   + checks.alpha_rule(alpha, "Picard sweeps")
+                   + checks.type_rule("grid", grid, TimeGrid) + checks.integer_rule(1, K=K)
+                   + ([] if path is None else checks.type_rule("path", path, WienerPath)))
     if path is not None:
         checks.require(([] if path.grid == grid else ["path grid does not match iteration grid"])
                        + ([] if path.num_channels == model.noise_dim else
@@ -192,7 +195,9 @@ def cauchy_diagnostic(model: SystemModel, alpha: float, grid: TimeGrid,
     gaps are measured at the terminal node (the cheap proxy); sup_mode
     maximizes them over the grid.
     """
-    checks.require(checks.integer_rule(paths=M, iterations=K))
+    checks.require(checks.type_rule("model", model, SystemModel)
+                   + checks.type_rule("grid", grid, TimeGrid)
+                   + checks.integer_rule(paths=M, iterations=K))
     checks.require(diagnostic_rule(alpha, M, K, grid))
 
     def rows(dW):
@@ -216,5 +221,6 @@ def cauchy_diagnostic(model: SystemModel, alpha: float, grid: TimeGrid,
 
 def write_distance_csv(report: CauchyReport, stream, metadata: dict | None = None) -> None:
     """Distance table: one row (k, d_k) per measured gap."""
+    checks.require(checks.type_rule("report", report, CauchyReport))
     ks = range(1, len(report.distances) + 1)
     write_table(stream, metadata or {}, ["k", "d_k"], [ks, report.distances])

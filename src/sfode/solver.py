@@ -37,15 +37,14 @@ states within BLOWUP) both run per block, in the one block loop of
 unchecked and checks its records once at the block's end.  A block that
 fails that check, or raises, is replayed exactly from its first step with
 a check at every step, so the error is the one a per-step check raises.
-A batch takes its blocks in numpy; one path takes its unchecked blocks in
-Python floats, which round as numpy's float64, in the same order of
-operations, and its replays in numpy.
+One loop takes every block, checked or not, of one path and of a batch:
+it steps on component rows, Python floats for one path and arrays for a
+batch, which round alike (:class:`_Stepper`).
 """
 
 import enum
 import math
 from dataclasses import dataclass
-from operator import add, mul
 
 import numpy as np
 
@@ -112,8 +111,7 @@ class SolverConfig:
     def __post_init__(self):
         over_half = "stochastic runs (nonzero noise)" if self.stochastic else None
         checks.require(checks.alpha_rule(self.alpha, over_half)
-                       + ([] if isinstance(self.grid, TimeGrid)
-                          else [f"grid must be a TimeGrid; got {self.grid!r}"])
+                       + checks.type_rule("grid", self.grid, TimeGrid)
                        + checks.choice_rule("noise_history", self.noise_history, NoiseHistory)
                        + checks.choice_rule("weight_mode", self.weight_mode, WeightMode))
         object.__setattr__(self, "noise_history", NoiseHistory(self.noise_history))
@@ -141,31 +139,35 @@ def _diverged(message: str, step: int, time: float, ok: np.ndarray) -> Divergenc
 class _Stepper:
     """Stepping kernel for one path or a batch, with its history caches.
 
-    Every array holds the path axes first: states are batch + (d,), batch the
+    The arrays hold the path axes first: states are batch + (d,), batch the
     leading shape of dW, shaped batch + (noise_dim, num_steps) (None: one
     path).  The history is one buffer batch + (blocks, d, S): block 0 caches
     f at each node, block 1 (stochastic runs only) the noise record.
-    :meth:`push` records node n; :meth:`predict` and :meth:`correct` then
-    take step n -> n+1 from the records of nodes 0..n, :meth:`predict`
-    handing its corrector sums to :meth:`correct`.  This numpy kernel steps
-    a batch and replays every block that fails its check; the unchecked
-    blocks of one path (batch ()) take the same operations in Python floats
-    (:meth:`advance_path`), which give the kernel's bits.
+    :meth:`push` records node n; :meth:`advance` then takes the steps of a
+    block from the records of the nodes before each.
 
     The weights come from a :class:`~sfode.weights.WeightTable`: b and the
     interior a by lag, side by side in one :class:`_LagKernel`, and a0 by
     step.
 
-    The scheme's coefficients, 1/G(a) and 1/(G(a) h) in the predictor and
-    h**a/G(a+2) and h**(a-1)/G(a+2) in the corrector, are stored as
-    (blocks, d) rows, block i's coefficient repeated along d, so that one
-    ufunc scales the drift and noise sums of a step together.  The scaled
-    rows go to one preallocated batch + (blocks, d) scratch, and :meth:`push`
-    writes its records into the history column itself, so a stochastic step
-    makes about a dozen small ufunc calls.  Each element still takes the
-    operations of the scheme above in their order: the corrector adds f or
-    sigma dW_n to its sum before the coefficient, and in last_increment mode
-    dW_n multiplies the noise sums before theirs.
+    A step works on component rows, the model's convention with the paths
+    last: row i is component i of every path, a Python float for one path
+    (batch (), through ndarray.tolist) and a batch-shaped array for a batch
+    (through list of a component-first .T view).  np.array of a step's rows
+    is the state the model takes.  Python floats round as numpy's float64,
+    so both kinds of row take the scheme's operations in one order and give
+    the same bits.  With P, Q (C, D) the drift and noise predictor
+    (corrector) history sums of a component, the scheme's coefficients
+    cp_f = 1/G(a), cp_g = 1/(G(a) h), cc_f = h**a/G(a+2) and
+    cc_g = h**(a-1)/G(a+2), and w = dW_n, a step takes
+
+        per_step        yp = (y0 + P cp_f) + Q cp_g
+                        y  = (y0 + (f + C) cc_f) + (g w + D) cc_g
+        last_increment  yp = (y0 + P cp_f) + (Q w) cp_g
+                        y  = (y0 + (f + C) cc_f) + (g w + D w) cc_g
+        deterministic   yp = y0 + P cp_f,  y = y0 + (f + C) cc_f
+
+    where f and g are the drift and diffusion at (t_{n+1}, yp).
 
     A history sum over nodes 0..n follows the schedule of the module
     docstring.  Its direct part, nodes s..n with s = n - n % BLOCK, is a
@@ -184,11 +186,10 @@ class _Stepper:
 
     With :attr:`checked` (the default) every right-hand side is checked to
     be finite and every state to lie within BLOWUP as it is made.  Without
-    it, :meth:`advance` takes its steps unchecked, as :meth:`advance_path`
-    always does, and :meth:`admissible` checks a finished block at once.
-    Stepping only reads the far field and writes the records and states of
-    the nodes it makes, so a block [s, e) taken again from step s gives the
-    same bits.
+    it the steps run unchecked and :meth:`admissible` checks a finished
+    block at once.  Stepping only reads the far field and writes the
+    records and states of the nodes it makes, so a block [s, e) taken again
+    from step s gives the same bits.
     """
 
     checked = True
@@ -199,6 +200,8 @@ class _Stepper:
         self.num_steps = steps = grid.num_steps
         batch = () if dW is None else dW.shape[:-2]
         self.y0 = np.broadcast_to(model.y0, batch + model.y0.shape)
+        # the component rows of an array whose first axis is the component
+        self.comps = list if batch else np.ndarray.tolist
         self.table = table = WeightTable(steps, cfg.alpha, h, cfg.weight_mode)
         self.kernel = kernel = _LagKernel(table.b, table.a)
         # block 0's weight vectors: first[0, n, :n+1] = (b[n], .., b[0]) and
@@ -206,8 +209,9 @@ class _Stepper:
         size = min(steps, BLOCK)
         self.first = kernel.matrix(0, size).reshape(size, size, 2).transpose(2, 1, 0).copy()
         self.first[1, :, 0] = table.a0[:size]
-        self.evaluate, self.call = model.evaluate, model.call
-        self.dW = dW if cfg.stochastic else None
+        self.call = model.call
+        # increments by step: dW[n] is shaped as the model's states, (d,) + reversed batch
+        self.dW = dW.T if cfg.stochastic else None
         # (predictor, corrector) coefficients of each history block
         coefs = [(1.0 / math.gamma(cfg.alpha), h**cfg.alpha / math.gamma(cfg.alpha + 2.0))]
         # last_increment: node j caches sigma_j, and dW_n scales the noise sums
@@ -217,18 +221,12 @@ class _Stepper:
             # alpha > 1/2 here keeps h**(alpha - 1) finite for every float h
             coefs.append((coefs[0][0] / h, h ** (cfg.alpha - 1.0) / math.gamma(cfg.alpha + 2.0)))
         self.coefs = coefs
-        blocks, dim = len(coefs), model.dim
-        # (blocks, d) coefficient rows: each block's coefficient repeated along d
-        self.pred_coef, self.corr_coef = np.repeat(np.array(coefs).T[..., None], dim, axis=-1)
-        # scratch for one step's scaled rows
-        self.rows = np.empty(batch + (blocks, dim))
-        self.drift_row = self.rows[..., 0, :]
-        if self.dW is not None:
-            self.noise_row = self.rows[..., 1, :]
-        self.hist = np.empty(batch + (blocks, dim, steps + 1))
+        self.hist = np.empty(batch + (len(coefs), model.dim, steps + 1))
         self.hist[..., 1:, :, steps] = 0.0  # node N has no noise record
         # one row per block and component: past block 0 a path's rows take one product call
-        self.hist_rows = self.hist.reshape(batch + (blocks * dim, steps + 1))
+        self.hist_rows = self.hist.reshape(batch + (len(coefs) * model.dim, steps + 1))
+        # records[n, k]: history row k of node n, paths last as the model returns them
+        self.records = self.hist_rows.T
         if steps > BLOCK:
             # direct weights past block 0 as (predictor, corrector) rows, lags
             # BLOCK-1..0: nodes s..n take the last n - s + 1
@@ -237,25 +235,30 @@ class _Stepper:
             # (predictor, corrector) far-field sums; step n reads slot n % ring
             self.far = np.zeros(self.hist_rows.shape[:-1] + (self.ring, 2))
 
-    def _rhs(self, kind: str, n: int, y: np.ndarray) -> np.ndarray:
-        out = self.evaluate(kind, self.t[n], y)
-        if self.checked:
-            ok = np.isfinite(out)
-            if not ok.all():
-                raise _diverged(f"non-finite {kind} at step {n} (t={self.t[n]:g})",
-                                n, self.t[n], ok)
-        return out
+    def _finite(self, kind: str, n: int, out: np.ndarray) -> None:
+        """Raise the divergence at step n if the model's kind result out is not finite."""
+        ok = np.isfinite(out)
+        if not ok.all():
+            raise _diverged(f"non-finite {kind} at step {n} (t={self.t[n]:g})",
+                            n, self.t[n], ok.T)
 
-    def push(self, n: int, y: np.ndarray) -> None:
-        """Cache f (and the noise record) at node n with state y."""
-        hist = self.hist
-        hist[..., 0, :, n] = self._rhs("drift", n, y)
+    def push(self, n: int, state: np.ndarray) -> None:
+        """Cache f (and the noise record) at node n from its state, shaped
+        (d,) + the reversed batch shape as the model takes it."""
+        t, call, checked, dim = self.t[n], self.call, self.checked, state.shape[0]
+        record = self.records[n]
+        f = call("drift", t, state)
+        if checked:
+            self._finite("drift", n, f)
+        record[:dim] = f
         if self.dW is not None and n < self.num_steps:
-            sigma = self._rhs("diffusion", n, y)
-            if not self.scale_noise_sums:
-                np.multiply(sigma, self.dW[..., n], hist[..., 1, :, n])
+            g = call("diffusion", t, state)
+            if checked:
+                self._finite("diffusion", n, g)
+            if self.scale_noise_sums:
+                record[dim:] = g
             else:
-                hist[..., 1, :, n] = sigma
+                np.multiply(g, self.dW[n], record[dim:])
 
     def sums(self, n: int):
         """Predictor and corrector history sums of step n over nodes 0..n,
@@ -266,7 +269,7 @@ class _Stepper:
         r = n % BLOCK
         sums = self.hist_rows[..., n - r:n + 1] @ self.near_w[BLOCK - 1 - r:]
         sums += self.far[..., n % self.ring, :]
-        sums = sums.reshape(self.rows.shape + (2,))
+        sums = sums.reshape(self.hist.shape[:-1] + (2,))
         return sums[..., 0], sums[..., 1]
 
     def _far_field(self, end: int) -> None:
@@ -282,117 +285,67 @@ class _Stepper:
         if end == L:  # node 0 weighs a0[n] in the corrector, not a[n]
             out[..., 1] += self.hist_rows[..., :1] * (self.table.a0 - self.table.a)[end:end + count]
 
-    def predict(self, n: int):
-        """The predicted state of step n and the corrector sums it leaves."""
-        pred, corr = self.sums(n)
-        if self.scale_noise_sums:
-            dW_n = self.dW[..., n]
-            pred[..., 1, :] *= dW_n
-            corr[..., 1, :] *= dW_n
-        np.multiply(pred, self.pred_coef, self.rows)
-        yp = self.y0 + self.drift_row
-        if self.dW is not None:
-            yp += self.noise_row
-        return yp, corr
-
-    def correct(self, n: int, predicted: np.ndarray, corr: np.ndarray) -> np.ndarray:
-        """Step n -> n+1 from :meth:`predict`'s state and corrector sums."""
-        rows = self.rows
-        self.drift_row[...] = self._rhs("drift", n + 1, predicted)
-        if self.dW is not None:
-            np.multiply(self._rhs("diffusion", n + 1, predicted), self.dW[..., n],
-                        self.noise_row)
-        rows += corr
-        rows *= self.corr_coef
-        y = self.y0 + self.drift_row
-        if self.dW is not None:
-            y += self.noise_row
-        return y
-
     def advance(self, states: np.ndarray, start: int, stop: int) -> None:
-        """Take steps start..stop-1, writing states[..., n+1] and the records
-        of node n+1."""
-        predict, correct, push, checked = self.predict, self.correct, self.push, self.checked
-        for n in range(start, stop):
-            y_next = correct(n, *predict(n))
-            if checked:
-                ok = np.abs(y_next) <= BLOWUP  # False for non-finite values too
-                if not ok.all():
-                    raise _diverged(
-                        f"state exceeded blow-up bound {BLOWUP:g} at step {n + 1} "
-                        f"(t={self.t[n + 1]:g})",
-                        n + 1, self.t[n + 1], ok,
-                    )
-            states[..., n + 1] = y_next
-            push(n + 1, y_next)
+        """Take steps start..stop-1, all in one block, recording nodes
+        start+1..stop as it goes and writing their states at the end.
 
-    def advance_path(self, states: np.ndarray, start: int, stop: int) -> None:
-        """:meth:`advance` for one path (batch ()) and unchecked: the steps
-        start..stop-1 of the block that starts at start, in Python floats.
-
-        The history sums stay numpy products, the two of :meth:`sums` in
-        block 0 and past it the one near-field product, read back with
-        .tolist(); a step past block 0 adds its far-field slot from a list
-        of the block's slots.  Those slots, the block's node times and dW
-        columns, y0 and the coefficients are converted once per block.
-        Python floats round as numpy's float64 + and *, and every element
-        takes the kernel's operations in their order, so every state and
-        record is the kernel's bit for bit.  With P, Q (C, D) the drift and
-        noise predictor (corrector) sums and w = dW_n:
-
-            per_step        yp = (y0 + P cp_f) + Q cp_g
-                            y  = (y0 + (f + C) cc_f) + (g w + D) cc_g
-            last_increment  yp = (y0 + P cp_f) + (Q w) cp_g
-                            y  = (y0 + (f + C) cc_f) + (g w + D w) cc_g
-            deterministic   yp = y0 + P cp_f,  y = y0 + (f + C) cc_f
-
-        The model gets the kernel's arguments, a (d,) array and the node
-        time, through :meth:`SystemModel.call`, which :meth:`SystemModel.evaluate`
-        also calls.  The block's states are written at its end.
+        The history sums are numpy products, the two of :meth:`sums` in
+        block 0 and past it one near-field product to which the step's
+        far-field slot is added in place; each is read back as rows once.
+        The block's node times, dW rows and y0 rows are taken once.
         """
+        call, comps, push, checked = self.call, self.comps, self.push, self.checked
         dim, stochastic, last = self.y0.shape[-1], self.dW is not None, self.scale_noise_sums
-        call, hist_rows, records = self.call, self.hist_rows, self.hist_rows.T
-        y0, comps = self.y0.tolist(), range(dim)
+        y0, parts = comps(self.y0.T), range(dim)
         (cp_f, cc_f), (cp_g, cc_g) = self.coefs[0], self.coefs[-1]  # (drift, noise) pairs
         times = list(self.t[start + 1:stop + 1])
-        if stochastic:  # [r]: the increments of step start + r
-            dW = self.dW[:, start:stop + 1].T.tolist()
-        if start:  # [r]: the far-field sums of step start + r, (predictor, corrector) by row
-            near_w, first = self.near_w, start % self.ring
-            far = self.far[:, first:first + stop - start].transpose(1, 0, 2)
-            far = far.reshape(stop - start, -1).tolist()
+        if stochastic:  # [r]: the rows of the increments of step start + r
+            dW = comps(self.dW[start:stop])
+        s = start - start % BLOCK  # the block's first node
+        if s:  # [..., r, :]: the far-field sums of step start + r
+            hist_rows, near_w, first = self.hist_rows, self.near_w, start % self.ring
+            far = self.far[..., first:first + stop - start, :]
+        else:
+            rows = self.hist_rows.shape[:-1]
         ys = []
         for r, n in enumerate(range(start, stop)):
-            if start:
-                near = (hist_rows[:, start:n + 1] @ near_w[BLOCK - 1 - r:]).ravel().tolist()
-                sums = list(map(add, near, far[r]))
-                P, C = sums[::2], sums[1::2]
+            if s:
+                near = hist_rows[..., s:n + 1] @ near_w[s - n - 1:]
+                near += far[..., r, :]
+                P, C = comps(near.T)
             else:
-                P, C = (part.ravel().tolist() for part in self.sums(n))
+                P, C = (comps(part.reshape(rows).T) for part in self.sums(n))
             if not stochastic:
-                yp = [y0[i] + P[i] * cp_f for i in comps]
+                yp = [y0[i] + P[i] * cp_f for i in parts]
             elif last:
                 w = dW[r]
-                yp = [(y0[i] + P[i] * cp_f) + (P[dim + i] * w[i]) * cp_g for i in comps]
+                yp = [(y0[i] + P[i] * cp_f) + (P[dim + i] * w[i]) * cp_g for i in parts]
             else:
                 w = dW[r]
-                yp = [(y0[i] + P[i] * cp_f) + P[dim + i] * cp_g for i in comps]
+                yp = [(y0[i] + P[i] * cp_f) + P[dim + i] * cp_g for i in parts]
             t, state = times[r], np.array(yp)
-            f = call("drift", t, state).tolist()
+            f = call("drift", t, state)
+            if checked:
+                self._finite("drift", n + 1, f)
+            f = comps(f)
             if not stochastic:
-                y = [y0[i] + (f[i] + C[i]) * cc_f for i in comps]
+                y = [y0[i] + (f[i] + C[i]) * cc_f for i in parts]
             else:
-                g = call("diffusion", t, state).tolist()
-                D = [C[dim + i] * w[i] for i in comps] if last else C[dim:]
-                y = [(y0[i] + (f[i] + C[i]) * cc_f) + (g[i] * w[i] + D[i]) * cc_g for i in comps]
-            ys.append(y)
+                g = call("diffusion", t, state)
+                if checked:
+                    self._finite("diffusion", n + 1, g)
+                g = comps(g)
+                D = [C[dim + i] * w[i] for i in parts] if last else C[dim:]
+                y = [(y0[i] + (f[i] + C[i]) * cc_f) + (g[i] * w[i] + D[i]) * cc_g for i in parts]
             state = np.array(y)
-            record = call("drift", t, state).tolist()
-            if stochastic and n + 1 < self.num_steps:
-                g = call("diffusion", t, state).tolist()
-                record += g if last else map(mul, g, dW[r + 1])
-            records[n + 1, :len(record)] = record
-        states[:, start + 1:stop + 1] = np.array(ys).T
+            if checked:
+                ok = np.abs(state) <= BLOWUP  # False for non-finite values too
+                if not ok.all():
+                    raise _diverged(f"state exceeded blow-up bound {BLOWUP:g} at step {n + 1} "
+                                    f"(t={t:g})", n + 1, t, ok.T)
+            ys.append(state)
+            push(n + 1, state)
+        states[..., start + 1:stop + 1] = np.array(ys).T
 
     def admissible(self, states: np.ndarray, start: int, stop: int) -> bool:
         """Whether the records and states of nodes start+1..stop are finite
@@ -519,6 +472,8 @@ def solve_batch(model: SystemModel, cfg: SolverConfig, dW: np.ndarray | None) ->
     The model runs with overflow and invalid-value warnings suppressed: a
     non-finite value it returns is a divergence.
     """
+    checks.require(checks.type_rule("model", model, SystemModel)
+                   + checks.type_rule("cfg", cfg, SolverConfig))
     grid, needs = cfg.grid, (model.noise_dim, cfg.grid.num_steps)
     if dW is None:
         checks.require(["stochastic solve requires Wiener increments (a WienerPath or dW)"]
@@ -530,17 +485,15 @@ def solve_batch(model: SystemModel, cfg: SolverConfig, dW: np.ndarray | None) ->
     stepper = _Stepper(model, cfg, dW)
     states = np.empty(stepper.y0.shape + (grid.num_nodes,))
     states[..., 0] = stepper.y0
-    # one path takes its unchecked blocks in Python floats, a batch in the numpy kernel
-    unchecked = stepper.advance_path if stepper.y0.ndim == 1 else stepper.advance
     with np.errstate(over="ignore", invalid="ignore"):
-        stepper.push(0, stepper.y0)
+        stepper.push(0, stepper.y0.T)
         for start in range(0, grid.num_steps, BLOCK):
             stop = min(start + BLOCK, grid.num_steps)
             if start:
                 stepper._far_field(start)
             stepper.checked = False
             try:
-                unchecked(states, start, stop)
+                stepper.advance(states, start, stop)
                 ok = stepper.admissible(states, start, stop)
             except Exception:  # the replay raises it again if it is real
                 ok = False
@@ -561,6 +514,9 @@ def solve(model: SystemModel, cfg: SolverConfig,
     error, with its step, time and message, is the one a check at every
     step would raise.
     """
+    checks.require(checks.type_rule("model", model, SystemModel)
+                   + checks.type_rule("cfg", cfg, SolverConfig)
+                   + ([] if path is None else checks.type_rule("path", path, WienerPath)))
     grid = cfg.grid
     dW = None
     if cfg.stochastic and path is not None:
@@ -571,5 +527,6 @@ def solve(model: SystemModel, cfg: SolverConfig,
 
 def write_trajectory_csv(traj: Trajectory, stream, metadata: dict | None = None) -> None:
     """Write the metadata, then t, y1..yd rows, in the shared table format."""
+    checks.require(checks.type_rule("traj", traj, Trajectory))
     header = ["t"] + [f"y{i + 1}" for i in range(traj.dim)]
     write_table(stream, metadata or {}, header, [traj.grid.nodes(), *traj.states])

@@ -112,8 +112,7 @@ class WienerPath:
     increments: np.ndarray = field(init=False)
 
     def __post_init__(self):
-        checks.require(([] if isinstance(self.grid, TimeGrid)
-                        else [f"grid must be a TimeGrid; got {self.grid!r}"])
+        checks.require(checks.type_rule("grid", self.grid, TimeGrid)
                        + checks.array_rule("cumulative", self.cumulative))
         self.cumulative = np.array(self.cumulative, dtype=float)
         shaped = self.cumulative.ndim == 2 and self.cumulative.shape[1] == self.grid.num_nodes
@@ -244,6 +243,8 @@ def generate_path(seed: SeedSpec, grid: TimeGrid, num_channels: int = 1) -> Wien
     that :func:`increment_batches` yields for path path_index.  The path may
     hold at most checks.MAX_PATH_FLOATS floats (else ConfigError).
     """
+    checks.require(checks.type_rule("seed", seed, SeedSpec)
+                   + checks.type_rule("grid", grid, TimeGrid))
     checks.require(checks.channels_rule(num_channels, grid.num_nodes))
     paths = range(seed.path_index, seed.path_index + 1)
     return WienerPath(grid, _wiener(seed.master_seed, paths, seed.channel_index, grid,
@@ -263,6 +264,7 @@ def increment_batches(master_seed: int, M: int, grid: TimeGrid, num_channels: in
     and one path may hold at most checks.MAX_PATH_FLOATS floats (else
     ConfigError).
     """
+    checks.require(checks.type_rule("grid", grid, TimeGrid))
     checks.require(checks.seed_rule(master_seed) + checks.integer_rule(0, M=M)
                    + checks.channels_rule(num_channels, grid.num_nodes))
     master_seed, num_channels = operator.index(master_seed), operator.index(num_channels)
@@ -285,6 +287,8 @@ def restrict_path(path: WienerPath, grid: TimeGrid) -> WienerPath:
     increment is a difference of two fine W values: the sum of the fine
     increments it spans, up to rounding.
     """
+    checks.require(checks.type_rule("path", path, WienerPath)
+                   + checks.type_rule("grid", grid, TimeGrid))
     fine = path.grid
     checks.require([] if grid.T == fine.T and fine.num_steps % grid.num_steps == 0 else
                    [f"cannot restrict a path of {fine.num_steps} steps on T={fine.T} "

@@ -45,24 +45,23 @@ class SystemModel:
     """A d-dimensional system dy_i = f_i(t, y) dt + sigma_i(t, y) dW_i.
 
     ``drift(t, y)`` and ``diffusion(t, y)`` (the diagonal noise intensities)
-    take a state of shape (d,), one path, or (d, B), B paths as columns, and
-    return that same shape; the solvers, which hold paths first, reach them
-    through :meth:`evaluate`.  The time t is a float, shared by every column
-    (the stepper), or an array of shape (B,), one time per column, which
-    the callable broadcasts like a row (a Picard sweep, whose columns are
-    the states of every path at every node).  So t must enter through
-    elementwise numpy code: ``math.sin(t)`` or ``if t > ...`` fail on an
-    array.  The built-in models ignore t.  Instances are immutable and
-    their callables pure, so a model can be shared freely across solves.
+    take a state of shape (d,), one path, or (d, ...), paths last (the
+    stepper's (d, B) for a batch of B paths), and return that same shape;
+    the solvers reach them through :meth:`call`.  The time t is a float,
+    shared by every column (the stepper), or an array of shape (B,), one
+    time per column, which the callable broadcasts like a row (a Picard
+    sweep, whose columns are the states of every path at every node).  So t
+    must enter through elementwise numpy code: ``math.sin(t)`` or ``if t >
+    ...`` fail on an array.  The built-in models ignore t.  Instances are
+    immutable and their callables pure, so a model can be shared freely
+    across solves.
 
     A long single path evaluates each callable twice per step, so their
     per-call cost counts.  The built-in drifts unpack one path to Python
     floats (``y.tolist()``), which round like numpy's float64 and about
-    halve the cost of a call, and a batch to row arrays.  The solver's
-    one-path loop relies on the same rule: it passes a (d,) array through
-    :meth:`call`, reads the result back as Python floats and scales it by
-    the scheme's coefficients in the numpy kernel's order, and a batch is
-    written into preallocated rows and scaled there (see
+    halve the cost of a call, and a batch to row arrays.  The stepper works
+    on the same component rows: it passes np.array of its rows through
+    :meth:`call` and reads the result back as rows (see
     :class:`sfode.solver._Stepper`).
 
     Inside the solvers a model runs with numpy's overflow and invalid-value
@@ -92,26 +91,12 @@ class SystemModel:
         """Number of Wiener channels: one per component."""
         return self.dim
 
-    def evaluate(self, kind: str, t: float | np.ndarray, y: np.ndarray) -> np.ndarray:
-        """drift or diffusion (kind) at (t, y) for states y shaped batch + (d,).
-
-        The one conversion between the solvers' paths-first states and the
-        model's convention: the callable sees y.T, (d, B) for B states, and
-        must return that shape (else ValueError); the result comes back as
-        out.T, shaped like y.  t is a float or, for states y of shape (B, d),
-        an array of the B times, passed on as it is.
-        """
-        return self.call(kind, t, y.T).T
-
     def call(self, kind: str, t: float | np.ndarray, state: np.ndarray) -> np.ndarray:
         """drift or diffusion (kind) at (t, state) in the model's convention,
         state shaped (d,) or (d, ...) with the paths last: what the callable
         returns as a float array, which must have state's shape (else
-        ValueError).
-
-        The one conversion and shape check of every model call: through
-        :meth:`evaluate` for the paths-first states of a batch, and directly
-        for the (d,) states of the stepper's one-path loop.
+        ValueError).  The one conversion and shape check of every model
+        call, the stepper's and the Picard sweeps'.
         """
         out = np.asarray(getattr(self, kind)(t, state), dtype=float)
         if out.shape != state.shape:
@@ -154,6 +139,8 @@ _LORENZ_Y0 = (0.1, 0.1, 0.1)
 def newton_leipnik(params: NewtonLeipnikParams | None = None,
                    y0=None) -> SystemModel:
     """Newton-Leipnik rigid-body system with diagonal noise mu * y."""
+    checks.require([] if params is None else
+                   checks.type_rule("params", params, NewtonLeipnikParams))
     p = params or NewtonLeipnikParams()
     beta, rho, mu = p.beta, p.rho, p.mu
     mu_0d = np.asarray(mu, dtype=float)  # multiplies an array faster than a Python float
@@ -182,6 +169,7 @@ def newton_leipnik(params: NewtonLeipnikParams | None = None,
 
 def lorenz(params: LorenzParams | None = None, y0=None) -> SystemModel:
     """Lorenz convection system with diagonal noise mu * y**2."""
+    checks.require([] if params is None else checks.type_rule("params", params, LorenzParams))
     p = params or LorenzParams()
     a, b, c, mu = p.a, p.b, p.c, p.mu
     mu_0d = np.asarray(mu, dtype=float)  # multiplies an array faster than a Python float
@@ -281,6 +269,7 @@ def matrix_form_check(model: SystemModel, y) -> float:
     built-in systems the gap must vanish to rounding (<= 1e-12).  A state
     so large that the drift overflows has an infinite or NaN gap.
     """
+    checks.require(checks.type_rule("model", model, SystemModel))
     checks.require(([] if model.name in ("newton_leipnik", "lorenz")
                     else [f"no matrix decomposition for system {model.name!r}"])
                    or checks.array_rule("y", y, (model.dim,)))
@@ -303,6 +292,7 @@ def lipschitz_bound(model: SystemModel, delta: float) -> float:
     deterministic and easy to verify by hand).  The bound is a diagnostic
     only; the solver never consumes it.
     """
+    checks.require(checks.type_rule("model", model, SystemModel))
     checks.require((checks.finite_rule(delta=delta)
                     or ([] if delta >= 0 else [f"delta must be >= 0, got {delta}"]))
                    + ([] if model.name in ("newton_leipnik", "lorenz")

@@ -21,9 +21,9 @@ from sfode.analysis import (
     write_stats_csv,
 )
 from sfode.checks import ConfigError
-from sfode.picard import cauchy_diagnostic, picard_iterate
+from sfode.picard import cauchy_diagnostic, picard_iterate, write_distance_csv
 from sfode.solver import (BLOCK, LAG_MATRIX_MAX, DivergenceError, NoiseHistory, SolverConfig,
-                          solve, solve_batch)
+                          solve, solve_batch, write_trajectory_csv)
 from sfode.special import gamma, mittag_leffler
 from sfode.stochastic import SeedSpec, generate_path, increment_batches, make_grid
 from sfode.systems import (LorenzParams, NewtonLeipnikParams, SystemModel, lipschitz_bound,
@@ -560,6 +560,67 @@ BAD_INPUTS = {
     "increment_batches of 2**64 channels": (
         lambda: list(increment_batches(1, 2, GRID, 2**64)),
         f"num_channels must be at most {2**24 // 5} on a grid of 5 nodes; got {2**64}"),
+    # an argument of the wrong type: one wording for every object the library takes
+    "solve without a model": (lambda: solve(None, STOCHASTIC),
+                              "model must be a SystemModel; got None"),
+    "solve without a config": (lambda: solve(linear_test(), "x"),
+                               "cfg must be a SolverConfig; got 'x'"),
+    "solve on a number for a path": (lambda: solve(linear_test(), STOCHASTIC, 1.0),
+                                     "path must be a WienerPath; got 1.0"),
+    "solve_batch without a model": (lambda: solve_batch("x", STOCHASTIC, None),
+                                    "model must be a SystemModel; got 'x'"),
+    "solve_batch without a config": (lambda: solve_batch(linear_test(), None, None),
+                                     "cfg must be a SolverConfig; got None"),
+    "generate_path without a seed": (lambda: generate_path(1, GRID),
+                                     "seed must be a SeedSpec; got 1"),
+    "generate_path without a grid": (lambda: generate_path(SeedSpec(1), None),
+                                     "grid must be a TimeGrid; got None"),
+    "increment_batches without a grid": (lambda: list(increment_batches(1, 2, 1.0, 1)),
+                                         "grid must be a TimeGrid; got 1.0"),
+    "restrict_path without a path": (lambda: stochastic.restrict_path(None, GRID),
+                                     "path must be a WienerPath; got None"),
+    "restrict_path without a grid": (
+        lambda: stochastic.restrict_path(generate_path(SeedSpec(1), GRID), "x"),
+        "grid must be a TimeGrid; got 'x'"),
+    "ensemble_run without a model": (lambda: ensemble_run(None, STOCHASTIC, 1, 2),
+                                     "model must be a SystemModel; got None"),
+    "ensemble_run without a config": (lambda: ensemble_run(linear_test(), 0.8, 1, 2),
+                                      "cfg must be a SolverConfig; got 0.8"),
+    "convergence_order without a model": (lambda: convergence_order("x", STOCHASTIC, 3, 1),
+                                          "model must be a SystemModel; got 'x'"),
+    "convergence_order without a config": (lambda: convergence_order(linear_test(), None, 3),
+                                           "cfg must be a SolverConfig; got None"),
+    "ito_isometry_check without a grid": (lambda: ito_isometry_check(0.8, None, 1000),
+                                          "grid must be a TimeGrid; got None"),
+    "accumulate_stats without a grid": (lambda: accumulate_stats("x", [np.zeros((1, 5))]),
+                                        "grid must be a TimeGrid; got 'x'"),
+    "picard_iterate without a model": (lambda: picard_iterate(None, 0.8, GRID, None, 2),
+                                       "model must be a SystemModel; got None"),
+    "picard_iterate without a grid": (lambda: picard_iterate(linear_test(), 0.8, "x", None, 2),
+                                      "grid must be a TimeGrid; got 'x'"),
+    "picard_iterate on a string for a path": (
+        lambda: picard_iterate(linear_test(), 0.8, GRID, "x", 2),
+        "path must be a WienerPath; got 'x'"),
+    "cauchy_diagnostic without a model": (lambda: cauchy_diagnostic(None, 0.8, GRID, 1, 100, 2),
+                                          "model must be a SystemModel; got None"),
+    "cauchy_diagnostic without a grid": (
+        lambda: cauchy_diagnostic(linear_test(), 0.8, 1.0, 1, 100, 2),
+        "grid must be a TimeGrid; got 1.0"),
+    "write_trajectory_csv without a trajectory": (
+        lambda: write_trajectory_csv(None, io.StringIO()), "traj must be a Trajectory; got None"),
+    "write_stats_csv without stats": (lambda: write_stats_csv("x", io.StringIO()),
+                                      "stats must be an EnsembleStats; got 'x'"),
+    "write_distance_csv without a report": (lambda: write_distance_csv(None, io.StringIO()),
+                                            "report must be a CauchyReport; got None"),
+    "matrix_form_check without a model": (lambda: matrix_form_check(None, [1.0]),
+                                          "model must be a SystemModel; got None"),
+    "lipschitz_bound without a model": (lambda: lipschitz_bound("x", 1.0),
+                                        "model must be a SystemModel; got 'x'"),
+    "newton_leipnik with Lorenz parameters": (
+        lambda: newton_leipnik(LorenzParams()),
+        "params must be a NewtonLeipnikParams; got LorenzParams("),
+    "lorenz with a number for parameters": (lambda: lorenz(1.0),
+                                            "params must be a LorenzParams; got 1.0"),
 }
 
 

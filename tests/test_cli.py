@@ -16,6 +16,9 @@ from hypothesis import strategies as st
 
 from sfode import checks, cli
 from sfode.cli import main
+from sfode.solver import SolverConfig, solve
+from sfode.stochastic import SeedSpec, generate_path, make_grid
+from sfode.systems import newton_leipnik
 
 
 def run(args):
@@ -135,14 +138,28 @@ class TestSimulateCommand:
             assert line in comments
 
 
-    @pytest.mark.parametrize("args, extreme", [
-        pytest.param(["--system", "linear_test", "--lam", 0, "--mu", 0, "--h", 0.25], 1.0,
-                     id="constant"),  # every state is 1.0
-        # the Newton-Leipnik run of seed 0: its largest magnitude is y2(T) < 0
-        pytest.param(["--system", "newton_leipnik", "--seed", 0], -0.24574611049478806,
+    @staticmethod
+    def seed0_extreme():
+        """The state of largest magnitude of the default Newton-Leipnik run
+        of seed 0, solved in process: its digits depend on the machine's
+        numpy loops, its sign does not."""
+        defaults = cli.RunConfig()
+        scfg = SolverConfig(alpha=defaults.alpha, grid=make_grid(defaults.T, defaults.h),
+                            stochastic=True)
+        path = generate_path(SeedSpec(defaults.seed), scfg.grid, 3)
+        states = solve(newton_leipnik(), scfg, path).states
+        return float(states.flat[np.argmax(np.abs(states))])
+
+    @pytest.mark.parametrize("args, extreme, sign", [
+        pytest.param(["--system", "linear_test", "--lam", 0, "--mu", 0, "--h", 0.25],
+                     lambda: 1.0, 1.0, id="constant"),  # every state is 1.0
+        # the Newton-Leipnik run of seed 0: its largest magnitude is a negative state
+        pytest.param(["--system", "newton_leipnik", "--seed", 0], seed0_extreme, -1.0,
                      id="negative"),
     ])
-    def test_max_abs_state_is_the_written_rows_max(self, args, extreme, tmp_path):
+    def test_max_abs_state_is_the_written_rows_max(self, args, extreme, sign, tmp_path):
+        extreme = extreme()
+        assert math.copysign(1.0, extreme) == sign
         out = tmp_path / "traj.csv"
         assert run(["simulate", *args, "-o", out]) == 0
         comments, data = read_csv(out)

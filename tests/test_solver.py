@@ -101,6 +101,23 @@ def primed_stepper(states, path, model, cfg, n) -> _Stepper:
     return stepper
 
 
+def take_step(states, path, model, cfg, n):
+    """(predictor, state at t_{n+1}) of step n on a stepper primed with
+    states[:, 0..n]: the predictor is the state that the drift receives
+    first at t_{n+1}."""
+    received = []
+
+    def drift(t, y):
+        received.append((t, y.copy()))
+        return model.drift(t, y)
+
+    stepper = primed_stepper(states, path, dataclasses.replace(model, drift=drift), cfg, n)
+    out = np.empty((model.dim, cfg.grid.num_nodes))
+    stepper.advance(out, n, n + 1)
+    t_next = cfg.grid.nodes()[n + 1]
+    return next(y for t, y in received if t == t_next), out[:, n + 1]
+
+
 class TestConfig:
     def test_alpha_range(self):
         grid = make_grid(1.0, 0.5)
@@ -258,7 +275,7 @@ class TestPredictCorrect:
         model = constant_diffusion_model(sigma0, y0=1.0)
         cfg = SolverConfig(alpha=alpha, grid=grid, stochastic=True)
         path = generate_path(SeedSpec(4), grid)
-        yp, _ = primed_stepper(np.array([[1.0]]), path, model, cfg, 0).predict(0)
+        yp, _ = take_step(np.array([[1.0]]), path, model, cfg, 0)
         expected = 1.0 + (h**alpha / alpha) * sigma0 * path.increments[0, 0] / (gamma(alpha) * h)
         assert yp[0] == pytest.approx(expected, rel=1e-14)
 
@@ -269,7 +286,7 @@ class TestPredictCorrect:
         cfg = SolverConfig(alpha=1.0, grid=grid)
         traj = solve(model, cfg)
         n = 5
-        yp, _ = primed_stepper(traj.states, None, model, cfg, n).predict(n)
+        yp, _ = take_step(traj.states, None, model, cfg, n)
         history_sum = 1.0 + h * sum(-lam * traj.states[0, j] for j in range(n + 1))
         assert yp[0] == pytest.approx(history_sum, rel=1e-13)
 
@@ -281,17 +298,14 @@ class TestPredictCorrect:
         path = generate_path(SeedSpec(21), grid, num_channels=3)
         traj = solve(model, cfg, path)
         for n in (0, 3, grid.num_steps - 1):
-            stepper = primed_stepper(traj.states, path, model, cfg, n)
-            yc = stepper.correct(n, *stepper.predict(n))
+            _, yc = take_step(traj.states, path, model, cfg, n)
             np.testing.assert_array_equal(yc, traj.states[:, n + 1])
 
     def test_zero_system_correction_stays_at_start(self):
         model = linear_test(lam=0.0, sigma0=0.0, y0=2.0)
         grid = make_grid(1.0, 0.25)
         cfg = SolverConfig(alpha=0.8, grid=grid)
-        stepper = primed_stepper(np.full((1, 1), 2.0), None, model, cfg, 0)
-        yp, corr = stepper.predict(0)
-        yc = stepper.correct(0, yp, corr)
+        yp, yc = take_step(np.full((1, 1), 2.0), None, model, cfg, 0)
         assert yp[0] == 2.0 and yc[0] == 2.0
 
 
@@ -387,8 +401,8 @@ class TestBatchAxes:
             return str(err), err.step, err.time
 
     def assert_loop_matches_kernel(self, model, cfg, path):
-        # solve takes one path's unchecked blocks in Python floats, and a
-        # batch of one path runs the numpy kernel
+        # solve steps one path on Python-float rows, and a batch of one
+        # path on (1,)-array rows of the same code
         single = self.outcome(lambda: solve(model, cfg, path).states)
         row = self.outcome(lambda: solve_batch(model, cfg, path.increments[None])[0])
         if isinstance(row, tuple):
@@ -436,14 +450,15 @@ class TestBatchAxes:
         message = re.escape(f"{kind} returned shape (2,) for state (3,)")
         with pytest.raises(ValueError, match=message):
             solve(short, cfg, path)
-        # and the loop raises it itself, before the replay
+        # and the unchecked kernel raises it itself, before the replay
         stepper = _Stepper(short, cfg, path.increments)
         states = np.empty((3, cfg.grid.num_nodes))
         stepper.push(0, stepper.y0)
-        stepper.advance_path(states, 0, BLOCK)
+        stepper.checked = False
+        stepper.advance(states, 0, BLOCK)
         stepper._far_field(BLOCK)
         with pytest.raises(ValueError, match=message):
-            stepper.advance_path(states, BLOCK, 2 * BLOCK)
+            stepper.advance(states, BLOCK, 2 * BLOCK)
 
 
 class TestFarField:
@@ -601,22 +616,16 @@ class TestDivergenceSites:
 
     @staticmethod
     def per_step(model, cfg, dW):
-        """The loop with a check at every step, on a checking _Stepper."""
+        """The kernel with a check at every step, block by block, on a
+        checking _Stepper: no block is replayed."""
         stepper = _Stepper(model, cfg, dW)
         states = np.empty(stepper.y0.shape + (cfg.grid.num_nodes,))
         states[..., 0] = stepper.y0
-        stepper.push(0, stepper.y0)
-        for n in range(cfg.grid.num_steps):
-            if n and not n % BLOCK:  # a block start, as in solve_batch
-                stepper._far_field(n)
-            y_next = stepper.correct(n, *stepper.predict(n))
-            ok = np.abs(y_next) <= solver.BLOWUP
-            if not ok.all():
-                raise solver._diverged(
-                    f"state exceeded blow-up bound {solver.BLOWUP:g} at step {n + 1} "
-                    f"(t={stepper.t[n + 1]:g})", n + 1, stepper.t[n + 1], ok)
-            states[..., n + 1] = y_next
-            stepper.push(n + 1, y_next)
+        stepper.push(0, stepper.y0.T)
+        for start in range(0, cfg.grid.num_steps, BLOCK):
+            if start:  # a block start, as in solve_batch
+                stepper._far_field(start)
+            stepper.advance(states, start, min(start + BLOCK, cfg.grid.num_steps))
         return states
 
     @staticmethod

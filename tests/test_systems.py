@@ -78,16 +78,16 @@ class TestDiffusionStructure:
 
     @pytest.mark.parametrize("factory", [newton_leipnik, lorenz, linear_test])
     def test_batch_columns_match_single_paths(self, factory):
-        # the model takes B paths as the columns of (d, B); evaluate hands it
-        # the (B, d) states of the solvers as that, and each path is as alone
+        # the model takes B paths as the columns of (d, B); call hands it
+        # the solvers' states as they are, and each path is as alone
         model = factory()
-        ys = np.random.default_rng(3).uniform(-1.5, 1.5, size=(4, model.dim))
+        ys = np.random.default_rng(3).uniform(-1.5, 1.5, size=(model.dim, 4))
         for kind in ("drift", "diffusion"):
-            batch = model.evaluate(kind, 0.5, ys)
+            batch = model.call(kind, 0.5, ys)
             assert batch.shape == ys.shape
-            np.testing.assert_array_equal(batch, getattr(model, kind)(0.5, ys.T).T)
+            np.testing.assert_array_equal(batch, getattr(model, kind)(0.5, ys))
             for b in range(4):
-                np.testing.assert_array_equal(batch[b], model.evaluate(kind, 0.5, ys[b]))
+                np.testing.assert_array_equal(batch[:, b], model.call(kind, 0.5, ys[:, b]))
 
     @pytest.mark.parametrize("factory", [newton_leipnik, lorenz])
     def test_one_path_drift_is_its_batch_column_bit_for_bit(self, factory):
@@ -114,9 +114,9 @@ class TestDiffusionStructure:
     def test_result_of_wrong_shape_rejected(self):
         model = newton_leipnik()
         flat = dataclasses.replace(model, diffusion=lambda t, y: np.full(3, 0.1))
-        flat.evaluate("diffusion", 0.0, np.zeros(3))  # one path: fine
+        flat.call("diffusion", 0.0, np.zeros(3))  # one path: fine
         with pytest.raises(ValueError):
-            flat.evaluate("diffusion", 0.0, np.zeros((2, 3)))
+            flat.call("diffusion", 0.0, np.zeros((3, 2)))
 
 
 class TestSystemModel:
