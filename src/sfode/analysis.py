@@ -149,14 +149,15 @@ class ConvergenceReport:
 
 
 def levels_rule(levels: int, grid: TimeGrid | None) -> list:
-    """At least 3 levels, and a finest grid, of step grid.h / 2**(levels - 1),
-    that passes the grid rule; a None grid (one that fails its own rule)
-    skips the latter."""
+    """At least 3 levels, and a TimeGrid whose finest level, of step
+    grid.h / 2**(levels - 1), passes the grid rule; a None grid (one that
+    fails its own rule) skips the latter."""
     if levels < 3:
         return [f"need at least 3 grid levels; got {max(levels, 0)}"]
     if grid is None:
         return []
-    return checks.grid_rule(grid.T, math.ldexp(grid.h, 1 - operator.index(levels)))
+    return (checks.type_rule("grid", grid, TimeGrid)
+            or checks.grid_rule(grid.T, math.ldexp(grid.h, 1 - operator.index(levels))))
 
 
 def convergence_order(model: SystemModel, cfg: SolverConfig, levels: int,

@@ -85,10 +85,11 @@ def _sweep(model: SystemModel, kernels: tuple, t: np.ndarray,
 
     The sums read only the left nodes 0..N-1, so one call of each callable
     (no sigma without noise) records f and sigma at all of them for every
-    path: :meth:`SystemModel.call` gets the (d, B*N) left-node states,
-    column b*N + j holding path b at node j, and the array of their node
-    times t_j.  The callables are elementwise in the columns they see, so
-    each record rounds as a call at that node alone would.  Node n + 1 is
+    path: :meth:`SystemModel.call` gets the rows of the (d, B*N) left-node
+    states, column b*N + j holding path b at node j, and the array of their
+    node times t_j, and its rows are stacked once.  The callables are
+    elementwise in the columns they see, so each record rounds as a call at
+    that node alone would.  Node n + 1 is
     then y0 plus the drift and noise lag sums (:func:`_lag_sums`) at n, one
     call each for the whole batch.
     """
@@ -99,7 +100,8 @@ def _sweep(model: SystemModel, kernels: tuple, t: np.ndarray,
     t_left = np.tile(t[:-1], math.prod(batch))
 
     def record(kind):
-        return np.moveaxis(model.call(kind, t_left, y).reshape((d,) + batch + (nodes - 1,)), 0, -2)
+        rows = np.asarray(model.call(kind, t_left, list(y)), dtype=float)
+        return np.moveaxis(rows.reshape((d,) + batch + (nodes - 1,)), 0, -2)
 
     # C order keeps each record row contiguous for the BLAS products and FFTs
     f_vals = np.ascontiguousarray(record("drift"))
@@ -169,14 +171,16 @@ def diagnostic_rule(alpha: float, M: int, K: int, grid: TimeGrid | None) -> list
     2 <= K <= N sweeps on a grid of N steps.  Node n of a sweep reads only
     nodes before it, exactly at every N (:func:`_lag_sums`), so sweep N is
     the discrete fixed point and every later gap is exactly 0.  A None grid
-    (one that fails its own rule) skips K <= N.
+    (one that fails its own rule), or one that is no TimeGrid, skips K <= N.
     """
     problems = checks.alpha_rule(alpha, "Picard sweeps")
+    if grid is not None:
+        problems += checks.type_rule("grid", grid, TimeGrid)
     if M < 100:
         problems.append(f"the Picard diagnostic needs paths >= 100; got {M}")
     if K < 2:
         problems.append(f"the Picard diagnostic needs iterations >= 2; got {K}")
-    elif grid is not None and K > grid.num_steps:
+    elif isinstance(grid, TimeGrid) and K > grid.num_steps:
         problems.append(f"the Picard diagnostic needs iterations <= T/h = {grid.num_steps}; "
                         f"got {K}")
     return problems

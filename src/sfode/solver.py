@@ -153,13 +153,14 @@ class _Stepper:
     A step works on component rows, the model's convention with the paths
     last: row i is component i of every path, a Python float for one path
     (batch (), through ndarray.tolist) and a batch-shaped array for a batch
-    (through list of a component-first .T view).  np.array of a step's rows
-    is the state the model takes.  Python floats round as numpy's float64,
-    so both kinds of row take the scheme's operations in one order and give
-    the same bits.  With P, Q (C, D) the drift and noise predictor
-    (corrector) history sums of a component, the scheme's coefficients
-    cp_f = 1/G(a), cp_g = 1/(G(a) h), cc_f = h**a/G(a+2) and
-    cc_g = h**(a-1)/G(a+2), and w = dW_n, a step takes
+    (through list of a component-first .T view).  The model takes a step's
+    rows as they are and returns rows, which the step uses as they are.
+    Python floats round as numpy's float64, so both kinds of row take the
+    scheme's operations in one order and give the same bits.  With P, Q
+    (C, D) the drift and noise predictor (corrector) history sums of a
+    component, the scheme's coefficients cp_f = 1/G(a), cp_g = 1/(G(a) h),
+    cc_f = h**a/G(a+2) and cc_g = h**(a-1)/G(a+2), and w = dW_n, a step
+    takes
 
         per_step        yp = (y0 + P cp_f) + Q cp_g
                         y  = (y0 + (f + C) cc_f) + (g w + D) cc_g
@@ -235,30 +236,27 @@ class _Stepper:
             # (predictor, corrector) far-field sums; step n reads slot n % ring
             self.far = np.zeros(self.hist_rows.shape[:-1] + (self.ring, 2))
 
-    def _finite(self, kind: str, n: int, out: np.ndarray) -> None:
-        """Raise the divergence at step n if the model's kind result out is not finite."""
+    def _finite(self, kind: str, n: int, out) -> None:
+        """Raise the divergence at step n if the model's kind rows out are not finite."""
         ok = np.isfinite(out)
         if not ok.all():
             raise _diverged(f"non-finite {kind} at step {n} (t={self.t[n]:g})",
                             n, self.t[n], ok.T)
 
-    def push(self, n: int, state: np.ndarray) -> None:
-        """Cache f (and the noise record) at node n from its state, shaped
-        (d,) + the reversed batch shape as the model takes it."""
-        t, call, checked, dim = self.t[n], self.call, self.checked, state.shape[0]
-        record = self.records[n]
-        f = call("drift", t, state)
+    def push(self, n: int, y: list) -> None:
+        """Cache f (and the noise record) at node n from its state rows."""
+        t, call, checked = self.t[n], self.call, self.checked
+        f = call("drift", t, y)
         if checked:
             self._finite("drift", n, f)
-        record[:dim] = f
         if self.dW is not None and n < self.num_steps:
-            g = call("diffusion", t, state)
+            g = call("diffusion", t, y)
             if checked:
                 self._finite("diffusion", n, g)
-            if self.scale_noise_sums:
-                record[dim:] = g
-            else:
-                np.multiply(g, self.dW[n], record[dim:])
+            if not self.scale_noise_sums:
+                g = [x * w for x, w in zip(g, self.comps(self.dW[n]))]
+            f = [*f, *g]
+        self.records[n][:len(f)] = f
 
     def sums(self, n: int):
         """Predictor and corrector history sums of step n over nodes 0..n,
@@ -323,28 +321,25 @@ class _Stepper:
             else:
                 w = dW[r]
                 yp = [(y0[i] + P[i] * cp_f) + P[dim + i] * cp_g for i in parts]
-            t, state = times[r], np.array(yp)
-            f = call("drift", t, state)
+            t = times[r]
+            f = call("drift", t, yp)
             if checked:
                 self._finite("drift", n + 1, f)
-            f = comps(f)
             if not stochastic:
                 y = [y0[i] + (f[i] + C[i]) * cc_f for i in parts]
             else:
-                g = call("diffusion", t, state)
+                g = call("diffusion", t, yp)
                 if checked:
                     self._finite("diffusion", n + 1, g)
-                g = comps(g)
                 D = [C[dim + i] * w[i] for i in parts] if last else C[dim:]
                 y = [(y0[i] + (f[i] + C[i]) * cc_f) + (g[i] * w[i] + D[i]) * cc_g for i in parts]
-            state = np.array(y)
             if checked:
-                ok = np.abs(state) <= BLOWUP  # False for non-finite values too
+                ok = np.abs(np.array(y)) <= BLOWUP  # False for non-finite values too
                 if not ok.all():
                     raise _diverged(f"state exceeded blow-up bound {BLOWUP:g} at step {n + 1} "
                                     f"(t={t:g})", n + 1, t, ok.T)
-            ys.append(state)
-            push(n + 1, state)
+            ys.append(y)
+            push(n + 1, y)
         states[..., start + 1:stop + 1] = np.array(ys).T
 
     def admissible(self, states: np.ndarray, start: int, stop: int) -> bool:
@@ -486,7 +481,7 @@ def solve_batch(model: SystemModel, cfg: SolverConfig, dW: np.ndarray | None) ->
     states = np.empty(stepper.y0.shape + (grid.num_nodes,))
     states[..., 0] = stepper.y0
     with np.errstate(over="ignore", invalid="ignore"):
-        stepper.push(0, stepper.y0.T)
+        stepper.push(0, stepper.comps(stepper.y0.T))
         for start in range(0, grid.num_steps, BLOCK):
             stop = min(start + BLOCK, grid.num_steps)
             if start:

@@ -10,7 +10,7 @@ right-hand sides and feeds the growth-bound constants below.
 
 import warnings
 from dataclasses import dataclass, field
-from typing import Callable
+from typing import Callable, Sequence
 
 import numpy as np
 
@@ -33,36 +33,25 @@ __all__ = [
 DEFAULT_MU = 0.1
 
 
-def _rows(y):
-    """The components of a state: Python floats for one path (d,), which
-    round like numpy's float64 at a fraction of the cost per operation, or
-    row arrays for a batch (d, B)."""
-    return y.tolist() if y.ndim == 1 else y
-
-
 @dataclass(frozen=True)
 class SystemModel:
     """A d-dimensional system dy_i = f_i(t, y) dt + sigma_i(t, y) dW_i.
 
     ``drift(t, y)`` and ``diffusion(t, y)`` (the diagonal noise intensities)
-    take a state of shape (d,), one path, or (d, ...), paths last (the
-    stepper's (d, B) for a batch of B paths), and return that same shape;
-    the solvers reach them through :meth:`call`.  The time t is a float,
-    shared by every column (the stepper), or an array of shape (B,), one
-    time per column, which the callable broadcasts like a row (a Picard
-    sweep, whose columns are the states of every path at every node).  So t
-    must enter through elementwise numpy code: ``math.sin(t)`` or ``if t >
-    ...`` fail on an array.  The built-in models ignore t.  Instances are
-    immutable and their callables pure, so a model can be shared freely
-    across solves.
-
-    A long single path evaluates each callable twice per step, so their
-    per-call cost counts.  The built-in drifts unpack one path to Python
-    floats (``y.tolist()``), which round like numpy's float64 and about
-    halve the cost of a call, and a batch to row arrays.  The stepper works
-    on the same component rows: it passes np.array of its rows through
-    :meth:`call` and reads the result back as rows (see
-    :class:`sfode.solver._Stepper`).
+    take the state as a list of d component rows and return d rows, as a
+    list, a tuple or an array whose first axis is the component; the
+    solvers reach them through :meth:`call`.  A row is a Python float for
+    one path, which rounds like numpy's float64 at a fraction of the cost
+    of an array operation, and an array with the paths last for a batch
+    (the stepper's (B,) for B paths, or a Picard sweep's every path at
+    every node).  So the callables index rows: ``[-lam * y[0]]``, not
+    ``-lam * y``.  The time t is a float, shared by every column (the
+    stepper), or an array shaped as the rows, one time per column, which
+    the callable broadcasts like a row (a Picard sweep).  So t must enter
+    through elementwise numpy code: ``math.sin(t)`` or ``if t > ...`` fail
+    on an array.  The built-in models ignore t.  Instances are immutable
+    and their callables pure, so a model can be shared freely across
+    solves.
 
     Inside the solvers a model runs with numpy's overflow and invalid-value
     warnings suppressed; a non-finite result is reported as a divergence
@@ -74,8 +63,8 @@ class SystemModel:
 
     name: str
     dim: int
-    drift: Callable[[float, np.ndarray], np.ndarray]
-    diffusion: Callable[[float, np.ndarray], np.ndarray]
+    drift: Callable[[float, list], Sequence]
+    diffusion: Callable[[float, list], Sequence]
     y0: np.ndarray
     params: dict = field(default_factory=dict)
 
@@ -91,17 +80,26 @@ class SystemModel:
         """Number of Wiener channels: one per component."""
         return self.dim
 
-    def call(self, kind: str, t: float | np.ndarray, state: np.ndarray) -> np.ndarray:
-        """drift or diffusion (kind) at (t, state) in the model's convention,
-        state shaped (d,) or (d, ...) with the paths last: what the callable
-        returns as a float array, which must have state's shape (else
-        ValueError).  The one conversion and shape check of every model
-        call, the stepper's and the Picard sweeps'.
+    def call(self, kind: str, t: float | np.ndarray, y: list) -> Sequence:
+        """drift or diffusion (kind) at (t, y), y the state's component rows:
+        the d rows the callable returns, shaped as y's rows in a batch (else
+        ValueError).  The one check of every model call, the stepper's and
+        the Picard sweeps'; a row of one path is used as a number.
         """
-        out = np.asarray(getattr(self, kind)(t, state), dtype=float)
-        if out.shape != state.shape:
-            raise ValueError(
-                f"{self.name} {kind} returned shape {out.shape} for state {state.shape}")
+        out = getattr(self, kind)(t, y)
+        try:
+            rows = len(out)
+        except TypeError:  # a scalar, or a 0-d array
+            rows = f"a {type(out).__name__}"
+        if rows != self.dim:
+            raise ValueError(f"{self.name} {kind} must return {self.dim} component rows; "
+                             f"got {rows}")
+        if not isinstance(y[0], float):  # a batch
+            shape = np.shape(y[0])
+            for row in out:
+                if np.shape(row) != shape:
+                    raise ValueError(f"{self.name} {kind} returned a row of shape "
+                                     f"{np.shape(row)} for state rows {shape}")
         return out
 
 
@@ -143,19 +141,18 @@ def newton_leipnik(params: NewtonLeipnikParams | None = None,
                    checks.type_rule("params", params, NewtonLeipnikParams))
     p = params or NewtonLeipnikParams()
     beta, rho, mu = p.beta, p.rho, p.mu
-    mu_0d = np.asarray(mu, dtype=float)  # multiplies an array faster than a Python float
     start = _NL_Y0 if y0 is None else y0
 
     def drift(t, y):
-        x1, x2, x3 = _rows(y)
-        return np.array([
+        x1, x2, x3 = y
+        return [
             -beta * x1 + x2 + 10.0 * x2 * x3,
             -x1 - 0.4 * x2 + 5.0 * x1 * x3,
             rho * x3 - 5.0 * x1 * x2,
-        ])
+        ]
 
     def diffusion(t, y):
-        return mu_0d * y
+        return [mu * x for x in y]
 
     return SystemModel(
         name="newton_leipnik",
@@ -172,19 +169,18 @@ def lorenz(params: LorenzParams | None = None, y0=None) -> SystemModel:
     checks.require([] if params is None else checks.type_rule("params", params, LorenzParams))
     p = params or LorenzParams()
     a, b, c, mu = p.a, p.b, p.c, p.mu
-    mu_0d = np.asarray(mu, dtype=float)  # multiplies an array faster than a Python float
     start = _LORENZ_Y0 if y0 is None else y0
 
     def drift(t, y):
-        x1, x2, x3 = _rows(y)
-        return np.array([
+        x1, x2, x3 = y
+        return [
             a * (x2 - x1),
             c * x1 - x2 - x1 * x3,
             x1 * x2 - b * x3,
-        ])
+        ]
 
     def diffusion(t, y):
-        return mu_0d * y * y
+        return [mu * x * x for x in y]
 
     return SystemModel(
         name="lorenz",
@@ -207,10 +203,11 @@ def linear_test(lam: float = 1.0, sigma0: float = 0.0, y0: float = 1.0) -> Syste
     checks.require(checks.finite_rule(lam=lam, sigma0=sigma0))
 
     def drift(t, y):
-        return -lam * y
+        return [-lam * y[0]]
 
-    def diffusion(t, y):
-        return np.full(y.shape, sigma0)
+    def diffusion(t, y):  # a row shaped as y's: a float for one path
+        x = y[0]
+        return [sigma0 if isinstance(x, float) else np.full(x.shape, sigma0)]
 
     return SystemModel(
         name="linear_test",
@@ -281,7 +278,7 @@ def matrix_form_check(model: SystemModel, y) -> float:
         else:
             A, B = lorenz_matrices(model.params)
             matrix_drift = A @ y + y[0] * (B @ y)
-        return float(np.max(np.abs(model.drift(0.0, y) - matrix_drift)))
+        return float(np.max(np.abs(np.asarray(model.drift(0.0, y)) - matrix_drift)))
 
 
 def lipschitz_bound(model: SystemModel, delta: float) -> float:

@@ -18,10 +18,11 @@ from sfode.analysis import (
     convergence_order,
     ensemble_run,
     ito_isometry_check,
+    levels_rule,
     write_stats_csv,
 )
 from sfode.checks import ConfigError
-from sfode.picard import cauchy_diagnostic, picard_iterate, write_distance_csv
+from sfode.picard import cauchy_diagnostic, diagnostic_rule, picard_iterate, write_distance_csv
 from sfode.solver import (BLOCK, LAG_MATRIX_MAX, DivergenceError, NoiseHistory, SolverConfig,
                           solve, solve_batch, write_trajectory_csv)
 from sfode.special import gamma, mittag_leffler
@@ -117,9 +118,10 @@ class TestNonFiniteRightHandSide:
     @staticmethod
     def model(kind):
         bad = np.nan if kind == "drift" else np.inf
-        parts = {"drift": lambda t, y: -y, "diffusion": lambda t, y: np.full_like(y, 0.2)}
+        parts = {"drift": lambda t, y: [-y[0]],
+                 "diffusion": lambda t, y: [np.full_like(y[0], 0.2)]}
         good = parts[kind]
-        parts[kind] = lambda t, y: np.where(y > 0.3, bad, good(t, y))
+        parts[kind] = lambda t, y: [np.where(y[0] > 0.3, bad, good(t, y)[0])]
         return SystemModel(name=f"nonfinite_{kind}", dim=1, y0=np.array([0.0]), **parts)
 
     @pytest.mark.parametrize("kind", ["drift", "diffusion"])
@@ -164,7 +166,7 @@ class TestBatchSize:
         seen = set()
 
         def drift(t, y):
-            seen.add(y.shape[1])
+            seen.add(len(y[0]))
             return model.drift(t, y)
 
         return dataclasses.replace(model, drift=drift), seen
@@ -199,12 +201,14 @@ class TestBatchSize:
     def test_cauchy_diagnostic(self, monkeypatch, size):
         self.check_cauchy_diagnostic(monkeypatch, newton_leipnik(), size)
 
-    @pytest.mark.parametrize("drift", [lambda t, y: np.full_like(y, t),  # a ramp
-                                       lambda t, y: np.sin(t) * y], ids=["ramp", "sin"])
+    @pytest.mark.parametrize("drift", [lambda t, y: [np.full_like(x, t) for x in y],  # a ramp
+                                       lambda t, y: [np.sin(t) * x for x in y]],
+                             ids=["ramp", "sin"])
     def test_cauchy_diagnostic_time_dependent(self, monkeypatch, drift):
         # a batched sweep passes each column its own node time
         model = SystemModel(name="timed", dim=2, drift=drift,
-                            diffusion=lambda t, y: 0.5 * (1.0 + t) * y, y0=[0.5, -0.2])
+                            diffusion=lambda t, y: [0.5 * (1.0 + t) * x for x in y],
+                            y0=[0.5, -0.2])
         self.check_cauchy_diagnostic(monkeypatch, model, size=3)
 
     def check_cauchy_diagnostic(self, monkeypatch, model, size):
@@ -606,6 +610,11 @@ BAD_INPUTS = {
     "cauchy_diagnostic without a grid": (
         lambda: cauchy_diagnostic(linear_test(), 0.8, 1.0, 1, 100, 2),
         "grid must be a TimeGrid; got 1.0"),
+    "diagnostic_rule on a string for a grid": (
+        lambda: checks.require(diagnostic_rule(0.8, 100, 2, "x")),
+        "grid must be a TimeGrid; got 'x'"),
+    "levels_rule on a number for a grid": (lambda: checks.require(levels_rule(3, 1.0)),
+                                           "grid must be a TimeGrid; got 1.0"),
     "write_trajectory_csv without a trajectory": (
         lambda: write_trajectory_csv(None, io.StringIO()), "traj must be a Trajectory; got None"),
     "write_stats_csv without stats": (lambda: write_stats_csv("x", io.StringIO()),

@@ -20,8 +20,8 @@ def constant_drift_model(value: float) -> SystemModel:
     return SystemModel(
         name="const",
         dim=1,
-        drift=lambda t, y: np.full_like(y, value),
-        diffusion=lambda t, y: np.zeros_like(y),
+        drift=lambda t, y: [np.full_like(x, value) for x in y],
+        diffusion=lambda t, y: [np.zeros_like(x) for x in y],
         y0=np.array([0.0]),
         params={},
     )
@@ -32,8 +32,8 @@ def ramp_drift_model() -> SystemModel:
     return SystemModel(
         name="ramp",
         dim=1,
-        drift=lambda t, y: np.full_like(y, t),
-        diffusion=lambda t, y: np.zeros_like(y),
+        drift=lambda t, y: [np.full_like(x, t) for x in y],
+        diffusion=lambda t, y: [np.zeros_like(x) for x in y],
         y0=np.array([0.0]),
         params={},
     )
@@ -283,8 +283,8 @@ class TestPicardIterate:
     def test_overflowing_sweep_is_a_divergence(self):
         # the first sweep's sums overflow to inf without a numpy warning
         huge = SystemModel(name="huge", dim=1, y0=np.array([0.0]),
-                           drift=lambda t, y: np.full(y.shape, 1e308),
-                           diffusion=lambda t, y: np.full(y.shape, 1e308))
+                           drift=lambda t, y: [np.full(np.shape(x), 1e308) for x in y],
+                           diffusion=lambda t, y: [np.full(np.shape(x), 1e308) for x in y])
         grid = make_grid(1.0, 0.01)
         with warnings.catch_warnings(record=True) as caught, \
                 pytest.raises(DivergenceError) as err:
@@ -402,7 +402,7 @@ class TestRightHandSideCalls:
             fn = getattr(model, kind)
 
             def call(t, y):
-                calls[kind].append(y.shape[1])
+                calls[kind].append(len(y[0]))
                 return fn(t, y)
 
             return call

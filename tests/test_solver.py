@@ -9,6 +9,7 @@ import pytest
 
 from sfode import solver
 from sfode.checks import ConfigError
+from sfode.picard import _iterates
 from sfode.solver import (
     BLOCK,
     LAG_MATRIX_MAX,
@@ -59,7 +60,7 @@ def reference_pece(model, cfg, dW) -> np.ndarray:
     def record(j):
         f[:, j] = model.drift(t[j], y[:, j])
         if dW is not None and j < steps:
-            sigma = model.diffusion(t[j], y[:, j])
+            sigma = np.asarray(model.diffusion(t[j], y[:, j]))
             g[:, j] = sigma * dW[:, j] if per_step else sigma
 
     def noise_sum(n, w):
@@ -73,9 +74,9 @@ def reference_pece(model, cfg, dW) -> np.ndarray:
         yp = y0 + inv_gamma_a * (f[:, :n + 1] @ b)
         if dW is not None:
             yp = yp + (inv_gamma_a / h) * noise_sum(n, b)
-        yc = y0 + corr_drift * (model.drift(t[n + 1], yp) + f[:, :n + 1] @ a)
+        yc = y0 + corr_drift * (np.asarray(model.drift(t[n + 1], yp)) + f[:, :n + 1] @ a)
         if dW is not None:
-            yc = yc + corr_noise * (model.diffusion(t[n + 1], yp) * dW[:, n]
+            yc = yc + corr_noise * (np.asarray(model.diffusion(t[n + 1], yp)) * dW[:, n]
                                     + noise_sum(n, a))
         y[:, n + 1] = yc
         record(n + 1)
@@ -97,7 +98,7 @@ def primed_stepper(states, path, model, cfg, n) -> _Stepper:
     """A stepper whose caches hold the node values states[:, 0..n]."""
     stepper = _Stepper(model, cfg, None if path is None else path.increments)
     for j in range(n + 1):
-        stepper.push(j, states[:, j])
+        stepper.push(j, states[:, j].tolist())
     return stepper
 
 
@@ -108,7 +109,7 @@ def take_step(states, path, model, cfg, n):
     received = []
 
     def drift(t, y):
-        received.append((t, y.copy()))
+        received.append((t, list(y)))
         return model.drift(t, y)
 
     stepper = primed_stepper(states, path, dataclasses.replace(model, drift=drift), cfg, n)
@@ -244,11 +245,11 @@ class TestDeterministic:
 
         def drift(t, y):
             forcing = 2.0 * t ** (2.0 - alpha) / gamma(3.0 - alpha)
-            return np.array([forcing + (y[0] - t * t)])
+            return [forcing + (y[0] - t * t)]
 
         model = SystemModel(
             name="poly", dim=1, drift=drift,
-            diffusion=lambda t, y: np.zeros_like(y), y0=np.array([0.0]),
+            diffusion=lambda t, y: [np.zeros_like(x) for x in y], y0=np.array([0.0]),
         )
         errs = []
         for steps in (100, 200):
@@ -424,16 +425,26 @@ class TestBatchAxes:
         self.assert_loop_matches_kernel(model, cfg, generate_path(SeedSpec(13), cfg.grid,
                                                                   model.dim))
 
+    @pytest.mark.parametrize("returned", [list, tuple, np.array], ids=["list", "tuple", "array"])
     @pytest.mark.parametrize("stochastic,noise_history", RUN_KINDS)
-    def test_drift_returning_a_list(self, stochastic, noise_history):
+    def test_rows_returned_as_a_list_tuple_or_array(self, returned, stochastic, noise_history):
+        # the built-in models return lists; the same rows as a tuple or as
+        # an array whose first axis is the component give the same bytes
         model = newton_leipnik()
-        listed = dataclasses.replace(model, drift=lambda t, y: list(model.drift(t, y)))
+        wrapped = dataclasses.replace(model, drift=lambda t, y: returned(model.drift(t, y)),
+                                      diffusion=lambda t, y: returned(model.diffusion(t, y)))
         cfg = SolverConfig(alpha=0.9, grid=make_grid(self.STEPS / 256, 1 / 256),
                            stochastic=stochastic, noise_history=noise_history)
         path = generate_path(SeedSpec(13), cfg.grid, 3)
-        self.assert_loop_matches_kernel(listed, cfg, path)
-        np.testing.assert_array_equal(solve(listed, cfg, path).states,
-                                      solve(model, cfg, path).states)
+        self.assert_loop_matches_kernel(wrapped, cfg, path)
+        assert (solve(wrapped, cfg, path).states.tobytes()
+                == solve(model, cfg, path).states.tobytes())
+        dW = np.stack([path.increments, generate_path(SeedSpec(13, 1), cfg.grid, 3).increments])
+        assert solve_batch(wrapped, cfg, dW).tobytes() == solve_batch(model, cfg, dW).tobytes()
+        sweeps = [_iterates(m, 0.9, cfg.grid, dW if stochastic else None, 2)
+                  for m in (wrapped, model)]
+        for got, expected in zip(*sweeps):
+            assert got.tobytes() == expected.tobytes()
 
     @pytest.mark.parametrize("kind", ["drift", "diffusion"])
     def test_result_of_the_wrong_length_is_a_value_error(self, kind):
@@ -447,13 +458,13 @@ class TestBatchAxes:
         short = dataclasses.replace(
             model, **{kind: lambda t, y: full(t, y)[:2] if t >= t_short else full(t, y)})
         path = generate_path(SeedSpec(13), cfg.grid, 3)
-        message = re.escape(f"{kind} returned shape (2,) for state (3,)")
+        message = re.escape(f"newton_leipnik {kind} must return 3 component rows; got 2")
         with pytest.raises(ValueError, match=message):
             solve(short, cfg, path)
         # and the unchecked kernel raises it itself, before the replay
         stepper = _Stepper(short, cfg, path.increments)
         states = np.empty((3, cfg.grid.num_nodes))
-        stepper.push(0, stepper.y0)
+        stepper.push(0, stepper.y0.tolist())
         stepper.checked = False
         stepper.advance(states, 0, BLOCK)
         stepper._far_field(BLOCK)
@@ -493,7 +504,7 @@ class TestFarField:
         g = np.zeros((blocks, 3, self.STEPS + 1))
         g[0] = model.drift(0.0, states)  # both systems are autonomous
         if stochastic:
-            sigma = model.diffusion(0.0, states[:, :-1])
+            sigma = np.asarray(model.diffusion(0.0, states[:, :-1]))
             per_step = noise_history is NoiseHistory.PER_STEP
             g[1, :, :-1] = sigma * path.increments if per_step else sigma
         return stepper, g
@@ -621,7 +632,7 @@ class TestDivergenceSites:
         stepper = _Stepper(model, cfg, dW)
         states = np.empty(stepper.y0.shape + (cfg.grid.num_nodes,))
         states[..., 0] = stepper.y0
-        stepper.push(0, stepper.y0.T)
+        stepper.push(0, stepper.comps(stepper.y0.T))
         for start in range(0, cfg.grid.num_steps, BLOCK):
             if start:  # a block start, as in solve_batch
                 stepper._far_field(start)
@@ -650,9 +661,10 @@ class TestDivergenceSites:
     def model_failing_from(self, kind, step, bad=np.nan):
         """dy = -y dt + 0.2 dW, with kind turning bad from t_step on."""
         t_bad = self.cfg.grid.nodes()[step]
-        parts = {"drift": lambda t, y: -y, "diffusion": lambda t, y: np.full(y.shape, 0.2)}
+        parts = {"drift": lambda t, y: [-y[0]],
+                 "diffusion": lambda t, y: [np.full(np.shape(y[0]), 0.2)]}
         good = parts[kind]
-        parts[kind] = lambda t, y: np.full(y.shape, bad) if t >= t_bad else good(t, y)
+        parts[kind] = lambda t, y: [np.full(np.shape(y[0]), bad)] if t >= t_bad else good(t, y)
         return SystemModel(name=f"{kind}_from_{step}", dim=1, y0=np.array([0.1]), **parts)
 
     @pytest.mark.parametrize("noise_history,step",
@@ -683,16 +695,16 @@ class TestDivergenceSites:
         # paths 3 and 1 fail together in the second block, path 0 later
         t = self.cfg.grid.nodes()
 
-        def drift(t_n, y):  # y is (1, 5): path i in column i
-            out = -y
+        def drift(t_n, y):  # y[0] is (5,): path i in column i
+            out = -y[0]
             if t_n >= t[BLOCK + 40]:
-                out[:, [1, 3]] = np.nan
+                out[[1, 3]] = np.nan
             if t_n >= t[BLOCK + 60]:
-                out[:, 0] = np.nan
-            return out
+                out[0] = np.nan
+            return [out]
 
         model = SystemModel(name="batch", dim=1, y0=np.array([0.1]), drift=drift,
-                            diffusion=lambda t_n, y: np.full(y.shape, 0.2))
+                            diffusion=lambda t_n, y: [np.full(y[0].shape, 0.2)])
         got = self.assert_same_failure(model, self.cfg, self.dW(5))
         assert (got[2], got[4]) == (BLOCK + 40, 1)
 
@@ -702,10 +714,10 @@ class TestDivergenceSites:
         def drift(t, y):
             if t >= t_bad:
                 raise ZeroDivisionError(f"no drift at t={t}")
-            return -y
+            return [-y[0]]
 
         model = SystemModel(name="raises", dim=1, y0=np.array([0.1]), drift=drift,
-                            diffusion=lambda t, y: np.full(y.shape, 0.2))
+                            diffusion=lambda t, y: [np.full(np.shape(y[0]), 0.2)])
         got = self.assert_same_failure(model, self.cfg, self.dW())
         assert got == (ZeroDivisionError, f"no drift at t={t_bad}", None, None, None)
 

@@ -68,32 +68,37 @@ class TestDiffusionStructure:
         model = factory()
         rng = np.random.default_rng(1)
         for _ in range(20):
-            y = rng.uniform(-1.5, 1.5, size=3)
+            y = rng.uniform(-1.5, 1.5, size=3).tolist()
             sigma = model.diffusion(0.0, y)
-            assert sigma.shape == (3,)
+            assert len(sigma) == 3
             # entry i must depend on y_i only
-            z = y.copy()
+            z = list(y)
             z[(0 + 1) % 3] += 0.7
             assert model.diffusion(0.0, z)[0] == sigma[0]
 
     @pytest.mark.parametrize("factory", [newton_leipnik, lorenz, linear_test])
     def test_batch_columns_match_single_paths(self, factory):
-        # the model takes B paths as the columns of (d, B); call hands it
-        # the solvers' states as they are, and each path is as alone
+        # the model takes B paths as (B,) rows; call hands it the solvers'
+        # rows as they are, and each path is as alone
         model = factory()
         ys = np.random.default_rng(3).uniform(-1.5, 1.5, size=(model.dim, 4))
         for kind in ("drift", "diffusion"):
-            batch = model.call(kind, 0.5, ys)
+            batch = np.array(model.call(kind, 0.5, list(ys)))
             assert batch.shape == ys.shape
-            np.testing.assert_array_equal(batch, getattr(model, kind)(0.5, ys))
+            np.testing.assert_array_equal(batch, getattr(model, kind)(0.5, list(ys)))
             for b in range(4):
-                np.testing.assert_array_equal(batch[:, b], model.call(kind, 0.5, ys[:, b]))
+                np.testing.assert_array_equal(batch[:, b], model.call(kind, 0.5, ys[:, b].tolist()))
 
     @pytest.mark.parametrize("factory", [newton_leipnik, lorenz])
     def test_one_path_drift_is_its_batch_column_bit_for_bit(self, factory):
         # one path runs on Python floats, a batch on row arrays: every column
-        # must round the same, signed zeros, infinities and overflow included
-        drift = factory().drift
+        # of the drift and the diffusion must round the same, signed zeros,
+        # infinities and overflow included
+        for kind in ("drift", "diffusion"):
+            self.assert_one_path_is_its_batch_column(getattr(factory(), kind))
+
+    @staticmethod
+    def assert_one_path_is_its_batch_column(fn):
         rng = np.random.default_rng(12)
         magnitude = 10.0 ** rng.uniform(-5.0, 200.0, size=(3, 500))
         random = np.where(rng.random((3, 500)) < 0.5, -magnitude, magnitude)
@@ -101,10 +106,12 @@ class TestDiffusionStructure:
         edges = np.array(list(itertools.product(special, repeat=3))).T
         states = np.concatenate([random, edges], axis=1)
         with np.errstate(all="ignore"):
-            batch = drift(0.0, states)
+            batch = np.array(fn(0.0, list(states)))
             for i in range(states.shape[1]):
-                one, column = drift(0.0, states[:, i].copy()), batch[:, i]
-                assert one.shape == (3,) and one.dtype == np.float64
+                row = fn(0.0, states[:, i].tolist())
+                assert all(type(x) is float for x in row)
+                one, column = np.array(row), batch[:, i]
+                assert one.shape == (3,)
                 nan = np.isnan(column)
                 np.testing.assert_array_equal(np.isnan(one), nan)
                 np.testing.assert_array_equal(one[~nan].view(np.uint64),
@@ -114,9 +121,10 @@ class TestDiffusionStructure:
     def test_result_of_wrong_shape_rejected(self):
         model = newton_leipnik()
         flat = dataclasses.replace(model, diffusion=lambda t, y: np.full(3, 0.1))
-        flat.call("diffusion", 0.0, np.zeros(3))  # one path: fine
-        with pytest.raises(ValueError):
-            flat.call("diffusion", 0.0, np.zeros((3, 2)))
+        flat.call("diffusion", 0.0, [0.0] * 3)  # one path: fine
+        message = r"^newton_leipnik diffusion returned a row of shape \(\) for state rows \(2,\)$"
+        with pytest.raises(ValueError, match=message):
+            flat.call("diffusion", 0.0, list(np.zeros((3, 2))))
 
 
 class TestSystemModel:
@@ -204,5 +212,8 @@ class TestLinearTest:
     def test_shapes_and_values(self):
         model = linear_test(lam=2.0, sigma0=0.5, y0=3.0)
         assert model.dim == 1 and model.noise_dim == 1
-        np.testing.assert_array_equal(model.drift(0.0, np.array([3.0])), [-6.0])
-        np.testing.assert_array_equal(model.diffusion(0.0, np.array([3.0])), [0.5])
+        assert model.drift(0.0, [3.0]) == [-6.0]
+        assert model.diffusion(0.0, [3.0]) == [0.5]
+        rows = [np.array([3.0, -1.0])]
+        np.testing.assert_array_equal(model.drift(0.0, rows), [[-6.0, 2.0]])
+        np.testing.assert_array_equal(model.diffusion(0.0, rows), [[0.5, 0.5]])
