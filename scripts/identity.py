@@ -2,6 +2,7 @@
 """Check that the command line writes the same bytes as at a git revision.
 
 Usage: python scripts/identity.py --against REF [--expect-change NAME ...]
+                                   [--env KEY=VALUE ...]
 
 Extracts REF (``git archive``) into a temporary directory and runs one fixed
 list of ``sfode`` invocations there and in the working tree: ``python -W
@@ -14,7 +15,10 @@ named with --expect-change, and 2 on a bad REF or run name.
 
 Both sides run on the same machine, so BLAS and CPU differences cancel and
 no digest is stored.  A change that alters some outputs on purpose names
-those runs with --expect-change.
+those runs with --expect-change.  --env sets a variable for the working
+tree's runs only, so ``--against HEAD --env OPENBLAS_CORETYPE=Prescott``
+lists the runs whose bytes follow that setting; a variable set for this
+script itself reaches both sides.
 """
 
 import argparse
@@ -120,10 +124,10 @@ RUNS = {
 }
 
 
-def run(tree: Path, argv: list, tmp: str) -> tuple:
-    """(output sha256, stderr, exit code) of one run in tree."""
+def run(tree: Path, argv: list, tmp: str, extra_env: dict) -> tuple:
+    """(output sha256, stderr, exit code) of one run in tree, with extra_env set."""
     env = dict(os.environ, PYTHONPATH=str(tree / "src"), OPENBLAS_NUM_THREADS="1",
-               OMP_NUM_THREADS="1", MKL_NUM_THREADS="1")
+               OMP_NUM_THREADS="1", MKL_NUM_THREADS="1", **extra_env)
     proc = subprocess.run([sys.executable, "-W", "error::RuntimeWarning", "-m", "sfode.cli",
                            *(a.format(tmp=tmp) for a in argv)],
                           cwd=tree, env=env, capture_output=True, timeout=600)
@@ -143,7 +147,12 @@ def main(argv=None) -> int:
     parser.add_argument("--against", required=True, metavar="REF", help="git revision")
     parser.add_argument("--expect-change", action="append", default=[], metavar="NAME",
                         help="a run whose output may differ (repeatable)")
+    parser.add_argument("--env", action="append", default=[], metavar="KEY=VALUE",
+                        help="a variable set for the working tree's runs only (repeatable)")
     args = parser.parse_args(argv)
+    if bad := [item for item in args.env if item.find("=") < 1]:
+        parser.error(f"--env takes KEY=VALUE; got {', '.join(bad)}")
+    tree_env = dict(item.split("=", 1) for item in args.env)
     unknown = sorted(set(args.expect_change) - set(RUNS))
     if unknown:
         parser.error(f"unknown run name(s): {', '.join(unknown)}")
@@ -159,8 +168,8 @@ def main(argv=None) -> int:
         print(f"{'run':<28} {'exit':>6}  {'ref sha256':<16} "
               f"{'tree sha256':<16} stderr")
         for name, run_argv in RUNS.items():
-            ref_out, ref_err, ref_code = run(ref_tree, run_argv, tmp)
-            out, err, code = run(ROOT, run_argv, tmp)
+            ref_out, ref_err, ref_code = run(ref_tree, run_argv, tmp, {})
+            out, err, code = run(ROOT, run_argv, tmp, tree_env)
             same = (ref_out, ref_err, ref_code) == (out, err, code)
             mark = "" if same else ("  differs (expected)" if name in args.expect_change
                                     else "  DIFFERS")
@@ -169,7 +178,8 @@ def main(argv=None) -> int:
             tree_col = "same" if out == ref_out else out[:16]
             print(f"{name:<28} {exit_col:>6}  {ref_out[:16]:<16} {tree_col:<16} "
                   f"{'same' if err == ref_err else 'differs'}{mark}", flush=True)
-    print(f"{len(RUNS)} runs against {args.against}: {failed} unexpected difference(s)")
+    print(f"{len(RUNS)} runs against {args.against}"
+          f"{''.join(f' --env {item}' for item in args.env)}: {failed} unexpected difference(s)")
     return 1 if failed else 0
 
 

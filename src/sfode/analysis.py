@@ -149,9 +149,11 @@ class ConvergenceReport:
 
 
 def levels_rule(levels: int, grid: TimeGrid | None) -> list:
-    """At least 3 levels, and a TimeGrid whose finest level, of step
-    grid.h / 2**(levels - 1), passes the grid rule; a None grid (one that
-    fails its own rule) skips the latter."""
+    """An integer count of at least 3 levels, and a TimeGrid whose finest
+    level, of step grid.h / 2**(levels - 1), passes the grid rule; a None
+    grid (one that fails its own rule) skips the latter."""
+    if problems := checks.integer_rule(levels=levels):
+        return problems
     if levels < 3:
         return [f"need at least 3 grid levels; got {max(levels, 0)}"]
     if grid is None:
@@ -178,7 +180,7 @@ def convergence_order(model: SystemModel, cfg: SolverConfig, levels: int,
     """
     checks.require(checks.type_rule("model", model, SystemModel)
                    + checks.type_rule("cfg", cfg, SolverConfig)
-                   + checks.integer_rule(levels=levels))
+                   + ([] if reference is None else checks.callable_rule(reference=reference)))
     checks.require(levels_rule(levels, cfg.grid))
     T, h = cfg.grid.T, cfg.grid.h
     checks.require(["stochastic convergence measurement needs a master_seed"]

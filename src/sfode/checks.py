@@ -20,6 +20,8 @@ __all__ = [
     "ConfigError",
     "alpha_rule",
     "array_rule",
+    "bool_rule",
+    "callable_rule",
     "channels_rule",
     "choice_rule",
     "finite_rule",
@@ -62,6 +64,20 @@ def type_rule(name: str, value, cls: type) -> list:
         return []
     article = "an" if cls.__name__[0] in "AEIOU" else "a"
     return [f"{name} must be {article} {cls.__name__}; got {value!r}"]
+
+
+def bool_rule(**values) -> list:
+    """Every named value is a Python or numpy bool, so that an array, whose
+    truth value numpy refuses, is a message, not a ValueError."""
+    return [f"{name} must be a bool; got {value!r}"
+            for name, value in values.items() if not isinstance(value, (bool, np.bool_))]
+
+
+def callable_rule(**values) -> list:
+    """Every named value is callable, so that a missing function is a message
+    up front, not a TypeError once a run reaches it."""
+    return [f"{name} must be callable; got {value!r}"
+            for name, value in values.items() if not callable(value)]
 
 
 def real_rule(**values) -> list:

@@ -167,15 +167,18 @@ class CauchyReport:
 
 
 def diagnostic_rule(alpha: float, M: int, K: int, grid: TimeGrid | None) -> list:
-    """The domain of :func:`cauchy_diagnostic`: alpha > 1/2, M >= 100 paths and
-    2 <= K <= N sweeps on a grid of N steps.  Node n of a sweep reads only
-    nodes before it, exactly at every N (:func:`_lag_sums`), so sweep N is
-    the discrete fixed point and every later gap is exactly 0.  A None grid
-    (one that fails its own rule), or one that is no TimeGrid, skips K <= N.
+    """The domain of :func:`cauchy_diagnostic`: alpha > 1/2, integer counts
+    M >= 100 paths and 2 <= K <= N sweeps on a grid of N steps.  Node n of a
+    sweep reads only nodes before it, exactly at every N (:func:`_lag_sums`),
+    so sweep N is the discrete fixed point and every later gap is exactly 0.
+    A None grid (one that fails its own rule), or one that is no TimeGrid,
+    skips K <= N.
     """
     problems = checks.alpha_rule(alpha, "Picard sweeps")
     if grid is not None:
         problems += checks.type_rule("grid", grid, TimeGrid)
+    if counts := checks.integer_rule(paths=M, iterations=K):
+        return problems + counts
     if M < 100:
         problems.append(f"the Picard diagnostic needs paths >= 100; got {M}")
     if K < 2:
@@ -201,7 +204,7 @@ def cauchy_diagnostic(model: SystemModel, alpha: float, grid: TimeGrid,
     """
     checks.require(checks.type_rule("model", model, SystemModel)
                    + checks.type_rule("grid", grid, TimeGrid)
-                   + checks.integer_rule(paths=M, iterations=K))
+                   + checks.bool_rule(sup_mode=sup_mode))
     checks.require(diagnostic_rule(alpha, M, K, grid))
 
     def rows(dW):

@@ -109,11 +109,13 @@ class SolverConfig:
     weight_mode: WeightMode = WeightMode.STANDARD
 
     def __post_init__(self):
-        over_half = "stochastic runs (nonzero noise)" if self.stochastic else None
-        checks.require(checks.alpha_rule(self.alpha, over_half)
+        problems = checks.bool_rule(stochastic=self.stochastic)  # before its truth value
+        over_half = None if problems or not self.stochastic else "stochastic runs (nonzero noise)"
+        checks.require(problems + checks.alpha_rule(self.alpha, over_half)
                        + checks.type_rule("grid", self.grid, TimeGrid)
                        + checks.choice_rule("noise_history", self.noise_history, NoiseHistory)
                        + checks.choice_rule("weight_mode", self.weight_mode, WeightMode))
+        object.__setattr__(self, "stochastic", bool(self.stochastic))
         object.__setattr__(self, "noise_history", NoiseHistory(self.noise_history))
         object.__setattr__(self, "weight_mode", WeightMode(self.weight_mode))
 
@@ -170,8 +172,8 @@ class _Stepper:
 
     where f and g are the drift and diffusion at (t_{n+1}, yp).
 
-    A history sum over nodes 0..n follows the schedule of the module
-    docstring.  Its direct part, nodes s..n with s = n - n % BLOCK, is a
+    A history sum over nodes 0..n, formed by :meth:`sums` alone, follows
+    the schedule of the module docstring.  Its direct part, nodes s..n with s = n - n % BLOCK, is a
     stacked product that numpy evaluates as one d-row product per path and
     block, so each path rounds exactly as it would alone.  Past block 0 one
     hist[..., s:n+1] @ W takes both sums (W: the reversed lags of b and a),
@@ -210,7 +212,7 @@ class _Stepper:
         size = min(steps, BLOCK)
         self.first = kernel.matrix(0, size).reshape(size, size, 2).transpose(2, 1, 0).copy()
         self.first[1, :, 0] = table.a0[:size]
-        self.call = model.call
+        self.call, self.check_rows = model.call, model.check_rows
         # increments by step: dW[n] is shaped as the model's states, (d,) + reversed batch
         self.dW = dW.T if cfg.stochastic else None
         # (predictor, corrector) coefficients of each history block
@@ -237,14 +239,19 @@ class _Stepper:
             self.far = np.zeros(self.hist_rows.shape[:-1] + (self.ring, 2))
 
     def _finite(self, kind: str, n: int, out) -> None:
-        """Raise the divergence at step n if the model's kind rows out are not finite."""
+        """Raise the divergence at step n if the model's kind rows out are not
+        finite, and a ValueError if a row of one path is no number: every
+        failing block takes this checked replay, so unchecked steps pay nothing."""
+        if self.y0.ndim == 1:
+            self.check_rows(kind, out, ())
         ok = np.isfinite(out)
         if not ok.all():
             raise _diverged(f"non-finite {kind} at step {n} (t={self.t[n]:g})",
                             n, self.t[n], ok.T)
 
-    def push(self, n: int, y: list) -> None:
-        """Cache f (and the noise record) at node n from its state rows."""
+    def push(self, n: int, y: list, w: list | None = None) -> None:
+        """Cache f (and the noise record) at node n from its state rows; w
+        holds the rows of the increment dW[n] if the caller has them."""
         t, call, checked = self.t[n], self.call, self.checked
         f = call("drift", t, y)
         if checked:
@@ -254,21 +261,22 @@ class _Stepper:
             if checked:
                 self._finite("diffusion", n, g)
             if not self.scale_noise_sums:
-                g = [x * w for x, w in zip(g, self.comps(self.dW[n]))]
+                g = [x * v for x, v in zip(g, self.comps(self.dW[n]) if w is None else w)]
             f = [*f, *g]
-        self.records[n][:len(f)] = f
+        self.records[n, :len(f)] = f
 
-    def sums(self, n: int):
-        """Predictor and corrector history sums of step n over nodes 0..n,
-        each shaped batch + (blocks, d).  Call once per step, in order."""
+    def sums(self, n: int) -> list:
+        """The predictor and corrector history sums [P, C] of step n over
+        nodes 0..n, each as the component rows of every history row: the
+        one place a step's sums are formed.  Call once per step, in order,
+        after the far field of its block."""
         if n < BLOCK:
-            hist = self.hist[..., :n + 1]
-            return hist @ self.first[0, n, :n + 1], hist @ self.first[1, n, :n + 1]
+            hist, rows = self.hist[..., :n + 1], self.hist_rows.shape[:-1]
+            return [self.comps((hist @ w).reshape(rows).T) for w in self.first[:, n, :n + 1]]
         r = n % BLOCK
-        sums = self.hist_rows[..., n - r:n + 1] @ self.near_w[BLOCK - 1 - r:]
-        sums += self.far[..., n % self.ring, :]
-        sums = sums.reshape(self.hist.shape[:-1] + (2,))
-        return sums[..., 0], sums[..., 1]
+        near = self.hist_rows[..., n - r:n + 1] @ self.near_w[BLOCK - 1 - r:]
+        near += self.far[..., n % self.ring, :]
+        return self.comps(near.T)
 
     def _far_field(self, end: int) -> None:
         """Free the slots of the block before end and add the square whose
@@ -287,39 +295,26 @@ class _Stepper:
         """Take steps start..stop-1, all in one block, recording nodes
         start+1..stop as it goes and writing their states at the end.
 
-        The history sums are numpy products, the two of :meth:`sums` in
-        block 0 and past it one near-field product to which the step's
-        far-field slot is added in place; each is read back as rows once.
-        The block's node times, dW rows and y0 rows are taken once.
+        Each step takes its history sums from :meth:`sums`.  The block's node
+        times, y0 rows and increment rows (one row past the block, for the
+        noise record of node stop) are taken once.
         """
-        call, comps, push, checked = self.call, self.comps, self.push, self.checked
+        call, comps, push, sums, checked = self.call, self.comps, self.push, self.sums, self.checked
         dim, stochastic, last = self.y0.shape[-1], self.dW is not None, self.scale_noise_sums
         y0, parts = comps(self.y0.T), range(dim)
         (cp_f, cc_f), (cp_g, cc_g) = self.coefs[0], self.coefs[-1]  # (drift, noise) pairs
         times = list(self.t[start + 1:stop + 1])
-        if stochastic:  # [r]: the rows of the increments of step start + r
-            dW = comps(self.dW[start:stop])
-        s = start - start % BLOCK  # the block's first node
-        if s:  # [..., r, :]: the far-field sums of step start + r
-            hist_rows, near_w, first = self.hist_rows, self.near_w, start % self.ring
-            far = self.far[..., first:first + stop - start, :]
-        else:
-            rows = self.hist_rows.shape[:-1]
+        # [r]: the rows of the increments of step start + r; None past the run or without noise
+        dW = [*comps(self.dW[start:stop + 1]), None] if stochastic else [None] * (stop - start + 1)
         ys = []
         for r, n in enumerate(range(start, stop)):
-            if s:
-                near = hist_rows[..., s:n + 1] @ near_w[s - n - 1:]
-                near += far[..., r, :]
-                P, C = comps(near.T)
-            else:
-                P, C = (comps(part.reshape(rows).T) for part in self.sums(n))
+            P, C = sums(n)
+            w = dW[r]
             if not stochastic:
                 yp = [y0[i] + P[i] * cp_f for i in parts]
             elif last:
-                w = dW[r]
                 yp = [(y0[i] + P[i] * cp_f) + (P[dim + i] * w[i]) * cp_g for i in parts]
             else:
-                w = dW[r]
                 yp = [(y0[i] + P[i] * cp_f) + P[dim + i] * cp_g for i in parts]
             t = times[r]
             f = call("drift", t, yp)
@@ -339,7 +334,7 @@ class _Stepper:
                     raise _diverged(f"state exceeded blow-up bound {BLOWUP:g} at step {n + 1} "
                                     f"(t={t:g})", n + 1, t, ok.T)
             ys.append(y)
-            push(n + 1, y)
+            push(n + 1, y, dW[r + 1])
         states[..., start + 1:stop + 1] = np.array(ys).T
 
     def admissible(self, states: np.ndarray, start: int, stop: int) -> bool:

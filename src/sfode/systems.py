@@ -69,8 +69,9 @@ class SystemModel:
     params: dict = field(default_factory=dict)
 
     def __post_init__(self):
-        checks.require(checks.integer_rule(1, dim=self.dim)
-                       or checks.array_rule("y0", self.y0, (self.dim,)))
+        checks.require((checks.integer_rule(1, dim=self.dim)
+                        or checks.array_rule("y0", self.y0, (self.dim,)))
+                       + checks.callable_rule(drift=self.drift, diffusion=self.diffusion))
         y0 = np.array(self.y0, dtype=float)  # private copy, frozen below
         y0.flags.writeable = False
         object.__setattr__(self, "y0", y0)
@@ -84,7 +85,8 @@ class SystemModel:
         """drift or diffusion (kind) at (t, y), y the state's component rows:
         the d rows the callable returns, shaped as y's rows in a batch (else
         ValueError).  The one check of every model call, the stepper's and
-        the Picard sweeps'; a row of one path is used as a number.
+        the Picard sweeps'.  A row of one path is used as a number, and
+        only the stepper's checked steps check that it is one.
         """
         out = getattr(self, kind)(t, y)
         try:
@@ -95,12 +97,17 @@ class SystemModel:
             raise ValueError(f"{self.name} {kind} must return {self.dim} component rows; "
                              f"got {rows}")
         if not isinstance(y[0], float):  # a batch
-            shape = np.shape(y[0])
-            for row in out:
-                if np.shape(row) != shape:
-                    raise ValueError(f"{self.name} {kind} returned a row of shape "
-                                     f"{np.shape(row)} for state rows {shape}")
+            self.check_rows(kind, out, np.shape(y[0]))
         return out
+
+    def check_rows(self, kind: str, out: Sequence, shape: tuple) -> None:
+        """ValueError unless every row of the kind rows out is shaped shape:
+        :meth:`call` checks a batch's rows, and the stepper's checked steps
+        check one path's, whose shape is ()."""
+        for row in out:
+            if np.shape(row) != shape:
+                raise ValueError(f"{self.name} {kind} returned a row of shape "
+                                 f"{np.shape(row)} for state rows {shape}")
 
 
 @dataclass(frozen=True)

@@ -22,7 +22,8 @@ from sfode.analysis import (
     write_stats_csv,
 )
 from sfode.checks import ConfigError
-from sfode.picard import cauchy_diagnostic, diagnostic_rule, picard_iterate, write_distance_csv
+from sfode.picard import (CauchyReport, cauchy_diagnostic, diagnostic_rule, picard_iterate,
+                          write_distance_csv)
 from sfode.solver import (BLOCK, LAG_MATRIX_MAX, DivergenceError, NoiseHistory, SolverConfig,
                           solve, solve_batch, write_trajectory_csv)
 from sfode.special import gamma, mittag_leffler
@@ -448,6 +449,13 @@ def test_non_integer_count_is_a_config_error(entry, count):
 
 GRID = make_grid(1.0, 0.25)
 STOCHASTIC = SolverConfig(0.8, GRID, stochastic=True)
+
+
+def rows(t, y):
+    """A valid drift or diffusion of any system: the state rows themselves."""
+    return list(y)
+
+
 # library input that used to escape as a plain ValueError or an AttributeError
 BAD_INPUTS = {
     "convergence_order without a seed": (
@@ -630,6 +638,29 @@ BAD_INPUTS = {
         "params must be a NewtonLeipnikParams; got LorenzParams("),
     "lorenz with a number for parameters": (lambda: lorenz(1.0),
                                             "params must be a LorenzParams; got 1.0"),
+    # counts checked before they are compared, bools before their truth value
+    # is taken, and callables before a run reaches them
+    "diagnostic_rule without a path count": (
+        lambda: checks.require(diagnostic_rule(0.8, None, 2, GRID)),
+        "paths must be an integer; got None"),
+    "diagnostic_rule on a string for iterations": (
+        lambda: checks.require(diagnostic_rule(0.8, 100, "x", GRID)),
+        "iterations must be an integer; got 'x'"),
+    "levels_rule without levels": (lambda: checks.require(levels_rule(None, GRID)),
+                                   "levels must be an integer; got None"),
+    "SolverConfig with an array for stochastic": (
+        lambda: SolverConfig(0.8, GRID, stochastic=np.array([1, 0])),
+        "stochastic must be a bool; got array([1, 0])"),
+    "cauchy_diagnostic with an array for sup_mode": (
+        lambda: cauchy_diagnostic(linear_test(), 0.8, GRID, 1, 100, 2, sup_mode=np.array([1, 0])),
+        "sup_mode must be a bool; got array([1, 0])"),
+    "SystemModel without a drift": (lambda: SystemModel("m", 1, None, rows, [0.0]),
+                                    "drift must be callable; got None"),
+    "SystemModel without a diffusion": (lambda: SystemModel("m", 1, rows, 1.0, [0.0]),
+                                        "diffusion must be callable; got 1.0"),
+    "convergence_order on a number for the reference": (
+        lambda: convergence_order(linear_test(), SolverConfig(0.8, GRID), 3, reference=5),
+        "reference must be callable; got 5"),
 }
 
 
@@ -687,8 +718,8 @@ ODD_ARGUMENTS = {
     "LorenzParams(mu)": lambda v: LorenzParams(mu=v),
     "newton_leipnik(y0)": lambda v: newton_leipnik(y0=v),
     "lorenz(y0)": lambda v: lorenz(y0=v),
-    "SystemModel(dim)": lambda v: SystemModel("m", v, None, None, [0.0]),
-    "SystemModel(y0)": lambda v: SystemModel("m", 2, None, None, v),
+    "SystemModel(dim)": lambda v: SystemModel("m", v, rows, rows, [0.0]),
+    "SystemModel(y0)": lambda v: SystemModel("m", 2, rows, rows, v),
     "gamma(x)": gamma,
     "mittag_leffler(alpha)": lambda v: mittag_leffler(v, -0.5),
     "mittag_leffler(z)": lambda v: mittag_leffler(0.8, v),
@@ -730,6 +761,80 @@ def test_odd_scalar_input_returns_or_is_a_config_error(entry, value):
         assume(value <= 1000 or value > checks.MAX_PATH_FLOATS // GRID.num_nodes)
     try:
         ODD_ARGUMENTS[entry](value)
+    except ConfigError:
+        pass
+
+
+PATH = generate_path(SeedSpec(1), GRID)
+# entry point (argument): the call of one object there, every other argument
+# valid; the positions that carry a type, bool, callable or count rule
+OBJECT_ARGUMENTS = {
+    "solve(model)": lambda v: solve(v, STOCHASTIC, PATH),
+    "solve(cfg)": lambda v: solve(linear_test(sigma0=1.0), v, PATH),
+    "solve(path)": lambda v: solve(linear_test(sigma0=1.0), STOCHASTIC, v),
+    "solve_batch(model)": lambda v: solve_batch(v, STOCHASTIC, PATH.increments),
+    "solve_batch(cfg)": lambda v: solve_batch(linear_test(), v, PATH.increments),
+    "SolverConfig(grid)": lambda v: SolverConfig(0.8, v),
+    "SolverConfig(stochastic)": lambda v: SolverConfig(0.8, GRID, stochastic=v),
+    "SystemModel(drift)": lambda v: SystemModel("m", 1, v, rows, [0.0]),
+    "SystemModel(diffusion)": lambda v: SystemModel("m", 1, rows, v, [0.0]),
+    "generate_path(seed)": lambda v: generate_path(v, GRID),
+    "generate_path(grid)": lambda v: generate_path(SeedSpec(1), v),
+    "increment_batches(grid)": lambda v: list(increment_batches(1, 2, v, 1)),
+    "restrict_path(path)": lambda v: stochastic.restrict_path(v, GRID),
+    "restrict_path(grid)": lambda v: stochastic.restrict_path(PATH, v),
+    "WienerPath(grid)": lambda v: stochastic.WienerPath(v, PATH.cumulative),
+    "accumulate_stats(grid)": lambda v: accumulate_stats(v, [np.zeros((1, 5))]),
+    "ito_isometry_check(grid)": lambda v: ito_isometry_check(0.8, v, 1000),
+    "ensemble_run(model)": lambda v: ensemble_run(v, STOCHASTIC, 1, 2),
+    "ensemble_run(cfg)": lambda v: ensemble_run(linear_test(), v, 1, 2),
+    "convergence_order(model)": lambda v: convergence_order(v, STOCHASTIC, 3, 1),
+    "convergence_order(cfg)": lambda v: convergence_order(linear_test(), v, 3, 1),
+    "convergence_order(reference)": lambda v: convergence_order(
+        linear_test(), SolverConfig(0.8, GRID), 3, reference=v),
+    "levels_rule(levels)": lambda v: checks.require(levels_rule(v, GRID)),
+    "levels_rule(grid)": lambda v: checks.require(levels_rule(3, v)),
+    "picard_iterate(model)": lambda v: picard_iterate(v, 0.8, GRID, None, 2),
+    "picard_iterate(grid)": lambda v: picard_iterate(linear_test(), 0.8, v, None, 2),
+    "picard_iterate(path)": lambda v: picard_iterate(linear_test(), 0.8, GRID, v, 2),
+    "cauchy_diagnostic(model)": lambda v: cauchy_diagnostic(v, 0.8, GRID, 1, 100, 2),
+    "cauchy_diagnostic(grid)": lambda v: cauchy_diagnostic(linear_test(), 0.8, v, 1, 100, 2),
+    "cauchy_diagnostic(sup_mode)": lambda v: cauchy_diagnostic(linear_test(), 0.8, GRID, 1, 100,
+                                                               2, sup_mode=v),
+    "diagnostic_rule(M)": lambda v: checks.require(diagnostic_rule(0.8, v, 2, GRID)),
+    "diagnostic_rule(K)": lambda v: checks.require(diagnostic_rule(0.8, 100, v, GRID)),
+    "diagnostic_rule(grid)": lambda v: checks.require(diagnostic_rule(0.8, 100, 2, v)),
+    "matrix_form_check(model)": lambda v: matrix_form_check(v, [1.0, 2.0, 3.0]),
+    "lipschitz_bound(model)": lambda v: lipschitz_bound(v, 1.0),
+    "newton_leipnik(params)": lambda v: newton_leipnik(v),
+    "lorenz(params)": lambda v: lorenz(v),
+    "write_trajectory_csv(traj)": lambda v: write_trajectory_csv(v, io.StringIO()),
+    "write_stats_csv(stats)": lambda v: write_stats_csv(v, io.StringIO()),
+    "write_distance_csv(report)": lambda v: write_distance_csv(v, io.StringIO()),
+}
+# one object of each type the library takes, so that most land where another belongs
+OBJECTS = [
+    GRID, make_grid(1.0, 0.5), STOCHASTIC, SolverConfig(0.8, GRID), SeedSpec(1), PATH,
+    generate_path(SeedSpec(2), GRID, 3), linear_test(), newton_leipnik(), NewtonLeipnikParams(),
+    LorenzParams(), solve(linear_test(sigma0=1.0), STOCHASTIC, PATH),
+    accumulate_stats(GRID, [np.zeros((1, 5))]),
+    CauchyReport(distances=np.ones(1), converged=False, max_terminal_l2=1.0),
+]
+
+
+# half of the draws are objects: one_of would give them one branch of ODD_VALUES' many
+OBJECT_VALUES = st.booleans().flatmap(lambda obj: st.sampled_from(OBJECTS) if obj else ODD_VALUES)
+
+
+@pytest.mark.filterwarnings("ignore:rho=:UserWarning")
+@settings(derandomize=True, deadline=None, max_examples=1500,
+          suppress_health_check=[HealthCheck.too_slow])
+@given(entry=st.sampled_from(sorted(OBJECT_ARGUMENTS)), value=OBJECT_VALUES)
+def test_odd_object_input_returns_or_is_a_config_error(entry, value):
+    # the object twin of the scalar test: an object of the wrong type, or a
+    # value that is no object at all, returns or raises ConfigError
+    try:
+        OBJECT_ARGUMENTS[entry](value)
     except ConfigError:
         pass
 

@@ -472,6 +472,27 @@ class TestBatchAxes:
             stepper.advance(states, BLOCK, 2 * BLOCK)
 
 
+    @pytest.mark.parametrize("step", [0, BLOCK + 5])
+    @pytest.mark.parametrize("dim", [1, 2])
+    @pytest.mark.parametrize("kind", ["drift", "diffusion"])
+    def test_one_path_row_that_is_no_number_is_a_value_error(self, kind, dim, step):
+        # a row of one path is used as a number: a (1,)-shaped one, from node
+        # 0 or from a step of the second block on, must fail the checked
+        # replay with the model's row-shape message, not with numpy's from a
+        # record write that names neither the model nor the callable
+        cfg = SolverConfig(alpha=0.9, grid=make_grid(BLOCK * 3 / 256, 1 / 256),
+                           stochastic=True)
+        t_bad = cfg.grid.nodes()[step]
+        rhs = {"drift": lambda t, y: [-x for x in y],
+               "diffusion": lambda t, y: [0.1 * x for x in y]}
+        ok = rhs[kind]
+        rhs[kind] = lambda t, y: [np.array([x]) if t >= t_bad else x for x in ok(t, y)]
+        model = SystemModel("lin", dim, rhs["drift"], rhs["diffusion"], [1.0] * dim)
+        message = re.escape(f"lin {kind} returned a row of shape (1,) for state rows ()")
+        with pytest.raises(ValueError, match=message):
+            solve(model, cfg, generate_path(SeedSpec(13), cfg.grid, dim))
+
+
 class TestFarField:
     """Every step's predictor and corrector sums equal the direct full-memory
     sums hist[..., :n+1] @ w to 1e-12 relative to sum |w| |g|, on a recorded
@@ -520,7 +541,7 @@ class TestFarField:
             stepper.hist[..., n] = g[..., n]
             if n and not n % BLOCK:  # a block start, as in solve_batch
                 stepper._far_field(n)
-            sums = stepper.sums(n)
+            sums = np.reshape(stepper.sums(n), (2,) + g.shape[:-1])  # rows as (blocks, d)
             weights = (predictor_weights(n, alpha, h),
                        corrector_weights(n, alpha, weight_mode)[:n + 1])
             for got, w in zip(sums, weights):
