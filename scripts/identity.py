@@ -65,7 +65,7 @@ RUNS = {
                         "--T", "1", "--mu", "0", "--levels", "4"],
     "readme_weights": ["weights", "-n", "2", "--alpha", "1.0", "--h", "0.01"],
     # more outputs: a CSV ensemble, a drift-coupled JSON ensemble, a stochastic
-    # converge, both comparison modes past one block, a long weight table
+    # converge, both comparison modes past one block, long weight tables
     "ensemble_csv": ["ensemble", "--system", "newton_leipnik", "--alpha", "0.93", "--h", "0.02",
                      "--T", "0.5", "--mu", "0.1", "--paths", "12", "--seed", "5"],
     "ensemble_lam1_json": ["ensemble", *LINEAR, "--lam", "1", "--sigma0", "0.5", "--alpha", "0.8",
@@ -78,6 +78,15 @@ RUNS = {
                                "--h", "0.01", "--T", "3", "--seed", "4",
                                "--noise-history", "last_increment", "--weight-mode", "literal"],
     "weights_300": ["weights", "-n", "300", "--alpha", "0.7", "--h", "0.01"],
+    "weights_literal": ["weights", "-n", "300", "--alpha", "0.7", "--h", "0.01",
+                        "--mode", "literal"],
+    # the strong-order runs of the README's attractor recipes
+    "readme_order_linear": ["converge", *LINEAR, "--lam", "1", "--sigma0", "0.5",
+                            "--alpha", "0.8", "--h", "0.03125", "--T", "1", "--levels", "5",
+                            "--seed", "7"],
+    "readme_order_nl": ["converge", "--system", "newton_leipnik", "--mu", "0.1",
+                        "--alpha", "0.93", "--h", "0.03125", "--T", "1", "--levels", "5",
+                        "--seed", "7"],
     # divergences (exit 3) and a failed diagnostic (exit 4)
     "lorenz_ensemble_path1": ["ensemble", "--system", "lorenz", "--alpha", "0.9", "--h", "0.005",
                               "--T", "5", "--mu", "2", "--paths", "8", "--seed", "1"],

@@ -162,6 +162,17 @@ def levels_rule(levels: int, grid: TimeGrid | None) -> list:
             or checks.grid_rule(grid.T, math.ldexp(grid.h, 1 - operator.index(levels))))
 
 
+def _reference_states(reference, grid: TimeGrid, dim: int) -> np.ndarray:
+    """The (dim, num_nodes) values of reference at the nodes of grid; a value
+    that is not dim finite real numbers is a ConfigError naming its t."""
+    values = []
+    for t in grid.nodes():
+        value = reference(t)
+        checks.require(checks.array_rule(f"reference(t) at t={float(t)!r}", value, (dim,)))
+        values.append(np.asarray(value, dtype=float))
+    return np.stack(values, axis=1)
+
+
 def convergence_order(model: SystemModel, cfg: SolverConfig, levels: int,
                       master_seed: int | None = None, reference=None) -> ConvergenceReport:
     """Empirical convergence rate of cfg's run over ``levels`` dyadic grids.
@@ -169,8 +180,9 @@ def convergence_order(model: SystemModel, cfg: SolverConfig, levels: int,
     Level i runs cfg on the grid of cfg.grid.T with step cfg.grid.h / 2**i;
     :func:`levels_rule` is checked before any solve.  With a ``reference``
     callable (t -> exact state) errors are measured against it on every
-    grid; otherwise the finest run is the reference and errors are measured
-    for the coarser grids at their (nested) nodes.  A stochastic cfg needs
+    grid, and each of its values must be dim finite real numbers, also
+    checked before any solve; otherwise the finest run is the reference and
+    errors are measured for the coarser grids at their (nested) nodes.  A stochastic cfg needs
     ``master_seed``: one fine path, path 0 of that seed, is drawn and
     restricted to each coarse grid by sub-sampling its W at the coarse nodes
     (:func:`restrict_path`), so the measurement sees discretization error,
@@ -187,6 +199,8 @@ def convergence_order(model: SystemModel, cfg: SolverConfig, levels: int,
                    if cfg.stochastic and master_seed is None else [])
 
     grids = [make_grid(T, math.ldexp(h, -i)) for i in range(levels)]
+    if reference is not None:
+        targets = [_reference_states(reference, grid, model.dim) for grid in grids]
     fine_path = None
     if cfg.stochastic:
         fine_path = generate_path(SeedSpec(master_seed, 0, 0), grids[-1], model.noise_dim)
@@ -198,9 +212,6 @@ def convergence_order(model: SystemModel, cfg: SolverConfig, levels: int,
         # the finest run is the reference at the nodes each coarser grid shares
         fine, fine_steps = runs.pop(), grids.pop().num_steps
         targets = [fine[:, ::fine_steps // grid.num_steps] for grid in grids]
-    else:
-        targets = [np.stack([np.asarray(reference(t), dtype=float) for t in grid.nodes()],
-                            axis=1) for grid in grids]
     errors = np.array([float(np.max(np.abs(run - target)))
                        for run, target in zip(runs, targets)])
     h = np.array([grid.h for grid in grids])

@@ -27,7 +27,7 @@ import numpy as np
 from . import checks
 from .analysis import path_rows
 from .solver import BLOWUP, DivergenceError, _LagKernel, _lag_sums
-from .stochastic import TimeGrid, WienerPath
+from .stochastic import TimeGrid, WienerPath, path_rule
 from .systems import SystemModel
 from .table import write_table
 
@@ -142,13 +142,9 @@ def picard_iterate(model: SystemModel, alpha: float, grid: TimeGrid,
     """
     checks.require(checks.type_rule("model", model, SystemModel)
                    + checks.alpha_rule(alpha, "Picard sweeps")
-                   + checks.type_rule("grid", grid, TimeGrid) + checks.integer_rule(1, K=K)
-                   + ([] if path is None else checks.type_rule("path", path, WienerPath)))
+                   + checks.type_rule("grid", grid, TimeGrid) + checks.integer_rule(1, K=K))
     if path is not None:
-        checks.require(([] if path.grid == grid else ["path grid does not match iteration grid"])
-                       + ([] if path.num_channels == model.noise_dim else
-                          [f"path has {path.num_channels} channels, model needs "
-                           f"{model.noise_dim}"]))
+        checks.require(path_rule(path, grid, model.noise_dim))
     dW = None if path is None else path.increments
     return PicardSequence(grid=grid, states=np.stack(list(_iterates(model, alpha, grid, dW, K))))
 

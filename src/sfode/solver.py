@@ -49,7 +49,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import checks
-from .stochastic import TimeGrid, WienerPath
+from .stochastic import TimeGrid, WienerPath, path_rule
 from .systems import SystemModel
 from .table import write_table
 from .weights import WeightMode, WeightTable
@@ -449,10 +449,11 @@ def solve_batch(model: SystemModel, cfg: SolverConfig, dW: np.ndarray | None) ->
     """Node states, batch + (d, num_nodes), of the paths of dW, each equal to
     :func:`solve` bit for bit.
 
-    dW holds the Wiener increments shaped batch + (noise_dim, num_steps),
-    path i in dW[i] (batch () is one path), so np.stack of the paths'
-    increments builds it.  A stochastic cfg requires dW; a deterministic one
-    uses only its batch shape, and None means one path.
+    dW holds the Wiener increments, finite real numbers shaped batch +
+    (noise_dim, num_steps), path i in dW[i] (batch () is one path), so
+    np.stack of the paths' increments builds it.  A stochastic cfg requires
+    dW; a deterministic one uses only its batch shape, and None means one
+    path.
 
     Each block of BLOCK steps is one pass of this loop: its far field is
     added once (a square of the recorded nodes before it), then it runs
@@ -472,6 +473,8 @@ def solve_batch(model: SystemModel, cfg: SolverConfig, dW: np.ndarray | None) ->
         shape = dW.shape if isinstance(dW, np.ndarray) else type(dW).__name__
         checks.require([f"dW is shaped {shape}, needs a numpy array shaped "
                         f"batch + (noise_dim, num_steps) = batch + {needs}"])
+    else:  # one vectorized pass, before any step
+        checks.require(checks.array_rule("dW", dW))
     stepper = _Stepper(model, cfg, dW)
     states = np.empty(stepper.y0.shape + (grid.num_nodes,))
     states[..., 0] = stepper.y0
@@ -497,22 +500,20 @@ def solve(model: SystemModel, cfg: SolverConfig,
           path: WienerPath | None = None) -> Trajectory:
     """Integrate the system over cfg.grid and return the full trajectory.
 
-    Deterministic given (model, cfg, path).  In deterministic mode
-    (cfg.stochastic False) a supplied path is ignored, so the output cannot
-    depend on it.  Raises :class:`DivergenceError` when a state component
+    Deterministic given (model, cfg, path).  A path must fit the run
+    (:func:`~sfode.stochastic.path_rule`); in deterministic mode
+    (cfg.stochastic False) its increments are ignored, so the output cannot
+    depend on them.  Raises :class:`DivergenceError` when a state component
     exceeds BLOWUP or turns non-finite, rather than emitting NaN rows: the
     error, with its step, time and message, is the one a check at every
     step would raise.
     """
     checks.require(checks.type_rule("model", model, SystemModel)
-                   + checks.type_rule("cfg", cfg, SolverConfig)
-                   + ([] if path is None else checks.type_rule("path", path, WienerPath)))
-    grid = cfg.grid
-    dW = None
-    if cfg.stochastic and path is not None:
-        checks.require([] if path.grid == grid else ["path grid does not match solver grid"])
-        dW = path.increments
-    return Trajectory(grid=grid, states=solve_batch(model, cfg, dW))
+                   + checks.type_rule("cfg", cfg, SolverConfig))
+    if path is not None:
+        checks.require(path_rule(path, cfg.grid, model.noise_dim))
+    dW = path.increments if cfg.stochastic and path is not None else None
+    return Trajectory(grid=cfg.grid, states=solve_batch(model, cfg, dW))
 
 
 def write_trajectory_csv(traj: Trajectory, stream, metadata: dict | None = None) -> None:

@@ -34,6 +34,7 @@ __all__ = [
     "make_grid",
     "generate_path",
     "increment_batches",
+    "path_rule",
     "restrict_path",
 ]
 
@@ -44,10 +45,11 @@ BATCH_BYTES = 8 * 2**20
 
 @dataclass(frozen=True)
 class TimeGrid:
-    """Nodes 0 = t_0 < t_1 < ... < t_{N+1} = T with uniform spacing h.
+    """Nodes 0 = t_0 < t_1 < ... < t_N = T with uniform spacing h.
 
-    ``num_steps``, the number of increments N+1, is derived as round(T/h)
-    once T and h pass the grid rule, so there are ``num_steps + 1`` nodes.
+    ``num_steps``, the number N of steps (increments), is derived as
+    round(T/h) once T and h pass the grid rule, so there are
+    ``num_steps + 1`` nodes.
     """
 
     T: float
@@ -125,6 +127,20 @@ class WienerPath:
     @property
     def num_channels(self) -> int:
         return self.cumulative.shape[0]
+
+
+def path_rule(path, grid: TimeGrid, num_channels: int) -> list:
+    """path is a WienerPath on grid with num_channels channels: the one check
+    of a path against the run it drives, for :func:`sfode.solver.solve` and
+    :func:`sfode.picard.picard_iterate` alike."""
+    if problems := checks.type_rule("path", path, WienerPath):
+        return problems
+    if path.grid != grid:
+        problems.append(f"path grid T={path.grid.T!r}, h={path.grid.h!r} does not match "
+                        f"the run grid T={grid.T!r}, h={grid.h!r}")
+    if path.num_channels != num_channels:
+        problems.append(f"path has {path.num_channels} channels, model needs {num_channels}")
+    return problems
 
 
 # The constants of numpy's SeedSequence hash (numpy/random/bit_generator.pyx).

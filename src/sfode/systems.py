@@ -265,6 +265,26 @@ def lorenz_matrices(params: dict):
     return A, B
 
 
+#: The systems that have a matrix form and a growth bound: the dimension and
+#: the params those diagnostics read.
+_DIAGNOSED = {"newton_leipnik": (3, ("beta", "rho", "mu")), "lorenz": (3, ("a", "b", "c", "mu"))}
+
+
+def _diagnosed_rule(model: SystemModel, what: str) -> list:
+    """model has what, the matrix form or the growth bound: it is a built-in
+    system with that system's dim and finite params, so that a model that
+    only carries the name is a message, not a KeyError."""
+    spec = _DIAGNOSED.get(model.name) if isinstance(model.name, str) else None
+    if spec is None:
+        return [f"no {what} for system {model.name!r}"]
+    dim, keys = spec
+    params = model.params if isinstance(model.params, dict) else {}
+    if model.dim == dim and not checks.finite_rule(**{k: params.get(k) for k in keys}):
+        return []
+    return [f"no {what} for system {model.name!r} of dim {model.dim} with params "
+            f"{params!r}; it needs dim {dim} and finite params {', '.join(keys)}"]
+
+
 def matrix_form_check(model: SystemModel, y) -> float:
     """Max-norm gap between the componentwise drift and its matrix form.
 
@@ -274,8 +294,7 @@ def matrix_form_check(model: SystemModel, y) -> float:
     so large that the drift overflows has an infinite or NaN gap.
     """
     checks.require(checks.type_rule("model", model, SystemModel))
-    checks.require(([] if model.name in ("newton_leipnik", "lorenz")
-                    else [f"no matrix decomposition for system {model.name!r}"])
+    checks.require(_diagnosed_rule(model, "matrix decomposition")
                    or checks.array_rule("y", y, (model.dim,)))
     y = np.asarray(y, dtype=float)
     with np.errstate(over="ignore", invalid="ignore"):
@@ -299,8 +318,7 @@ def lipschitz_bound(model: SystemModel, delta: float) -> float:
     checks.require(checks.type_rule("model", model, SystemModel))
     checks.require((checks.finite_rule(delta=delta)
                     or ([] if delta >= 0 else [f"delta must be >= 0, got {delta}"]))
-                   + ([] if model.name in ("newton_leipnik", "lorenz")
-                      else [f"no growth bound for system {model.name!r}"]))
+                   + _diagnosed_rule(model, "growth bound"))
     mu = model.params["mu"]
     x0_sq = float(np.sum(np.asarray(model.y0, dtype=float) ** 2))
     if model.name == "newton_leipnik":

@@ -461,16 +461,21 @@ BAD_INPUTS = {
     "convergence_order without a seed": (
         lambda: convergence_order(linear_test(sigma0=1.0), STOCHASTIC, 3),
         "stochastic convergence measurement needs a master_seed"),
+    # one check of a path against the run, in one wording, for both entry points
     "solve on another grid": (
         lambda: solve(linear_test(), STOCHASTIC, generate_path(SeedSpec(1), make_grid(1.0, 0.5))),
-        "path grid does not match solver grid"),
+        "path grid T=1.0, h=0.5 does not match the run grid T=1.0, h=0.25"),
     "solve on too many channels": (
         lambda: solve(linear_test(), STOCHASTIC, generate_path(SeedSpec(1), GRID, 2)),
-        "dW is shaped (2, 4), needs"),
+        "path has 2 channels, model needs 1"),
+    "deterministic solve on another grid": (
+        lambda: solve(linear_test(), SolverConfig(0.8, GRID),
+                      generate_path(SeedSpec(1), make_grid(1.0, 0.5))),
+        "path grid T=1.0, h=0.5 does not match the run grid T=1.0, h=0.25"),
     "picard_iterate on another grid": (
         lambda: picard_iterate(linear_test(), 0.8, GRID,
                                generate_path(SeedSpec(1), make_grid(1.0, 0.5)), 2),
-        "path grid does not match iteration grid"),
+        "path grid T=1.0, h=0.5 does not match the run grid T=1.0, h=0.25"),
     "picard_iterate on too many channels": (
         lambda: picard_iterate(linear_test(), 0.8, GRID, generate_path(SeedSpec(1), GRID, 2), 2),
         "path has 2 channels, model needs 1"),
@@ -480,6 +485,19 @@ BAD_INPUTS = {
     "solve_batch on a mis-shaped dW": (
         lambda: solve_batch(linear_test(), STOCHASTIC, np.zeros((3, 1, 5))),
         "dW is shaped (3, 1, 5), needs"),
+    # increments of another dtype, or not finite: the values, once per call
+    "solve_batch on a complex dW": (
+        lambda: solve_batch(linear_test(sigma0=1.0), STOCHASTIC, np.full((1, 4), 1j)),
+        "dW must be real numbers; got array([[0.+1.j"),
+    "solve_batch on a string dW": (
+        lambda: solve_batch(linear_test(sigma0=1.0), STOCHASTIC, np.full((1, 4), "a")),
+        "dW must be real numbers; got array([['a'"),
+    "solve_batch on a dW of None": (
+        lambda: solve_batch(linear_test(sigma0=1.0), STOCHASTIC, np.full((1, 4), None)),
+        "dW must be real numbers; got array([[None"),
+    "solve_batch on a NaN increment": (
+        lambda: solve_batch(linear_test(sigma0=1.0), STOCHASTIC, np.array([[0.0, math.nan, 0, 0]])),
+        "dW must be finite; got array([["),
     "SolverConfig without a grid": (lambda: SolverConfig(0.8, None),
                                     "grid must be a TimeGrid; got None"),
     "make_grid without a horizon": (lambda: make_grid(None, 0.25),
@@ -518,6 +536,26 @@ BAD_INPUTS = {
                                            "no growth bound for system 'linear_test'"),
     "matrix_form_check of the linear test": (lambda: matrix_form_check(linear_test(), [1.0]),
                                              "no matrix decomposition for system 'linear_test'"),
+    # a model that carries a built-in name but not that system's dim and params
+    "lipschitz_bound of a custom model named lorenz": (
+        lambda: lipschitz_bound(SystemModel("lorenz", 3, rows, rows, [0.1] * 3), 1.0),
+        "no growth bound for system 'lorenz' of dim 3 with params {}; "
+        "it needs dim 3 and finite params a, b, c, mu"),
+    "lipschitz_bound of a 1-D model named newton_leipnik": (
+        lambda: lipschitz_bound(SystemModel("newton_leipnik", 1, rows, rows, [0.1],
+                                            {"mu": 0.1}), 1.0),
+        "no growth bound for system 'newton_leipnik' of dim 1 with params {'mu': 0.1}; "
+        "it needs dim 3 and finite params beta, rho, mu"),
+    "matrix_form_check of a custom model named lorenz": (
+        lambda: matrix_form_check(SystemModel("lorenz", 3, rows, rows, [0.1] * 3), [1.0] * 3),
+        "no matrix decomposition for system 'lorenz' of dim 3 with params {}"),
+    "matrix_form_check of a 1-D model named newton_leipnik": (
+        lambda: matrix_form_check(SystemModel("newton_leipnik", 1, rows, rows, [0.1]), [1.0]),
+        "no matrix decomposition for system 'newton_leipnik' of dim 1 with params {}"),
+    "lipschitz_bound of a model named lorenz with a string mu": (
+        lambda: lipschitz_bound(SystemModel("lorenz", 3, rows, rows, [0.1] * 3,
+                                            dict(lorenz().params, mu="a")), 1.0),
+        "no growth bound for system 'lorenz' of dim 3 with params {'a': 10.0,"),
     "WienerPath on another grid": (lambda: stochastic.WienerPath(GRID, np.zeros((1, 4))),
                                    "cumulative shape does not match grid"),
     "WienerPath from W(0) != 0": (lambda: stochastic.WienerPath(GRID, np.ones((1, 5))),
@@ -661,6 +699,19 @@ BAD_INPUTS = {
     "convergence_order on a number for the reference": (
         lambda: convergence_order(linear_test(), SolverConfig(0.8, GRID), 3, reference=5),
         "reference must be callable; got 5"),
+    # each reference value is dim finite real numbers, checked before any solve
+    "convergence_order on a reference of two components": (
+        lambda: convergence_order(linear_test(), SolverConfig(0.8, GRID), 3,
+                                  reference=lambda t: [1.0, 2.0]),
+        "reference(t) at t=0.0 must have shape (1,), got (2,)"),
+    "convergence_order on a NaN reference": (
+        lambda: convergence_order(linear_test(), SolverConfig(0.8, GRID), 3,
+                                  reference=lambda t: [math.nan if t > 0.5 else 1.0]),
+        "reference(t) at t=0.75 must be finite; got [nan]"),
+    "convergence_order on a string reference": (
+        lambda: convergence_order(linear_test(), SolverConfig(0.8, GRID), 3,
+                                  reference=lambda t: "a"),
+        "reference(t) at t=0.0 must be real numbers; got 'a'"),
 }
 
 
@@ -774,6 +825,7 @@ OBJECT_ARGUMENTS = {
     "solve(path)": lambda v: solve(linear_test(sigma0=1.0), STOCHASTIC, v),
     "solve_batch(model)": lambda v: solve_batch(v, STOCHASTIC, PATH.increments),
     "solve_batch(cfg)": lambda v: solve_batch(linear_test(), v, PATH.increments),
+    "solve_batch(dW)": lambda v: solve_batch(linear_test(sigma0=1.0), STOCHASTIC, v),
     "SolverConfig(grid)": lambda v: SolverConfig(0.8, v),
     "SolverConfig(stochastic)": lambda v: SolverConfig(0.8, GRID, stochastic=v),
     "SystemModel(drift)": lambda v: SystemModel("m", 1, v, rows, [0.0]),
@@ -792,6 +844,8 @@ OBJECT_ARGUMENTS = {
     "convergence_order(cfg)": lambda v: convergence_order(linear_test(), v, 3, 1),
     "convergence_order(reference)": lambda v: convergence_order(
         linear_test(), SolverConfig(0.8, GRID), 3, reference=v),
+    "convergence_order(reference value)": lambda v: convergence_order(
+        linear_test(), SolverConfig(0.8, GRID), 3, reference=lambda t: v),
     "levels_rule(levels)": lambda v: checks.require(levels_rule(v, GRID)),
     "levels_rule(grid)": lambda v: checks.require(levels_rule(3, v)),
     "picard_iterate(model)": lambda v: picard_iterate(v, 0.8, GRID, None, 2),
