@@ -11,6 +11,7 @@ statistic is bit-reproducible and independent of the batch size.
 
 import math
 import operator
+from collections.abc import Iterable
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -34,6 +35,8 @@ __all__ = [
 ]
 
 
+@checks.ruled(grid=TimeGrid, **dict.fromkeys(("mean", "variance", "l2sq"), np.ndarray),
+              num_paths=checks.count_rule(1))
 @dataclass
 class EnsembleStats:
     """Per-node moments across M paths on one shared grid.
@@ -69,19 +72,32 @@ def path_rows(master_seed: int, M: int, grid: TimeGrid, channels: int, run):
         yield from rows
 
 
+@checks.ruled(grid=TimeGrid, states_seq=Iterable)
 def accumulate_stats(grid: TimeGrid, states_seq) -> EnsembleStats:
     """Reduce an ordered sequence of state arrays to ensemble statistics.
 
     Welford accumulation in sequence order: deterministic, single-pass, and
     the second-moment accumulator is non-negative term by term, so variance
-    can never round below zero.
+    can never round below zero.  Each item must be real numbers of the
+    first item's shape with the grid's nodes last; the values are not
+    scanned, as the solvers have checked them.
     """
-    checks.require(checks.type_rule("grid", grid, TimeGrid))
     mean = None
     m2 = None
     l2 = None
     count = 0
     for states in states_seq:
+        try:
+            states = np.asarray(states)
+        except ValueError:  # a ragged nesting
+            states = np.asarray(None)
+        if mean is None:
+            shape = states.shape
+        checks.require([] if states.dtype.kind in "biuf" and states.shape == shape
+                        and shape[-1:] == (grid.num_nodes,) else
+                        [f"states_seq item {count} must be real numbers shaped as the first "
+                         f"item, with {grid.num_nodes} nodes on the last axis; got shape "
+                         f"{states.shape} of dtype {states.dtype}"])
         count += 1
         if mean is None:
             mean = np.array(states, dtype=float)
@@ -102,6 +118,8 @@ def accumulate_stats(grid: TimeGrid, states_seq) -> EnsembleStats:
     )
 
 
+@checks.ruled(model=SystemModel, cfg=SolverConfig, M=checks.count_rule(1),
+              workers=checks.count_rule(0), master_seed=checks.seed_rule)
 def ensemble_run(model: SystemModel, cfg: SolverConfig, master_seed: int, M: int,
                  workers: int = 1) -> EnsembleStats:
     """Solve M independent paths and reduce them to EnsembleStats.
@@ -111,13 +129,12 @@ def ensemble_run(model: SystemModel, cfg: SolverConfig, master_seed: int, M: int
     one batch and the results are the same for any batch size.  ``workers``
     (>= 0) is accepted for compatibility and has no effect.
     """
-    checks.require(checks.type_rule("model", model, SystemModel)
-                   + checks.type_rule("cfg", cfg, SolverConfig)
-                   + checks.integer_rule(1, M=M) + checks.integer_rule(0, workers=workers))
     return accumulate_stats(cfg.grid, path_rows(master_seed, M, cfg.grid, model.noise_dim,
                                                 lambda dW: solve_batch(model, cfg, dW)))
 
 
+@checks.ruled(alpha=checks.alpha_rule("noise integrals"), M=checks.count_rule(1000),
+              grid=TimeGrid, master_seed=checks.seed_rule)
 def ito_isometry_check(alpha: float, grid: TimeGrid, M: int,
                        master_seed: int = 0) -> float:
     """Empirical check of E|int v dW|**2 = int E|v|**2 ds for the scheme's
@@ -130,8 +147,6 @@ def ito_isometry_check(alpha: float, grid: TimeGrid, M: int,
     as it would alone, and are added in path-index order, so the value does
     not depend on the batch size.
     """
-    checks.require(checks.alpha_rule(alpha, "noise integrals") + checks.integer_rule(1000, M=M)
-                   + checks.type_rule("grid", grid, TimeGrid))
     T = grid.T
     t = grid.nodes()[:-1]
     v = (T - t)**(alpha - 1.0)
@@ -140,6 +155,7 @@ def ito_isometry_check(alpha: float, grid: TimeGrid, M: int,
     return abs(mc - exact) / exact
 
 
+@checks.ruled(h=np.ndarray, errors=np.ndarray, order=checks.real_rule, degenerate=checks.bool_rule)
 @dataclass
 class ConvergenceReport:
     h: np.ndarray        # step sizes, coarse to fine, that carry an error
@@ -152,13 +168,13 @@ def levels_rule(levels: int, grid: TimeGrid | None) -> list:
     """An integer count of at least 3 levels, and a TimeGrid whose finest
     level, of step grid.h / 2**(levels - 1), passes the grid rule; a None
     grid (one that fails its own rule) skips the latter."""
-    if problems := checks.integer_rule(levels=levels):
+    if problems := checks.count_rule()("levels", levels):
         return problems
     if levels < 3:
         return [f"need at least 3 grid levels; got {max(levels, 0)}"]
     if grid is None:
         return []
-    return (checks.type_rule("grid", grid, TimeGrid)
+    return (checks.type_rule(TimeGrid)("grid", grid)
             or checks.grid_rule(grid.T, math.ldexp(grid.h, 1 - operator.index(levels))))
 
 
@@ -173,6 +189,9 @@ def _reference_states(reference, grid: TimeGrid, dim: int) -> np.ndarray:
     return np.stack(values, axis=1)
 
 
+@checks.ruled(model=SystemModel, cfg=SolverConfig,
+              reference=checks.optional_rule(checks.callable_rule), levels=checks.count_rule(),
+              master_seed=checks.optional_rule(checks.seed_rule))
 def convergence_order(model: SystemModel, cfg: SolverConfig, levels: int,
                       master_seed: int | None = None, reference=None) -> ConvergenceReport:
     """Empirical convergence rate of cfg's run over ``levels`` dyadic grids.
@@ -190,9 +209,6 @@ def convergence_order(model: SystemModel, cfg: SolverConfig, levels: int,
     increment is then a difference of two fine W values, which equals the
     sum of the fine increments it spans only up to rounding.
     """
-    checks.require(checks.type_rule("model", model, SystemModel)
-                   + checks.type_rule("cfg", cfg, SolverConfig)
-                   + ([] if reference is None else checks.callable_rule(reference=reference)))
     checks.require(levels_rule(levels, cfg.grid))
     T, h = cfg.grid.T, cfg.grid.h
     checks.require(["stochastic convergence measurement needs a master_seed"]
@@ -220,9 +236,9 @@ def convergence_order(model: SystemModel, cfg: SolverConfig, levels: int,
     return ConvergenceReport(h=h, errors=errors, order=order, degenerate=degenerate)
 
 
+@checks.ruled(stats=EnsembleStats, stream=checks.stream_rule, metadata=checks.optional_rule(dict))
 def write_stats_csv(stats: EnsembleStats, stream, metadata: dict | None = None) -> None:
     """Rows t, mean_1..d, var_1..d, l2sq in the shared table format."""
-    checks.require(checks.type_rule("stats", stats, EnsembleStats))
     d = stats.mean.shape[0]
     header = (["t"] + [f"mean_{i + 1}" for i in range(d)]
               + [f"var_{i + 1}" for i in range(d)] + ["l2sq"])

@@ -48,6 +48,11 @@ _SYSTEMS = ("newton_leipnik", "lorenz", "linear_test")
 _MODEL_KEYS = ("mu", "beta", "rho", "a", "b", "c", "lam", "sigma0")
 
 
+@checks.ruled(system=checks.choice_rule(_SYSTEMS), alpha=checks.alpha_rule(),
+              **dict.fromkeys(("h", "T", *_MODEL_KEYS), checks.finite_rule), seed=checks.seed_rule,
+              paths=checks.count_rule(1), workers=checks.count_rule(0),
+              noise_history=checks.choice_rule(NoiseHistory),
+              weight_mode=checks.choice_rule(WeightMode))
 @dataclass
 class RunConfig:
     system: str = "newton_leipnik"
@@ -75,22 +80,17 @@ class RunConfig:
 
 
 def _validate(cfg: RunConfig, rule=None) -> None:
-    """Check the run keys and the command's own rule(cfg, grid), grid None
-    when T and h fail the grid rule, and report each distinct violation once."""
-    problems = checks.choice_rule("system", cfg.system, _SYSTEMS)
-    problems += checks.alpha_rule(
-        cfg.alpha, "stochastic runs (nonzero noise)" if cfg.stochastic() else None
-    )
+    """Check the run keys by their declared rules in field order, each rule
+    across keys right after the key it is listed under, then the command's
+    own rule(cfg, grid), grid None when T and h fail the grid rule, and
+    report each distinct violation once."""
     grid_problems = checks.grid_rule(cfg.T, cfg.h)
-    problems += grid_problems
-    problems += checks.finite_rule(**{k: getattr(cfg, k) for k in _MODEL_KEYS})
-    if cfg.system == "newton_leipnik":
-        problems += checks.positive_rule(beta=cfg.beta)
-    problems += checks.seed_rule(cfg.seed)
-    problems += checks.integer_rule(1, paths=cfg.paths)
-    problems += checks.integer_rule(0, workers=cfg.workers)
-    problems += checks.choice_rule("noise_history", cfg.noise_history, NoiseHistory)
-    problems += checks.choice_rule("weight_mode", cfg.weight_mode, WeightMode)
+    over_half = "stochastic runs (nonzero noise)" if cfg.stochastic() else None
+    across = {"alpha": checks.alpha_rule(over_half)("alpha", cfg.alpha), "T": grid_problems,
+              "sigma0": checks.positive_rule("beta", cfg.beta)
+              if cfg.system == "newton_leipnik" else []}
+    problems = [message for name, key_rule in RunConfig.__rules__.items()
+                for message in key_rule(name, getattr(cfg, name)) + across.get(name, [])]
     if rule is not None:
         problems += rule(cfg, None if grid_problems else make_grid(cfg.T, cfg.h))
     checks.require(list(dict.fromkeys(problems)))

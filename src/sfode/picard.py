@@ -41,6 +41,7 @@ __all__ = [
 ]
 
 
+@checks.ruled(grid=TimeGrid, states=np.ndarray)
 @dataclass
 class PicardSequence:
     """Iterates y_0..y_K on one shared grid and one shared Wiener path:
@@ -134,21 +135,21 @@ def _iterates(model: SystemModel, alpha: float, grid: TimeGrid, dW: np.ndarray |
         yield states
 
 
+@checks.ruled(model=SystemModel, alpha=checks.alpha_rule("Picard sweeps"), grid=TimeGrid,
+              K=checks.count_rule(1), path=checks.optional_rule(WienerPath))
 def picard_iterate(model: SystemModel, alpha: float, grid: TimeGrid,
                    path: WienerPath | None, K: int) -> PicardSequence:
     """Run K Picard sweeps on one path; iterate 0 is the constant initial state.
 
     A None path switches the noise convolution off (deterministic check).
     """
-    checks.require(checks.type_rule("model", model, SystemModel)
-                   + checks.alpha_rule(alpha, "Picard sweeps")
-                   + checks.type_rule("grid", grid, TimeGrid) + checks.integer_rule(1, K=K))
     if path is not None:
         checks.require(path_rule(path, grid, model.noise_dim))
     dW = None if path is None else path.increments
     return PicardSequence(grid=grid, states=np.stack(list(_iterates(model, alpha, grid, dW, K))))
 
 
+@checks.ruled(distances=np.ndarray, converged=checks.bool_rule, max_terminal_l2=checks.real_rule)
 @dataclass
 class CauchyReport:
     """Mean-square gaps d_k = E|y_{k+1}(T) - y_k(T)|**2 for k = 1..K-1."""
@@ -170,10 +171,10 @@ def diagnostic_rule(alpha: float, M: int, K: int, grid: TimeGrid | None) -> list
     A None grid (one that fails its own rule), or one that is no TimeGrid,
     skips K <= N.
     """
-    problems = checks.alpha_rule(alpha, "Picard sweeps")
+    problems = checks.alpha_rule("Picard sweeps")("alpha", alpha)
     if grid is not None:
-        problems += checks.type_rule("grid", grid, TimeGrid)
-    if counts := checks.integer_rule(paths=M, iterations=K):
+        problems += checks.type_rule(TimeGrid)("grid", grid)
+    if counts := checks.count_rule()("paths", M) + checks.count_rule()("iterations", K):
         return problems + counts
     if M < 100:
         problems.append(f"the Picard diagnostic needs paths >= 100; got {M}")
@@ -185,6 +186,10 @@ def diagnostic_rule(alpha: float, M: int, K: int, grid: TimeGrid | None) -> list
     return problems
 
 
+# alpha's domain, like the bounds of M and K, is diagnostic_rule's, so that
+# its report lists them together, as the command line's does
+@checks.ruled(model=SystemModel, grid=TimeGrid, sup_mode=checks.bool_rule, alpha=checks.real_rule,
+              master_seed=checks.seed_rule, M=checks.count_rule(), K=checks.count_rule())
 def cauchy_diagnostic(model: SystemModel, alpha: float, grid: TimeGrid,
                       master_seed: int, M: int, K: int,
                       sup_mode: bool = False) -> CauchyReport:
@@ -198,9 +203,6 @@ def cauchy_diagnostic(model: SystemModel, alpha: float, grid: TimeGrid,
     gaps are measured at the terminal node (the cheap proxy); sup_mode
     maximizes them over the grid.
     """
-    checks.require(checks.type_rule("model", model, SystemModel)
-                   + checks.type_rule("grid", grid, TimeGrid)
-                   + checks.bool_rule(sup_mode=sup_mode))
     checks.require(diagnostic_rule(alpha, M, K, grid))
 
     def rows(dW):
@@ -222,8 +224,8 @@ def cauchy_diagnostic(model: SystemModel, alpha: float, grid: TimeGrid,
     )
 
 
+@checks.ruled(report=CauchyReport, stream=checks.stream_rule, metadata=checks.optional_rule(dict))
 def write_distance_csv(report: CauchyReport, stream, metadata: dict | None = None) -> None:
     """Distance table: one row (k, d_k) per measured gap."""
-    checks.require(checks.type_rule("report", report, CauchyReport))
     ks = range(1, len(report.distances) + 1)
     write_table(stream, metadata or {}, ["k", "d_k"], [ks, report.distances])

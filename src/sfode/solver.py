@@ -94,6 +94,9 @@ class DivergenceError(RuntimeError):
         self.path_index = path_index
 
 
+@checks.ruled(stochastic=checks.bool_rule, alpha=checks.alpha_rule(), grid=TimeGrid,
+              noise_history=checks.choice_rule(NoiseHistory),
+              weight_mode=checks.choice_rule(WeightMode))
 @dataclass(frozen=True)
 class SolverConfig:
     """Run parameters for one solve.
@@ -109,17 +112,15 @@ class SolverConfig:
     weight_mode: WeightMode = WeightMode.STANDARD
 
     def __post_init__(self):
-        problems = checks.bool_rule(stochastic=self.stochastic)  # before its truth value
-        over_half = None if problems or not self.stochastic else "stochastic runs (nonzero noise)"
-        checks.require(problems + checks.alpha_rule(self.alpha, over_half)
-                       + checks.type_rule("grid", self.grid, TimeGrid)
-                       + checks.choice_rule("noise_history", self.noise_history, NoiseHistory)
-                       + checks.choice_rule("weight_mode", self.weight_mode, WeightMode))
+        if self.stochastic:
+            over_half = checks.alpha_rule("stochastic runs (nonzero noise)")
+            checks.require(over_half("alpha", self.alpha))
         object.__setattr__(self, "stochastic", bool(self.stochastic))
         object.__setattr__(self, "noise_history", NoiseHistory(self.noise_history))
         object.__setattr__(self, "weight_mode", WeightMode(self.weight_mode))
 
 
+@checks.ruled(grid=TimeGrid, states=np.ndarray)
 @dataclass
 class Trajectory:
     """Node values of one solve: states[:, j] is the state at t_j."""
@@ -445,15 +446,16 @@ def _ring_size(steps: int) -> int:
     return ring
 
 
+@checks.ruled(model=SystemModel, cfg=SolverConfig, dW=checks.optional_rule(checks.array_rule))
 def solve_batch(model: SystemModel, cfg: SolverConfig, dW: np.ndarray | None) -> np.ndarray:
     """Node states, batch + (d, num_nodes), of the paths of dW, each equal to
     :func:`solve` bit for bit.
 
     dW holds the Wiener increments, finite real numbers shaped batch +
     (noise_dim, num_steps), path i in dW[i] (batch () is one path), so
-    np.stack of the paths' increments builds it.  A stochastic cfg requires
-    dW; a deterministic one uses only its batch shape, and None means one
-    path.
+    np.stack of the paths' increments builds it, checked once per call.  A
+    stochastic cfg requires dW; a deterministic one uses only its batch
+    shape, and None means one path.
 
     Each block of BLOCK steps is one pass of this loop: its far field is
     added once (a square of the recorded nodes before it), then it runs
@@ -463,8 +465,6 @@ def solve_batch(model: SystemModel, cfg: SolverConfig, dW: np.ndarray | None) ->
     The model runs with overflow and invalid-value warnings suppressed: a
     non-finite value it returns is a divergence.
     """
-    checks.require(checks.type_rule("model", model, SystemModel)
-                   + checks.type_rule("cfg", cfg, SolverConfig))
     grid, needs = cfg.grid, (model.noise_dim, cfg.grid.num_steps)
     if dW is None:
         checks.require(["stochastic solve requires Wiener increments (a WienerPath or dW)"]
@@ -473,8 +473,6 @@ def solve_batch(model: SystemModel, cfg: SolverConfig, dW: np.ndarray | None) ->
         shape = dW.shape if isinstance(dW, np.ndarray) else type(dW).__name__
         checks.require([f"dW is shaped {shape}, needs a numpy array shaped "
                         f"batch + (noise_dim, num_steps) = batch + {needs}"])
-    else:  # one vectorized pass, before any step
-        checks.require(checks.array_rule("dW", dW))
     stepper = _Stepper(model, cfg, dW)
     states = np.empty(stepper.y0.shape + (grid.num_nodes,))
     states[..., 0] = stepper.y0
@@ -496,6 +494,7 @@ def solve_batch(model: SystemModel, cfg: SolverConfig, dW: np.ndarray | None) ->
     return states
 
 
+@checks.ruled(model=SystemModel, cfg=SolverConfig, path=checks.optional_rule(WienerPath))
 def solve(model: SystemModel, cfg: SolverConfig,
           path: WienerPath | None = None) -> Trajectory:
     """Integrate the system over cfg.grid and return the full trajectory.
@@ -508,16 +507,14 @@ def solve(model: SystemModel, cfg: SolverConfig,
     error, with its step, time and message, is the one a check at every
     step would raise.
     """
-    checks.require(checks.type_rule("model", model, SystemModel)
-                   + checks.type_rule("cfg", cfg, SolverConfig))
     if path is not None:
         checks.require(path_rule(path, cfg.grid, model.noise_dim))
     dW = path.increments if cfg.stochastic and path is not None else None
     return Trajectory(grid=cfg.grid, states=solve_batch(model, cfg, dW))
 
 
+@checks.ruled(traj=Trajectory, stream=checks.stream_rule, metadata=checks.optional_rule(dict))
 def write_trajectory_csv(traj: Trajectory, stream, metadata: dict | None = None) -> None:
     """Write the metadata, then t, y1..yd rows, in the shared table format."""
-    checks.require(checks.type_rule("traj", traj, Trajectory))
     header = ["t"] + [f"y{i + 1}" for i in range(traj.dim)]
     write_table(stream, metadata or {}, header, [traj.grid.nodes(), *traj.states])

@@ -25,6 +25,8 @@ class ConvergenceError(RuntimeError):
     """A series evaluation failed to meet its truncation criterion."""
 
 
+@checks.ruled(x=lambda name, x: checks.real_rule(name, x)
+              or ([] if x > 0 else [f"gamma requires x > 0, got x={x!r}"]))
 def gamma(x: float) -> float:
     """Gamma function for strictly positive real arguments.
 
@@ -37,14 +39,15 @@ def gamma(x: float) -> float:
     overflows a float for x past about 171.62 and below about 5.6e-309;
     those x are rejected too.
     """
-    checks.require(checks.real_rule(x=x)
-                   or ([] if x > 0 else [f"gamma requires x > 0, got x={x!r}"]))
     try:
         return math.gamma(x)
     except (OverflowError, ValueError):  # ValueError: an x > 0 that rounds to 0.0
         raise checks.ConfigError(f"gamma(x) overflows a float at x={x!r}") from None
 
 
+@checks.ruled(alpha=checks.alpha_rule(), z=lambda name, z: checks.real_rule(name, z)
+              or ([] if abs(z) <= ML_MAX_ABS_Z else
+                  [f"mittag_leffler supports |z| <= {ML_MAX_ABS_Z}, got z={z!r}"]))
 def mittag_leffler(alpha: float, z: float) -> float:
     """One-parameter Mittag-Leffler function E_alpha(z) for alpha in (0, 1].
 
@@ -58,10 +61,6 @@ def mittag_leffler(alpha: float, z: float) -> float:
     Only |z| <= ML_MAX_ABS_Z is accepted; large-|z| asymptotics are out of
     scope for this library.
     """
-    z_rule = checks.real_rule(z=z) or (
-        [] if abs(z) <= ML_MAX_ABS_Z
-        else [f"mittag_leffler supports |z| <= {ML_MAX_ABS_Z}, got z={z!r}"])
-    checks.require(checks.alpha_rule(alpha) + z_rule)
     if z == 0.0:
         return 1.0
 

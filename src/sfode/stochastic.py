@@ -43,6 +43,7 @@ __all__ = [
 BATCH_BYTES = 8 * 2**20
 
 
+@checks.ruled(h=checks.finite_rule, T=checks.finite_rule)
 @dataclass(frozen=True)
 class TimeGrid:
     """Nodes 0 = t_0 < t_1 < ... < t_N = T with uniform spacing h.
@@ -68,16 +69,18 @@ class TimeGrid:
         return np.arange(self.num_nodes) * self.h
 
 
+@checks.ruled(h=checks.finite_rule, T=checks.finite_rule)
 def make_grid(T: float, h: float) -> TimeGrid:
     """Build the uniform grid on [0, T]; T/h must be an integer >= 2.
 
     Non-commensurate (T, h) pairs are rejected rather than silently rounded,
     so a run always covers exactly the horizon it was asked for.
     """
-    checks.require(checks.finite_rule(h=h, T=T))
     return TimeGrid(float(T), float(h))
 
 
+@checks.ruled(master_seed=checks.seed_rule, path_index=checks.count_rule(0),
+              channel_index=checks.count_rule(0))
 @dataclass(frozen=True)
 class SeedSpec:
     """Identifies one independent noise stream within an ensemble.
@@ -93,12 +96,11 @@ class SeedSpec:
     channel_index: int = 0
 
     def __post_init__(self):
-        checks.require(checks.seed_rule(self.master_seed) + checks.integer_rule(
-            0, path_index=self.path_index, channel_index=self.channel_index))
         for name in ("master_seed", "path_index", "channel_index"):
             object.__setattr__(self, name, operator.index(getattr(self, name)))
 
 
+@checks.ruled(grid=TimeGrid, cumulative=checks.array_rule)
 @dataclass
 class WienerPath:
     """Sampled Brownian motion on a grid; immutable after construction.
@@ -106,7 +108,8 @@ class WienerPath:
     ``cumulative`` (finite real numbers shaped (d_w, num_steps + 1), W(0) =
     0), a private copy of the array it is built from, is the one record; the
     read-only ``increments`` (shape (d_w, num_steps)) are derived from it as
-    its exact floating-point differences, so the two views agree bitwise.
+    its exact floating-point differences, so the two views agree bitwise,
+    and must be finite too.
     """
 
     grid: TimeGrid
@@ -114,14 +117,15 @@ class WienerPath:
     increments: np.ndarray = field(init=False)
 
     def __post_init__(self):
-        checks.require(checks.type_rule("grid", self.grid, TimeGrid)
-                       + checks.array_rule("cumulative", self.cumulative))
         self.cumulative = np.array(self.cumulative, dtype=float)
         shaped = self.cumulative.ndim == 2 and self.cumulative.shape[1] == self.grid.num_nodes
         checks.require([] if shaped else ["cumulative shape does not match grid"])
         checks.require(["W(0) must be 0"] if np.any(self.cumulative[:, 0] != 0.0) else [])
         self.cumulative.flags.writeable = False
-        self.increments = np.diff(self.cumulative, axis=1)
+        with np.errstate(over="ignore"):  # a difference past the float range is inf
+            self.increments = np.diff(self.cumulative, axis=1)
+        checks.require([] if np.isfinite(self.increments).all() else
+                       ["cumulative must have finite increments"])
         self.increments.flags.writeable = False
 
     @property
@@ -129,12 +133,11 @@ class WienerPath:
         return self.cumulative.shape[0]
 
 
-def path_rule(path, grid: TimeGrid, num_channels: int) -> list:
-    """path is a WienerPath on grid with num_channels channels: the one check
-    of a path against the run it drives, for :func:`sfode.solver.solve` and
-    :func:`sfode.picard.picard_iterate` alike."""
-    if problems := checks.type_rule("path", path, WienerPath):
-        return problems
+def path_rule(path: WienerPath, grid: TimeGrid, num_channels: int) -> list:
+    """path, a WienerPath, is on grid with num_channels channels: the one
+    check of a path against the run it drives, for :func:`sfode.solver.solve`
+    and :func:`sfode.picard.picard_iterate` alike."""
+    problems = []
     if path.grid != grid:
         problems.append(f"path grid T={path.grid.T!r}, h={path.grid.h!r} does not match "
                         f"the run grid T={grid.T!r}, h={grid.h!r}")
@@ -249,6 +252,7 @@ def _wiener(master_seed: int, paths: range, channel: int, grid: TimeGrid,
     return W
 
 
+@checks.ruled(seed=SeedSpec, grid=TimeGrid, num_channels=checks.count_rule(1))
 def generate_path(seed: SeedSpec, grid: TimeGrid, num_channels: int = 1) -> WienerPath:
     """Draw a Wiener path with i.i.d. Normal(0, h) increments per channel.
 
@@ -259,14 +263,14 @@ def generate_path(seed: SeedSpec, grid: TimeGrid, num_channels: int = 1) -> Wien
     that :func:`increment_batches` yields for path path_index.  The path may
     hold at most checks.MAX_PATH_FLOATS floats (else ConfigError).
     """
-    checks.require(checks.type_rule("seed", seed, SeedSpec)
-                   + checks.type_rule("grid", grid, TimeGrid))
     checks.require(checks.channels_rule(num_channels, grid.num_nodes))
     paths = range(seed.path_index, seed.path_index + 1)
     return WienerPath(grid, _wiener(seed.master_seed, paths, seed.channel_index, grid,
                                     num_channels)[0])
 
 
+@checks.ruled(grid=TimeGrid, master_seed=checks.seed_rule, M=checks.count_rule(0),
+              num_channels=checks.count_rule(1))
 def increment_batches(master_seed: int, M: int, grid: TimeGrid, num_channels: int):
     """Yield (start, dW) for paths 0..M-1 in contiguous index batches of B paths.
 
@@ -278,20 +282,23 @@ def increment_batches(master_seed: int, M: int, grid: TimeGrid, num_channels: in
     (where path indices gain a word).  master_seed must be a 64-bit unsigned
     integer, M >= 0 and num_channels >= 1, each a Python or numpy integer,
     and one path may hold at most checks.MAX_PATH_FLOATS floats (else
-    ConfigError).
+    ConfigError, at the call, before the first batch is asked for).
     """
-    checks.require(checks.type_rule("grid", grid, TimeGrid))
-    checks.require(checks.seed_rule(master_seed) + checks.integer_rule(0, M=M)
-                   + checks.channels_rule(num_channels, grid.num_nodes))
+    checks.require(checks.channels_rule(num_channels, grid.num_nodes))
     master_seed, num_channels = operator.index(master_seed), operator.index(num_channels)
     size = max(1, BATCH_BYTES // (8 * num_channels * grid.num_nodes))
-    stop = 0
-    while stop < M:
-        start, stop = stop, min(M, stop + size, (stop | _MASK32) + 1)
-        yield start, np.diff(_wiener(master_seed, range(start, stop), 0, grid, num_channels),
-                             axis=-1)
+
+    def batches():
+        stop = 0
+        while stop < M:
+            start, stop = stop, min(M, stop + size, (stop | _MASK32) + 1)
+            yield start, np.diff(_wiener(master_seed, range(start, stop), 0, grid, num_channels),
+                                 axis=-1)
+
+    return batches()
 
 
+@checks.ruled(path=WienerPath, grid=TimeGrid)
 def restrict_path(path: WienerPath, grid: TimeGrid) -> WienerPath:
     """Restrict a fine path to a coarser grid on the same horizon.
 
@@ -303,8 +310,6 @@ def restrict_path(path: WienerPath, grid: TimeGrid) -> WienerPath:
     increment is a difference of two fine W values: the sum of the fine
     increments it spans, up to rounding.
     """
-    checks.require(checks.type_rule("path", path, WienerPath)
-                   + checks.type_rule("grid", grid, TimeGrid))
     fine = path.grid
     checks.require([] if grid.T == fine.T and fine.num_steps % grid.num_steps == 0 else
                    [f"cannot restrict a path of {fine.num_steps} steps on T={fine.T} "

@@ -33,6 +33,8 @@ __all__ = [
 DEFAULT_MU = 0.1
 
 
+@checks.ruled(dim=checks.count_rule(1), y0=checks.array_rule, drift=checks.callable_rule,
+              diffusion=checks.callable_rule, name=str, params=dict)
 @dataclass(frozen=True)
 class SystemModel:
     """A d-dimensional system dy_i = f_i(t, y) dt + sigma_i(t, y) dW_i.
@@ -69,9 +71,7 @@ class SystemModel:
     params: dict = field(default_factory=dict)
 
     def __post_init__(self):
-        checks.require((checks.integer_rule(1, dim=self.dim)
-                        or checks.array_rule("y0", self.y0, (self.dim,)))
-                       + checks.callable_rule(drift=self.drift, diffusion=self.diffusion))
+        checks.require(checks.array_rule("y0", self.y0, (self.dim,)))
         y0 = np.array(self.y0, dtype=float)  # private copy, frozen below
         y0.flags.writeable = False
         object.__setattr__(self, "y0", y0)
@@ -110,6 +110,7 @@ class SystemModel:
                                  f"{np.shape(row)} for state rows {shape}")
 
 
+@checks.ruled(beta=checks.positive_rule, rho=checks.finite_rule, mu=checks.finite_rule)
 @dataclass(frozen=True)
 class NewtonLeipnikParams:
     beta: float = 0.4
@@ -117,8 +118,6 @@ class NewtonLeipnikParams:
     mu: float = DEFAULT_MU
 
     def __post_init__(self):
-        checks.require(checks.finite_rule(beta=self.beta, rho=self.rho, mu=self.mu)
-                       + checks.positive_rule(beta=self.beta))
         if not 0.0 <= self.rho <= 8.0:
             warnings.warn(
                 f"rho={self.rho} is outside the usual range [0, 8]",
@@ -126,6 +125,7 @@ class NewtonLeipnikParams:
             )
 
 
+@checks.ruled(**dict.fromkeys("abc", checks.finite_rule), mu=checks.finite_rule)
 @dataclass(frozen=True)
 class LorenzParams:
     a: float = 10.0       # Prandtl number
@@ -133,19 +133,16 @@ class LorenzParams:
     c: float = 28.0       # Rayleigh number
     mu: float = DEFAULT_MU
 
-    def __post_init__(self):
-        checks.require(checks.finite_rule(a=self.a, b=self.b, c=self.c, mu=self.mu))
-
 
 _NL_Y0 = (0.19, 0.0, -0.18)
 _LORENZ_Y0 = (0.1, 0.1, 0.1)
 
 
+@checks.ruled(params=checks.optional_rule(NewtonLeipnikParams),
+              y0=checks.optional_rule(checks.array_rule))
 def newton_leipnik(params: NewtonLeipnikParams | None = None,
                    y0=None) -> SystemModel:
     """Newton-Leipnik rigid-body system with diagonal noise mu * y."""
-    checks.require([] if params is None else
-                   checks.type_rule("params", params, NewtonLeipnikParams))
     p = params or NewtonLeipnikParams()
     beta, rho, mu = p.beta, p.rho, p.mu
     start = _NL_Y0 if y0 is None else y0
@@ -171,9 +168,9 @@ def newton_leipnik(params: NewtonLeipnikParams | None = None,
     )
 
 
+@checks.ruled(params=checks.optional_rule(LorenzParams), y0=checks.optional_rule(checks.array_rule))
 def lorenz(params: LorenzParams | None = None, y0=None) -> SystemModel:
     """Lorenz convection system with diagonal noise mu * y**2."""
-    checks.require([] if params is None else checks.type_rule("params", params, LorenzParams))
     p = params or LorenzParams()
     a, b, c, mu = p.a, p.b, p.c, p.mu
     start = _LORENZ_Y0 if y0 is None else y0
@@ -199,6 +196,9 @@ def lorenz(params: LorenzParams | None = None, y0=None) -> SystemModel:
     )
 
 
+# y0 is checked as the one-component state the model is built from
+@checks.ruled(lam=checks.finite_rule, sigma0=checks.finite_rule,
+              y0=lambda name, y0: checks.array_rule(name, [y0]))
 def linear_test(lam: float = 1.0, sigma0: float = 0.0, y0: float = 1.0) -> SystemModel:
     """Scalar test problem dy = -lam * y dt + sigma0 dW.
 
@@ -207,7 +207,6 @@ def linear_test(lam: float = 1.0, sigma0: float = 0.0, y0: float = 1.0) -> Syste
     integrator with a closed-form variance.  Both closed forms make it the
     workhorse oracle problem.
     """
-    checks.require(checks.finite_rule(lam=lam, sigma0=sigma0))
 
     def drift(t, y):
         return [-lam * y[0]]
@@ -226,6 +225,7 @@ def linear_test(lam: float = 1.0, sigma0: float = 0.0, y0: float = 1.0) -> Syste
     )
 
 
+@checks.ruled(params=dict)
 def newton_leipnik_matrices(params: dict):
     """Bilinear decomposition (A, B, C) of the Newton-Leipnik drift:
     F(x) = A x + x_2 (B x) + x_3 (C x)."""
@@ -249,6 +249,7 @@ def newton_leipnik_matrices(params: dict):
     return A, B, C
 
 
+@checks.ruled(params=dict)
 def lorenz_matrices(params: dict):
     """Bilinear decomposition (A, B) of the Lorenz drift: F(x) = A x + x_1 (B x)."""
     a, b, c = params["a"], params["b"], params["c"]
@@ -274,17 +275,17 @@ def _diagnosed_rule(model: SystemModel, what: str) -> list:
     """model has what, the matrix form or the growth bound: it is a built-in
     system with that system's dim and finite params, so that a model that
     only carries the name is a message, not a KeyError."""
-    spec = _DIAGNOSED.get(model.name) if isinstance(model.name, str) else None
+    spec = _DIAGNOSED.get(model.name)
     if spec is None:
         return [f"no {what} for system {model.name!r}"]
     dim, keys = spec
-    params = model.params if isinstance(model.params, dict) else {}
-    if model.dim == dim and not checks.finite_rule(**{k: params.get(k) for k in keys}):
+    if model.dim == dim and not any(checks.finite_rule(k, model.params.get(k)) for k in keys):
         return []
     return [f"no {what} for system {model.name!r} of dim {model.dim} with params "
-            f"{params!r}; it needs dim {dim} and finite params {', '.join(keys)}"]
+            f"{model.params!r}; it needs dim {dim} and finite params {', '.join(keys)}"]
 
 
+@checks.ruled(model=SystemModel, y=checks.array_rule)
 def matrix_form_check(model: SystemModel, y) -> float:
     """Max-norm gap between the componentwise drift and its matrix form.
 
@@ -293,7 +294,6 @@ def matrix_form_check(model: SystemModel, y) -> float:
     built-in systems the gap must vanish to rounding (<= 1e-12).  A state
     so large that the drift overflows has an infinite or NaN gap.
     """
-    checks.require(checks.type_rule("model", model, SystemModel))
     checks.require(_diagnosed_rule(model, "matrix decomposition")
                    or checks.array_rule("y", y, (model.dim,)))
     y = np.asarray(y, dtype=float)
@@ -307,6 +307,8 @@ def matrix_form_check(model: SystemModel, y) -> float:
         return float(np.max(np.abs(np.asarray(model.drift(0.0, y)) - matrix_drift)))
 
 
+@checks.ruled(model=SystemModel, delta=lambda name, delta: checks.finite_rule(name, delta)
+              or ([] if delta >= 0 else [f"{name} must be >= 0, got {delta}"]))
 def lipschitz_bound(model: SystemModel, delta: float) -> float:
     """Quadratic-growth constant of the drift/diffusion pair on a ball of
     radius delta around the initial state.
@@ -315,10 +317,7 @@ def lipschitz_bound(model: SystemModel, delta: float) -> float:
     deterministic and easy to verify by hand).  The bound is a diagnostic
     only; the solver never consumes it.
     """
-    checks.require(checks.type_rule("model", model, SystemModel))
-    checks.require((checks.finite_rule(delta=delta)
-                    or ([] if delta >= 0 else [f"delta must be >= 0, got {delta}"]))
-                   + _diagnosed_rule(model, "growth bound"))
+    checks.require(_diagnosed_rule(model, "growth bound"))
     mu = model.params["mu"]
     x0_sq = float(np.sum(np.asarray(model.y0, dtype=float) ** 2))
     if model.name == "newton_leipnik":

@@ -3,14 +3,13 @@
 Leading ``# key=value`` lines carry the metadata in sorted key order, then a
 header row, then one comma-separated row per index with every number written
 to 17 significant digits, so floats round-trip exactly and identical runs give
-identical bytes.
+identical bytes.  The writers of solver, analysis, picard and cli check
+their arguments and call :func:`write_table`, which is no entry point itself.
 """
 
 from itertools import zip_longest
 
 import numpy as np
-
-__all__ = ["write_table"]
 
 # Cells are formatted a column at a time, which is faster than row by row;
 # doing it per block of rows keeps the extra memory near 1 MB for any length.

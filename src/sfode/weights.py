@@ -40,17 +40,19 @@ class WeightMode(str, enum.Enum):
     LITERAL = "literal"
 
 
-def table_rule(alpha: float, h: float, mode, last: int | None = None) -> list:
-    """The domain of a weight table: alpha in (0, 1], a finite h > 0, a mode
-    of :class:`WeightMode` and, unless None, an integer last step index in
-    [0, MAX_STEPS), so no table outgrows the longest grid."""
-    problems = (checks.alpha_rule(alpha) + checks.finite_rule(h=h) + checks.positive_rule(h=h)
-                + checks.choice_rule("mode", mode, WeightMode))
-    if last is not None and not 0 <= last < checks.MAX_STEPS:
+def table_rule(alpha: float, h: float, mode, last: int) -> list:
+    """The domain of a weight table: alpha, h and mode by the rules of
+    :class:`WeightTable`, and an integer last step index in [0, MAX_STEPS),
+    so no table outgrows the longest grid."""
+    rules = WeightTable.__rules__
+    problems = rules["alpha"]("alpha", alpha) + rules["h"]("h", h) + rules["mode"]("mode", mode)
+    if not 0 <= last < checks.MAX_STEPS:
         problems.append(f"step index must be in [0, {checks.MAX_STEPS}); got {last}")
     return problems
 
 
+@checks.ruled(num_steps=checks.count_rule(1), alpha=checks.alpha_rule(),
+              h=checks.positive_rule, mode=checks.choice_rule(WeightMode))
 class WeightTable:
     """Per-run weights as three read-only arrays, built once.
 
@@ -70,8 +72,7 @@ class WeightTable:
 
     def __init__(self, num_steps: int, alpha: float, h: float,
                  mode: WeightMode = WeightMode.STANDARD):
-        count = checks.integer_rule(1, num_steps=num_steps)
-        checks.require(count + table_rule(alpha, h, mode, None if count else num_steps - 1))
+        checks.require(table_rule(alpha, h, mode, num_steps - 1))
         self.alpha = float(alpha)
         self.h = float(h)
         self.mode = WeightMode(mode)
@@ -90,15 +91,16 @@ class WeightTable:
             table.flags.writeable = False
 
 
+@checks.ruled(n=checks.count_rule(0), alpha=checks.alpha_rule(),
+              mode=checks.choice_rule(WeightMode))
 def corrector_weights(n: int, alpha: float,
                       mode: WeightMode = WeightMode.STANDARD) -> np.ndarray:
     """Corrector weights a[0..n+1] for a single step, built fresh in O(n)."""
-    checks.require(checks.integer_rule(0, n=n))
     table = WeightTable(n + 1, alpha, 1.0, mode)
     return np.concatenate((table.a0[n:], table.a[:n][::-1], [1.0]))
 
 
+@checks.ruled(n=checks.count_rule(0), alpha=checks.alpha_rule(), h=checks.positive_rule)
 def predictor_weights(n: int, alpha: float, h: float) -> np.ndarray:
     """Predictor weights b[0..n] for a single step, built fresh in O(n)."""
-    checks.require(checks.integer_rule(0, n=n))
     return WeightTable(n + 1, alpha, h).b[::-1].copy()

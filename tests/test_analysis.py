@@ -708,6 +708,35 @@ BAD_INPUTS = {
         lambda: convergence_order(linear_test(), SolverConfig(0.8, GRID), 3,
                                   reference=lambda t: [math.nan if t > 0.5 else 1.0]),
         "reference(t) at t=0.75 must be finite; got [nan]"),
+    # increments past the float range, named as the argument the caller passed
+    "WienerPath with an overflowing increment": (
+        lambda: stochastic.WienerPath(make_grid(1, 0.25), [[0, 1e308, -1e308, 0, 0]]),
+        "cumulative must have finite increments"),
+    # the writers' stream and metadata
+    "write_trajectory_csv without a stream": (
+        lambda: write_trajectory_csv(solve(linear_test(), SolverConfig(0.8, GRID)), None),
+        "stream must be a stream with a callable write; got None"),
+    "write_stats_csv on a list for metadata": (
+        lambda: write_stats_csv(accumulate_stats(GRID, [np.zeros((1, 5))]), io.StringIO(), [1, 2]),
+        "metadata must be a dict; got [1, 2]"),
+    "write_distance_csv on a string for metadata": (
+        lambda: write_distance_csv(CauchyReport(np.ones(1), False, 1.0), io.StringIO(), "x"),
+        "metadata must be a dict; got 'x'"),
+    # the items of a reduction share one shape, the grid's nodes last
+    "accumulate_stats of scalars": (
+        lambda: accumulate_stats(GRID, [1, 2]),
+        "states_seq item 0 must be real numbers shaped as the first item, with 5 nodes on the "
+        "last axis; got shape ()"),
+    "accumulate_stats of two shapes": (
+        lambda: accumulate_stats(GRID, [np.zeros((1, 5)), np.zeros((2, 5))]),
+        "states_seq item 1 must be real numbers shaped as the first item, with 5 nodes on the "
+        "last axis; got shape (2, 5)"),
+    "accumulate_stats of None": (lambda: accumulate_stats(GRID, None),
+                                 "states_seq must be an Iterable; got None"),
+    "SystemModel with a number for a name": (lambda: SystemModel(3, 1, rows, rows, [0.0]),
+                                             "name must be a str; got 3"),
+    "SystemModel with a string for params": (lambda: SystemModel("m", 1, rows, rows, [0.0], "x"),
+                                             "params must be a dict; got 'x'"),
     "convergence_order on a string reference": (
         lambda: convergence_order(linear_test(), SolverConfig(0.8, GRID), 3,
                                   reference=lambda t: "a"),
@@ -771,6 +800,8 @@ ODD_ARGUMENTS = {
     "lorenz(y0)": lambda v: lorenz(y0=v),
     "SystemModel(dim)": lambda v: SystemModel("m", v, rows, rows, [0.0]),
     "SystemModel(y0)": lambda v: SystemModel("m", 2, rows, rows, v),
+    "SystemModel(name)": lambda v: SystemModel(v, 1, rows, rows, [0.0]),
+    "SystemModel(params)": lambda v: SystemModel("m", 1, rows, rows, [0.0], v),
     "gamma(x)": gamma,
     "mittag_leffler(alpha)": lambda v: mittag_leffler(v, -0.5),
     "mittag_leffler(z)": lambda v: mittag_leffler(0.8, v),
@@ -806,9 +837,9 @@ ODD_VALUES = st.one_of(
 def test_odd_scalar_input_returns_or_is_a_config_error(entry, value):
     # the library twin of the command-line fuzz: whatever lands in one
     # argument, the call returns or raises ConfigError, nothing else
-    if entry in TABLE_COUNTS and not checks.integer_rule(n=value):
+    if entry in TABLE_COUNTS and not checks.count_rule()("n", value):
         assume(value <= 1000 or value >= checks.MAX_STEPS)
-    if entry in CHANNEL_COUNTS and not checks.integer_rule(n=value):
+    if entry in CHANNEL_COUNTS and not checks.count_rule()("n", value):
         assume(value <= 1000 or value > checks.MAX_PATH_FLOATS // GRID.num_nodes)
     try:
         ODD_ARGUMENTS[entry](value)

@@ -75,7 +75,7 @@ class TestSeedSpec:
 
     @pytest.mark.parametrize("seed", [1.0, 2.5, "1", None, np.float64(3.0), True])
     def test_seed_must_be_an_integer(self, seed):
-        assert checks.seed_rule(seed) == [
+        assert checks.seed_rule("seed", seed) == [
             f"seed must be a 64-bit unsigned integer; got {seed!r}"]
         with pytest.raises(checks.ConfigError, match="64-bit unsigned integer"):
             SeedSpec(seed)
@@ -96,7 +96,8 @@ class TestSeedSpec:
         spec = SeedSpec(np.uint64(top), np.uint64(top), np.int64(3))
         assert spec == SeedSpec(top, top, 3)
         assert all(type(v) is int for v in (spec.master_seed, spec.path_index, spec.channel_index))
-        assert checks.seed_rule(np.uint64(top)) == [] and checks.seed_rule(np.int64(-1)) != []
+        assert checks.seed_rule("seed", np.uint64(top)) == []
+        assert checks.seed_rule("seed", np.int64(-1)) != []
         np.testing.assert_array_equal(generate_path(spec, grid, 2).cumulative,
                                       generate_path(SeedSpec(top, top, 3), grid, 2).cumulative)
         (_, dW), = increment_batches(np.uint64(top), 2, grid, 1)
