@@ -10,8 +10,11 @@ error::RuntimeWarning -m sfode.cli`` (a numpy warning is an error, as in
 pytest) with PYTHONPATH set to that tree's ``src``, the tree as working
 directory, one BLAS thread, and the output on stdout.  It prints one row per
 run, with the output sha256, the exit code and whether stderr matches, and
-marks each difference.  It exits 1 if any run differs, unless that run is
-named with --expect-change, and 2 on a bad REF or run name.
+marks each difference.  A run that takes more than 600 s on either side is
+stopped, shows ``timeout`` as its exit code and counts as a difference, and
+the next run follows.  It exits 1 if any run differs, unless that run is
+named with --expect-change (a timeout counts all the same), and 2 on a bad
+REF or run name.
 
 Both sides run on the same machine, so BLAS and CPU differences cancel and
 no digest is stored.  A change that alters some outputs on purpose names
@@ -30,6 +33,7 @@ import tempfile
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
+TIMEOUT = 600  # seconds a run may take on either side
 
 LINEAR = ["--system", "linear_test"]
 NL_PICARD = ["picard", "--system", "newton_leipnik", "--alpha", "0.93", "--h", "0.005",
@@ -133,13 +137,17 @@ RUNS = {
 }
 
 
-def run(tree: Path, argv: list, tmp: str, extra_env: dict) -> tuple:
-    """(output sha256, stderr, exit code) of one run in tree, with extra_env set."""
+def run(tree: Path, argv: list, tmp: str, extra_env: dict) -> tuple | None:
+    """(output sha256, stderr, exit code) of one run in tree, with extra_env
+    set, or None if it ran past TIMEOUT seconds."""
     env = dict(os.environ, PYTHONPATH=str(tree / "src"), OPENBLAS_NUM_THREADS="1",
                OMP_NUM_THREADS="1", MKL_NUM_THREADS="1", **extra_env)
-    proc = subprocess.run([sys.executable, "-W", "error::RuntimeWarning", "-m", "sfode.cli",
-                           *(a.format(tmp=tmp) for a in argv)],
-                          cwd=tree, env=env, capture_output=True, timeout=600)
+    try:
+        proc = subprocess.run([sys.executable, "-W", "error::RuntimeWarning", "-m", "sfode.cli",
+                               *(a.format(tmp=tmp) for a in argv)],
+                              cwd=tree, env=env, capture_output=True, timeout=TIMEOUT)
+    except subprocess.TimeoutExpired:
+        return None
     return hashlib.sha256(proc.stdout).hexdigest(), proc.stderr, proc.returncode
 
 
@@ -174,18 +182,22 @@ def main(argv=None) -> int:
         ref_tree = Path(tmp) / "ref"
         extract(args.against, ref_tree)
         Path(tmp, "bad.cfg").write_text("system = lorenz\nalpha 0.9\n")
-        print(f"{'run':<28} {'exit':>6}  {'ref sha256':<16} "
+        print(f"{'run':<28} {'exit':>7}  {'ref sha256':<16} "
               f"{'tree sha256':<16} stderr")
         for name, run_argv in RUNS.items():
-            ref_out, ref_err, ref_code = run(ref_tree, run_argv, tmp, {})
-            out, err, code = run(ROOT, run_argv, tmp, tree_env)
-            same = (ref_out, ref_err, ref_code) == (out, err, code)
+            ref, tree = run(ref_tree, run_argv, tmp, {}), run(ROOT, run_argv, tmp, tree_env)
+            if ref is None or tree is None:
+                failed += 1
+                print(f"{name:<28} {'timeout':>7}  DIFFERS", flush=True)
+                continue
+            (ref_out, ref_err, ref_code), (out, err, code) = ref, tree
+            same = ref == tree
             mark = "" if same else ("  differs (expected)" if name in args.expect_change
                                     else "  DIFFERS")
             failed += not same and name not in args.expect_change
             exit_col = str(code) if code == ref_code else f"{ref_code}->{code}"
             tree_col = "same" if out == ref_out else out[:16]
-            print(f"{name:<28} {exit_col:>6}  {ref_out[:16]:<16} {tree_col:<16} "
+            print(f"{name:<28} {exit_col:>7}  {ref_out[:16]:<16} {tree_col:<16} "
                   f"{'same' if err == ref_err else 'differs'}{mark}", flush=True)
     print(f"{len(RUNS)} runs against {args.against}"
           f"{''.join(f' --env {item}' for item in args.env)}: {failed} unexpected difference(s)")

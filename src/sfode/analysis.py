@@ -118,7 +118,7 @@ def accumulate_stats(grid: TimeGrid, states_seq) -> EnsembleStats:
     )
 
 
-@checks.ruled(model=SystemModel, cfg=SolverConfig, M=checks.count_rule(1),
+@checks.ruled(model=SystemModel, cfg=SolverConfig, M=checks.count_rule(1, checks.KEY_SPACE),
               workers=checks.count_rule(0), master_seed=checks.seed_rule)
 def ensemble_run(model: SystemModel, cfg: SolverConfig, master_seed: int, M: int,
                  workers: int = 1) -> EnsembleStats:
@@ -133,7 +133,8 @@ def ensemble_run(model: SystemModel, cfg: SolverConfig, master_seed: int, M: int
                                                 lambda dW: solve_batch(model, cfg, dW)))
 
 
-@checks.ruled(alpha=checks.alpha_rule("noise integrals"), M=checks.count_rule(1000),
+@checks.ruled(alpha=checks.alpha_rule("noise integrals"),
+              M=checks.count_rule(1000, checks.KEY_SPACE),
               grid=TimeGrid, master_seed=checks.seed_rule)
 def ito_isometry_check(alpha: float, grid: TimeGrid, M: int,
                        master_seed: int = 0) -> float:
@@ -166,16 +167,21 @@ class ConvergenceReport:
 
 def levels_rule(levels: int, grid: TimeGrid | None) -> list:
     """An integer count of at least 3 levels, and a TimeGrid whose finest
-    level, of step grid.h / 2**(levels - 1), passes the grid rule; a None
-    grid (one that fails its own rule) skips the latter."""
+    level, of step grid.h / 2**(levels - 1), is above 0 and passes the grid
+    rule; a None grid (one that fails its own rule) skips the latter."""
     if problems := checks.count_rule()("levels", levels):
         return problems
     if levels < 3:
-        return [f"need at least 3 grid levels; got {max(levels, 0)}"]
+        return [f"need at least 3 grid levels; got {levels}"]
     if grid is None:
         return []
-    return (checks.type_rule(TimeGrid)("grid", grid)
-            or checks.grid_rule(grid.T, math.ldexp(grid.h, 1 - operator.index(levels))))
+    if problems := checks.type_rule(TimeGrid)("grid", grid):
+        return problems
+    finest = math.ldexp(grid.h, 1 - operator.index(levels))
+    if finest == 0.0:
+        return [f"levels must keep the finest step h / 2**(levels - 1) above 0 for "
+                f"h={grid.h!r}; got {levels}"]
+    return checks.grid_rule(grid.T, finest)
 
 
 def _reference_states(reference, grid: TimeGrid, dim: int) -> np.ndarray:

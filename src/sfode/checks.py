@@ -53,6 +53,11 @@ MAX_STEPS = 2**22
 #: which a 3-channel path on a grid of MAX_STEPS steps fits.
 MAX_PATH_FLOATS = 2**24
 
+#: Size of the key space of the noise streams.  A path or a channel index is
+#: one 32-bit word of its stream's spawn key, so an index lies below 2**32 and
+#: a run draws at most 2**32 paths.
+KEY_SPACE = 2**32
+
 
 class ConfigError(ValueError):
     """One or more input-domain constraints are violated."""
@@ -140,6 +145,11 @@ def _finite(value: numbers.Real) -> bool:
         return False
 
 
+def _real(value) -> bool:
+    """value is a real number and no bool, which numbers.Real takes as 0 or 1."""
+    return isinstance(value, numbers.Real) and not isinstance(value, bool)
+
+
 def _index(value) -> int | None:
     """value as an int if operator.index accepts it and it is no bool, else None."""
     try:
@@ -157,13 +167,13 @@ callable_rule = _rule(callable, "callable")
 #: A text stream: an object with a callable write.
 stream_rule = _rule(lambda value: callable(getattr(value, "write", None)),
                     "a stream with a callable write")
-#: A Python or numpy int or float, not a string or None.  The rules that
-#: compare a value check this first, so a value that is no number is a
+#: A Python or numpy int or float, not a string, None or a bool.  The rules
+#: that compare a value check this first, so a value that is no number is a
 #: message, not a TypeError.
-real_rule = _rule(lambda value: isinstance(value, numbers.Real), "a real number")
+real_rule = _rule(_real, "a real number")
 #: A finite real number.
 finite_rule = _first(real_rule, _rule(_finite, "finite"))
-_above_zero = _rule(lambda value: not (isinstance(value, numbers.Real) and value <= 0), "> 0")
+_above_zero = _rule(lambda value: not (_real(value) and value <= 0), "> 0")
 #: A 64-bit unsigned integer: a Python or numpy integer in [0, 2**64).  A
 #: float is not a seed, even 1.0, and neither is a bool.
 seed_rule = _rule(lambda value: _index(value) is not None and 0 <= _index(value) < 2**64,
@@ -185,13 +195,15 @@ def alpha_rule(over_half: str | None = None):
                                        if over_half and not alpha > 0.5 else []))
 
 
-def count_rule(least: int | None = None):
-    """The rule that a value is a count: a Python or numpy integer, and at
-    least least when that is given.  A float is not a count, even 2.0, and
-    neither is a bool."""
-    return _first(_rule(lambda value: _index(value) is not None, "an integer"),
-                  lambda name, value: ([f"{name} must be >= {least}; got {_index(value)}"]
-                                       if least is not None and _index(value) < least else []))
+def count_rule(least: int | None = None, most: int | None = None):
+    """The rule that a value is a count: a Python or numpy integer, at least
+    least and at most most when those are given.  A float is not a count,
+    even 2.0, and neither is a bool."""
+    def bounds(name, value):
+        n = _index(value)
+        return ([f"{name} must be >= {least}; got {n}"] if least is not None and n < least else
+                [f"{name} must be <= {most}; got {n}"] if most is not None and n > most else [])
+    return _first(_rule(lambda value: _index(value) is not None, "an integer"), bounds)
 
 
 def choice_rule(choices):

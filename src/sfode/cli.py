@@ -50,7 +50,7 @@ _MODEL_KEYS = ("mu", "beta", "rho", "a", "b", "c", "lam", "sigma0")
 
 @checks.ruled(system=checks.choice_rule(_SYSTEMS), alpha=checks.alpha_rule(),
               **dict.fromkeys(("h", "T", *_MODEL_KEYS), checks.finite_rule), seed=checks.seed_rule,
-              paths=checks.count_rule(1), workers=checks.count_rule(0),
+              paths=checks.count_rule(1, checks.KEY_SPACE), workers=checks.count_rule(0),
               noise_history=checks.choice_rule(NoiseHistory),
               weight_mode=checks.choice_rule(WeightMode))
 @dataclass

@@ -142,7 +142,12 @@ def picard_iterate(model: SystemModel, alpha: float, grid: TimeGrid,
     """Run K Picard sweeps on one path; iterate 0 is the constant initial state.
 
     A None path switches the noise convolution off (deterministic check).
+    The K + 1 iterates may hold at most checks.MAX_PATH_FLOATS floats, the
+    budget of one path's noise (else ConfigError).
     """
+    most = checks.MAX_PATH_FLOATS // (model.dim * grid.num_nodes) - 1
+    checks.require([] if K <= most else [f"K must be at most {most} for dim {model.dim} "
+                                         f"on a grid of {grid.num_nodes} nodes; got {K}"])
     if path is not None:
         checks.require(path_rule(path, grid, model.noise_dim))
     dW = None if path is None else path.increments
@@ -165,9 +170,10 @@ class CauchyReport:
 
 def diagnostic_rule(alpha: float, M: int, K: int, grid: TimeGrid | None) -> list:
     """The domain of :func:`cauchy_diagnostic`: alpha > 1/2, integer counts
-    M >= 100 paths and 2 <= K <= N sweeps on a grid of N steps.  Node n of a
-    sweep reads only nodes before it, exactly at every N (:func:`_lag_sums`),
-    so sweep N is the discrete fixed point and every later gap is exactly 0.
+    100 <= M <= checks.KEY_SPACE paths and 2 <= K <= N sweeps on a grid of N
+    steps.  Node n of a sweep reads only nodes before it, exactly at every N
+    (:func:`_lag_sums`), so sweep N is the discrete fixed point and every
+    later gap is exactly 0.
     A None grid (one that fails its own rule), or one that is no TimeGrid,
     skips K <= N.
     """
@@ -178,6 +184,7 @@ def diagnostic_rule(alpha: float, M: int, K: int, grid: TimeGrid | None) -> list
         return problems + counts
     if M < 100:
         problems.append(f"the Picard diagnostic needs paths >= 100; got {M}")
+    problems += checks.count_rule(most=checks.KEY_SPACE)("paths", M)
     if K < 2:
         problems.append(f"the Picard diagnostic needs iterations >= 2; got {K}")
     elif isinstance(grid, TimeGrid) and K > grid.num_steps:

@@ -8,12 +8,11 @@ batch size in which its members run.  The keys are derived here:
 :func:`_pool` takes the pool of the master seed from numpy's SeedSequence
 once per draw, and :func:`_keys` hashes the spawn keys of one channel of
 every path of the batch into it together, in uint32 arrays, by a copy of
-SeedSequence's hash.
-A batch stops at the next multiple of 2**32, so the path indices of a draw
-all have the same number of 32-bit words.  One Philox engine is then
-re-keyed through its public ``state`` for each stream and draws straight
-into the batch array, so a stream costs no SeedSequence, Philox, Generator
-or array of its own.
+SeedSequence's hash.  Path and channel indices lie below checks.KEY_SPACE,
+2**32, so each is one 32-bit word of the spawn key.  One Philox engine is
+then re-keyed through its public ``state`` for each stream and draws
+straight into the batch array, so a stream costs no SeedSequence, Philox,
+Generator or array of its own.
 Paths are drawn in batches: one path is the batch of one.  Gaussians come
 from numpy's ziggurat sampler on that stream, which is deterministic for a
 fixed numpy build.
@@ -79,8 +78,8 @@ def make_grid(T: float, h: float) -> TimeGrid:
     return TimeGrid(float(T), float(h))
 
 
-@checks.ruled(master_seed=checks.seed_rule, path_index=checks.count_rule(0),
-              channel_index=checks.count_rule(0))
+@checks.ruled(master_seed=checks.seed_rule, **dict.fromkeys(
+    ("path_index", "channel_index"), checks.count_rule(0, checks.KEY_SPACE - 1)))
 @dataclass(frozen=True)
 class SeedSpec:
     """Identifies one independent noise stream within an ensemble.
@@ -88,7 +87,8 @@ class SeedSpec:
     Distinct (master_seed, path_index, channel_index) triples key distinct
     counter-based streams.  For multi-channel paths, ``channel_index`` is the
     index of the first channel.  Each field takes what operator.index
-    accepts, Python or numpy integers, and is stored as a Python int.
+    accepts, Python or numpy integers, and is stored as a Python int; the
+    two indices lie below checks.KEY_SPACE.
     """
 
     master_seed: int
@@ -147,39 +147,24 @@ def path_rule(path: WienerPath, grid: TimeGrid, num_channels: int) -> list:
 
 
 # The constants of numpy's SeedSequence hash (numpy/random/bit_generator.pyx).
-_MASK32 = 0xFFFFFFFF
 _INIT_A, _MULT_A = 0x43B0D7E5, 0x931E8875  # hashes the entropy into the pool
 _INIT_B, _MULT_B = 0x8B51F9DD, 0x58F38DED  # hashes the pool into the state
 _MIX_L, _MIX_R = 0xCA01F9DD, 0x4973F715    # mixes a hashed word into a pool word
 _POOL = 4                                  # pool words
 
 
-def _powers(h: int, mult: int, count: int) -> list:
-    """h, h * mult, ..., h * mult**count (mod 2**32): the hash constant
-    before and after each of count hashes."""
-    hs = [h]
-    for _ in range(count):
-        hs.append(hs[-1] * mult & _MASK32)
-    return hs
+def _powers(h: int, mult: int, count: int) -> np.ndarray:
+    """h, h * mult, ..., h * mult**count (mod 2**32) as a uint32 column: the
+    hash constant before and after each of count hashes."""
+    return np.cumprod([h] + [mult] * count, dtype=np.uint32).reshape(-1, 1)
 
 
 # The hash constants of the four state words of generate_state(2, np.uint64).
-_STATE_H = np.array(_powers(_INIT_B, _MULT_B, _POOL), np.uint32).reshape(-1, 1)
-
-
-def _words(n: int) -> list:
-    """The uint32 words of n >= 0, least significant first; [0] for 0."""
-    words = [n & _MASK32]
-    n >>= 32
-    while n:
-        words.append(n & _MASK32)
-        n >>= 32
-    return words
-
-
-# The hash constant of the first spawn-key word: the pool took 4 + 12
-# hashes, one per pool word and one per ordered pair of pool words.
-_INIT_KEY = _INIT_A * pow(_MULT_A, _POOL * _POOL, 2**32) & _MASK32
+_STATE_H = _powers(_INIT_B, _MULT_B, _POOL)
+# The hash constants of the two spawn-key words, path and channel, each
+# hashed once per pool word; the pool took 4 + 12 hashes before them, one
+# per pool word and one per ordered pair of pool words.
+_KEY_H = _powers(_INIT_A, _MULT_A, _POOL * _POOL + 2 * _POOL)[_POOL * _POOL:]
 
 
 def _pool(master_seed: int) -> np.ndarray:
@@ -196,19 +181,13 @@ def _keys(pool: np.ndarray, paths: range, channel: int) -> np.ndarray:
     SeedSequence(s, spawn_key=(paths[b], channel)).generate_state(2, np.uint64).
 
     A hash constant depends only on how many words were hashed before it,
-    and each pool word absorbs each spawn-key word on its own.  So the keys
-    of paths whose indices have one word count are hashed at once, word 0
-    as a uint32 array that counts up and wraps as the hash's words do, and
-    paths must not cross a multiple of 2**32 (else ValueError).  pool is
-    read, not written, so one pool serves every channel of a draw.
+    and each pool word absorbs each spawn-key word on its own.  Every index
+    is one word, below checks.KEY_SPACE, so the keys of all paths are hashed
+    at once, the path word as a uint32 array.  pool is read, not written, so
+    one pool serves every channel of a draw.
     """
-    if paths and paths.start >> 32 != paths[-1] >> 32:
-        raise ValueError(f"paths {paths} cross a multiple of 2**32")
-    low, *high = _words(paths.start)
-    words = [np.arange(low, low + len(paths), dtype=np.uint32), *high, *_words(channel)]
-    hs = np.array(_powers(_INIT_KEY, _MULT_A, _POOL * len(words)), np.uint32).reshape(-1, 1)
-    for k, w in enumerate(words):
-        h = hs[_POOL * k:_POOL * (k + 1) + 1]  # word k is hashed once per pool word
+    for k, w in enumerate((np.arange(paths.start, paths.stop, dtype=np.uint32), channel)):
+        h = _KEY_H[_POOL * k:_POOL * (k + 1) + 1]  # word k is hashed once per pool word
         v = w ^ h[:-1]
         v *= h[1:]
         v ^= v >> 16
@@ -232,7 +211,7 @@ def _wiener(master_seed: int, paths: range, channel: int, grid: TimeGrid,
     :func:`_keys` hashes the keys of the batch channel by channel; then one
     engine is re-keyed per stream and draws straight into that stream's
     nodes 1..N.  The batch is scaled by sqrt(h) once and summed along the
-    steps.  paths must not cross a multiple of 2**32.
+    steps.
     """
     keys, pool = np.empty((len(paths), num_channels, 2), np.uint64), _pool(master_seed)
     for c in range(num_channels):
@@ -261,16 +240,19 @@ def generate_path(seed: SeedSpec, grid: TimeGrid, num_channels: int = 1) -> Wien
     independent and the whole path is reproducible bit-for-bit from its
     SeedSpec.  With channel_index 0 its increments are bit for bit those
     that :func:`increment_batches` yields for path path_index.  The path may
-    hold at most checks.MAX_PATH_FLOATS floats (else ConfigError).
+    hold at most checks.MAX_PATH_FLOATS floats, and its channels must lie
+    below checks.KEY_SPACE (else ConfigError).
     """
-    checks.require(checks.channels_rule(num_channels, grid.num_nodes))
+    end = seed.channel_index + operator.index(num_channels)
+    checks.require(checks.channels_rule(num_channels, grid.num_nodes)
+                   + checks.count_rule(most=checks.KEY_SPACE)("channel_index + num_channels", end))
     paths = range(seed.path_index, seed.path_index + 1)
     return WienerPath(grid, _wiener(seed.master_seed, paths, seed.channel_index, grid,
                                     num_channels)[0])
 
 
-@checks.ruled(grid=TimeGrid, master_seed=checks.seed_rule, M=checks.count_rule(0),
-              num_channels=checks.count_rule(1))
+@checks.ruled(grid=TimeGrid, master_seed=checks.seed_rule,
+              M=checks.count_rule(0, checks.KEY_SPACE), num_channels=checks.count_rule(1))
 def increment_batches(master_seed: int, M: int, grid: TimeGrid, num_channels: int):
     """Yield (start, dW) for paths 0..M-1 in contiguous index batches of B paths.
 
@@ -278,24 +260,16 @@ def increment_batches(master_seed: int, M: int, grid: TimeGrid, num_channels: in
     path start + b, bit for bit those of
     generate_path(SeedSpec(master_seed, start + b, 0), grid, num_channels).
     B >= 1 is the most paths whose (B, num_channels, num_nodes) floats fit
-    BATCH_BYTES, or fewer where a batch stops at M or at a multiple of 2**32
-    (where path indices gain a word).  master_seed must be a 64-bit unsigned
-    integer, M >= 0 and num_channels >= 1, each a Python or numpy integer,
-    and one path may hold at most checks.MAX_PATH_FLOATS floats (else
-    ConfigError, at the call, before the first batch is asked for).
+    BATCH_BYTES, or fewer in the last batch.  The declared rules, and the
+    checks.MAX_PATH_FLOATS floats one path may hold, are checked at the call,
+    before the first batch is asked for (else ConfigError).
     """
     checks.require(checks.channels_rule(num_channels, grid.num_nodes))
     master_seed, num_channels = operator.index(master_seed), operator.index(num_channels)
     size = max(1, BATCH_BYTES // (8 * num_channels * grid.num_nodes))
-
-    def batches():
-        stop = 0
-        while stop < M:
-            start, stop = stop, min(M, stop + size, (stop | _MASK32) + 1)
-            yield start, np.diff(_wiener(master_seed, range(start, stop), 0, grid, num_channels),
-                                 axis=-1)
-
-    return batches()
+    return ((start, np.diff(_wiener(master_seed, range(start, min(M, start + size)), 0, grid,
+                                    num_channels), axis=-1))
+            for start in range(0, M, size))
 
 
 @checks.ruled(path=WienerPath, grid=TimeGrid)

@@ -379,9 +379,10 @@ class TestConvergenceOrder:
         assert math.isnan(report.order)
 
     def test_needs_three_dyadic_levels(self):
+        # the count is reported as given, as every count rule reports it
         model = linear_test(lam=1.0)
-        for levels, shown in ((2, 2), (0, 0), (-3, 0)):
-            with pytest.raises(ConfigError, match=f"at least 3 grid levels; got {shown}$"):
+        for levels in (2, 0, -3):
+            with pytest.raises(ConfigError, match=f"at least 3 grid levels; got {levels}$"):
                 convergence_order(model, chain_cfg(0.8, 32), levels)
         with pytest.raises(ValueError, match="needs a master_seed"):
             convergence_order(model, chain_cfg(0.8, 32, stochastic=True), 3)
@@ -404,6 +405,14 @@ class TestConvergenceOrder:
         model = linear_test(lam=1.0)
         with pytest.raises(ConfigError, match="got T/h = 5368709120.0"):
             convergence_order(model, SolverConfig(alpha=0.8, grid=make_grid(1.0, 0.1)), 30)
+
+    def test_finest_step_that_underflows_names_levels(self):
+        # h / 2**1079 is 0.0: the report names levels and the h it was given,
+        # not an h of 0 that nobody passed
+        with pytest.raises(ConfigError, match=re.escape(
+                "levels must keep the finest step h / 2**(levels - 1) above 0 for h=0.01; "
+                "got 1080") + "$"):
+            convergence_order(linear_test(lam=1.0), SolverConfig(0.8, make_grid(1.0, 0.01)), 1080)
 
 
 COUNT_CALLS = {  # entry point: (call of one count, a valid count)
@@ -686,6 +695,19 @@ BAD_INPUTS = {
         "iterations must be an integer; got 'x'"),
     "levels_rule without levels": (lambda: checks.require(levels_rule(None, GRID)),
                                    "levels must be an integer; got None"),
+    # all K + 1 iterates are kept: they get the float budget of one path's noise
+    "picard_iterate past its float budget": (
+        lambda: picard_iterate(linear_test(), 0.8, GRID, None, 10**400),
+        f"K must be at most {2**24 // 5 - 1} for dim 1 on a grid of 5 nodes; got {10**400}"),
+    # a bool is no real number, though numbers.Real takes it as 0 or 1
+    "SolverConfig with a bool alpha": (lambda: SolverConfig(True, GRID),
+                                       "alpha must be a real number; got True"),
+    "make_grid with a bool horizon": (lambda: make_grid(True, 0.25),
+                                      "T must be a real number; got True"),
+    "ito_isometry_check with a bool alpha": (lambda: ito_isometry_check(True, GRID, 1000),
+                                             "alpha must be a real number; got True"),
+    "NewtonLeipnikParams with a bool beta": (lambda: NewtonLeipnikParams(beta=False),
+                                             "beta must be a real number; got False"),
     "SolverConfig with an array for stochastic": (
         lambda: SolverConfig(0.8, GRID, stochastic=np.array([1, 0])),
         "stochastic must be a bool; got array([1, 0])"),

@@ -7,6 +7,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from sfode import checks, stochastic
+from sfode.analysis import ensemble_run, ito_isometry_check
+from sfode.cli import RunConfig
+from sfode.picard import cauchy_diagnostic, diagnostic_rule
 from sfode.solver import SolverConfig, solve
 from sfode.stochastic import (
     SeedSpec,
@@ -90,16 +93,17 @@ class TestSeedSpec:
             SeedSpec(1, 0, index)
 
     def test_numpy_integers_are_python_ints(self):
-        # 2**64 - 1 as np.uint64 would wrap on + 1; the stored int does not
+        # 2**64 - 1 as np.uint64 would wrap on + 1; the stored int does not.
+        # The path index is the last of the key space.
         grid = make_grid(1.0, 0.25)
-        top = 2**64 - 1
-        spec = SeedSpec(np.uint64(top), np.uint64(top), np.int64(3))
-        assert spec == SeedSpec(top, top, 3)
+        top, last = 2**64 - 1, 2**32 - 1
+        spec = SeedSpec(np.uint64(top), np.uint64(last), np.int64(3))
+        assert spec == SeedSpec(top, last, 3)
         assert all(type(v) is int for v in (spec.master_seed, spec.path_index, spec.channel_index))
         assert checks.seed_rule("seed", np.uint64(top)) == []
         assert checks.seed_rule("seed", np.int64(-1)) != []
         np.testing.assert_array_equal(generate_path(spec, grid, 2).cumulative,
-                                      generate_path(SeedSpec(top, top, 3), grid, 2).cumulative)
+                                      generate_path(SeedSpec(top, last, 3), grid, 2).cumulative)
         (_, dW), = increment_batches(np.uint64(top), 2, grid, 1)
         (_, ref), = increment_batches(top, 2, grid, 1)
         np.testing.assert_array_equal(dW, ref)
@@ -199,6 +203,35 @@ class TestWienerPath:
             WienerPath(grid, np.zeros((1, 5)))
 
 
+GRID = make_grid(1.0, 0.25)
+# bound: (a call just past the key space, the call at its edge, the message)
+KEY_SPACE_BOUNDS = {
+    "SeedSpec path_index": (lambda: SeedSpec(1, 2**32), lambda: SeedSpec(1, 2**32 - 1),
+                            "path_index must be <= 4294967295; got 4294967296"),
+    "SeedSpec channel_index": (lambda: SeedSpec(1, 0, 2**32), lambda: SeedSpec(1, 0, 2**32 - 1),
+                               "channel_index must be <= 4294967295; got 4294967296"),
+    "generate_path channels": (
+        lambda: generate_path(SeedSpec(1, 0, 2**32 - 1), GRID, 2),
+        lambda: generate_path(SeedSpec(1, 0, 2**32 - 2), GRID, 2),
+        "channel_index + num_channels must be <= 4294967296; got 4294967297"),
+    "increment_batches M": (lambda: increment_batches(0, 2**32 + 1, GRID, 1),
+                            lambda: increment_batches(0, 2**32, GRID, 1),
+                            "M must be <= 4294967296; got 4294967297"),
+    "ensemble_run M": (
+        lambda: ensemble_run(linear_test(sigma0=1.0), SolverConfig(0.8, GRID, True), 0, 2**32 + 1),
+        lambda: checks.require(ensemble_run.__rules__["M"]("M", 2**32)),
+        "M must be <= 4294967296; got 4294967297"),
+    "ito_isometry_check M": (lambda: ito_isometry_check(0.8, GRID, 2**32 + 1),
+                             lambda: checks.require(ito_isometry_check.__rules__["M"]("M", 2**32)),
+                             "M must be <= 4294967296; got 4294967297"),
+    "cauchy_diagnostic M": (lambda: cauchy_diagnostic(linear_test(), 0.8, GRID, 0, 2**32 + 1, 2),
+                            lambda: checks.require(diagnostic_rule(0.8, 2**32, 2, GRID)),
+                            "paths must be <= 4294967296; got 4294967297"),
+    "command line paths": (lambda: RunConfig(paths=2**32 + 1), lambda: RunConfig(paths=2**32),
+                           "paths must be <= 4294967296; got 4294967297"),
+}
+
+
 class TestDrawContract:
     """A batch draw equals the single-path draws bit for bit, and streams are
     keyed as README "Reproducibility" documents."""
@@ -223,12 +256,11 @@ class TestDrawContract:
 
     @pytest.mark.parametrize("s", [0, 1, 2**32 - 1, 2**32, 2**63, 2**64 - 1])
     def test_key_equals_seed_sequence(self, s):
-        # master seeds of one and two 32-bit words; path ranges of one, two
-        # and three words, just below and just above 2**32 and 2**64, each
-        # hashed at once; channel indices of one and two words
-        for paths in (range(0, 2), range(2**32 - 3, 2**32), range(2**32, 2**32 + 3),
-                      range(2**64 - 3, 2**64), range(2**64, 2**64 + 3)):
-            for c in (0, 2, 2**32 - 1, 2**32 + 1):
+        # master seeds of one and two 32-bit words; path ranges at the start
+        # and at the end of the key space, each hashed at once; channel
+        # indices up to the last one
+        for paths in (range(0, 200), range(2**32 - 5, 2**32)):
+            for c in (0, 2, 2**32 - 1):
                 keys = stochastic._keys(stochastic._pool(s), paths, c)
                 assert keys.shape == (len(paths), 2)
                 for i, key in zip(paths, keys):
@@ -236,26 +268,14 @@ class TestDrawContract:
                     np.testing.assert_array_equal(key, seq.generate_state(2, np.uint64),
                                                   str((i, c)))
 
-    @pytest.mark.parametrize("paths", [range(2**32 - 1, 2**32 + 1), range(2**64 - 2, 2**64 + 2)])
-    def test_keys_refuse_a_range_across_a_word_boundary(self, paths):
-        with pytest.raises(ValueError, match="cross a multiple of 2\\*\\*32"):
-            stochastic._keys(stochastic._pool(1), paths, 0)
-
-    def test_batches_stop_at_a_word_boundary(self, monkeypatch):
-        # a batch of 3 * 2**30 paths would reach from 3 * 2**30 past 2**32;
-        # the recorder stands in for the draw, so nothing of that size is made
-        grid = make_grid(1.0, 0.5)
-        monkeypatch.setattr(stochastic, "BATCH_BYTES", 3 * 2**30 * 8 * grid.num_nodes)
-        drawn = []
-
-        def record(master_seed, paths, channel, grid, num_channels):
-            drawn.append(paths)
-            return np.zeros((1, num_channels, grid.num_nodes))
-
-        monkeypatch.setattr(stochastic, "_wiener", record)
-        starts = [start for start, _ in increment_batches(5, 2**32 + 2, grid, 1)]
-        assert drawn == [range(0, 3 * 2**30), range(3 * 2**30, 2**32), range(2**32, 2**32 + 2)]
-        assert starts == [paths.start for paths in drawn]
+    @pytest.mark.parametrize("bound", KEY_SPACE_BOUNDS)
+    def test_indices_and_path_counts_stay_in_the_key_space(self, bound):
+        # a run near 2**32 paths takes days: a count at the edge is checked
+        # on its rule or on the lazy generator, and nothing of that size runs
+        past, edge, message = KEY_SPACE_BOUNDS[bound]
+        with pytest.raises(checks.ConfigError, match=f"^{re.escape(message)}$"):
+            past()
+        edge()
 
     @staticmethod
     def reference(s, i, c, grid):
@@ -265,7 +285,7 @@ class TestDrawContract:
         return np.concatenate([[0.0], np.cumsum(draws * math.sqrt(grid.h))])
 
     @pytest.mark.parametrize("s,i,c", [(0, 0, 0), (7, 3, 2), (2**64 - 1, 5, 1),
-                                       (2**64 - 1, 2**32, 2**32 + 1)])
+                                       (2**64 - 1, 2**32 - 1, 2**32 - 1)])
     def test_stream_keying(self, s, i, c):
         grid = make_grid(1.0, 0.125)
         np.testing.assert_array_equal(
@@ -273,12 +293,12 @@ class TestDrawContract:
             np.diff(self.reference(s, i, c, grid)))
 
     @pytest.mark.parametrize("s", [0, 2**64 - 1])
-    @pytest.mark.parametrize("c0", [0, 2**32 - 1])
+    @pytest.mark.parametrize("c0", [0, 2**32 - 2])
     def test_batch_across_a_word_boundary(self, s, c0):
-        # paths 2**32 - 2 .. 2**32 + 1 have one and two words, and from
-        # c0 = 2**32 - 1 so do the two channels of each path
+        # the last two paths of the key space, and from c0 = 2**32 - 2 the
+        # last two channels too
         grid = make_grid(1.0, 0.125)
-        for i in range(2**32 - 2, 2**32 + 2):
+        for i in range(2**32 - 2, 2**32):
             W = generate_path(SeedSpec(s, i, c0), grid, 2).cumulative
             for c in range(2):
                 np.testing.assert_array_equal(W[c], self.reference(s, i, c0 + c, grid))
