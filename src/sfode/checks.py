@@ -244,7 +244,7 @@ def grid_rule(T: float, h: float) -> list:
     problems = positive_rule("h", h) + positive_rule("T", T)
     if not problems:
         ratio = T / h
-        steps = round(ratio) if math.isfinite(ratio) else 0
+        steps = round(ratio) if math.isfinite(ratio) else math.inf  # inf: too many
         if steps < 2 or abs(ratio - steps) > GRID_REL_TOL:
             problems.append(f"T/h must be an integer >= 2; got T/h = {ratio!r}")
         elif steps > MAX_STEPS:

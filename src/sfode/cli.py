@@ -25,7 +25,8 @@ from .solver import (
     DivergenceError,
     NoiseHistory,
     SolverConfig,
-    solve,
+    Trajectory,
+    solve_batch,
     write_trajectory_csv,
 )
 from .special import gamma
@@ -234,10 +235,11 @@ def _write_json(path, summary: dict) -> None:
 
 def cmd_simulate(args) -> int:
     cfg, model, scfg, meta = _setup(args)
-    path = None
+    # the increments alone: the cumulative path is freed before the stepper allocates
+    dW = None
     if scfg.stochastic:
-        path = generate_path(SeedSpec(cfg.seed, 0, 0), scfg.grid, model.noise_dim)
-    traj = solve(model, scfg, path)
+        dW = generate_path(SeedSpec(cfg.seed, 0, 0), scfg.grid, model.noise_dim).increments
+    traj = Trajectory(grid=scfg.grid, states=solve_batch(model, scfg, dW))
     meta["num_steps"] = scfg.grid.num_steps
     meta["max_abs_state"] = format(float(abs(traj.states).max()), ".17g")
     _write(args.output, lambda s: write_trajectory_csv(traj, s, meta))

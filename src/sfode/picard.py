@@ -65,8 +65,8 @@ def _gaps(prev: np.ndarray, states: np.ndarray, sup_mode: bool) -> np.ndarray:
 
 def _kernels(t: np.ndarray, alpha: float) -> tuple:
     """The drift weights and the noise kernel of every sweep on the node
-    times t, by lag, each in a :class:`~sfode.solver._LagKernel` for
-    :func:`_lag_sums` over the N = len(t) - 1 left nodes.
+    times t, by lag, each the one row of a :class:`~sfode.solver._LagKernel`
+    for :func:`_lag_sums` over the N = len(t) - 1 left nodes.
 
     On the uniform grid t_n - t_j = t_{n-j}, so node n weights node j < n by
     the lag n - 1 - j alone: the fractional powers cost O(N) in total.  A
@@ -77,7 +77,7 @@ def _kernels(t: np.ndarray, alpha: float) -> tuple:
     p = t**alpha
     drift_w = (p[1:] - p[:-1]) * (inv_gamma / alpha)  # index n-j-1
     noise_k = t[1:]**(alpha - 1.0) * inv_gamma        # index n-j-1
-    return _LagKernel(drift_w), _LagKernel(noise_k)
+    return _LagKernel(drift_w[None]), _LagKernel(noise_k[None])
 
 
 def _sweep(model: SystemModel, kernels: tuple, t: np.ndarray,

@@ -72,9 +72,11 @@ BLOWUP = 1e6
 #: checks once and replays on a failure.
 BLOCK = 64
 #: Squares of at most this many source nodes are one stacked lag-matrix
-#: product per path; larger ones are FFT convolutions.  The product is the
-#: faster up to 256 nodes on one 3-D path and on 200 scalar or 3-D ones.
-LAG_MATRIX_MAX = 256
+#: product per path; larger ones are FFT convolutions.  Timed in place in a
+#: 20 000-step fig1 run (one BLAS thread, median per square), a 128-node
+#: square costs 22 us as a product and 64 us as an FFT, a 256-node one 164 us
+#: and 95 us; and a 256-node lag matrix alone holds 1 MiB.
+LAG_MATRIX_MAX = 128
 #: Rows per FFT call are capped so that one call's temporaries stay near this.
 FFT_BYTES = 1 << 18
 
@@ -150,8 +152,8 @@ class _Stepper:
     block from the records of the nodes before each.
 
     The weights come from a :class:`~sfode.weights.WeightTable`: b and the
-    interior a by lag, side by side in one :class:`_LagKernel`, and a0 by
-    step.
+    interior a by lag, the rows of its ``lags`` that one :class:`_LagKernel`
+    reads in place, and a0 by step.
 
     A step works on component rows, the model's convention with the paths
     last: row i is component i of every path, a Python float for one path
@@ -207,7 +209,7 @@ class _Stepper:
         # the component rows of an array whose first axis is the component
         self.comps = list if batch else np.ndarray.tolist
         self.table = table = WeightTable(steps, cfg.alpha, h, cfg.weight_mode)
-        self.kernel = kernel = _LagKernel(table.b, table.a)
+        self.kernel = kernel = _LagKernel(table.lags)
         # block 0's weight vectors: first[0, n, :n+1] = (b[n], .., b[0]) and
         # first[1, n, :n+1] = (a0[n], a[n-1], .., a[0]); C order keeps each contiguous
         size = min(steps, BLOCK)
@@ -234,7 +236,7 @@ class _Stepper:
         if steps > BLOCK:
             # direct weights past block 0 as (predictor, corrector) rows, lags
             # BLOCK-1..0: nodes s..n take the last n - s + 1
-            self.near_w = np.ascontiguousarray(kernel.k[BLOCK - 1::-1])
+            self.near_w = np.ascontiguousarray(kernel.k[:, BLOCK - 1::-1].T)
             self.ring = _ring_size(steps)
             # (predictor, corrector) far-field sums; step n reads slot n % ring
             self.far = np.zeros(self.hist_rows.shape[:-1] + (self.ring, 2))
@@ -290,7 +292,8 @@ class _Stepper:
         out = self.far[..., first:first + count, :]
         _add_square(self.hist_rows[..., end - L:end], self.kernel, out)
         if end == L:  # node 0 weighs a0[n] in the corrector, not a[n]
-            out[..., 1] += self.hist_rows[..., :1] * (self.table.a0 - self.table.a)[end:end + count]
+            a0, a = self.table.a0[end:end + count], self.table.a[end:end + count]
+            out[..., 1] += self.hist_rows[..., :1] * (a0 - a)
 
     def advance(self, states: np.ndarray, start: int, stop: int) -> None:
         """Take steps start..stop-1, all in one block, recording nodes
@@ -352,20 +355,21 @@ class _Stepper:
 
 
 class _LagKernel:
-    """Lag vectors of causal lag sums over one source, side by side: k[l, i]
-    is the weight of lag l in sum i.  Their lag matrices are built at first
-    use and kept: every square of L <= LAG_MATRIX_MAX nodes reads the same
-    one, as every direct block reads the same triangle."""
+    """Lag vectors of causal lag sums over one source, one per row of k,
+    (m, lags), read in place: k[i, l] is the weight of lag l in sum i.
+    Their lag matrices are built at first use and kept: every square of
+    L <= LAG_MATRIX_MAX nodes reads the same one, as every direct block
+    reads the same triangle."""
 
-    def __init__(self, *lags: np.ndarray):
-        self.k = np.stack(lags, axis=-1)
+    def __init__(self, k: np.ndarray):
+        self.k = k
         self._built = {}
 
     def _lags(self, lo: int, count: int) -> np.ndarray:
         """Lags lo..lo+count-1, (count, m), with 0 at negative lags and past the end."""
-        out = np.zeros((count, self.k.shape[1]))
-        a, b = max(lo, 0), min(lo + count, len(self.k))
-        out[a - lo:max(b - lo, 0)] = self.k[a:max(a, b)]
+        out = np.zeros((count, len(self.k)))
+        a, b = max(lo, 0), min(lo + count, self.k.shape[1])
+        out[a - lo:max(b - lo, 0)] = self.k[:, a:max(a, b)].T
         return out
 
     def matrix(self, lag0: int, size: int) -> np.ndarray:
@@ -382,16 +386,17 @@ def _add_square(x: np.ndarray, kernel: _LagKernel, out: np.ndarray) -> None:
     """Add to out, batch + (r, count, m), the lag sums of the L source nodes
     of x, batch + (r, L), at the count <= L targets that follow them:
 
-        out[..., c, i] += sum_j x[..., j] * k[L + c - j, i],
+        out[..., c, i] += sum_j x[..., j] * k[i, L + c - j],
 
     at the lags 1..2L-1 of kernel's m vectors: the one square of the
     stepper's far field and of the Picard sums (:func:`_lag_sums`).  Up to
     LAG_MATRIX_MAX nodes that is one stacked product with the (L, L m) lag
     matrix, which numpy evaluates per leading index of x.  Past it, it is
     one FFT convolution of size 2L with the transforms of the lags, taken
-    for this square and dropped after it; it wraps nothing into the columns
-    it reads, and transforms each row on its own, in chunks of rows whose
-    temporaries stay near FFT_BYTES.
+    from kernel's rows in place (rfft zero-pads them to 2L) for this square
+    and dropped after it; it wraps nothing into the columns it reads, and
+    transforms each row on its own, in chunks of rows whose temporaries
+    stay near FFT_BYTES.
     Either way a path rounds the same in any batch.  The axes of x and of
     out[..., i] before the node axis must merge without a copy.
     """
@@ -401,7 +406,7 @@ def _add_square(x: np.ndarray, kernel: _LagKernel, out: np.ndarray) -> None:
         return
     rows = x.reshape(-1, L)
     outs = [out[..., i].reshape(-1, count) for i in range(m)]
-    hats = np.fft.rfft(kernel._lags(1, 2 * L - 1).T, 2 * L)
+    hats = np.fft.rfft(kernel.k[:, 1:2 * L], 2 * L)
     chunk = max(1, FFT_BYTES // (48 * L))  # x_hat, a product, an irfft: 16L bytes each
     for r in range(0, len(rows), chunk):
         x_hat = np.fft.rfft(rows[r:r + chunk], 2 * L)

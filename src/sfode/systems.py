@@ -97,7 +97,11 @@ class SystemModel:
             raise ValueError(f"{self.name} {kind} must return {self.dim} component rows; "
                              f"got {rows}")
         if not isinstance(y[0], float):  # a batch
-            self.check_rows(kind, out, np.shape(y[0]))
+            shape = y[0].shape
+            for row in out:
+                if getattr(row, "shape", None) != shape:  # e.g. a list: np.shape decides
+                    self.check_rows(kind, out, shape)
+                    break
         return out
 
     def check_rows(self, kind: str, out: Sequence, shape: tuple) -> None:

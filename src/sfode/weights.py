@@ -64,6 +64,8 @@ class WeightTable:
       a[n-j] for node j = 1..n;
     * ``a0[n]``: the corrector weight of node 0 at step n.
 
+    The two lag kernels are the rows of one C-contiguous (2, num_steps)
+    array, ``lags`` = (b, a), which the stepper's lag sums read in place.
     The corrector weight a[n+1] = 1 of the new node is not stored.  The
     integer power tables m**alpha and m**(alpha+1) are computed once, so no
     fractional power is taken per step.  No short-memory truncation is
@@ -81,13 +83,15 @@ class WeightTable:
         m = np.arange(N + 2, dtype=float)
         pow_a = m**alpha
         p = m**(alpha + 1.0)
-        self.b = (h**alpha / alpha) * (pow_a[1:N + 1] - pow_a[:N])
+        self.lags = np.empty((2, N))
+        self.b, self.a = self.lags
+        self.b[:] = (h**alpha / alpha) * (pow_a[1:N + 1] - pow_a[:N])
         if self.mode is WeightMode.STANDARD:
-            self.a = p[2:] + p[:-2] - 2.0 * p[1:-1]
+            self.a[:] = p[2:] + p[:-2] - 2.0 * p[1:-1]
         else:
-            self.a = p[2:] - p[:-2] - 2.0 * p[1:-1]
+            self.a[:] = p[2:] - p[:-2] - 2.0 * p[1:-1]
         self.a0 = p[:N] - (m[:N] - self.alpha) * pow_a[1:N + 1]
-        for table in (self.b, self.a, self.a0):
+        for table in (self.lags, self.b, self.a, self.a0):
             table.flags.writeable = False
 
 

@@ -600,6 +600,12 @@ BAD_INPUTS = {
     # an int past the float range is no finite number, and no TypeError or OverflowError
     "make_grid past the float range": (lambda: make_grid(10**400, 0.25),
                                        f"T must be finite; got {10**400}"),
+    # a T/h past the float range is too many steps, not too few
+    "make_grid of an overflowing T/h": (lambda: make_grid(1e300, 1e-300),
+                                        "T/h must be at most 4194304 steps; got T/h = inf"),
+    "levels_rule to a subnormal finest step": (
+        lambda: checks.require(levels_rule(1070, make_grid(2.0, 1.0))),
+        "T/h must be at most 4194304 steps; got T/h = inf"),
     "linear_test with a huge lam": (lambda: linear_test(lam=-10**400),
                                     f"lam must be finite; got {-10**400}"),
     "lipschitz_bound of a huge radius": (lambda: lipschitz_bound(lorenz(), 10**400),

@@ -417,6 +417,11 @@ def test_subnormal_alpha_is_config_error(command, alpha, tmp_path, capsys):
     (["picard", "--system", "linear_test", "--alpha", 0.8, "--h", 0.25, "--T", 1,
       "--paths", 100, "-K", 5],
      ["the Picard diagnostic needs iterations <= T/h = 4; got 5"]),
+    # T/h past the float range, given and at a subnormal finest level: too many steps
+    (["simulate", "--T", 1e300, "--h", 1e-300],
+     ["T/h must be at most 4194304 steps; got T/h = inf"]),
+    (["converge", "--mu", 0, "--h", 1, "--T", 2, "--levels", 1070],
+     ["T/h must be at most 4194304 steps; got T/h = inf"]),
 ])
 def test_command_rules_listed_with_run_keys(args, messages, tmp_path, capsys):
     # every violated constraint once, the command's own rules included

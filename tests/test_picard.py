@@ -170,7 +170,7 @@ class TestLagSums:
 
     @pytest.mark.parametrize("nodes,paths", [(nodes, 3) for nodes in sorted({
         100, BLOCK - 1, BLOCK, BLOCK + 1, 2 * BLOCK + 1, 4 * BLOCK, 4 * BLOCK + 1, 4 * BLOCK + 3,
-        2 * LAG_MATRIX_MAX + 1, 300, 2000})] + [(5000, 1)])
+        2 * LAG_MATRIX_MAX + 1, 4 * LAG_MATRIX_MAX + 1, 300, 2000})] + [(5000, 1)])
     def test_match_the_per_node_loop(self, nodes, paths):
         # the error is bounded by eps * |x|_1 * max|k| per row, which bounds
         # sum_j |x_j| |k_{p-j}| at every node p; measured worst 1.35 of that

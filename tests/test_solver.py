@@ -579,7 +579,7 @@ class TestFarField:
 
     def test_far_field_keeps_no_transforms(self):
         # after the far field of a 2**17-step run the stepper keeps its lag
-        # matrices, 1.3 MiB, and nothing of its FFT squares, whose lags'
+        # matrices, 0.3 MiB, and nothing of its FFT squares, whose lags'
         # transforms for every square size would take 4 MiB more
         steps = 2**17
         cfg = SolverConfig(alpha=0.8, grid=make_grid(steps / 1024, 1 / 1024))
@@ -594,6 +594,27 @@ class TestFarField:
         finally:
             tracemalloc.stop()
         assert retained < 2 * 2**20
+
+    def test_one_path_keeps_one_copy_of_its_weights(self, monkeypatch):
+        # a one-path run of 1000 steps has squares of 256 and 512 nodes: it
+        # builds no lag matrix of more than LAG_MATRIX_MAX source nodes, and
+        # its kernel reads the weight table's two rows in place
+        made = []
+
+        class Recorded(_Stepper):
+            def __init__(self, *args):
+                super().__init__(*args)
+                made.append(self)
+
+        monkeypatch.setattr(solver, "_Stepper", Recorded)
+        steps = 1000
+        cfg = SolverConfig(alpha=0.9, grid=make_grid(steps / 256, 1 / 256), stochastic=True)
+        solve(newton_leipnik(), cfg, generate_path(SeedSpec(3), cfg.grid, 3))
+        (stepper,) = made
+        assert max(solver._square(e) for e in range(BLOCK, steps, BLOCK)) == 512
+        assert max(m.shape[0] for m in stepper.kernel._built.values()) <= LAG_MATRIX_MAX
+        for weights in (stepper.table.b, stepper.table.a):
+            assert np.shares_memory(stepper.kernel.k, weights)
 
 
 class TestStochastic:
