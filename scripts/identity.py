@@ -13,15 +13,17 @@ run, with the output sha256, the exit code and whether stderr matches, and
 marks each difference.  A run that takes more than 600 s on either side is
 stopped, shows ``timeout`` as its exit code and counts as a difference, and
 the next run follows.  It exits 1 if any run differs, unless that run is
-named with --expect-change (a timeout counts all the same), and 2 on a bad
-REF or run name.
+named with --expect-change (a timeout counts all the same), or if a run
+named with --expect-change comes out the same, and 2 on a bad REF or run
+name.
 
 Both sides run on the same machine, so BLAS and CPU differences cancel and
 no digest is stored.  A change that alters some outputs on purpose names
-those runs with --expect-change.  --env sets a variable for the working
-tree's runs only, so ``--against HEAD --env OPENBLAS_CORETYPE=Prescott``
-lists the runs whose bytes follow that setting; a variable set for this
-script itself reaches both sides.
+those runs with --expect-change; a name whose change did not happen is a
+failure, so no stale name outlives its change.  --env sets a variable for
+the working tree's runs only, so ``--against HEAD --env
+OPENBLAS_CORETYPE=Prescott`` lists the runs whose bytes follow that
+setting; a variable set for this script itself reaches both sides.
 """
 
 import argparse
@@ -191,16 +193,19 @@ def main(argv=None) -> int:
                 print(f"{name:<28} {'timeout':>7}  DIFFERS", flush=True)
                 continue
             (ref_out, ref_err, ref_code), (out, err, code) = ref, tree
-            same = ref == tree
-            mark = "" if same else ("  differs (expected)" if name in args.expect_change
-                                    else "  DIFFERS")
-            failed += not same and name not in args.expect_change
+            same, expected = ref == tree, name in args.expect_change
+            if same:
+                mark = "  SAME: the expected change did not happen" if expected else ""
+            else:
+                mark = "  differs (expected)" if expected else "  DIFFERS"
+            failed += same == expected
             exit_col = str(code) if code == ref_code else f"{ref_code}->{code}"
             tree_col = "same" if out == ref_out else out[:16]
             print(f"{name:<28} {exit_col:>7}  {ref_out[:16]:<16} {tree_col:<16} "
                   f"{'same' if err == ref_err else 'differs'}{mark}", flush=True)
     print(f"{len(RUNS)} runs against {args.against}"
-          f"{''.join(f' --env {item}' for item in args.env)}: {failed} unexpected difference(s)")
+          f"{''.join(f' --env {item}' for item in args.env)}: {failed} unexpected difference(s) "
+          f"or missing expected change(s)")
     return 1 if failed else 0
 
 

@@ -1,7 +1,7 @@
 """Ensemble statistics, noise-integral checks, and convergence measurement.
 
 The Monte Carlo machinery here uses counter-based seeds (path i of a run is
-SeedSpec(master_seed, i, 0)).  :func:`path_rows` is the one many-path
+SeedSpec(master_seed, i)).  :func:`path_rows` is the one many-path
 driver: it runs paths in batches whose per-path results equal single-path
 runs bit for bit and hands them on one path at a time, in path-index order.
 Every reduction, the ensemble statistics, the Picard diagnostic and the
@@ -70,6 +70,7 @@ def path_rows(master_seed: int, M: int, grid: TimeGrid, channels: int, run):
             index = start + exc.path_index
             raise DivergenceError(f"path {index}: {exc}", exc.step, exc.time, index) from None
         yield from rows
+        del dW, rows  # so the batch is freed before the next one is drawn
 
 
 @checks.ruled(grid=TimeGrid, states_seq=Iterable)
@@ -103,11 +104,12 @@ def accumulate_stats(grid: TimeGrid, states_seq) -> EnsembleStats:
             mean = np.array(states, dtype=float)
             m2 = np.zeros_like(mean)
             l2 = np.sum(states**2, axis=0)
-            continue
-        delta = states - mean
-        mean += delta / count
-        m2 += delta * (states - mean)
-        l2 += np.sum(states**2, axis=0)
+        else:
+            delta = states - mean
+            mean += delta / count
+            m2 += delta * (states - mean)
+            l2 += np.sum(states**2, axis=0)
+        del states  # a view into its batch, which must not outlive it
     checks.require(["accumulate_stats needs at least one trajectory"] if count == 0 else [])
     return EnsembleStats(
         grid=grid,
@@ -142,7 +144,7 @@ def ito_isometry_check(alpha: float, grid: TimeGrid, M: int,
     kernel v(s) = (T - s)**(alpha - 1).
 
     Left-point Monte Carlo estimate over paths 0..M-1 of master_seed (path i
-    from the stream of SeedSpec(master_seed, i, 0)), against the closed form
+    from the stream of SeedSpec(master_seed, i)), against the closed form
     T**(2*alpha-1) / (2*alpha-1); returns the relative error.  The squares
     come from :func:`path_rows` as a stacked product, which rounds each path
     as it would alone, and are added in path-index order, so the value does
@@ -225,7 +227,7 @@ def convergence_order(model: SystemModel, cfg: SolverConfig, levels: int,
         targets = [_reference_states(reference, grid, model.dim) for grid in grids]
     fine_path = None
     if cfg.stochastic:
-        fine_path = generate_path(SeedSpec(master_seed, 0, 0), grids[-1], model.noise_dim)
+        fine_path = generate_path(SeedSpec(master_seed), grids[-1], model.noise_dim)
     runs = [solve(model, replace(cfg, grid=grid),
                   None if fine_path is None else restrict_path(fine_path, grid)).states
             for grid in grids]

@@ -53,9 +53,9 @@ MAX_STEPS = 2**22
 #: which a 3-channel path on a grid of MAX_STEPS steps fits.
 MAX_PATH_FLOATS = 2**24
 
-#: Size of the key space of the noise streams.  A path or a channel index is
-#: one 32-bit word of its stream's spawn key, so an index lies below 2**32 and
-#: a run draws at most 2**32 paths.
+#: Size of the key space of the noise streams.  A path index is one 32-bit
+#: word of its stream's spawn key, so it lies below 2**32 and a run draws at
+#: most 2**32 paths; a channel index, below MAX_PATH_FLOATS, is another word.
 KEY_SPACE = 2**32
 
 

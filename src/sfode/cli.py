@@ -238,7 +238,7 @@ def cmd_simulate(args) -> int:
     # the increments alone: the cumulative path is freed before the stepper allocates
     dW = None
     if scfg.stochastic:
-        dW = generate_path(SeedSpec(cfg.seed, 0, 0), scfg.grid, model.noise_dim).increments
+        dW = generate_path(SeedSpec(cfg.seed), scfg.grid, model.noise_dim).increments
     traj = Trajectory(grid=scfg.grid, states=solve_batch(model, scfg, dW))
     meta["num_steps"] = scfg.grid.num_steps
     meta["max_abs_state"] = format(float(abs(traj.states).max()), ".17g")

@@ -202,7 +202,7 @@ def cauchy_diagnostic(model: SystemModel, alpha: float, grid: TimeGrid,
                       sup_mode: bool = False) -> CauchyReport:
     """Monte Carlo contraction check of K Picard sweeps over M paths (:func:`diagnostic_rule`).
 
-    Path i uses the stream SeedSpec(master_seed, i, 0).  Paths are swept in
+    Path i uses the stream SeedSpec(master_seed, i).  Paths are swept in
     batches through :func:`sfode.analysis.path_rows`, which hands on one row
     per path, its K gaps (:func:`_gaps`) and its K + 1 terminal |y_k(T)|**2,
     and the rows are added in path-index order, so the report is

@@ -1,18 +1,18 @@
 """Equidistant time grids and reproducible Wiener paths.
 
-Noise streams are counter-based: the generator for a given (master seed,
-path index, channel index) triple is a Philox engine keyed as
-``numpy.random.SeedSequence(master_seed, spawn_key=(path, channel))``
-would key it, so an ensemble produces the same paths whatever the order or
-batch size in which its members run.  The keys are derived here:
-:func:`_pool` takes the pool of the master seed from numpy's SeedSequence
-once per draw, and :func:`_keys` hashes the spawn keys of one channel of
-every path of the batch into it together, in uint32 arrays, by a copy of
-SeedSequence's hash.  Path and channel indices lie below checks.KEY_SPACE,
-2**32, so each is one 32-bit word of the spawn key.  One Philox engine is
-then re-keyed through its public ``state`` for each stream and draws
-straight into the batch array, so a stream costs no SeedSequence, Philox,
-Generator or array of its own.
+Noise streams are counter-based: channel c of path i under master seed s
+draws from the stream (s, i, c), a Philox engine keyed as
+``numpy.random.SeedSequence(s, spawn_key=(i, c))`` would key it, so an
+ensemble produces the same paths whatever the order or batch size in which
+its members run.  The keys are derived here: :func:`_pool` takes the pool
+of the master seed from numpy's SeedSequence once per draw, and
+:func:`_keys` hashes the spawn keys of one channel of every path of the
+batch into it together, in uint32 arrays, by a copy of SeedSequence's hash.
+Path indices lie below checks.KEY_SPACE, 2**32, and channel indices below
+2**24 (checks.channels_rule), so each is one 32-bit word of the spawn key.
+One Philox engine is then re-keyed through its public ``state`` for each
+stream and draws straight into the batch array, so a stream costs no
+SeedSequence, Philox, Generator or array of its own.
 Paths are drawn in batches: one path is the batch of one.  Gaussians come
 from numpy's ziggurat sampler on that stream, which is deterministic for a
 fixed numpy build.
@@ -78,17 +78,18 @@ def make_grid(T: float, h: float) -> TimeGrid:
     return TimeGrid(float(T), float(h))
 
 
-@checks.ruled(master_seed=checks.seed_rule, **dict.fromkeys(
-    ("path_index", "channel_index"), checks.count_rule(0, checks.KEY_SPACE - 1)))
+@checks.ruled(master_seed=checks.seed_rule, path_index=checks.count_rule(0, checks.KEY_SPACE - 1),
+              channel_index=checks.count_rule(0, 0))
 @dataclass(frozen=True)
 class SeedSpec:
-    """Identifies one independent noise stream within an ensemble.
+    """Identifies the noise of one path within an ensemble.
 
-    Distinct (master_seed, path_index, channel_index) triples key distinct
-    counter-based streams.  For multi-channel paths, ``channel_index`` is the
-    index of the first channel.  Each field takes what operator.index
-    accepts, Python or numpy integers, and is stored as a Python int; the
-    two indices lie below checks.KEY_SPACE.
+    Channel c of the path draws from the stream (master_seed, path_index, c).
+    Each field takes what operator.index accepts, Python or numpy integers,
+    and is stored as a Python int; path_index lies below checks.KEY_SPACE.
+    ``channel_index`` must be 0: channels always start at stream c = 0.  The
+    field stays only because the benchmark's tracer, perfbench/traced.py,
+    calls the three-argument form SeedSpec(seed, i, 0).
     """
 
     master_seed: int
@@ -201,12 +202,11 @@ def _keys(pool: np.ndarray, paths: range, channel: int) -> np.ndarray:
     return np.ascontiguousarray(pool.T, "<u4").view("<u8")
 
 
-def _wiener(master_seed: int, paths: range, channel: int, grid: TimeGrid,
-            num_channels: int) -> np.ndarray:
+def _wiener(master_seed: int, paths: range, grid: TimeGrid, num_channels: int) -> np.ndarray:
     """W at the nodes, (len(paths), num_channels, num_nodes), with W(0) = 0.
 
     Channel c of path i draws its N(0, 1) Gaussians from the Philox stream
-    keyed by SeedSequence(master_seed, spawn_key=(i, channel + c)), from
+    keyed by SeedSequence(master_seed, spawn_key=(i, c)), from
     counter 0 with an empty buffer, as a fresh Philox(SeedSequence) starts.
     :func:`_keys` hashes the keys of the batch channel by channel; then one
     engine is re-keyed per stream and draws straight into that stream's
@@ -215,7 +215,7 @@ def _wiener(master_seed: int, paths: range, channel: int, grid: TimeGrid,
     """
     keys, pool = np.empty((len(paths), num_channels, 2), np.uint64), _pool(master_seed)
     for c in range(num_channels):
-        keys[:, c] = _keys(pool, paths, channel + c)
+        keys[:, c] = _keys(pool, paths, c)
     W = np.empty((len(paths), num_channels, grid.num_nodes))  # after the hash's scratch is freed
     W[..., 0] = 0.0
     bitgen = np.random.Philox(0)
@@ -236,19 +236,15 @@ def generate_path(seed: SeedSpec, grid: TimeGrid, num_channels: int = 1) -> Wien
     """Draw a Wiener path with i.i.d. Normal(0, h) increments per channel.
 
     The batch of one: channel c of the path uses the stream keyed by
-    (master_seed, path_index, channel_index + c), so channels are mutually
-    independent and the whole path is reproducible bit-for-bit from its
-    SeedSpec.  With channel_index 0 its increments are bit for bit those
-    that :func:`increment_batches` yields for path path_index.  The path may
-    hold at most checks.MAX_PATH_FLOATS floats, and its channels must lie
-    below checks.KEY_SPACE (else ConfigError).
+    (master_seed, path_index, c), so channels are mutually independent and
+    the whole path is reproducible bit-for-bit from its SeedSpec.  Its
+    increments are bit for bit those that :func:`increment_batches` yields
+    for path path_index.  The path may hold at most checks.MAX_PATH_FLOATS
+    floats (else ConfigError).
     """
-    end = seed.channel_index + operator.index(num_channels)
-    checks.require(checks.channels_rule(num_channels, grid.num_nodes)
-                   + checks.count_rule(most=checks.KEY_SPACE)("channel_index + num_channels", end))
+    checks.require(checks.channels_rule(num_channels, grid.num_nodes))
     paths = range(seed.path_index, seed.path_index + 1)
-    return WienerPath(grid, _wiener(seed.master_seed, paths, seed.channel_index, grid,
-                                    num_channels)[0])
+    return WienerPath(grid, _wiener(seed.master_seed, paths, grid, num_channels)[0])
 
 
 @checks.ruled(grid=TimeGrid, master_seed=checks.seed_rule,
@@ -258,7 +254,7 @@ def increment_batches(master_seed: int, M: int, grid: TimeGrid, num_channels: in
 
     Row b of dW, shape (B, num_channels, num_steps), holds the increments of
     path start + b, bit for bit those of
-    generate_path(SeedSpec(master_seed, start + b, 0), grid, num_channels).
+    generate_path(SeedSpec(master_seed, start + b), grid, num_channels).
     B >= 1 is the most paths whose (B, num_channels, num_nodes) floats fit
     BATCH_BYTES, or fewer in the last batch.  The declared rules, and the
     checks.MAX_PATH_FLOATS floats one path may hold, are checked at the call,
@@ -267,7 +263,7 @@ def increment_batches(master_seed: int, M: int, grid: TimeGrid, num_channels: in
     checks.require(checks.channels_rule(num_channels, grid.num_nodes))
     master_seed, num_channels = operator.index(master_seed), operator.index(num_channels)
     size = max(1, BATCH_BYTES // (8 * num_channels * grid.num_nodes))
-    return ((start, np.diff(_wiener(master_seed, range(start, min(M, start + size)), 0, grid,
+    return ((start, np.diff(_wiener(master_seed, range(start, min(M, start + size)), grid,
                                     num_channels), axis=-1))
             for start in range(0, M, size))
 

@@ -254,8 +254,11 @@ class TestBatchSize:
 
 class TestMemoryBound:
     """Memory is bounded by one batch, not by paths x nodes (README, Memory):
-    with batches of 100 paths, 2000 paths peak (tracemalloc) within 10% of
-    200 paths.  Measured 1.001 (ensemble_run) and 1.003 (cauchy_diagnostic)."""
+    with batches of 100 paths, 200 and 2000 paths peak (tracemalloc) within
+    5% of 100 paths, one batch, so each batch is freed before the next is
+    drawn.  Measured 1.007 and 1.011 (ensemble_run), 1.001 and 1.017
+    (cauchy_diagnostic); an ensemble_run that held its last batch while it
+    drew the next read 1.151."""
 
     RUNS = {  # entry point: (grid, call of a path count)
         "ensemble_run": (make_grid(1.0, 1 / 32), lambda grid, M: ensemble_run(
@@ -270,7 +273,7 @@ class TestMemoryBound:
         monkeypatch.setattr(stochastic, "BATCH_BYTES", 100 * 8 * 3 * grid.num_nodes)
         run(grid, 200)  # warm-up: the first run also builds what numpy caches
         peaks = []
-        for paths in (200, 2000):
+        for paths in (100, 200, 2000):
             tracemalloc.start()
             try:
                 before = tracemalloc.get_traced_memory()[0]
@@ -279,7 +282,7 @@ class TestMemoryBound:
                 peaks.append(tracemalloc.get_traced_memory()[1] - before)
             finally:
                 tracemalloc.stop()
-        assert peaks[1] <= 1.1 * peaks[0]
+        assert max(peaks[1:]) <= 1.05 * peaks[0], [peak / peaks[0] for peak in peaks[1:]]
 
 
 class TestVarianceLaw:

@@ -97,13 +97,13 @@ class TestSeedSpec:
         # The path index is the last of the key space.
         grid = make_grid(1.0, 0.25)
         top, last = 2**64 - 1, 2**32 - 1
-        spec = SeedSpec(np.uint64(top), np.uint64(last), np.int64(3))
-        assert spec == SeedSpec(top, last, 3)
+        spec = SeedSpec(np.uint64(top), np.uint64(last), np.int64(0))
+        assert spec == SeedSpec(top, last)
         assert all(type(v) is int for v in (spec.master_seed, spec.path_index, spec.channel_index))
         assert checks.seed_rule("seed", np.uint64(top)) == []
         assert checks.seed_rule("seed", np.int64(-1)) != []
         np.testing.assert_array_equal(generate_path(spec, grid, 2).cumulative,
-                                      generate_path(SeedSpec(top, last, 3), grid, 2).cumulative)
+                                      generate_path(SeedSpec(top, last), grid, 2).cumulative)
         (_, dW), = increment_batches(np.uint64(top), 2, grid, 1)
         (_, ref), = increment_batches(top, 2, grid, 1)
         np.testing.assert_array_equal(dW, ref)
@@ -128,8 +128,8 @@ class TestGeneratePath:
 
     def test_reproducible_bitwise(self):
         grid = make_grid(2.0, 0.125)
-        a = generate_path(SeedSpec(42, 3, 1), grid, num_channels=3)
-        b = generate_path(SeedSpec(42, 3, 1), grid, num_channels=3)
+        a = generate_path(SeedSpec(42, 3), grid, num_channels=3)
+        b = generate_path(SeedSpec(42, 3), grid, num_channels=3)
         np.testing.assert_array_equal(a.increments, b.increments)
         np.testing.assert_array_equal(a.cumulative, b.cumulative)
 
@@ -138,20 +138,21 @@ class TestGeneratePath:
         base = generate_path(SeedSpec(42, 0, 0), grid)
         assert not np.array_equal(base.increments, generate_path(SeedSpec(43, 0, 0), grid).increments)
         assert not np.array_equal(base.increments, generate_path(SeedSpec(42, 1, 0), grid).increments)
-        assert not np.array_equal(base.increments, generate_path(SeedSpec(42, 0, 1), grid).increments)
+        two = generate_path(SeedSpec(42), grid, num_channels=2).increments
+        assert not np.array_equal(two[0], two[1])
 
     def test_increments_are_exact_cumulative_differences(self):
         path = generate_path(SeedSpec(7), make_grid(1.0, 1.0 / 64), num_channels=2)
         np.testing.assert_array_equal(np.diff(path.cumulative, axis=1), path.increments)
 
     def test_channels_match_multichannel_draw(self):
-        # channel c of a path equals the single-channel path with the shifted
-        # channel base, per the stream-derivation contract
+        # channel c is stream (s, i, c) whatever the channel count: a draw of
+        # fewer channels is the first channels of a wider one
         grid = make_grid(1.0, 0.125)
-        multi = generate_path(SeedSpec(9, 2, 0), grid, num_channels=3)
-        for c in range(3):
-            single = generate_path(SeedSpec(9, 2, c), grid, num_channels=1)
-            np.testing.assert_array_equal(multi.increments[c], single.increments[0])
+        multi = generate_path(SeedSpec(9, 2), grid, num_channels=3)
+        for channels in (1, 2):
+            fewer = generate_path(SeedSpec(9, 2), grid, num_channels=channels)
+            np.testing.assert_array_equal(multi.increments[:channels], fewer.increments)
 
     def test_immutable_after_construction(self):
         path = generate_path(SeedSpec(1), make_grid(1.0, 0.5))
@@ -208,12 +209,9 @@ GRID = make_grid(1.0, 0.25)
 KEY_SPACE_BOUNDS = {
     "SeedSpec path_index": (lambda: SeedSpec(1, 2**32), lambda: SeedSpec(1, 2**32 - 1),
                             "path_index must be <= 4294967295; got 4294967296"),
-    "SeedSpec channel_index": (lambda: SeedSpec(1, 0, 2**32), lambda: SeedSpec(1, 0, 2**32 - 1),
-                               "channel_index must be <= 4294967295; got 4294967296"),
-    "generate_path channels": (
-        lambda: generate_path(SeedSpec(1, 0, 2**32 - 1), GRID, 2),
-        lambda: generate_path(SeedSpec(1, 0, 2**32 - 2), GRID, 2),
-        "channel_index + num_channels must be <= 4294967296; got 4294967297"),
+    # channel c of a path is always stream c, so the one channel_index is 0
+    "SeedSpec channel_index": (lambda: SeedSpec(1, 0, 1), lambda: SeedSpec(1, 0, 0),
+                               "channel_index must be <= 0; got 1"),
     "increment_batches M": (lambda: increment_batches(0, 2**32 + 1, GRID, 1),
                             lambda: increment_batches(0, 2**32, GRID, 1),
                             "M must be <= 4294967296; got 4294967297"),
@@ -285,23 +283,37 @@ class TestDrawContract:
         return np.concatenate([[0.0], np.cumsum(draws * math.sqrt(grid.h))])
 
     @pytest.mark.parametrize("s,i,c", [(0, 0, 0), (7, 3, 2), (2**64 - 1, 5, 1),
-                                       (2**64 - 1, 2**32 - 1, 2**32 - 1)])
+                                       (2**64 - 1, 2**32 - 1, 2)])
     def test_stream_keying(self, s, i, c):
+        # every channel of a draw of c + 1 channels, up to channel c
         grid = make_grid(1.0, 0.125)
-        np.testing.assert_array_equal(
-            generate_path(SeedSpec(s, i, c), grid, 1).increments[0],
-            np.diff(self.reference(s, i, c, grid)))
+        dW = generate_path(SeedSpec(s, i), grid, c + 1).increments
+        for k in range(c + 1):
+            np.testing.assert_array_equal(dW[k], np.diff(self.reference(s, i, k, grid)))
+
+    @pytest.mark.parametrize("s", [0, 2**32, 2**64 - 1])
+    def test_batch_rows_are_streams(self, monkeypatch, s):
+        # channel c of row b of a batch from start is stream (s, start + b, c),
+        # over batches of two paths
+        grid = make_grid(1.0, 0.125)
+        monkeypatch.setattr(stochastic, "BATCH_BYTES", 2 * 8 * 3 * grid.num_nodes)
+        for start, dW in increment_batches(s, 5, grid, 3):
+            for b, c in np.ndindex(dW.shape[:2]):
+                np.testing.assert_array_equal(dW[b, c],
+                                              np.diff(self.reference(s, start + b, c, grid)))
 
     @pytest.mark.parametrize("s", [0, 2**64 - 1])
-    @pytest.mark.parametrize("c0", [0, 2**32 - 2])
-    def test_batch_across_a_word_boundary(self, s, c0):
-        # the last two paths of the key space, and from c0 = 2**32 - 2 the
-        # last two channels too
+    @pytest.mark.parametrize("i0", [0, 2**32 - 2])
+    def test_batch_across_a_word_boundary(self, s, i0):
+        # a batch of two paths of two channels: the first two paths of the key
+        # space, and the last two, below the word boundary at 2**32
         grid = make_grid(1.0, 0.125)
-        for i in range(2**32 - 2, 2**32):
-            W = generate_path(SeedSpec(s, i, c0), grid, 2).cumulative
+        paths = range(i0, i0 + 2)
+        W = stochastic._wiener(s, paths, grid, 2)
+        for b, i in enumerate(paths):
+            np.testing.assert_array_equal(W[b], generate_path(SeedSpec(s, i), grid, 2).cumulative)
             for c in range(2):
-                np.testing.assert_array_equal(W[c], self.reference(s, i, c0 + c, grid))
+                np.testing.assert_array_equal(W[b, c], self.reference(s, i, c, grid))
 
 
 class TestPathStatistics:
