@@ -117,6 +117,11 @@ RUNS = {
     "ensemble_two_batches": ["ensemble", "--system", "newton_leipnik", "--alpha", "0.93",
                              "--h", "0.005", "--T", "5", "--mu", "0.1", "--paths", "400",
                              "--seed", "3", "--format", "json"],
+    # 320 steps, the longest run whose far-field ring is one block: the FFT
+    # square from node 0 and the product squares' target blocks share it
+    "ensemble_ring_boundary": ["ensemble", "--system", "newton_leipnik", "--alpha", "0.93",
+                               "--h", "0.005", "--T", "1.6", "--mu", "0.1", "--paths", "24",
+                               "--seed", "2"],
     # the master seed as one and as two 32-bit words of the stream keys
     "ensemble_seed0": ["ensemble", "--system", "newton_leipnik", "--alpha", "0.93",
                        "--h", "0.02", "--T", "0.5", "--mu", "0.1", "--paths", "8",

@@ -29,7 +29,10 @@ the Picard sweeps of :mod:`sfode.picard` share: a step sums the nodes of its
 own direct block of BLOCK nodes directly, and the older nodes arrive through
 the squares of Hairer, Lubich & Schlichte (SIAM J. Sci. Stat. Comput. 6,
 1985; :func:`_add_square`), so an N-step run costs O(N log^2 N) in its sums
-instead of O(N^2).
+instead of O(N^2).  The stepper adds an FFT square whole at its own block
+start and a product square one target block at a time, at the start of
+each block it covers, so its far-field ring holds only the targets of FFT
+squares and the block being stepped.
 
 The far field and the admissibility checks (finite right-hand sides,
 states within BLOWUP) both run per block, in the one block loop of
@@ -71,13 +74,14 @@ BLOWUP = 1e6
 #: its own block directly, and the block is also the unit that solve_batch
 #: checks once and replays on a failure.
 BLOCK = 64
-#: Squares of at most this many source nodes are one stacked lag-matrix
-#: product per path; larger ones are FFT convolutions.  Timed in place in a
+#: Squares of at most this many source nodes are stacked lag-matrix
+#: products per path; larger ones are FFT convolutions.  Timed in place in a
 #: 20 000-step fig1 run (one BLAS thread, median per square), a 128-node
 #: square costs 22 us as a product and 64 us as an FFT, a 256-node one 164 us
 #: and 95 us; and a 256-node lag matrix alone holds 1 MiB.
 LAG_MATRIX_MAX = 128
-#: Rows per FFT call are capped so that one call's temporaries stay near this.
+#: Rows per FFT call, and paths per square product, are capped so that one
+#: call's temporaries stay near this.
 FFT_BYTES = 1 << 18
 
 
@@ -176,13 +180,16 @@ class _Stepper:
     where f and g are the drift and diffusion at (t_{n+1}, yp).
 
     A history sum over nodes 0..n, formed by :meth:`sums` alone, follows
-    the schedule of the module docstring.  Its direct part, nodes s..n with s = n - n % BLOCK, is a
-    stacked product that numpy evaluates as one d-row product per path and
-    block, so each path rounds exactly as it would alone.  Past block 0 one
-    hist[..., s:n+1] @ W takes both sums (W: the reversed lags of b and a),
-    and the older nodes come from a ring of per-step accumulators, one
-    contiguous (ring, 2) run per history row, which :meth:`_far_field`
-    fills at each block start.  In block 0 the two sums are two one-column
+    the schedule of the module docstring.  Its direct part, nodes s..n with
+    s = n - n % BLOCK, is a stacked product that numpy evaluates as one
+    d-row product per path and block, so each path rounds exactly as it
+    would alone.  Past block 0 one hist[..., s:n+1] @ W takes both sums (W:
+    the reversed lags of b and a), and the older nodes come from a ring of
+    per-step accumulators, one contiguous (ring, 2) run per history row,
+    which :meth:`_far_field` fills at each block start: all targets of an
+    FFT square at once, and the block's own columns of the product squares,
+    so the ring holds the pending targets of FFT squares and one block
+    (:func:`_ring_size`).  In block 0 the two sums are two one-column
     products with the rows of :attr:`first`, the weight vectors of the
     plain full-memory loop (one two-column product rounds differently), so
     a run of at most BLOCK steps rounds as that loop.  Node 0's corrector
@@ -282,17 +289,40 @@ class _Stepper:
         return self.comps(near.T)
 
     def _far_field(self, end: int) -> None:
-        """Free the slots of the block before end and add the square whose
-        source block ends at node end - 1.  Once per block start end > 0,
-        before that block's first step."""
+        """Free the slots of the block before end and add the far field of
+        the block that starts at end: an FFT square whose source block ends
+        at node end - 1 for all its targets at once, or else this block's
+        columns of every product square that covers it.  Once per block
+        start end > 0, before that block's first step.
+
+        The product squares that cover the block are those whose source
+        blocks end at the block starts that clearing the lowest set bits of
+        end // BLOCK lists, as long as they stay product squares.  They are
+        added largest (earliest) first, the order in which whole squares
+        would reach the block, so each slot takes the same sums in the same
+        order as if every square were added whole at its own block start.
+        """
         free = (end - BLOCK) % self.ring
         self.far[..., free:free + BLOCK, :] = 0.0
-        L, first = _square(end), end % self.ring
-        count = min(L, self.num_steps - end)
-        out = self.far[..., first:first + count, :]
-        _add_square(self.hist_rows[..., end - L:end], self.kernel, out)
-        if end == L:  # node 0 weighs a0[n] in the corrector, not a[n]
-            a0, a = self.table.a0[end:end + count], self.table.a[end:end + count]
+        L = _square(end)
+        if L > LAG_MATRIX_MAX:
+            self._add_targets(end, end, min(L, self.num_steps - end))
+            return
+        starts, blocks = [], end // BLOCK
+        while blocks and _square(blocks * BLOCK) <= LAG_MATRIX_MAX:
+            starts.append(blocks * BLOCK)
+            blocks &= blocks - 1
+        for e in reversed(starts):
+            self._add_targets(e, end, min(BLOCK, self.num_steps - end))
+
+    def _add_targets(self, e: int, first: int, count: int) -> None:
+        """Add the square whose source block ends at node e - 1 to the slots
+        of its targets first..first+count-1."""
+        L, slot = _square(e), first % self.ring
+        out = self.far[..., slot:slot + count, :]
+        _add_square(self.hist_rows[..., e - L:e], self.kernel, out, first - e)
+        if e == L:  # node 0 weighs a0[n] in the corrector, not a[n]
+            a0, a = self.table.a0[first:first + count], self.table.a[first:first + count]
             out[..., 1] += self.hist_rows[..., :1] * (a0 - a)
 
     def advance(self, states: np.ndarray, start: int, stop: int) -> None:
@@ -382,36 +412,48 @@ class _LagKernel:
         return self._built[key]
 
 
-def _add_square(x: np.ndarray, kernel: _LagKernel, out: np.ndarray) -> None:
+def _add_square(x: np.ndarray, kernel: _LagKernel, out: np.ndarray, first: int = 0) -> None:
     """Add to out, batch + (r, count, m), the lag sums of the L source nodes
-    of x, batch + (r, L), at the count <= L targets that follow them:
+    of x, batch + (r, L), at the count targets first..first+count-1 of the
+    L that follow them:
 
-        out[..., c, i] += sum_j x[..., j] * k[i, L + c - j],
+        out[..., c, i] += sum_j x[..., j] * k[i, L + first + c - j],
 
     at the lags 1..2L-1 of kernel's m vectors: the one square of the
     stepper's far field and of the Picard sums (:func:`_lag_sums`).  Up to
-    LAG_MATRIX_MAX nodes that is one stacked product with the (L, L m) lag
-    matrix, which numpy evaluates per leading index of x.  Past it, it is
-    one FFT convolution of size 2L with the transforms of the lags, taken
+    LAG_MATRIX_MAX nodes that is one stacked product with the target
+    window's columns of the (L, L m) lag matrix, which numpy evaluates per
+    path (the batch axes of x, merged into one), taken over the paths in
+    chunks whose product stays within FFT_BYTES.  A product's columns taken
+    in pieces equal the whole product's bit for bit on the BLAS kernels tested
+    (TestBlasColumnPieces in tests/test_solver.py), so a square rounds the
+    same taken whole or a target block at a time.  Past LAG_MATRIX_MAX it
+    is one FFT convolution of size 2L with the transforms of the lags, taken
     from kernel's rows in place (rfft zero-pads them to 2L) for this square
     and dropped after it; it wraps nothing into the columns it reads, and
     transforms each row on its own, in chunks of rows whose temporaries
-    stay near FFT_BYTES.
-    Either way a path rounds the same in any batch.  The axes of x and of
-    out[..., i] before the node axis must merge without a copy.
+    stay near FFT_BYTES.  Either way a path rounds the same in any batch.
+    The axes of x and of out[..., i] before the node axis must merge
+    without a copy.
     """
     L, (count, m) = x.shape[-1], out.shape[-2:]
     if L <= LAG_MATRIX_MAX:
-        out += (x @ kernel.matrix(L, L)[:, :count * m]).reshape(out.shape)
+        matrix = kernel.matrix(L, L)[:, first * m:(first + count) * m]
+        paths, outs = x.reshape((-1,) + x.shape[-2:]), out.reshape((-1,) + out.shape[-3:])
+        chunk = max(1, FFT_BYTES // (outs[0].size * 8))
+        for p in range(0, len(paths), chunk):
+            part = outs[p:p + chunk]
+            part += (paths[p:p + chunk] @ matrix).reshape(part.shape)
         return
     rows = x.reshape(-1, L)
     outs = [out[..., i].reshape(-1, count) for i in range(m)]
     hats = np.fft.rfft(kernel.k[:, 1:2 * L], 2 * L)
     chunk = max(1, FFT_BYTES // (48 * L))  # x_hat, a product, an irfft: 16L bytes each
+    lo = L - 1 + first  # target first in the convolution
     for r in range(0, len(rows), chunk):
         x_hat = np.fft.rfft(rows[r:r + chunk], 2 * L)
         for k_hat, o in zip(hats, outs):
-            o[r:r + chunk] += np.fft.irfft(x_hat * k_hat, 2 * L)[:, L - 1:L - 1 + count]
+            o[r:r + chunk] += np.fft.irfft(x_hat * k_hat, 2 * L)[:, lo:lo + count]
 
 
 def _lag_sums(x: np.ndarray, kernel: _LagKernel, out: np.ndarray) -> np.ndarray:
@@ -442,9 +484,11 @@ def _square(end: int) -> int:
 
 def _ring_size(steps: int) -> int:
     """Far-field slots for a run: the least BLOCK * 2**k that holds the
-    targets of any one square, the most steps that are written to and not
-    yet read at a block start."""
-    ahead = max(min(_square(e), steps - e) for e in range(BLOCK, steps, BLOCK))
+    targets of any one FFT square, the most steps that are written to and
+    not yet read at a block start, and at least one block, which takes the
+    columns of its product squares at its own start (:meth:`_Stepper._far_field`)."""
+    ahead = max([min(L, steps - e) for e in range(BLOCK, steps, BLOCK)
+                 if (L := _square(e)) > LAG_MATRIX_MAX], default=BLOCK)
     ring = BLOCK
     while ring < ahead:
         ring *= 2
@@ -463,10 +507,10 @@ def solve_batch(model: SystemModel, cfg: SolverConfig, dW: np.ndarray | None) ->
     shape, and None means one path.
 
     Each block of BLOCK steps is one pass of this loop: its far field is
-    added once (a square of the recorded nodes before it), then it runs
-    unchecked and is checked once.  A block that fails the check, or
-    raises, is replayed step by step with checks from the same far field,
-    so the error raised is the one a check at every step raises.
+    added once (:meth:`_Stepper._far_field`), then it runs unchecked and is
+    checked once.  A block that fails the check, or raises, is replayed
+    step by step with checks from the same far field, so the error raised
+    is the one a check at every step raises.
     The model runs with overflow and invalid-value warnings suppressed: a
     non-finite value it returns is a divergence.
     """

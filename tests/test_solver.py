@@ -32,7 +32,7 @@ from sfode.systems import (
     lorenz,
     newton_leipnik,
 )
-from sfode.weights import WeightMode, corrector_weights, predictor_weights
+from sfode.weights import WeightMode, WeightTable, corrector_weights, predictor_weights
 
 
 def constant_diffusion_model(sigma0: float, y0: float = 0.0) -> SystemModel:
@@ -615,6 +615,145 @@ class TestFarField:
         assert max(m.shape[0] for m in stepper.kernel._built.values()) <= LAG_MATRIX_MAX
         for weights in (stepper.table.b, stepper.table.a):
             assert np.shares_memory(stepper.kernel.k, weights)
+
+
+def whole_square_ring(steps: int) -> int:
+    """The ring of a far field that adds every square whole at its own block
+    start: the least BLOCK * 2**k that holds the targets of any one square."""
+    ahead = max(min(solver._square(e), steps - e) for e in range(BLOCK, steps, BLOCK))
+    ring = BLOCK
+    while ring < ahead:
+        ring *= 2
+    return ring
+
+
+class WholeSquares:
+    """The reference far field of a stepper: at each block start one
+    _add_square of the whole square whose source block ends there, then node
+    0's a0 - a term for a square from node 0, into a ring that holds the
+    targets of every square."""
+
+    def __init__(self, stepper):
+        self.stepper, self.ring = stepper, whole_square_ring(stepper.num_steps)
+        self.far = np.zeros(stepper.hist_rows.shape[:-1] + (self.ring, 2))
+
+    def add(self, end):
+        st, ring = self.stepper, self.ring
+        free = (end - BLOCK) % ring
+        self.far[..., free:free + BLOCK, :] = 0.0
+        L, first = solver._square(end), end % ring
+        count = min(L, st.num_steps - end)
+        out = self.far[..., first:first + count, :]
+        solver._add_square(st.hist_rows[..., end - L:end], st.kernel, out)
+        if end == L:
+            a0, a = st.table.a0[end:end + count], st.table.a[end:end + count]
+            out[..., 1] += st.hist_rows[..., :1] * (a0 - a)
+
+    def block(self, end):
+        """The slots that the block starting at end reads."""
+        first = end % self.ring
+        return self.far[..., first:first + min(BLOCK, self.stepper.num_steps - end), :]
+
+
+class TestFarFieldPieces:
+    """The stepper takes the product squares one target block at a time and
+    keeps only the FFT squares' targets in its ring: each block still reads
+    the far field that whole squares give, bit for bit."""
+
+    @pytest.mark.parametrize("steps", [200, 256, 320, 321, 400])
+    @pytest.mark.parametrize("weight_mode", list(WeightMode))
+    @pytest.mark.parametrize("stochastic", [False, True])
+    @pytest.mark.parametrize("dim", [1, 3])
+    @pytest.mark.parametrize("batch", [(), (3,)])
+    def test_block_slots_equal_whole_squares(self, batch, dim, stochastic, weight_mode, steps):
+        model = linear_test(lam=0.8, sigma0=0.3) if dim == 1 else newton_leipnik()
+        cfg = SolverConfig(alpha=0.83, grid=make_grid(steps / 256, 1 / 256),
+                           stochastic=stochastic, weight_mode=weight_mode)
+        dW = None if not (batch or stochastic) else np.ones(batch + (dim, steps))
+        stepper = _Stepper(model, cfg, dW)
+        rng = np.random.default_rng(steps)  # a history over six decades
+        scale = np.exp(rng.uniform(-7.0, 7.0, stepper.hist.shape[:-1] + (1,)))
+        stepper.hist[...] = scale * rng.standard_normal(stepper.hist.shape)
+        reference = WholeSquares(stepper)
+        for end in range(BLOCK, steps, BLOCK):
+            stepper._far_field(end)
+            reference.add(end)
+            first = end % stepper.ring
+            got = stepper.far[..., first:first + min(BLOCK, steps - end), :]
+            assert got.tobytes() == reference.block(end).tobytes(), end
+
+    # a product square in blocks of targets, and an FFT square in any window
+    @pytest.mark.parametrize("L,count", [(LAG_MATRIX_MAX, BLOCK), (2 * LAG_MATRIX_MAX, BLOCK - 5)])
+    def test_square_window_is_the_whole_squares_columns(self, L, count):
+        kernel = solver._LagKernel(WeightTable(2 * L, 0.83, 1 / 256).lags)
+        x = np.random.default_rng(L).standard_normal((3, 2, L))
+        whole = np.zeros((3, 2, L, 2))
+        solver._add_square(x, kernel, whole)
+        for first in range(0, L, BLOCK):
+            part = np.zeros((3, 2, count, 2))
+            solver._add_square(x, kernel, part, first)
+            assert part.tobytes() == whole[..., first:first + count, :].tobytes()
+
+    def test_ring_holds_only_fft_square_targets(self):
+        # 129-320 steps: the squares of 64 and 128 nodes are products and
+        # the one FFT square (256 nodes, from node 0) has at most 64 targets
+        for steps in range(BLOCK + 1, 3000):
+            ring = BLOCK if 2 * BLOCK < steps <= 5 * BLOCK else whole_square_ring(steps)
+            assert solver._ring_size(steps) == ring, steps
+        assert {whole_square_ring(steps) for steps in range(3 * BLOCK + 1, 5 * BLOCK + 1)} == {128}
+        for steps in (2**13 + BLOCK, 2**17, 2**17 + 1):
+            assert solver._ring_size(steps) == whole_square_ring(steps)
+
+
+class TestBlasColumnPieces:
+    """The far field takes a product square's columns one target block at a
+    time (_add_square's target window) and relies on a BLAS property: the
+    columns of a lag-matrix product, taken in pieces of BLOCK targets, equal
+    the whole product's bit for bit.  A BLAS without it fails here, and the
+    stepper then rounds differently from whole squares.  The pieces start
+    at a block and end at the next one or at the whole's end, as the
+    stepper's do: a piece that ends elsewhere, 118 of 128 columns, differed
+    from the whole on the Prescott kernels of OpenBLAS."""
+
+    @pytest.mark.parametrize("batch", [(), (1,), (3,), (200,)])
+    @pytest.mark.parametrize("L", [64, 128])
+    @pytest.mark.parametrize("rows", [1, 2, 3, 6])
+    def test_column_pieces_equal_the_whole_product(self, rows, L, batch):
+        matrix = solver._LagKernel(WeightTable(2 * L, 0.83, 1 / 256).lags).matrix(L, L)
+        rng = np.random.default_rng(rows * L)
+        x = rng.standard_normal(batch + (rows, L)) * np.exp(rng.uniform(-7, 7, (rows, 1)))
+        for count in (L, L - 27):  # a whole square, and one cut short by a run's end
+            whole = x @ matrix[:, :2 * count]
+            for first in range(0, count, BLOCK):
+                cols = slice(2 * first, 2 * min(first + BLOCK, count))
+                piece = x @ matrix[:, cols]
+                assert piece.tobytes() == whole[..., cols].tobytes(), (count, first)
+                if batch == (200,):  # in chunks of the batch axis, as _add_square takes it
+                    chunks = np.concatenate([x[:128] @ matrix[:, cols], x[128:] @ matrix[:, cols]])
+                    assert chunks.tobytes() == piece.tobytes(), (count, first)
+
+
+class TestBatchFootprint:
+    """What a batch holds beyond its increments (tracemalloc): the stepper's
+    states and history, its far-field ring and its product temporaries."""
+
+    def test_scalar_batch_within_six_and_a_half_floats_per_node(self):
+        # the ensemble_scalar batch: 200 linear_test paths of 256 steps.
+        # Measured 5.97 floats per node per path; 8.14 with a ring of 128
+        # slots and whole-square product temporaries
+        grid = make_grid(1.0, 1 / 256)
+        cfg, model = SolverConfig(0.75, grid, stochastic=True), linear_test(lam=0.0, sigma0=1.0)
+        dW = np.stack([generate_path(SeedSpec(1, i), grid).increments for i in range(200)])
+        solve_batch(model, cfg, dW[:1])  # warm-up: the lag matrices are built once
+        tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            tracemalloc.reset_peak()
+            solve_batch(model, cfg, dW)
+            peak = tracemalloc.get_traced_memory()[1] - before
+        finally:
+            tracemalloc.stop()
+        assert peak / (8 * grid.num_nodes * len(dW)) <= 6.5
 
 
 class TestStochastic:
