@@ -21,7 +21,7 @@ from .solver import DivergenceError, SolverConfig, solve, solve_batch
 from .stochastic import SeedSpec, TimeGrid, generate_path, make_grid, restrict_path
 from .stochastic import increment_batches
 from .systems import SystemModel
-from .table import write_table
+from .table import metadata_rule, write_table
 
 __all__ = [
     "EnsembleStats",
@@ -52,6 +52,12 @@ class EnsembleStats:
     l2sq: np.ndarray       # (num_nodes,)
     num_paths: int
 
+    def __post_init__(self):
+        nodes = self.grid.num_nodes
+        checks.require(checks.shape_rule("mean", self.mean, ("dim", nodes))
+                       or checks.shape_rule("variance", self.variance, self.mean.shape))
+        checks.require(checks.shape_rule("l2sq", self.l2sq, (nodes,)))
+
 
 def path_rows(master_seed: int, M: int, grid: TimeGrid, channels: int, run):
     """Yield run's rows of paths 0..M-1 of master_seed, one path at a time,
@@ -77,38 +83,32 @@ def path_rows(master_seed: int, M: int, grid: TimeGrid, channels: int, run):
 def accumulate_stats(grid: TimeGrid, states_seq) -> EnsembleStats:
     """Reduce an ordered sequence of state arrays to ensemble statistics.
 
-    Welford accumulation in sequence order: deterministic, single-pass, and
-    the second-moment accumulator is non-negative term by term, so variance
-    can never round below zero.  Each item must be real numbers of the
-    first item's shape with the grid's nodes last; the values are not
-    scanned, as the solvers have checked them.
+    Welford accumulation from zeros in sequence order: deterministic,
+    single-pass, and the second-moment accumulator is non-negative term by
+    term, so variance can never round below zero.  Each item must be real
+    numbers shaped (d, num_nodes), d the first item's, and is reduced in
+    float64 (with no copy of a float64 item) unscanned, as the solvers have
+    checked its values.  A one-item mean of -0.0 comes out +0.0 (0.0 + -0.0).
     """
-    mean = None
-    m2 = None
-    l2 = None
+    mean = m2 = l2 = 0.0
     count = 0
     for states in states_seq:
         try:
             states = np.asarray(states)
         except ValueError:  # a ragged nesting
             states = np.asarray(None)
-        if mean is None:
-            shape = states.shape
-        checks.require([] if states.dtype.kind in "biuf" and states.shape == shape
-                        and shape[-1:] == (grid.num_nodes,) else
-                        [f"states_seq item {count} must be real numbers shaped as the first "
-                         f"item, with {grid.num_nodes} nodes on the last axis; got shape "
-                         f"{states.shape} of dtype {states.dtype}"])
+        # (d, num_nodes): the accumulators' shape after the first item, d its own
+        shape = np.shape(mean) or states.shape[:1] + (grid.num_nodes,)
+        checks.require([] if states.dtype.kind in "biuf" and states.shape == shape else
+                       [f"states_seq item {count} must be real numbers shaped (d, num_nodes), "
+                        f"num_nodes = {grid.num_nodes} and d the first item's; got shape "
+                        f"{states.shape} of dtype {states.dtype}"])
+        states = np.asarray(states, dtype=float)
         count += 1
-        if mean is None:
-            mean = np.array(states, dtype=float)
-            m2 = np.zeros_like(mean)
-            l2 = np.sum(states**2, axis=0)
-        else:
-            delta = states - mean
-            mean += delta / count
-            m2 += delta * (states - mean)
-            l2 += np.sum(states**2, axis=0)
+        delta = states - mean
+        mean += delta / count
+        m2 += delta * (states - mean)
+        l2 += np.sum(states**2, axis=0)
         del states  # a view into its batch, which must not outlive it
     checks.require(["accumulate_stats needs at least one trajectory"] if count == 0 else [])
     return EnsembleStats(
@@ -244,7 +244,8 @@ def convergence_order(model: SystemModel, cfg: SolverConfig, levels: int,
     return ConvergenceReport(h=h, errors=errors, order=order, degenerate=degenerate)
 
 
-@checks.ruled(stats=EnsembleStats, stream=checks.stream_rule, metadata=checks.optional_rule(dict))
+@checks.ruled(stats=EnsembleStats, stream=checks.stream_rule,
+              metadata=checks.optional_rule(metadata_rule))
 def write_stats_csv(stats: EnsembleStats, stream, metadata: dict | None = None) -> None:
     """Rows t, mean_1..d, var_1..d, l2sq in the shared table format."""
     d = stats.mean.shape[0]

@@ -37,6 +37,7 @@ __all__ = [
     "require",
     "ruled",
     "seed_rule",
+    "shape_rule",
     "stream_rule",
     "type_rule",
 ]
@@ -228,6 +229,16 @@ def array_rule(name: str, value, shape: tuple | None = None) -> list:
     if not np.isfinite(array).all():
         return [f"{name} must be finite; got {value!r}"]
     return []
+
+
+def shape_rule(name: str, array: np.ndarray, shape: tuple) -> list:
+    """array is shaped shape, whose int entries are lengths and whose str
+    entries name lengths left free, so that a result's arrays fit its grid
+    and one another, as its writer needs."""
+    fits = array.ndim == len(shape) and all(isinstance(n, str) or n == m
+                                            for n, m in zip(shape, array.shape))
+    text = str(shape).replace("'", "")  # the free lengths by their names, unquoted
+    return [] if fits else [f"{name} must be shaped {text}; got {array.shape}"]
 
 
 def channels_rule(num_channels: int, num_nodes: int) -> list:

@@ -29,7 +29,7 @@ from .analysis import path_rows
 from .solver import BLOWUP, DivergenceError, _LagKernel, _lag_sums
 from .stochastic import TimeGrid, WienerPath, path_rule
 from .systems import SystemModel
-from .table import write_table
+from .table import metadata_rule, write_table
 
 __all__ = [
     "PicardSequence",
@@ -163,6 +163,11 @@ class CauchyReport:
     converged: bool         # d_{K-1} < 0.01 * d_1
     max_terminal_l2: float  # max_k E|y_k(T)|**2, boundedness diagnostic
 
+    def __post_init__(self):
+        checks.require(checks.shape_rule("distances", self.distances, ("K - 1",))
+                       or ([] if len(self.distances) else
+                           ["distances must hold at least one distance; got none"]))
+
     @property
     def ratio(self) -> float:
         return float(self.distances[-1] / self.distances[0]) if self.distances[0] > 0 else 0.0
@@ -231,7 +236,8 @@ def cauchy_diagnostic(model: SystemModel, alpha: float, grid: TimeGrid,
     )
 
 
-@checks.ruled(report=CauchyReport, stream=checks.stream_rule, metadata=checks.optional_rule(dict))
+@checks.ruled(report=CauchyReport, stream=checks.stream_rule,
+              metadata=checks.optional_rule(metadata_rule))
 def write_distance_csv(report: CauchyReport, stream, metadata: dict | None = None) -> None:
     """Distance table: one row (k, d_k) per measured gap."""
     ks = range(1, len(report.distances) + 1)

@@ -54,7 +54,7 @@ import numpy as np
 from . import checks
 from .stochastic import TimeGrid, WienerPath, path_rule
 from .systems import SystemModel
-from .table import write_table
+from .table import metadata_rule, write_table
 from .weights import WeightMode, WeightTable
 
 __all__ = [
@@ -133,6 +133,9 @@ class Trajectory:
 
     grid: TimeGrid
     states: np.ndarray  # shape (dim, num_nodes)
+
+    def __post_init__(self):
+        checks.require(checks.shape_rule("states", self.states, ("dim", self.grid.num_nodes)))
 
     @property
     def dim(self) -> int:
@@ -562,7 +565,8 @@ def solve(model: SystemModel, cfg: SolverConfig,
     return Trajectory(grid=cfg.grid, states=solve_batch(model, cfg, dW))
 
 
-@checks.ruled(traj=Trajectory, stream=checks.stream_rule, metadata=checks.optional_rule(dict))
+@checks.ruled(traj=Trajectory, stream=checks.stream_rule,
+              metadata=checks.optional_rule(metadata_rule))
 def write_trajectory_csv(traj: Trajectory, stream, metadata: dict | None = None) -> None:
     """Write the metadata, then t, y1..yd rows, in the shared table format."""
     header = ["t"] + [f"y{i + 1}" for i in range(traj.dim)]

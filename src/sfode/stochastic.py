@@ -107,7 +107,8 @@ class WienerPath:
     """Sampled Brownian motion on a grid; immutable after construction.
 
     ``cumulative`` (finite real numbers shaped (d_w, num_steps + 1), W(0) =
-    0), a private copy of the array it is built from, is the one record; the
+    0), a private copy of the array it is built from (the draw of
+    :func:`generate_path` is kept as it is), is the one record; the
     read-only ``increments`` (shape (d_w, num_steps)) are derived from it as
     its exact floating-point differences, so the two views agree bitwise,
     and must be finite too.
@@ -118,20 +119,36 @@ class WienerPath:
     increments: np.ndarray = field(init=False)
 
     def __post_init__(self):
-        self.cumulative = np.array(self.cumulative, dtype=float)
+        drawn = isinstance(self.cumulative, _Drawn)  # held by no caller: no copy
+        self.cumulative = (self.cumulative.view(np.ndarray) if drawn
+                           else np.array(self.cumulative, dtype=float))
         shaped = self.cumulative.ndim == 2 and self.cumulative.shape[1] == self.grid.num_nodes
         checks.require([] if shaped else ["cumulative shape does not match grid"])
         checks.require(["W(0) must be 0"] if np.any(self.cumulative[:, 0] != 0.0) else [])
         self.cumulative.flags.writeable = False
-        with np.errstate(over="ignore"):  # a difference past the float range is inf
-            self.increments = np.diff(self.cumulative, axis=1)
-        checks.require([] if np.isfinite(self.increments).all() else
-                       ["cumulative must have finite increments"])
+        try:
+            self.increments = _increments(self.cumulative)
+        except FloatingPointError:
+            checks.require(["cumulative must have finite increments"])
         self.increments.flags.writeable = False
 
     @property
     def num_channels(self) -> int:
         return self.cumulative.shape[0]
+
+
+class _Drawn(np.ndarray):
+    """W that :func:`generate_path` has just drawn and holds no more: its
+    WienerPath keeps it without the copy that an array a caller passes gets."""
+
+
+def _increments(W: np.ndarray) -> np.ndarray:
+    """The increments of finite W along its last axis, its exact
+    floating-point differences.  A difference of finite floats is non-finite
+    only past the float range, which raises FloatingPointError, so the
+    result needs no scan; no drawn W gets there."""
+    with np.errstate(over="raise"):
+        return np.diff(W, axis=-1)
 
 
 def path_rule(path: WienerPath, grid: TimeGrid, num_channels: int) -> list:
@@ -244,7 +261,7 @@ def generate_path(seed: SeedSpec, grid: TimeGrid, num_channels: int = 1) -> Wien
     """
     checks.require(checks.channels_rule(num_channels, grid.num_nodes))
     paths = range(seed.path_index, seed.path_index + 1)
-    return WienerPath(grid, _wiener(seed.master_seed, paths, grid, num_channels)[0])
+    return WienerPath(grid, _wiener(seed.master_seed, paths, grid, num_channels)[0].view(_Drawn))
 
 
 @checks.ruled(grid=TimeGrid, master_seed=checks.seed_rule,
@@ -263,8 +280,8 @@ def increment_batches(master_seed: int, M: int, grid: TimeGrid, num_channels: in
     checks.require(checks.channels_rule(num_channels, grid.num_nodes))
     master_seed, num_channels = operator.index(master_seed), operator.index(num_channels)
     size = max(1, BATCH_BYTES // (8 * num_channels * grid.num_nodes))
-    return ((start, np.diff(_wiener(master_seed, range(start, min(M, start + size)), grid,
-                                    num_channels), axis=-1))
+    return ((start, _increments(_wiener(master_seed, range(start, min(M, start + size)), grid,
+                                        num_channels)))
             for start in range(0, M, size))
 
 

@@ -3,6 +3,7 @@ import io
 import math
 import re
 import tracemalloc
+import warnings
 from decimal import Decimal
 from fractions import Fraction
 
@@ -14,6 +15,7 @@ from hypothesis.extra import numpy as hnp
 
 from sfode import analysis, checks, stochastic
 from sfode.analysis import (
+    EnsembleStats,
     accumulate_stats,
     convergence_order,
     ensemble_run,
@@ -25,7 +27,7 @@ from sfode.checks import ConfigError
 from sfode.picard import (CauchyReport, cauchy_diagnostic, diagnostic_rule, picard_iterate,
                           write_distance_csv)
 from sfode.solver import (BLOCK, LAG_MATRIX_MAX, DivergenceError, NoiseHistory, SolverConfig,
-                          solve, solve_batch, write_trajectory_csv)
+                          Trajectory, solve, solve_batch, write_trajectory_csv)
 from sfode.special import gamma, mittag_leffler
 from sfode.stochastic import SeedSpec, generate_path, increment_batches, make_grid
 from sfode.systems import (LorenzParams, NewtonLeipnikParams, SystemModel, lipschitz_bound,
@@ -108,6 +110,72 @@ class TestEnsembleRun:
             ensemble_run(model, diffusion_cfg(), seed, M=2)
         with pytest.raises(ConfigError, match="seed"):
             cauchy_diagnostic(model, 0.93, make_grid(0.1, 0.01), seed, M=100, K=2)
+
+
+def first_item_welford(items) -> tuple:
+    """(mean, variance, l2sq) of float64 items by the reduction that
+    accumulate_stats replaced, the oracle of its bits: the first item seeds
+    the mean and the sum of squares, and each later one takes Welford's
+    update."""
+    mean = m2 = l2 = None
+    for count, states in enumerate(items, 1):
+        if mean is None:
+            mean = np.array(states, dtype=float)
+            m2 = np.zeros_like(mean)
+            l2 = np.sum(states**2, axis=0)
+        else:
+            delta = states - mean
+            mean += delta / count
+            m2 += delta * (states - mean)
+            l2 += np.sum(states**2, axis=0)
+    return mean, m2 / count, l2 / count
+
+
+# finite floats whose squares, summed over 3 components and 7 items, stay
+# finite, with +0.0, subnormals and both signs drawn often
+ITEM_FLOATS = st.one_of(
+    st.floats(-1e150, 1e150),
+    st.sampled_from([0.0, -0.0, 5e-324, -5e-324, 2.2e-308, -1e-310, 1e150, -1e150]))
+
+
+class TestAccumulateStats:
+    @settings(derandomize=True, deadline=None, max_examples=300)
+    @given(data=st.data(), dim=st.integers(1, 3), steps=st.integers(2, 6),
+           count=st.sampled_from([1, 2, 7]))
+    def test_equals_the_first_item_reduction_bit_for_bit(self, data, dim, steps, count):
+        # starting from zeros takes 0.0 + x for the first item's x, which is
+        # x bit for bit except at -0.0: so the first item draws no -0.0
+        # (adding 0.0 makes it +0.0), and the later ones may
+        grid = make_grid(steps * 0.25, 0.25)
+        items = [data.draw(hnp.arrays(np.float64, (dim, grid.num_nodes), elements=ITEM_FLOATS))
+                 for _ in range(count)]
+        items[0] = items[0] + 0.0
+        stats = accumulate_stats(grid, items)
+        for got, want in zip((stats.mean, stats.variance, stats.l2sq), first_item_welford(items)):
+            assert got.dtype == want.dtype and got.tobytes() == want.tobytes()
+
+    def test_one_item_mean_of_negative_zero_is_positive_zero(self):
+        # the one exception to the bits of the first-item reduction, which no
+        # command reaches: every built-in initial state is +0.0 or nonzero
+        item = np.array([[-0.0, 1.0, -0.0]])
+        stats = accumulate_stats(make_grid(1, 0.5), [item])
+        assert np.signbit(first_item_welford([item])[0]).tolist() == [[True, False, True]]
+        assert not np.signbit(stats.mean).any()
+        np.testing.assert_array_equal(stats.mean, item)
+
+    @pytest.mark.parametrize("dtype, value, l2sq", [
+        (np.int16, 200, 40_000.0), (np.uint8, 20, 400.0), (np.float16, 300, 90_000.0),
+        (np.float32, 1.5, 2.25)])
+    def test_items_are_reduced_in_float64(self, dtype, value, l2sq):
+        # a square in the item's own dtype wraps (int16, uint8), overflows
+        # with a warning (float16) or stays float32
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            stats = accumulate_stats(make_grid(1, 0.5), [np.full((1, 3), value, dtype)] * 2)
+        assert {a.dtype for a in (stats.mean, stats.variance, stats.l2sq)} == {np.dtype(float)}
+        np.testing.assert_array_equal(stats.mean, [[value] * 3])
+        np.testing.assert_array_equal(stats.variance, 0.0)
+        np.testing.assert_array_equal(stats.l2sq, l2sq)
 
 
 class TestNonFiniteRightHandSide:
@@ -753,15 +821,48 @@ BAD_INPUTS = {
     "write_distance_csv on a string for metadata": (
         lambda: write_distance_csv(CauchyReport(np.ones(1), False, 1.0), io.StringIO(), "x"),
         "metadata must be a dict; got 'x'"),
-    # the items of a reduction share one shape, the grid's nodes last
+    # the metadata of a writer: each item is one "# key=value" line
+    "write_stats_csv on a note of two lines": (
+        lambda: write_stats_csv(accumulate_stats(GRID, [np.zeros((1, 5))]), io.StringIO(),
+                                {"note": "a\nb,c"}),
+        "metadata['note'] must have no line break in its str; got 'a\\nb,c'"),
+    "write_trajectory_csv on a key with '='": (
+        lambda: write_trajectory_csv(solve(linear_test(), SolverConfig(0.8, GRID)),
+                                     io.StringIO(), {"a=b": 1}),
+        "metadata key 'a=b' must be a str with no '=' or line break"),
+    "write_distance_csv on an int key": (
+        lambda: write_distance_csv(CauchyReport(np.ones(1), False, 1.0), io.StringIO(),
+                                   {1: 2, "x": 3}),
+        "metadata key 1 must be a str with no '=' or line break"),
+    # results whose arrays their writers cannot write
+    "Trajectory off its grid": (lambda: Trajectory(make_grid(1, 0.5), np.zeros((1, 7))),
+                                "states must be shaped (dim, 3); got (1, 7)"),
+    "Trajectory of 1-D states": (lambda: Trajectory(make_grid(1, 0.5), np.zeros(3)),
+                                 "states must be shaped (dim, 3); got (3,)"),
+    "EnsembleStats of 3-D arrays": (
+        lambda: EnsembleStats(GRID, *[np.zeros((1, 5, 2))] * 2, np.zeros(5), 1),
+        "mean must be shaped (dim, 5); got (1, 5, 2)"),
+    "CauchyReport of 2-D distances": (lambda: CauchyReport(np.ones((2, 2)), False, 1.0),
+                                      "distances must be shaped (K - 1,); got (2, 2)"),
+    "CauchyReport of no distance": (lambda: CauchyReport(np.ones(0), False, 1.0),
+                                    "distances must hold at least one distance; got none"),
+    # the items of a reduction are (d, num_nodes), d the first item's
     "accumulate_stats of scalars": (
         lambda: accumulate_stats(GRID, [1, 2]),
-        "states_seq item 0 must be real numbers shaped as the first item, with 5 nodes on the "
-        "last axis; got shape ()"),
+        "states_seq item 0 must be real numbers shaped (d, num_nodes), num_nodes = 5 and d the "
+        "first item's; got shape ()"),
     "accumulate_stats of two shapes": (
         lambda: accumulate_stats(GRID, [np.zeros((1, 5)), np.zeros((2, 5))]),
-        "states_seq item 1 must be real numbers shaped as the first item, with 5 nodes on the "
-        "last axis; got shape (2, 5)"),
+        "states_seq item 1 must be real numbers shaped (d, num_nodes), num_nodes = 5 and d the "
+        "first item's; got shape (2, 5)"),
+    "accumulate_stats of a 1-D item": (
+        lambda: accumulate_stats(GRID, [np.zeros(5)]),
+        "states_seq item 0 must be real numbers shaped (d, num_nodes), num_nodes = 5 and d the "
+        "first item's; got shape (5,)"),
+    "accumulate_stats of a 3-D item": (
+        lambda: accumulate_stats(GRID, [np.zeros((1, 5)), np.zeros((1, 5, 1))]),
+        "states_seq item 1 must be real numbers shaped (d, num_nodes), num_nodes = 5 and d the "
+        "first item's; got shape (1, 5, 1)"),
     "accumulate_stats of None": (lambda: accumulate_stats(GRID, None),
                                  "states_seq must be an Iterable; got None"),
     "SystemModel with a number for a name": (lambda: SystemModel(3, 1, rows, rows, [0.0]),

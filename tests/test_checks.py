@@ -33,6 +33,7 @@ EXEMPT = {
         "sfode.checks.positive_rule",
         "sfode.checks.real_rule",
         "sfode.checks.seed_rule",
+        "sfode.checks.shape_rule",
         "sfode.checks.stream_rule",
         "sfode.checks.type_rule",
         "sfode.picard.diagnostic_rule",

@@ -1,5 +1,6 @@
 import math
 import re
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -158,6 +159,23 @@ class TestGeneratePath:
         path = generate_path(SeedSpec(1), make_grid(1.0, 0.5))
         with pytest.raises(ValueError):
             path.increments[0, 0] = 99.0
+
+    def test_peak_is_the_path_and_its_increments(self):
+        # the path keeps the W it draws, with no private copy, and derives
+        # its increments with no scan of them: 2.0 times the path's 469 KiB,
+        # where a copy and a finiteness scan peaked at 3.13 times
+        grid = make_grid(100.0, 0.005)
+        generate_path(SeedSpec(1), grid, 3)  # warm-up: numpy's first-call caches
+        tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            tracemalloc.reset_peak()
+            path = generate_path(SeedSpec(1), grid, 3)
+            peak = tracemalloc.get_traced_memory()[1] - before
+        finally:
+            tracemalloc.stop()
+        assert peak <= 2.1 * path.cumulative.nbytes, peak / path.cumulative.nbytes
+        assert not path.cumulative.flags.writeable and type(path.cumulative) is np.ndarray
 
 
 class TestWienerPath:
